@@ -13,6 +13,7 @@ from fractions import Fraction
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
+    _add_into,
     coordinate_derivative,
     dual_name,
     left_derivative,
@@ -24,38 +25,60 @@ from .polynomial_engine import BasePolynomial
 
 
 def bracket(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
+    """The odd bracket [a, b].
+
+    It is computed in two steps, the derivatives of a and then their
+    pairing with derivatives of b, so that a caller bracketing one a
+    with many b (the E2 page with a fixed S) can take the first once.
+    """
     if a.table != b.table:
         raise ValueError("generator table mismatch")
+    return _bracket_pair(_bracket_factors(a), b)
+
+
+def _bracket_factors(a: GradedPolynomial) -> list:
+    """The nonzero derivatives of a that enter [a, -].
+
+    Each entry is (signed derivative of a, derivative to take of b, the
+    name to take it by), in bracket order; a subtracted product has its
+    sign folded into the derivative of a here, once.
+    """
     table = a.table
-    out = GradedPolynomial.zero(table)
+    out = []
     for coord in table.coordinates:
         d = dual_name(coord)
         da = coordinate_derivative(a, coord)
         if da:
-            lb = left_derivative(b, d)
-            if lb:
-                out = out + multiply(da, lb)
+            out.append((da, left_derivative, d))
         ra = right_derivative(a, d)
         if ra:
-            db = coordinate_derivative(b, coord)
-            if db:
-                out = out - multiply(ra, db)
+            out.append((-ra, coordinate_derivative, coord))
     for aname, _deg, gname in table.pairs:
         ra = right_derivative(a, gname)
         if ra:
-            lb = left_derivative(b, aname)
-            if lb:
-                out = out + multiply(ra, lb)
+            out.append((ra, left_derivative, aname))
         ra = right_derivative(a, aname)
         if ra:
-            lb = left_derivative(b, gname)
-            if lb:
-                out = out - multiply(ra, lb)
+            out.append((-ra, left_derivative, gname))
     return out
 
 
+def _bracket_pair(factors: list, b: GradedPolynomial) -> GradedPolynomial:
+    """[a, b] from the derivatives of a collected by ``_bracket_factors``."""
+    out: dict = {}
+    for da, derivative, name in factors:
+        db = derivative(b, name)
+        if db:
+            _add_into(out, multiply(da, db).terms.items())
+    return GradedPolynomial(b.table, out)
+
+
 def d_S(S: GradedPolynomial, a: GradedPolynomial) -> GradedPolynomial:
-    """The twisted differential [S, -]."""
+    """The twisted differential [S, -].
+
+    The E2 page applies it to many cochains and so takes the derivatives
+    of S once per page column (``_bracket_factors``) instead of calling this.
+    """
     return bracket(S, a)
 
 
@@ -74,14 +97,15 @@ def exp_ad(u: GradedPolynomial, a: GradedPolynomial, P: int) -> GradedPolynomial
     if u.min_count() < 2:
         raise ValueError(
             "gauge generator terms need at least two positive factors")
-    total = truncate(a, P)
-    term = total
+    term = truncate(a, P)
+    total = dict(term.terms)
+    factors = _bracket_factors(u)
     k = 1
     while True:
-        term = truncate(bracket(u, term), P) * Fraction(1, k)
+        term = truncate(_bracket_pair(factors, term), P) * Fraction(1, k)
         if term.is_zero():
-            return total
-        total = total + term
+            return GradedPolynomial(a.table, total)
+        _add_into(total, term.terms.items())
         k += 1
         if k > P + 2:
             raise AssertionError("exponential failed to terminate")
@@ -98,12 +122,13 @@ def antifield_lift(table: GeneratorTable, components) -> GradedPolynomial:
     coords = table.coordinates
     if len(components) != len(coords):
         raise ValueError("one component per coordinate required")
-    out = GradedPolynomial.zero(table)
+    out: dict = {}
     for c, comp in zip(coords, components):
         if isinstance(comp, (int, Fraction)):
             comp = BasePolynomial.const(coords, comp)
         if comp.is_zero():
             continue
-        out = out - multiply(GradedPolynomial.from_scalar(table, comp),
-                             GradedPolynomial.generator(table, dual_name(c)))
-    return out
+        term = multiply(GradedPolynomial.from_scalar(table, comp),
+                        GradedPolynomial.generator(table, dual_name(c)))
+        _add_into(out, term.terms.items(), negate=True)
+    return GradedPolynomial(table, out)

@@ -37,7 +37,7 @@ from .polynomial_engine import (
     syzygy_basis,
 )
 from .graded_algebra import GradedPolynomial, gr_project, graded_to_str
-from .antibracket import bracket
+from .antibracket import _bracket_factors, _bracket_pair
 
 __all__ = [
     "CohomologyReport",
@@ -711,10 +711,14 @@ def _ghost_monomials(table, p: int) -> list:
     return sorted(out)
 
 
-def _d1_decompose(S, table, gb, gm: tuple, coeff: BasePolynomial, p: int) -> dict:
-    """Page differential of coeff * ghost monomial, as NF coefficients."""
+def _d1_decompose(dS: list, table, gb, gm: tuple, coeff: BasePolynomial,
+                  p: int) -> dict:
+    """Page differential of coeff * ghost monomial, as NF coefficients.
+
+    ``dS`` holds the derivatives of S, ``_bracket_factors(S)``.
+    """
     a = GradedPolynomial.monomial(table, gm, coeff)
-    out = gr_project(bracket(S, a), p + 1)
+    out = gr_project(_bracket_pair(dS, a), p + 1)
     dec = {}
     for m, c in out.terms.items():
         nf = normal_form(c, gb)
@@ -723,9 +727,8 @@ def _d1_decompose(S, table, gb, gm: tuple, coeff: BasePolynomial, p: int) -> dic
     return dec
 
 
-def _e2_slice(sol, gb, p: int, D: int):
+def _e2_slice(sol, gb, p: int, D: int, dS: list):
     table = sol.resolution.table
-    S = sol.S
     std = standard_monomials(gb, D)
     dom = [(gm, e) for gm in _ghost_monomials(table, p) for e in std]
     if not dom:
@@ -733,7 +736,7 @@ def _e2_slice(sol, gb, p: int, D: int):
     cols = {}
     outs = []
     for gm, e in dom:
-        dec = _d1_decompose(S, table, gb, gm,
+        dec = _d1_decompose(dS, table, gb, gm,
                             BasePolynomial(table.coordinates, {e: Fraction(1)}), p)
         outs.append(dec)
         for tm, c in dec.items():
@@ -758,7 +761,7 @@ def _e2_slice(sol, gb, p: int, D: int):
         nlow = len(icols)
         decs = []
         for gm, e in prev:
-            dec = _d1_decompose(S, table, gb, gm,
+            dec = _d1_decompose(dS, table, gb, gm,
                                 BasePolynomial(table.coordinates, {e: Fraction(1)}), p - 1)
             decs.append(dec)
             for tm, c in dec.items():
@@ -824,10 +827,11 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
             f"order at least {p + 1}")
     res = sol.resolution
     gb = groebner_basis(list(res.partials), res.order)
-    reps = _e2_slice(sol, gb, p, D)
-    reps1 = _e2_slice(sol, gb, p, D + 1)
+    dS = _bracket_factors(sol.S)
+    reps = _e2_slice(sol, gb, p, D, dS)
+    reps1 = _e2_slice(sol, gb, p, D + 1, dS)
     for rep in reps:
-        out = gr_project(bracket(sol.S, rep), p + 1)
+        out = gr_project(_bracket_pair(dS, rep), p + 1)
         for _m, c in out.terms.items():
             if not normal_form(c, gb).is_zero():
                 raise AssertionError("page cocycle fails its defining condition")

@@ -16,6 +16,7 @@ from .polynomial_engine import BasePolynomial, poly_to_str
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
+    _add_into,
     dual_name,
     graded_to_str,
     gr_project,
@@ -169,13 +170,14 @@ def s_lin(res: TateResolution) -> GradedPolynomial:
     ``master_residual``.
     """
     t = res.table
-    S = GradedPolynomial.zero(t)
+    S: dict = {}
     if res.s0 is not None:
-        S = S + GradedPolynomial.from_scalar(t, res.s0)
+        _add_into(S, GradedPolynomial.from_scalar(t, res.s0).terms.items())
     images = res.delta_images()
     for aname, _deg, gname in t.pairs:
-        S = S + multiply(images[aname], GradedPolynomial.generator(t, gname))
-    return S
+        term = multiply(images[aname], GradedPolynomial.generator(t, gname))
+        _add_into(S, term.terms.items())
+    return GradedPolynomial(t, S)
 
 
 def master_residual(res: TateResolution,
@@ -183,13 +185,14 @@ def master_residual(res: TateResolution,
     """[S,S], with the closed-one-form correction in the multivalued case."""
     r = bracket(S, S)
     if res.s0 is None:
-        corr = GradedPolynomial.zero(res.table)
+        corr: dict = {}
         for c, p in zip(res.table.coordinates, res.partials):
             if p.is_zero():
                 continue
-            corr = corr + multiply(GradedPolynomial.from_scalar(res.table, p),
-                                   left_derivative(S, dual_name(c)))
-        r = r + corr * 2
+            term = multiply(GradedPolynomial.from_scalar(res.table, p),
+                            left_derivative(S, dual_name(c)))
+            _add_into(corr, term.terms.items())
+        r = r + GradedPolynomial(res.table, corr) * 2
     return r
 
 
@@ -209,15 +212,16 @@ def _split_blocks(a: GradedPolynomial) -> dict:
     return blocks
 
 
-def _solve_layer(res: TateResolution, target: GradedPolynomial, p: int,
+def _solve_layer(res: TateResolution, blocks: dict, p: int,
                  cache: dict) -> GradedPolynomial:
     """Solve delta(v) = target blockwise, with v of chain weight p+1.
 
-    ``target`` must be a sum of terms whose negative part is a ghost(-p)
-    chain monomial and whose positive part has weight p+1 (for the solver
-    residual) or p (for gauge differences); the positive factors ride
-    along untouched.  Raises if some block fails to lift, which means the
-    resolution is not deep enough.
+    ``blocks`` is ``_split_blocks(target)``.  ``target`` must be a sum of
+    terms whose negative part is a ghost(-p) chain monomial and whose
+    positive part has weight p+1 (for the solver residual) or p (for
+    gauge differences); the positive factors ride along untouched.
+    Raises if some block fails to lift, which means the resolution is
+    not deep enough.
     """
     t = res.table
     if p not in cache:
@@ -227,10 +231,9 @@ def _solve_layer(res: TateResolution, target: GradedPolynomial, p: int,
         cols = _delta_columns(t, delta, chains, basis, t.coordinates)
         cache[p] = (basis, chains, cols)
     basis, chains, cols = cache[p]
-    out = GradedPolynomial.zero(t)
-    for pos in sorted(_split_blocks(target)):
-        block = _split_blocks(target)[pos]
-        rhs = GradedPolynomial(t, dict(block))
+    out: dict = {}
+    for pos in sorted(blocks):
+        rhs = GradedPolynomial(t, dict(blocks[pos]))
         vec = _vectorize(rhs, basis, t.coordinates)
         coeffs = _lift(vec, cols, res.order)
         if coeffs is None:
@@ -239,8 +242,9 @@ def _solve_layer(res: TateResolution, target: GradedPolynomial, p: int,
                 "resolution depth insufficient")
         vbar = GradedPolynomial(
             t, {m: c for m, c in zip(chains, coeffs) if not c.is_zero()})
-        out = out + multiply(vbar, GradedPolynomial.monomial(t, pos, 1))
-    return out
+        term = multiply(vbar, GradedPolynomial.monomial(t, pos, 1))
+        _add_into(out, term.terms.items())
+    return GradedPolynomial(t, out)
 
 
 # -- the order-by-order solver ----------------------------------------
@@ -267,8 +271,8 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     log = [f"associated solution: {len(S.terms)} terms"]
     cache: dict = {}
     order = p_max
+    r = master_residual(res, S)
     for p in range(1, p_max + 1):
-        r = master_residual(res, S)
         if r.is_zero():
             log.append(f"order {p}: residual vanished")
             break
@@ -288,7 +292,8 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
         if rbar.is_zero():
             log.append(f"order {p}: residual already in F^{p + 2}")
             continue
-        v = _solve_layer(res, rbar * Fraction(-1, 2), p, cache)
+        blocks = _split_blocks(rbar * Fraction(-1, 2))
+        v = _solve_layer(res, blocks, p, cache)
         S = S + v
         if truncate(S, 1) != low:
             raise AssertionError("correction leaked into weight <= 1")
@@ -296,9 +301,9 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
         if not r2.is_zero() and r2.min_weight() < p + 2:
             raise AssertionError(
                 f"residual weight failed to increase at order {p}")
-        nblocks = len(_split_blocks(rbar))
-        log.append(f"order {p}: cleared {nblocks} obstruction blocks, "
+        log.append(f"order {p}: cleared {len(blocks)} obstruction blocks, "
                    f"{len(v.terms)} correction terms")
+        r = r2
     return MasterSolution(res, S, order, log)
 
 
@@ -362,7 +367,7 @@ def gauge_relate(a: MasterSolution, b: MasterSolution,
                     if t.count_of(m) == q})
             if vq.is_zero():
                 continue
-            u = _solve_layer(res, vq, p, cache)
+            u = _solve_layer(res, _split_blocks(vq), p, cache)
             elements.append(u)
             S = exp_ad(u, S, p_max)
     if not truncate(S - T, p_max).is_zero():
@@ -376,7 +381,7 @@ def gauge_relate(a: MasterSolution, b: MasterSolution,
 def _reexpress(a: GradedPolynomial, table: GeneratorTable) -> GradedPolynomial:
     """Move a graded polynomial to a table with a larger coordinate list.
 
-    Coefficients are re-parsed over the new coordinates; generator names
+    Coefficients are extended to the new coordinates; generator names
     are remapped by position.  The common generators must appear in the
     same relative order, so no signs arise.
     """
@@ -395,8 +400,7 @@ def _reexpress(a: GradedPolynomial, table: GeneratorTable) -> GradedPolynomial:
         for i, e in enumerate(m):
             if e:
                 m2[posmap[i]] = e
-        out[tuple(m2)] = BasePolynomial.parse(poly_to_str(c),
-                                              table.coordinates)
+        out[tuple(m2)] = c.extend(table.coordinates)
     return GradedPolynomial(table, out)
 
 

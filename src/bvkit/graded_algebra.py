@@ -17,6 +17,7 @@ surrogate for the completed algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .polynomial_engine import (
@@ -41,7 +42,7 @@ class GeneratorTable:
     """
 
     __slots__ = ("coordinates", "pairs", "names", "degrees", "parities",
-                 "index", "_positive_idx")
+                 "index", "_positive_idx", "_odd_idx")
 
     def __init__(self, coordinates: Sequence[str], pairs: Sequence[tuple] = ()):
         self.coordinates = tuple(coordinates)
@@ -72,6 +73,7 @@ class GeneratorTable:
         self.parities = tuple(d % 2 for d in degrees)
         self.index = {n: i for i, n in enumerate(names)}
         self._positive_idx = tuple(i for i, d in enumerate(degrees) if d > 0)
+        self._odd_idx = tuple(i for i, par in enumerate(self.parities) if par)
 
     @property
     def ncoords(self) -> int:
@@ -130,15 +132,17 @@ class GradedPolynomial:
         self.table = table
         clean = {}
         if terms:
-            parities = table.parities
+            width = len(table.names)
+            odd = table._odd_idx
             for m, c in terms.items():
                 if not isinstance(c, BasePolynomial):
                     raise TypeError("coefficients must be BasePolynomial")
                 m = tuple(m)
-                if len(m) != len(parities):
+                if len(m) != width:
                     raise ValueError("monomial incompatible with table")
-                if any(p and e > 1 for p, e in zip(parities, m)):
-                    raise ValueError("odd generator exponent exceeds 1")
+                for i in odd:
+                    if m[i] > 1:
+                        raise ValueError("odd generator exponent exceeds 1")
                 if not c.is_zero():
                     clean[m] = c
         self.terms = clean
@@ -233,13 +237,7 @@ class GradedPolynomial:
             other = GradedPolynomial.from_scalar(self.table, other)
         self._check(other)
         t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = s
+        _add_into(t, other.terms.items())
         return GradedPolynomial(self.table, t)
 
     __radd__ = __add__
@@ -250,7 +248,10 @@ class GradedPolynomial:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, BasePolynomial)):
             other = GradedPolynomial.from_scalar(self.table, other)
-        return self + (-other)
+        self._check(other)
+        t = dict(self.terms)
+        _add_into(t, other.terms.items(), negate=True)
+        return GradedPolynomial(self.table, t)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -284,16 +285,27 @@ class GradedPolynomial:
         return f"GradedPolynomial({graded_to_str(self)!r})"
 
 
-def _merge_sign(a: tuple, b: tuple, parities: tuple) -> int:
+def _add_into(out: dict, terms, negate: bool = False) -> None:
+    """Add (monomial, coeff) pairs, negated if asked, into out; drop zeros."""
+    for m, c in terms:
+        if negate:
+            c = -c
+        s = out.get(m)
+        if s is not None:
+            c = s + c
+        if c.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = c
+
+
+def _merge_sign(a: tuple, b: tuple, odd: tuple) -> int:
     """Koszul sign exponent for reordering (a-block)(b-block) to canonical."""
     total = 0
-    n = len(a)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + (a[i] if parities[i] else 0)
-    for q in range(n):
-        if parities[q] and b[q]:
-            total += b[q] * suffix[q + 1]
+    later = 0
+    for i in reversed(odd):
+        total += b[i] * later
+        later += a[i]
     return total % 2
 
 
@@ -302,27 +314,22 @@ def multiply(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
     if a.table != b.table:
         raise ValueError("generator table mismatch")
     table = a.table
-    parities = table.parities
+    odd = table._odd_idx
+
+    def products():
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                for i in odd:
+                    if ma[i] + mb[i] > 1:
+                        break
+                else:
+                    c = ca * cb
+                    if _merge_sign(ma, mb, odd):
+                        c = -c
+                    yield tuple(map(add, ma, mb)), c
+
     out: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            bad = False
-            for i, par in enumerate(parities):
-                if par and ma[i] + mb[i] > 1:
-                    bad = True
-                    break
-            if bad:
-                continue
-            m = tuple(x + y for x, y in zip(ma, mb))
-            c = ca * cb
-            if _merge_sign(ma, mb, parities):
-                c = -c
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+    _add_into(out, products())
     return GradedPolynomial(table, out)
 
 
@@ -376,60 +383,39 @@ def transport(a: GradedPolynomial, new_table: GeneratorTable) -> GradedPolynomia
 # -- derivations -------------------------------------------------------
 
 
-def left_derivative(a: GradedPolynomial, name: str) -> GradedPolynomial:
-    """Graded left partial derivative by a table generator."""
+def _derivative(a: GradedPolynomial, name: str, right: bool) -> GradedPolynomial:
+    """Graded partial derivative; an odd generator picks up the sign of
+    the odd factors it passes on its way to the left or right end."""
     table = a.table
     i = table.index[name]
-    par = table.parities[i]
-    parities = table.parities
+    passed = ()
+    if table.parities[i]:
+        passed = [j for j in table._odd_idx if (j > i if right else j < i)]
+
+    def terms():
+        for m, c in a.terms.items():
+            e = m[i]
+            if e:
+                m2 = list(m)
+                m2[i] -= 1
+                c = c * e
+                if sum(m[j] for j in passed) % 2:
+                    c = -c
+                yield tuple(m2), c
+
     out: dict = {}
-    for m, c in a.terms.items():
-        e = m[i]
-        if not e:
-            continue
-        m2 = list(m)
-        m2[i] -= 1
-        coeff = c * e
-        if par:
-            prefix = sum(m[j] for j in range(i) if parities[j]) % 2
-            if prefix:
-                coeff = -coeff
-        m2 = tuple(m2)
-        s = out.get(m2)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            out.pop(m2, None)
-        else:
-            out[m2] = s
+    _add_into(out, terms())
     return GradedPolynomial(table, out)
+
+
+def left_derivative(a: GradedPolynomial, name: str) -> GradedPolynomial:
+    """Graded left partial derivative by a table generator."""
+    return _derivative(a, name, right=False)
 
 
 def right_derivative(a: GradedPolynomial, name: str) -> GradedPolynomial:
     """Graded right partial derivative by a table generator."""
-    table = a.table
-    i = table.index[name]
-    par = table.parities[i]
-    parities = table.parities
-    out: dict = {}
-    for m, c in a.terms.items():
-        e = m[i]
-        if not e:
-            continue
-        m2 = list(m)
-        m2[i] -= 1
-        coeff = c * e
-        if par:
-            suffix = sum(m[j] for j in range(i + 1, len(m)) if parities[j]) % 2
-            if suffix:
-                coeff = -coeff
-        m2 = tuple(m2)
-        s = out.get(m2)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            out.pop(m2, None)
-        else:
-            out[m2] = s
-    return GradedPolynomial(table, out)
+    return _derivative(a, name, right=True)
 
 
 def coordinate_derivative(a: GradedPolynomial, coord: str) -> GradedPolynomial:
@@ -451,13 +437,13 @@ def odd_derivation(table: GeneratorTable, images: dict):
     items = [(name, img) for name, img in images.items() if not img.is_zero()]
 
     def apply(a: GradedPolynomial) -> GradedPolynomial:
-        out = GradedPolynomial.zero(table)
+        out: dict = {}
         for name, img in items:
             d = left_derivative(a, name)
             if d.is_zero():
                 continue
-            out = out + multiply(img, d)
-        return out
+            _add_into(out, multiply(img, d).terms.items())
+        return GradedPolynomial(table, out)
 
     return apply
 

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvkit.antibracket import antifield_lift, bracket, d_S, exp_ad
+from bvkit.antibracket import (
+    _bracket_factors,
+    _bracket_pair,
+    antifield_lift,
+    bracket,
+    d_S,
+    exp_ad,
+)
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
@@ -239,3 +246,15 @@ def test_count_drop_bounded(a, b):
     if out.is_zero() or a.is_zero() or b.is_zero():
         return
     assert out.min_count() >= a.min_count() + b.min_count() - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous(TM), homogeneous(TM), homogeneous(TM))
+def test_once_computed_d_s_matches_bracket(S, a, b):
+    # the E2 page takes the derivatives of S once and pairs them with
+    # many cochains; each pairing must equal the bracket term for term
+    factors = _bracket_factors(S)
+    for x in (a, b, a):
+        out = _bracket_pair(factors, x)
+        assert out.terms == bracket(S, x).terms
+        assert out.terms == d_S(S, x).terms

@@ -1,5 +1,7 @@
 """Tests for the master-equation solver and the exact constructors."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from bvkit.graded_algebra import (
     truncate,
 )
 from bvkit.antibracket import bracket, exp_ad
+from bvkit.brst import e2_page
 from bvkit.tate import build_resolution
 from bvkit.bv_solver import (
     GaugeWord,
@@ -466,3 +469,30 @@ class TestSerialization:
         sol = trivial_solution([(-1, 1), (-2, 1)], {-2: [[1]]})
         obj = sol.to_json_obj()
         assert set(obj) == {"resolution", "S", "order"}
+
+
+class TestGolden:
+    """sha256 of exact outputs, pinned so that a change to any term, sign
+    or log line shows up: the circle quartic solved at depth 5, p = 4,
+    and its E2 columns 0 and 1 at bound 4."""
+
+    SOLUTION = ("858cf794da142928b967e35ea1545e5c"
+                "6452ed530d7d0610e8da885f35e81046")
+    LOG = ("9b0fc605f6cc176ed06be4af641d4a74"
+           "501c11c7aa058b8da9c4186395b0c463")
+    E2 = {0: ("5389c973a3a51d794cba421c91a1bd54"
+              "52545984da4a6e80a0b25d1e16c2cb3e"),
+          1: ("8b4ede1d96e2a1c213ccaab805312f48"
+              "360258fbd0eef98289160780b0f5e1bd")}
+
+    @staticmethod
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_circle_solution_and_page(self):
+        sol = solve_master(circle(5), 4)
+        assert self.sha(sol.to_json()) == self.SOLUTION
+        assert self.sha("\n".join(sol.log)) == self.LOG
+        for col, want in self.E2.items():
+            obj = e2_page(sol, col, 4).to_json_obj()
+            assert self.sha(json.dumps(obj, sort_keys=True)) == want

@@ -277,6 +277,36 @@ class TestStrings:
         assert parse_graded("xs^2", t).is_zero()
 
 
+class TestOddExponentCheck:
+    """Building a term whose odd generator has exponent > 1 raises;
+    parsing one yields zero, as the odd power vanishes."""
+
+    ONE = BasePolynomial.const(("x", "y"), 1)
+
+    @pytest.mark.parametrize("name", ["xs", "ys", "gs1", "b1"])
+    def test_constructors_reject_odd_square(self, name):
+        t = table_mixed()
+        assert t.parities[t.index[name]] == 1
+        m = [0] * len(t.names)
+        m[t.index[name]] = 2
+        with pytest.raises(ValueError, match="odd generator exponent"):
+            GradedPolynomial(t, {tuple(m): self.ONE})
+        with pytest.raises(ValueError, match="odd generator exponent"):
+            GradedPolynomial.monomial(t, tuple(m), 3)
+        # the parser builds powers by multiplication, so an odd square
+        # in the text vanishes instead of reaching the constructor
+        assert parse_graded(f"(x)*{name}^2 + (y)*{name}^3", t).is_zero()
+
+    @pytest.mark.parametrize("name", ["bs1", "g1"])
+    def test_even_powers_accepted(self, name):
+        t = table_mixed()
+        m = [0] * len(t.names)
+        m[t.index[name]] = 2
+        a = GradedPolynomial.monomial(t, tuple(m), 3)
+        assert list(a.terms) == [tuple(m)]
+        assert parse_graded(f"(3)*{name}^2", t) == a
+
+
 # -- randomized properties --------------------------------------------
 
 
