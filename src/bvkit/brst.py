@@ -376,28 +376,67 @@ def _reduce_row(v: list, red: list, pivots: list) -> list:
     return v
 
 
+def _kernel(images: list) -> list:
+    """Basis of the vanishing combinations of sparse vectors.
+
+    images[j] maps output keys to the coefficients of input j, so this
+    is the nullspace of the matrix whose j-th column is images[j].
+    """
+    rows = {}
+    for j, img in enumerate(images):
+        for k, c in img.items():
+            rows.setdefault(k, [Fraction(0)] * len(images))[j] = c
+    return nullspace(list(rows.values()), len(images))
+
+
+def _slice_image(images: list, low: dict) -> tuple:
+    """RREF of the span of the images intersected with the slice.
+
+    low maps the slice's keys to coordinates.  Combinations whose
+    entries off the slice cancel are written in those coordinates, so
+    the span is every image that lands inside the slice.
+    """
+    high = [{k: c for k, c in img.items() if k not in low} for img in images]
+    inslice = []
+    for co in _kernel(high):
+        w = [Fraction(0)] * len(low)
+        for a, img in zip(co, images):
+            if a:
+                for k, c in img.items():
+                    if k in low:
+                        w[low[k]] += a * c
+        inslice.append(w)
+    return rref(inslice)
+
+
+def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
+    """{(i, e): c} of normal_form(tau_i(x^m)) for each exponent m."""
+    out = []
+    for m in exps:
+        mono = BasePolynomial(pres.vars, {m: Fraction(1)})
+        img = {}
+        for i, t in enumerate(pres.tau):
+            for e, c in normal_form(apply_vector_field(t, mono), gb).terms.items():
+                img[(i, e)] = c
+        out.append(img)
+    return out
+
+
+def _presentation(parts: list, order: str,
+                  presentation: Optional[SymmetryPresentation]) -> SymmetryPresentation:
+    if presentation is None:
+        return symmetry_presentation(parts, order)
+    if presentation.partials != tuple(parts):
+        raise ValueError("presentation was built for different partials")
+    return presentation
+
+
 # -- H^0: invariants ---------------------------------------------------
 
 
 def _invariant_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     std = standard_monomials(gb, D)
-    nin = len(std)
-    if pres.r == 0:
-        ident = []
-        for j in range(nin):
-            v = [Fraction(0)] * nin
-            v[j] = Fraction(1)
-            ident.append(v)
-        return std, ident
-    rows = {}
-    for j, e in enumerate(std):
-        m = BasePolynomial(pres.vars, {e: Fraction(1)})
-        for ti, t in enumerate(pres.tau):
-            out = normal_form(apply_vector_field(t, m), gb)
-            for ee, c in out.terms.items():
-                rows.setdefault((ti, ee), [Fraction(0)] * nin)[j] = c
-    ker = nullspace(list(rows.values()), nin)
-    red, _piv = rref(ker)
+    red, _piv = rref(_kernel(_tau_images(pres, gb, std)))
     return std, red
 
 
@@ -417,7 +456,7 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     parts, vars = _check_partials(partials)
-    pres = presentation if presentation is not None else symmetry_presentation(parts, order)
+    pres = _presentation(parts, order, presentation)
     gb = jacobian_ring(parts, order)
     std, vecs = _invariant_vectors(pres, gb, D)
     _std1, vecs1 = _invariant_vectors(pres, gb, D + 1)
@@ -466,48 +505,18 @@ def _boundary_space(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     for i in range(r):
         for e in std:
             colmap[(i, e)] = len(colmap)
-    nlow = len(colmap)
     ext = standard_monomials(gb, D + _degree_allowance(pres))
-    cols = dict(colmap)
-    vecs = []
-    for e in ext:
-        m = BasePolynomial(pres.vars, {e: Fraction(1)})
-        entries = {}
-        for i, t in enumerate(pres.tau):
-            out = normal_form(apply_vector_field(t, m), gb)
-            for ee, c in out.terms.items():
-                cols.setdefault((i, ee), len(cols))
-                entries[(i, ee)] = c
-        vecs.append(entries)
-    dense = []
-    for entries in vecs:
-        v = [Fraction(0)] * len(cols)
-        for k, c in entries.items():
-            v[cols[k]] = c
-        dense.append(v)
-    if len(cols) > nlow:
-        high = list(range(nlow, len(cols)))
-        hrows = [[v[i] for v in dense] for i in high]
-        combos = nullspace(hrows, len(dense))
-        inslice = []
-        for co in combos:
-            w = [sum(co[k] * dense[k][i] for k in range(len(dense)))
-                 for i in range(nlow)]
-            inslice.append(w)
-    else:
-        inslice = [v[:nlow] for v in dense]
-    red, piv = rref(inslice)
+    red, piv = _slice_image(_tau_images(pres, gb, ext), colmap)
     return std, colmap, red, piv
 
 
 def _cocycle_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, D: int, std, colmap):
     r = pres.r
-    nin = len(colmap)
-    rows = {}
+    images = [{} for _ in colmap]
 
     def add(cond, ee, col, c):
-        row = rows.setdefault((cond, ee), [Fraction(0)] * nin)
-        row[col] = row[col] + c
+        img = images[col]
+        img[(cond, ee)] = img.get((cond, ee), Fraction(0)) + c
 
     for e in std:
         m = BasePolynomial(pres.vars, {e: Fraction(1)})
@@ -534,7 +543,7 @@ def _cocycle_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, D: int, std,
                 out = normal_form(rk * m, gb)
                 for ee, c in out.terms.items():
                     add(("r", a), ee, colmap[(k, e)], c)
-    return nullspace(list(rows.values()), nin)
+    return _kernel(images)
 
 
 def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
@@ -555,23 +564,24 @@ def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
             raise AssertionError("one-cocycle fails a relation condition")
 
 
+def _split_tuple(pres: SymmetryPresentation, std, colmap, v) -> list:
+    """The r polynomials of a vector over the (generator, monomial) slice."""
+    out = []
+    for i in range(pres.r):
+        terms = {}
+        for e in std:
+            c = v[colmap[(i, e)]]
+            if c:
+                terms[e] = c
+        out.append(BasePolynomial(pres.vars, terms))
+    return out
+
+
 def _h1_slice(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     std, colmap, bred, bpiv = _boundary_space(pres, gb, D)
     Z = _cocycle_vectors(pres, gb, D, std, colmap)
-    reduced = [_reduce_row(z, bred, bpiv) for z in Z]
-    red, _piv = rref(reduced)
-    reps = []
-    for v in red:
-        gs = []
-        for i in range(pres.r):
-            terms = {}
-            for e in std:
-                c = v[colmap[(i, e)]]
-                if c:
-                    terms[e] = c
-            gs.append(BasePolynomial(pres.vars, terms))
-        reps.append(tuple(gs))
-    return reps
+    red, _piv = rref([_reduce_row(z, bred, bpiv) for z in Z])
+    return [tuple(_split_tuple(pres, std, colmap, v)) for v in red]
 
 
 def h1(partials: Sequence[BasePolynomial], D: int,
@@ -589,7 +599,7 @@ def h1(partials: Sequence[BasePolynomial], D: int,
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     parts, _vars = _check_partials(partials)
-    pres = presentation if presentation is not None else symmetry_presentation(parts, order)
+    pres = _presentation(parts, order, presentation)
     gb = jacobian_ring(parts, order)
     if pres.r == 0:
         return CohomologyReport(1, D, 0, [], True)
@@ -629,16 +639,7 @@ def _class_reduce(pres: SymmetryPresentation, gb: GroebnerBasis, gs, D: int):
     for i, g in enumerate(gs):
         for ee, c in g.terms.items():
             v[colmap[(i, ee)]] = c
-    w = _reduce_row(v, bred, bpiv)
-    out = []
-    for i in range(pres.r):
-        terms = {}
-        for e in std:
-            c = w[colmap[(i, e)]]
-            if c:
-                terms[e] = c
-        out.append(BasePolynomial(pres.vars, terms))
-    return out
+    return _split_tuple(pres, std, colmap, _reduce_row(v, bred, bpiv))
 
 
 def _raw_bracket(pres: SymmetryPresentation, gb: GroebnerBasis,
@@ -711,19 +712,19 @@ def _ghost_monomials(table, p: int) -> list:
     return sorted(out)
 
 
-def _d1_decompose(dS: list, table, gb, gm: tuple, coeff: BasePolynomial,
-                  p: int) -> dict:
-    """Page differential of coeff * ghost monomial, as NF coefficients.
+def _d1_decompose(dS: list, table, gb, gm: tuple, e: tuple, p: int) -> dict:
+    """Page differential of x^e * ghost monomial, as {(ghost, exponent): c}.
 
-    ``dS`` holds the derivatives of S, ``_bracket_factors(S)``.
+    ``dS`` holds the derivatives of S, ``_bracket_factors(S)``;
+    coefficients are those of the normal forms.
     """
+    coeff = BasePolynomial(table.coordinates, {e: Fraction(1)})
     a = GradedPolynomial.monomial(table, gm, coeff)
     out = gr_project(_bracket_pair(dS, a), p + 1)
     dec = {}
     for m, c in out.terms.items():
-        nf = normal_form(c, gb)
-        if not nf.is_zero():
-            dec[m] = nf
+        for ee, cc in normal_form(c, gb).terms.items():
+            dec[(m, ee)] = cc
     return dec
 
 
@@ -733,69 +734,14 @@ def _e2_slice(sol, gb, p: int, D: int, dS: list):
     dom = [(gm, e) for gm in _ghost_monomials(table, p) for e in std]
     if not dom:
         return []
-    cols = {}
-    outs = []
-    for gm, e in dom:
-        dec = _d1_decompose(dS, table, gb, gm,
-                            BasePolynomial(table.coordinates, {e: Fraction(1)}), p)
-        outs.append(dec)
-        for tm, c in dec.items():
-            for ee in c.terms:
-                cols.setdefault((tm, ee), len(cols))
-    rows = [[Fraction(0)] * len(dom) for _ in range(len(cols))]
-    for j, dec in enumerate(outs):
-        for tm, c in dec.items():
-            for ee, cc in c.terms.items():
-                rows[cols[(tm, ee)]][j] = cc
-    ker = nullspace(rows, len(dom))
-
+    ker = _kernel([_d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
     # image of the previous column, restricted to the slice
     ext = standard_monomials(gb, D + 1)
     prev = [(gm, e) for gm in _ghost_monomials(table, p - 1) for e in ext]
-    imvecs = []
-    if prev:
-        icols = {}
-        for e in std:
-            for gm in _ghost_monomials(table, p):
-                icols[(gm, e)] = len(icols)
-        nlow = len(icols)
-        decs = []
-        for gm, e in prev:
-            dec = _d1_decompose(dS, table, gb, gm,
-                                BasePolynomial(table.coordinates, {e: Fraction(1)}), p - 1)
-            decs.append(dec)
-            for tm, c in dec.items():
-                for ee in c.terms:
-                    icols.setdefault((tm, ee), len(icols))
-        dense = []
-        for dec in decs:
-            v = [Fraction(0)] * len(icols)
-            for tm, c in dec.items():
-                for ee, cc in c.terms.items():
-                    v[icols[(tm, ee)]] = cc
-            dense.append(v)
-        if len(icols) > nlow:
-            high = list(range(nlow, len(icols)))
-            hrows = [[v[i] for v in dense] for i in high]
-            combos = nullspace(hrows, len(dense))
-            for co in combos:
-                imvecs.append([sum(co[k] * dense[k][i] for k in range(len(dense)))
-                               for i in range(nlow)])
-        else:
-            imvecs = [v[:nlow] for v in dense]
-        # translate image coordinates into the kernel's domain coordinates
-        dmap = {pair: idx for idx, pair in enumerate(dom)}
-        remapped = []
-        for v in imvecs:
-            w = [Fraction(0)] * len(dom)
-            for (gm, e), i in icols.items():
-                if i < nlow:
-                    w[dmap[(gm, e)]] = v[i]
-            remapped.append(w)
-        imvecs = remapped
-    bred, bpiv = rref(imvecs)
-    reduced = [_reduce_row(z, bred, bpiv) for z in ker]
-    red, _piv = rref(reduced)
+    dmap = {pair: idx for idx, pair in enumerate(dom)}
+    bred, bpiv = _slice_image(
+        [_d1_decompose(dS, table, gb, gm, e, p - 1) for gm, e in prev], dmap)
+    red, _piv = rref([_reduce_row(z, bred, bpiv) for z in ker])
     reps = []
     for v in red:
         terms = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polynomial_engine import BasePolynomial, poly_to_str
+from .polynomial_engine import BasePolynomial, poly_to_str, rref
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
@@ -415,31 +415,6 @@ def _as_fraction_matrix(rows, nrows: int, ncols: int, what: str) -> list:
     return out
 
 
-def _rank(matrix: list) -> int:
-    """Row rank of a matrix of Fractions, by Gaussian elimination."""
-    rows = [list(r) for r in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
     """The solution attached to an acyclic complex of vector spaces.
 
@@ -485,8 +460,8 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
     # exactness by rank counts: at each degree, incoming rank plus
     # outgoing rank must exhaust the dimension
     for deg in sorted(dims):
-        rank_out = _rank(mats[deg]) if deg in mats else 0
-        rank_in = _rank(mats[deg - 1]) if deg - 1 in mats else 0
+        rank_out = len(rref(mats[deg])[1]) if deg in mats else 0
+        rank_in = len(rref(mats[deg - 1])[1]) if deg - 1 in mats else 0
         if rank_in + rank_out != dims[deg]:
             raise ValueError(f"complex is not acyclic at degree {deg}")
     ntop = dims.get(-1, 0)

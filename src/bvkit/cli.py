@@ -18,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
@@ -720,10 +719,7 @@ def _cmd_example(args) -> int:
             _emit(lines, args)
         return 0
 
-    # checks are independent; run them together, report in id order
-    with ThreadPoolExecutor(max_workers=min(4, len(ids))) as pool:
-        futures = {i: pool.submit(EXAMPLES[i][1]) for i in ids}
-    results = {i: futures[i].result() for i in ids}
+    results = {i: EXAMPLES[i][1]() for i in ids}
 
     failed = False
     if args.json:

@@ -1,5 +1,7 @@
 """Tests for symmetry presentations, H^0/H^1, the induced bracket, and E2 slices."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,13 +11,14 @@ from bvkit.polynomial_engine import (
     BasePolynomial,
     lift_membership,
     normal_form,
+    nullspace,
     poly_to_str,
     rref,
 )
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
 from bvkit.antibracket import bracket
 from bvkit.tate import build_resolution
-from bvkit.bv_solver import solve_master
+from bvkit.bv_solver import solve_master, trivial_solution
 from bvkit.brst import (
     CohomologyReport,
     SymmetryPresentation,
@@ -28,6 +31,7 @@ from bvkit.brst import (
     koszul_syzygies,
     standard_monomials,
     symmetry_presentation,
+    _slice_image,
 )
 
 XY = ("x", "y")
@@ -250,6 +254,14 @@ class TestH1:
                        "basis": [["y^2"]], "stable": True}
 
 
+@pytest.mark.parametrize("group", [h0, h1])
+def test_presentation_of_another_action_rejected(group):
+    # trusting it would give h0 dim 14 (not 2) and h1 dim 0 (not 1)
+    other = symmetry_presentation([poly("x^2 - 1"), poly("y")])
+    with pytest.raises(ValueError):
+        group(circle_partials(), 6, presentation=other)
+
+
 @pytest.fixture(scope="module")
 def cubic_surface():
     s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", WXYZ)
@@ -449,3 +461,78 @@ def test_bracket_bilinear_shifts(a, b, c):
     base = h0_bracket(f, g, pres)
     shifted = h0_bracket(f, g + poly(str(c)), pres)
     assert base == shifted
+
+
+def _dense_slice_image(images, low):
+    """Reference for _slice_image: dense columns, the keys of low first,
+    high columns eliminated by one nullspace."""
+    cols = dict(low)
+    for img in images:
+        for k in img:
+            cols.setdefault(k, len(cols))
+    nlow = len(low)
+    dense = []
+    for img in images:
+        v = [Fraction(0)] * len(cols)
+        for k, c in img.items():
+            v[cols[k]] = c
+        dense.append(v)
+    if len(cols) > nlow:
+        hrows = [[v[i] for v in dense] for i in range(nlow, len(cols))]
+        combos = nullspace(hrows, len(dense))
+        inslice = [[sum(co[k] * dense[k][i] for k in range(len(dense)))
+                    for i in range(nlow)] for co in combos]
+    else:
+        inslice = [v[:nlow] for v in dense]
+    return rref(inslice)
+
+
+_KEYS = st.integers(min_value=0, max_value=7)
+_IMAGE = st.dictionaries(_KEYS, st.integers(min_value=-3, max_value=3)
+                         .filter(bool).map(Fraction), max_size=5)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_IMAGE, max_size=7), st.lists(_KEYS, unique=True))
+def test_slice_image_matches_dense_elimination(images, slice_keys):
+    low = {k: i for i, k in enumerate(slice_keys)}
+    assert _slice_image(images, low) == _dense_slice_image(images, low)
+
+
+class TestGolden:
+    """sha256 of exact cohomology slices, pinned so that a change to any
+    term or sign shows up: circle h0 and h1 at bound 6, the cubic cone's
+    h1 at bound 2 (r = 3, s = 10: structure functions and relations both
+    enter the cocycle conditions) and one trivial solution."""
+
+    CIRCLE = {h0: ("a7e283892e11202184e301d673e9478c"
+                   "8b3c2797b3263ae75553054506ce9790"),
+              h1: ("0433a7486c98906145e27189ecfba917"
+                   "aa6b3db1f3c268f409e9adfc4012fff9")}
+    CUBIC_H1 = ("fb0d896e4c7f3d31b8c621ce4904ecea"
+                "a271e60780785a8a29fee7c597f69c46")
+    TRIVIAL = ("9b860ade5eb6dc916a8e6bdea65dd4c0"
+               "1e73459d18c1b7a953ac9c92dbf77049")
+
+    @staticmethod
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def report_sha(self, rep):
+        return self.sha(json.dumps(rep.to_json_obj(), sort_keys=True))
+
+    def test_circle_h0_and_h1(self):
+        for group, want in self.CIRCLE.items():
+            assert self.report_sha(group(circle_partials(), 6)) == want
+
+    def test_cubic_cone_h1(self):
+        coords = ("x", "w", "y", "z")
+        s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", coords)
+        rep = h1([s0.derivative(v) for v in coords], 2)
+        assert rep.dim == 3
+        assert self.report_sha(rep) == self.CUBIC_H1
+
+    def test_trivial_solution(self):
+        sol = trivial_solution([(-1, 1), (-2, 2), (-3, 1)],
+                               {-2: [[1, 0]], -3: [[0], [1]]})
+        assert self.sha(sol.to_json()) == self.TRIVIAL
