@@ -33,6 +33,7 @@ from .polynomial_engine import (
     normal_form,
     nullspace,
     poly_to_str,
+    reduce_row,
     rref,
     syzygy_basis,
 )
@@ -367,28 +368,6 @@ class CohomologyReport:
                 f"dim={self.dim}, stable={self.stable})")
 
 
-def _reduce_row(v: list, red: list, pivots: list) -> list:
-    v = list(v)
-    for row, pc in zip(red, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def _kernel(images: list) -> list:
-    """Basis of the vanishing combinations of sparse vectors.
-
-    images[j] maps output keys to the coefficients of input j, so this
-    is the nullspace of the matrix whose j-th column is images[j].
-    """
-    rows = {}
-    for j, img in enumerate(images):
-        for k, c in img.items():
-            rows.setdefault(k, [Fraction(0)] * len(images))[j] = c
-    return nullspace(list(rows.values()), len(images))
-
-
 def _slice_image(images: list, low: dict) -> tuple:
     """RREF of the span of the images intersected with the slice.
 
@@ -398,13 +377,12 @@ def _slice_image(images: list, low: dict) -> tuple:
     """
     high = [{k: c for k, c in img.items() if k not in low} for img in images]
     inslice = []
-    for co in _kernel(high):
-        w = [Fraction(0)] * len(low)
-        for a, img in zip(co, images):
-            if a:
-                for k, c in img.items():
-                    if k in low:
-                        w[low[k]] += a * c
+    for co in nullspace(high):
+        w = {}
+        for j, a in co.items():
+            for k, c in images[j].items():
+                if k in low:
+                    w[low[k]] = w.get(low[k], 0) + a * c
         inslice.append(w)
     return rref(inslice)
 
@@ -436,12 +414,12 @@ def _presentation(parts: list, order: str,
 
 def _invariant_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     std = standard_monomials(gb, D)
-    red, _piv = rref(_kernel(_tau_images(pres, gb, std)))
+    red, _piv = rref(nullspace(_tau_images(pres, gb, std)))
     return std, red
 
 
-def _vec_to_poly(vars, std, v) -> BasePolynomial:
-    return BasePolynomial(vars, {std[j]: v[j] for j in range(len(std)) if v[j]})
+def _vec_to_poly(vars, std, v: dict) -> BasePolynomial:
+    return BasePolynomial(vars, {std[j]: c for j, c in v.items()})
 
 
 def h0(partials: Sequence[BasePolynomial], D: int,
@@ -543,7 +521,7 @@ def _cocycle_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, D: int, std,
                 out = normal_form(rk * m, gb)
                 for ee, c in out.terms.items():
                     add(("r", a), ee, colmap[(k, e)], c)
-    return _kernel(images)
+    return nullspace(images)
 
 
 def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
@@ -564,24 +542,20 @@ def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
             raise AssertionError("one-cocycle fails a relation condition")
 
 
-def _split_tuple(pres: SymmetryPresentation, std, colmap, v) -> list:
+def _split_tuple(pres: SymmetryPresentation, colmap, v: dict) -> list:
     """The r polynomials of a vector over the (generator, monomial) slice."""
-    out = []
-    for i in range(pres.r):
-        terms = {}
-        for e in std:
-            c = v[colmap[(i, e)]]
-            if c:
-                terms[e] = c
-        out.append(BasePolynomial(pres.vars, terms))
-    return out
+    terms = [{} for _ in range(pres.r)]
+    for (i, e), col in colmap.items():
+        if col in v:
+            terms[i][e] = v[col]
+    return [BasePolynomial(pres.vars, t) for t in terms]
 
 
 def _h1_slice(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     std, colmap, bred, bpiv = _boundary_space(pres, gb, D)
     Z = _cocycle_vectors(pres, gb, D, std, colmap)
-    red, _piv = rref([_reduce_row(z, bred, bpiv) for z in Z])
-    return [tuple(_split_tuple(pres, std, colmap, v)) for v in red]
+    red, _piv = rref([reduce_row(z, bred, bpiv) for z in Z])
+    return [tuple(_split_tuple(pres, colmap, v)) for v in red]
 
 
 def h1(partials: Sequence[BasePolynomial], D: int,
@@ -632,14 +606,11 @@ def _hamiltonian_lift(pres: SymmetryPresentation, gb: GroebnerBasis, f: BasePoly
     return lifts
 
 
-def _class_reduce(pres: SymmetryPresentation, gb: GroebnerBasis, gs, D: int):
-    """Reduce a cocycle tuple against the boundary space of the slice."""
-    std, colmap, bred, bpiv = _boundary_space(pres, gb, D)
-    v = [Fraction(0)] * len(colmap)
-    for i, g in enumerate(gs):
-        for ee, c in g.terms.items():
-            v[colmap[(i, ee)]] = c
-    return _split_tuple(pres, std, colmap, _reduce_row(v, bred, bpiv))
+def _class_reduce(pres: SymmetryPresentation, boundary, gs):
+    """Reduce a cocycle tuple against a slice's _boundary_space."""
+    _std, colmap, bred, bpiv = boundary
+    v = {colmap[(i, ee)]: c for i, g in enumerate(gs) for ee, c in g.terms.items()}
+    return _split_tuple(pres, colmap, reduce_row(v, bred, bpiv))
 
 
 def _raw_bracket(pres: SymmetryPresentation, gb: GroebnerBasis,
@@ -672,12 +643,13 @@ def h0_bracket(f: BasePolynomial, g: BasePolynomial,
     bound = max(0, max(p.total_degree() for p in raw))
     shifted = _raw_bracket(pres, gb, f + pres.partials[0], g)
     common = max(bound, max((p.total_degree() for p in shifted), default=-1), 0)
-    left = _class_reduce(pres, gb, raw, common)
-    right = _class_reduce(pres, gb, shifted, common)
+    spaces = {b: _boundary_space(pres, gb, b) for b in {common, bound}}
+    left = _class_reduce(pres, spaces[common], raw)
+    right = _class_reduce(pres, spaces[common], shifted)
     for a, b in zip(left, right):
         if a != b:
             raise AssertionError("bracket class depends on the chosen lift")
-    return _class_reduce(pres, gb, raw, bound)
+    return _class_reduce(pres, spaces[bound], raw)
 
 
 # -- first page of the weight spectral sequence ------------------------
@@ -734,20 +706,20 @@ def _e2_slice(sol, gb, p: int, D: int, dS: list):
     dom = [(gm, e) for gm in _ghost_monomials(table, p) for e in std]
     if not dom:
         return []
-    ker = _kernel([_d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
+    ker = nullspace([_d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
     # image of the previous column, restricted to the slice
     ext = standard_monomials(gb, D + 1)
     prev = [(gm, e) for gm in _ghost_monomials(table, p - 1) for e in ext]
     dmap = {pair: idx for idx, pair in enumerate(dom)}
     bred, bpiv = _slice_image(
         [_d1_decompose(dS, table, gb, gm, e, p - 1) for gm, e in prev], dmap)
-    red, _piv = rref([_reduce_row(z, bred, bpiv) for z in ker])
+    red, _piv = rref([reduce_row(z, bred, bpiv) for z in ker])
     reps = []
     for v in red:
         terms = {}
-        for idx, (gm, e) in enumerate(dom):
-            if v[idx]:
-                terms.setdefault(gm, {})[e] = v[idx]
+        for idx, c in v.items():
+            gm, e = dom[idx]
+            terms.setdefault(gm, {})[e] = c
         gp = GradedPolynomial(table, {gm: BasePolynomial(table.coordinates, t)
                                       for gm, t in terms.items()})
         reps.append(gp)

@@ -459,9 +459,11 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
                             f"degree {deg}")
     # exactness by rank counts: at each degree, incoming rank plus
     # outgoing rank must exhaust the dimension
+    ranks = {deg: len(rref([dict(enumerate(row)) for row in m])[1])
+             for deg, m in mats.items()}
     for deg in sorted(dims):
-        rank_out = len(rref(mats[deg])[1]) if deg in mats else 0
-        rank_in = len(rref(mats[deg - 1])[1]) if deg - 1 in mats else 0
+        rank_out = ranks.get(deg, 0)
+        rank_in = ranks.get(deg - 1, 0)
         if rank_in + rank_out != dims[deg]:
             raise ValueError(f"complex is not acyclic at degree {deg}")
     ntop = dims.get(-1, 0)

@@ -4,8 +4,9 @@ Everything downstream (resolutions, master-equation solving, cohomology)
 reduces to three primitives implemented here: reduced Groebner bases over
 free modules k[x]^r, membership certificates extracted from the tracked
 transformation matrix, and syzygy modules computed by block elimination.
-Coefficients are `fractions.Fraction` throughout; no floats, no modular
-shortcuts.
+Cohomology slices use the one sparse eliminator at the end (rref,
+nullspace, reduce_row on dict rows).  Coefficients are
+`fractions.Fraction` throughout; no floats, no modular shortcuts.
 """
 
 from __future__ import annotations
@@ -807,48 +808,71 @@ def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
     return out
 
 
-# -- exact linear algebra helpers (used by cohomology slices and tests) -
+# -- sparse exact linear algebra: a row is {column: Fraction}, no zeros -
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
+def reduce_row(v: dict, red: Sequence[dict], pivots: Sequence[int]) -> dict:
+    """v minus its components along the rows of a reduced echelon form.
+
+    The result vanishes on every pivot column; v itself is not changed.
+    """
+    out = {k: c for k, c in v.items() if c}
+    for row, pc in zip(red, pivots):
+        f = out.get(pc)
+        if f:
+            for k, c in row.items():
+                x = out.get(k, 0) - f * c
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+    return out
+
+
+def rref(rows: Sequence[dict]) -> tuple:
+    """Reduced row echelon form; returns (rows, pivot columns), by pivot.
+
+    Each row is reduced against the pivots found so far, takes its
+    smallest column as its pivot and clears that column from the
+    earlier rows.  A row space has one such form, so the input order
+    does not change the result.
+    """
+    red, pivots = [], []
+    for r in rows:
+        v = reduce_row(r, red, pivots)
+        if not v:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        pc = min(v)
+        inv = Fraction(1) / v[pc]
+        v = {k: c * inv for k, c in v.items()}
+        for i, row in enumerate(red):
+            if pc in row:
+                red[i] = reduce_row(row, (v,), (pc,))
+        red.append(v)
+        pivots.append(pc)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [red[i] for i in order], [pivots[i] for i in order]
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list:
-    """Basis of the right kernel of the matrix (rows of length ncols)."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(vectors: Sequence[dict]) -> list:
+    """Basis {j: c} of the combinations sum_j c_j vectors[j] that vanish.
+
+    One basis vector per free index j, in increasing order of j; the
+    vectors may be keyed by any hashable.
+    """
+    rows = {}
+    for j, vec in enumerate(vectors):
+        for k, c in vec.items():
+            rows.setdefault(k, {})[j] = c
+    red, pivots = rref(list(rows.values()))
+    bound = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in range(len(vectors)):
+        if fc in bound:
+            continue
+        v = {fc: Fraction(1)}
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis

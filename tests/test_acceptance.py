@@ -68,14 +68,13 @@ def _in_span(f, basis, gb):
             cols.setdefault(e, len(cols))
     for e in nf.terms:
         cols.setdefault(e, len(cols))
-    dense = [[b.terms.get(e, Fraction(0)) for e in cols] for b in basis]
-    red, piv = rref(dense)
-    t = [nf.terms.get(e, Fraction(0)) for e in cols]
+    red, piv = rref([{cols[e]: c for e, c in b.terms.items()} for b in basis])
+    t = {cols[e]: c for e, c in nf.terms.items()}
     for row, pc in zip(red, piv):
-        if t[pc]:
+        if t.get(pc):
             c = t[pc]
-            t = [a - c * b for a, b in zip(t, row)]
-    return all(a == 0 for a in t)
+            t = {k: t.get(k, 0) - c * row.get(k, 0) for k in t.keys() | row.keys()}
+    return all(a == 0 for a in t.values())
 
 
 def _sgn(k):

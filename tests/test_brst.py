@@ -19,6 +19,7 @@ from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
 from bvkit.antibracket import bracket
 from bvkit.tate import build_resolution
 from bvkit.bv_solver import solve_master, trivial_solution
+from bvkit import brst
 from bvkit.brst import (
     CohomologyReport,
     SymmetryPresentation,
@@ -299,14 +300,13 @@ def _in_span(f, basis, gb):
         rows.append(b)
     for e in nf.terms:
         cols.setdefault(e, len(cols))
-    dense = [[b.terms.get(e, Fraction(0)) for e in cols] for b in rows]
-    red, piv = rref(dense)
-    t = [nf.terms.get(e, Fraction(0)) for e in cols]
+    red, piv = rref([{cols[e]: c for e, c in b.terms.items()} for b in rows])
+    t = {cols[e]: c for e, c in nf.terms.items()}
     for row, pc in zip(red, piv):
-        if t[pc]:
+        if t.get(pc):
             c = t[pc]
-            t = [a - c * b for a, b in zip(t, row)]
-    return all(a == 0 for a in t)
+            t = {k: t.get(k, 0) - c * row.get(k, 0) for k in t.keys() | row.keys()}
+    return all(a == 0 for a in t.values())
 
 
 class TestBracket:
@@ -341,6 +341,20 @@ class TestBracket:
         pres = symmetry_presentation(circle_partials())
         with pytest.raises(ValueError):
             h0_bracket(poly("x"), poly("1"), pres)
+
+    def test_each_boundary_space_built_once(self, monkeypatch):
+        # the lift check and the result share the bound-1 space
+        built = []
+        real = brst._boundary_space
+
+        def spy(pres, gb, D):
+            built.append(D)
+            return real(pres, gb, D)
+
+        monkeypatch.setattr(brst, "_boundary_space", spy)
+        pres = symmetry_presentation(circle_partials())
+        h0_bracket(poly("1"), poly("x^2 + y^2"), pres)
+        assert sorted(built) == [0, 1]
 
     def test_no_symmetries_gives_empty_tuple(self):
         pres = symmetry_presentation([poly("2*x"), poly("2*y")])
@@ -478,13 +492,12 @@ def _dense_slice_image(images, low):
             v[cols[k]] = c
         dense.append(v)
     if len(cols) > nlow:
-        hrows = [[v[i] for v in dense] for i in range(nlow, len(cols))]
-        combos = nullspace(hrows, len(dense))
-        inslice = [[sum(co[k] * dense[k][i] for k in range(len(dense)))
+        combos = nullspace([dict(enumerate(v[nlow:])) for v in dense])
+        inslice = [[sum(co.get(k, 0) * dense[k][i] for k in range(len(dense)))
                     for i in range(nlow)] for co in combos]
     else:
         inslice = [v[:nlow] for v in dense]
-    return rref(inslice)
+    return rref([dict(enumerate(w)) for w in inslice])
 
 
 _KEYS = st.integers(min_value=0, max_value=7)
@@ -502,13 +515,16 @@ def test_slice_image_matches_dense_elimination(images, slice_keys):
 class TestGolden:
     """sha256 of exact cohomology slices, pinned so that a change to any
     term or sign shows up: circle h0 and h1 at bound 6, the cubic cone's
-    h1 at bound 2 (r = 3, s = 10: structure functions and relations both
-    enter the cocycle conditions) and one trivial solution."""
+    h0 at bound 6 and h1 at bound 2 (r = 3, s = 10: structure functions
+    and relations both enter the cocycle conditions) and one trivial
+    solution."""
 
     CIRCLE = {h0: ("a7e283892e11202184e301d673e9478c"
                    "8b3c2797b3263ae75553054506ce9790"),
               h1: ("0433a7486c98906145e27189ecfba917"
                    "aa6b3db1f3c268f409e9adfc4012fff9")}
+    CUBIC_H0 = ("c1ecae196eb43d966585d3c261d75cfa"
+                "18ebe0e7691d266ea7aed4ef985217b4")
     CUBIC_H1 = ("fb0d896e4c7f3d31b8c621ce4904ecea"
                 "a271e60780785a8a29fee7c597f69c46")
     TRIVIAL = ("9b860ade5eb6dc916a8e6bdea65dd4c0"
@@ -521,14 +537,23 @@ class TestGolden:
     def report_sha(self, rep):
         return self.sha(json.dumps(rep.to_json_obj(), sort_keys=True))
 
+    @staticmethod
+    def cubic_partials():
+        coords = ("x", "w", "y", "z")
+        s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", coords)
+        return [s0.derivative(v) for v in coords]
+
     def test_circle_h0_and_h1(self):
         for group, want in self.CIRCLE.items():
             assert self.report_sha(group(circle_partials(), 6)) == want
 
+    def test_cubic_cone_h0(self):
+        rep = h0(self.cubic_partials(), 6)
+        assert rep.dim == 16
+        assert self.report_sha(rep) == self.CUBIC_H0
+
     def test_cubic_cone_h1(self):
-        coords = ("x", "w", "y", "z")
-        s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", coords)
-        rep = h1([s0.derivative(v) for v in coords], 2)
+        rep = h1(self.cubic_partials(), 2)
         assert rep.dim == 3
         assert self.report_sha(rep) == self.CUBIC_H1
 

@@ -14,6 +14,7 @@ from bvkit.polynomial_engine import (
     normal_form,
     nullspace,
     poly_to_str,
+    reduce_row,
     rref,
     syzygy_basis,
 )
@@ -31,9 +32,9 @@ def mk(vars, *texts):
 class TestOracles:
     def test_gaussian_elimination_oracle_linear_ideal(self):
         # oracle: row-reduce the coefficient matrix of {x+y, x-y} -> {x, y}
-        rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+        rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
         red, piv = rref(rows)
-        assert red == [[1, 0], [0, 1]] and piv == [0, 1]
+        assert red == [{0: 1}, {1: 1}] and piv == [0, 1]
         gb = groebner_basis(mk(("x", "y"), "x + y", "x - y"))
         assert set(map(str, gb)) == {"x", "y"}
 
@@ -76,16 +77,14 @@ class TestOracles:
                 prod = BasePolynomial(vars, {m: Fraction(1)}) * g
                 cols.append(prod)
                 col_meta.append((gi, m))
-        support = sorted({e for c in cols for e in c.terms})
-        matrix_rows = [[c.terms.get(e, Fraction(0)) for c in cols] for e in support]
-        kernel = nullspace(matrix_rows, len(cols))
+        kernel = nullspace([c.terms for c in cols])
         syz = syzygy_basis(gens)
         # every dense kernel vector is a module combination of the syzygies
         for v in kernel:
             comps = [BasePolynomial.zero(vars), BasePolynomial.zero(vars)]
-            for coeff, (gi, m) in zip(v, col_meta):
-                if coeff:
-                    comps[gi] = comps[gi] + BasePolynomial(vars, {m: coeff})
+            for j, coeff in v.items():
+                gi, m = col_meta[j]
+                comps[gi] = comps[gi] + BasePolynomial(vars, {m: coeff})
             vec = ModuleVector(comps)
             assert lift_membership(vec, syz) is not None
 
@@ -217,6 +216,69 @@ def test_syzygies_annihilate(gens):
         for c, g in zip(syz, gens):
             acc = acc + c * g
         assert acc.is_zero()
+
+
+def _dense_rref(rows):
+    """Reference for rref: dense Gauss-Jordan, column by column."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+_ENTRY = st.integers(-3, 3) | st.integers(-3, 3).map(Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(_ENTRY, min_size=n, max_size=n), max_size=5),
+           st.lists(_ENTRY, min_size=n, max_size=n))),
+       st.booleans())
+def test_sparse_eliminator_matches_dense_reference(matrix_and_v, keep_zeros):
+    matrix, dense_v = matrix_and_v
+
+    def sparse(r):
+        return {j: c for j, c in enumerate(r) if keep_zeros or c}
+
+    rows = [sparse(r) for r in matrix]
+    red, piv = rref(rows)
+    dense_red, dense_piv = _dense_rref(matrix)
+    assert piv == dense_piv
+    assert red == [{j: c for j, c in enumerate(r) if c} for r in dense_red]
+
+    kernel = nullspace(rows)
+    assert all(type(c) is Fraction for v in red + kernel for c in v.values())
+    assert len(kernel) == len(rows) - len(piv)
+    for co in kernel:
+        for k in range(len(dense_v)):
+            assert sum(c * matrix[j][k] for j, c in co.items()) == 0
+
+    w = reduce_row(sparse(dense_v), red, piv)
+    assert all(not w.get(pc) for pc in piv)
+    diff = [a - w.get(k, 0) for k, a in enumerate(dense_v)]
+    assert len(_dense_rref(matrix + [diff])[1]) == len(piv)
 
 
 # -- parser / printer --------------------------------------------------
