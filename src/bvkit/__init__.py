@@ -36,6 +36,7 @@ from .polynomial_engine import (
     BasePolynomial,
     GroebnerBasis,
     MembershipCertificate,
+    ModuleBasis,
     ModuleVector,
     Rational,
     groebner_basis,
@@ -116,6 +117,7 @@ __all__ = [
     "GradedPolynomial",
     "GroebnerBasis",
     "MembershipCertificate",
+    "ModuleBasis",
     "ModuleVector",
     "Rational",
     "antifield_lift",

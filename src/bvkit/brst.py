@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 from .polynomial_engine import (
     BasePolynomial,
     GroebnerBasis,
+    ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
     groebner_basis,
-    lift_membership,
     monomial_key,
     normal_form,
     nullspace,
@@ -234,16 +234,16 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
     kosz = koszul_syzygies(parts)
     kpairs = _pair_index(n)
 
+    # the prunes ask yes/no questions only, so their bases grow in place
     raw = syzygy_basis(parts, order)
     raw.sort(key=lambda v: _vec_sort_key(v, order))
     tau = []
+    spanned = ModuleBasis(kosz, order)
     for v in raw:
-        if v.is_zero():
-            continue
-        gens = kosz + tau
-        if gens and lift_membership(v, gens, order) is not None:
+        if v.is_zero() or spanned.lift(v) is not None:
             continue
         tau.append(_monic(v, order))
+        spanned.add(tau[-1])
     r = len(tau)
 
     relations = []
@@ -254,11 +254,12 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
         cands = [v for v in second if not all(v[i].is_zero() for i in range(r))]
         cands.sort(key=lambda v: _vec_sort_key(v, order))
         kept = []
+        spanned = ModuleBasis(pure, order)
         for v in cands:
-            gens = kept + pure
-            if gens and lift_membership(v, gens, order) is not None:
+            if spanned.lift(v) is not None:
                 continue
             kept.append(_monic(v, order))
+            spanned.add(kept[-1])
         for v in kept:
             relations.append([v[i] for i in range(r)])
             bv = {}
@@ -272,10 +273,10 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
     structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
     correction = [[{} for _ in range(r)] for _ in range(r)]
     if r:
-        gens = tau + kosz
+        lifts = ModuleBasis(tau + kosz, order)
         for i in range(r):
             for j in range(i + 1, r):
-                cert = lift_membership(_commutator(tau[i], tau[j]), gens, order)
+                cert = lifts.lift(_commutator(tau[i], tau[j]))
                 if cert is None:
                     raise AssertionError(
                         f"presentation certificate failed: commutator ({i},{j}) "
@@ -318,17 +319,15 @@ def _exponents_upto(n: int, D: int) -> list:
 def standard_monomials(gb: GroebnerBasis, D: int) -> list:
     """Exponents of the monomials of degree <= D in normal form.
 
-    Sorted descending in the basis order, so linear algebra over slices
-    eliminates against high monomials first and representatives come
-    out reduced toward low degree.
+    A monomial is its own normal form exactly when no leading term of
+    the basis divides it.  Sorted descending in the basis order, so
+    linear algebra over slices eliminates against high monomials first
+    and representatives come out reduced toward low degree.
     """
-    key = monomial_key(gb.order)
-    std = []
-    for e in _exponents_upto(len(gb.vars), D):
-        m = BasePolynomial(gb.vars, {e: Fraction(1)})
-        if normal_form(m, gb) == m:
-            std.append(e)
-    std.sort(key=key, reverse=True)
+    leads = [g.leading(gb.order)[0] for g in gb.elements]
+    std = [e for e in _exponents_upto(len(gb.vars), D)
+           if not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)]
+    std.sort(key=monomial_key(gb.order), reverse=True)
     return std
 
 
@@ -587,17 +586,17 @@ def h1(partials: Sequence[BasePolynomial], D: int,
 # -- the induced bracket H^0 x H^0 -> H^1 ------------------------------
 
 
-def _hamiltonian_lift(pres: SymmetryPresentation, gb: GroebnerBasis, f: BasePolynomial):
+def _hamiltonian_lift(pres: SymmetryPresentation, partials: ModuleBasis,
+                      f: BasePolynomial):
     """For each tau_i, a field xi_i with tau_i(f) = xi_i(S0).
 
-    Membership of tau_i(f) in the ideal of the partials is exactly
-    invariance of f, so failure is reported as a bad input rather than
-    an internal error.
+    ``partials`` is the ModuleBasis of pres.partials.  Membership of
+    tau_i(f) in the ideal of the partials is exactly invariance of f,
+    so failure is reported as a bad input rather than an internal error.
     """
     lifts = []
     for i, t in enumerate(pres.tau):
-        moved = apply_vector_field(t, f)
-        cert = lift_membership(moved, list(pres.partials), pres.order)
+        cert = partials.lift(apply_vector_field(t, f))
         if cert is None:
             raise ValueError(
                 f"h0_bracket input is not an exact invariant: generator {i} "
@@ -614,9 +613,9 @@ def _class_reduce(pres: SymmetryPresentation, boundary, gs):
 
 
 def _raw_bracket(pres: SymmetryPresentation, gb: GroebnerBasis,
-                 f: BasePolynomial, g: BasePolynomial):
-    xi = _hamiltonian_lift(pres, gb, f)
-    eta = _hamiltonian_lift(pres, gb, g)
+                 partials: ModuleBasis, f: BasePolynomial, g: BasePolynomial):
+    xi = _hamiltonian_lift(pres, partials, f)
+    eta = _hamiltonian_lift(pres, partials, g)
     out = []
     for i in range(pres.r):
         out.append(normal_form(apply_vector_field(xi[i], g)
@@ -639,9 +638,10 @@ def h0_bracket(f: BasePolynomial, g: BasePolynomial,
     if pres.r == 0:
         return []
     gb = jacobian_ring(list(pres.partials), pres.order)
-    raw = _raw_bracket(pres, gb, f, g)
+    partials = ModuleBasis(pres.partials, pres.order)
+    raw = _raw_bracket(pres, gb, partials, f, g)
     bound = max(0, max(p.total_degree() for p in raw))
-    shifted = _raw_bracket(pres, gb, f + pres.partials[0], g)
+    shifted = _raw_bracket(pres, gb, partials, f + pres.partials[0], g)
     common = max(bound, max((p.total_degree() for p in shifted), default=-1), 0)
     spaces = {b: _boundary_space(pres, gb, b) for b in {common, bound}}
     left = _class_reduce(pres, spaces[common], raw)

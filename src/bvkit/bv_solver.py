@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polynomial_engine import BasePolynomial, poly_to_str, rref
+from .polynomial_engine import BasePolynomial, ModuleBasis, poly_to_str, rref
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
@@ -31,7 +31,6 @@ from .tate import (
     TateGenerator,
     TateResolution,
     _delta_columns,
-    _lift,
     _vectorize,
     negative_monomials,
 )
@@ -229,19 +228,19 @@ def _solve_layer(res: TateResolution, blocks: dict, p: int,
         chains = negative_monomials(t, p + 1)
         delta = res.gr_delta()
         cols = _delta_columns(t, delta, chains, basis, t.coordinates)
-        cache[p] = (basis, chains, cols)
-    basis, chains, cols = cache[p]
+        cache[p] = (basis, chains, ModuleBasis(cols, res.order))
+    basis, chains, lifts = cache[p]
     out: dict = {}
     for pos in sorted(blocks):
         rhs = GradedPolynomial(t, dict(blocks[pos]))
         vec = _vectorize(rhs, basis, t.coordinates)
-        coeffs = _lift(vec, cols, res.order)
-        if coeffs is None:
+        cert = lifts.lift(vec)
+        if cert is None:
             raise RuntimeError(
                 f"no lift for an obstruction block at weight {p + 1}; "
                 "resolution depth insufficient")
         vbar = GradedPolynomial(
-            t, {m: c for m, c in zip(chains, coeffs) if not c.is_zero()})
+            t, {m: c for m, c in zip(chains, cert.coefficients) if not c.is_zero()})
         term = multiply(vbar, GradedPolynomial.monomial(t, pos, 1))
         _add_into(out, term.terms.items())
     return GradedPolynomial(t, out)

@@ -4,13 +4,17 @@ Everything downstream (resolutions, master-equation solving, cohomology)
 reduces to three primitives implemented here: reduced Groebner bases over
 free modules k[x]^r, membership certificates extracted from the tracked
 transformation matrix, and syzygy modules computed by block elimination.
-Cohomology slices use the one sparse eliminator at the end (rref,
+Each basis is built once and reused: a GroebnerBasis keeps its engine
+form for normal forms, and a ModuleBasis answers many membership
+questions against one generator list and can grow by one generator at a
+time.  Cohomology slices use the one sparse eliminator at the end (rref,
 nullspace, reduce_row on dict rows).  Coefficients are
 `fractions.Fraction` throughout; no floats, no modular shortcuts.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -62,7 +66,8 @@ class BasePolynomial:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean
@@ -454,17 +459,15 @@ def _mvec_to_vector(m: dict, rank: int, vars: tuple) -> ModuleVector:
     return ModuleVector([BasePolynomial(vars, t) for t in comps])
 
 
-def _mvec_add_scaled(a: dict, b: dict, factor: Fraction, shift: tuple) -> dict:
-    """a + factor * x^shift * b, in place on a copy of a."""
-    out = dict(a)
+def _mvec_add_into(out: dict, b: dict, factor: Fraction, shift: tuple) -> None:
+    """out += factor * x^shift * b, in place."""
     for (i, e), c in b.items():
         key = (i, _monomial_mul(e, shift))
-        s = out.get(key, Fraction(0)) + factor * c
+        s = out.get(key, 0) + factor * c
         if s:
             out[key] = s
         else:
-            out.pop(key, None)
-    return out
+            del out[key]
 
 
 def _mvec_scale(a: dict, factor: Fraction) -> dict:
@@ -492,9 +495,11 @@ def _mvec_leading(m: dict, key) -> tuple:
 class _Engine:
     """Buchberger over k[x]^rank with tracked transformations.
 
-    Tracking expresses every basis element as an MVec of combinations of
-    the input list (rank = number of inputs), enough to hand out
-    membership certificates and Schreyer-style data.
+    basis[i] is an MVec and lts[i] its leading ((pos, exp), coeff).
+    Tracking expresses basis[i] as transforms[i], an MVec of
+    combinations of the inputs (position = input index), enough to hand
+    out membership certificates.  Inputs may arrive after the build:
+    insert() queues the new S-pairs and complete() works them off.
     """
 
     def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
@@ -504,130 +509,136 @@ class _Engine:
         self.key = _module_key(order, split)
         self.track = track
         self.basis: list = []        # list of MVec
+        self.lts: list = []          # parallel list of leading (term, coeff)
         self.transforms: list = []   # parallel list of MVec over inputs
-        self.ring_key = monomial_key(order)
-        self._build(vectors)
+        self.pairs: list = []        # heap of (lcm degree, i, j)
+        for idx, v in enumerate(vectors):
+            self.insert(v, idx)
+        self.complete()
 
-    # division of vec by current basis; returns (remainder, combination)
-    # where combination is an MVec over basis indices (None if not tracking).
-    def _divide(self, vec: dict, comb: Optional[dict]) -> tuple:
+    # division of vec by current basis (skipping element skip); returns
+    # (remainder, combination) where combination is an MVec over the
+    # inputs (None if not tracking).
+    def _divide(self, vec: dict, comb: Optional[dict], skip: int = -1) -> tuple:
         rem: dict = {}
         vec = dict(vec)
-        lts = [(i, _mvec_leading(g, self.key)) for i, g in enumerate(self.basis)]
+        if comb is not None:
+            comb = dict(comb)
+        key = self.key
+        lts = self.lts
         while vec:
-            t = max(vec, key=self.key)
+            t = max(vec, key=key)
             c = vec[t]
             pos, e = t
-            hit = None
-            for i, ((p2, e2), c2) in lts:
-                if p2 == pos and _monomial_divides(e2, e):
-                    hit = (i, e2, c2)
+            for i, ((p2, e2), c2) in enumerate(lts):
+                if p2 == pos and i != skip and _monomial_divides(e2, e):
                     break
-            if hit is None:
+            else:
                 rem[t] = c
                 del vec[t]
                 continue
-            i, e2, c2 = hit
             shift = _monomial_div(e, e2)
             factor = -c / c2
-            vec = _mvec_add_scaled(vec, self.basis[i], factor, shift)
+            _mvec_add_into(vec, self.basis[i], factor, shift)
             if comb is not None:
-                comb = _mvec_add_scaled(comb, self.transforms[i], factor, shift)
+                _mvec_add_into(comb, self.transforms[i], factor, shift)
         return rem, comb
 
-    def _build(self, vectors: Sequence[dict]) -> None:
-        pairs: list = []
-        for idx, v in enumerate(vectors):
-            if not v:
-                continue
+    def insert(self, vec: dict, idx: int) -> None:
+        """Reduce input number idx into the basis and queue its S-pairs."""
+        if vec:
             tr = {(idx, (0,) * self.nvars): Fraction(1)} if self.track else None
-            self._add(v, tr, pairs)
+            self._add(vec, tr)
+
+    def complete(self) -> None:
+        """Reduce every queued S-pair: the basis is then a Groebner basis."""
+        pairs = self.pairs
         while pairs:
             # normal selection: minimal lcm degree, then discovery order
-            best = min(range(len(pairs)), key=lambda k: (pairs[k][0], pairs[k][1], pairs[k][2]))
-            _, i, j = pairs.pop(best)
-            gi, gj = self.basis[i], self.basis[j]
-            (pi, ei), ci = _mvec_leading(gi, self.key)
-            (pj, ej), cj = _mvec_leading(gj, self.key)
-            if pi != pj:
-                continue
+            _, i, j = heapq.heappop(pairs)
+            (_pi, ei), ci = self.lts[i]
+            (_pj, ej), cj = self.lts[j]
             lcm = _monomial_lcm(ei, ej)
             # product criterion (rank-1 ring case only; not valid in modules)
-            if self.rank == 1 and _monomial_lcm(ei, ej) == _monomial_mul(ei, ej):
+            if self.rank == 1 and lcm == _monomial_mul(ei, ej):
                 continue
             si = _monomial_div(lcm, ei)
             sj = _monomial_div(lcm, ej)
-            s = _mvec_add_scaled({}, gi, Fraction(1) / ci, si)
-            s = _mvec_add_scaled(s, gj, Fraction(-1) / cj, sj)
+            s: dict = {}
+            _mvec_add_into(s, self.basis[i], Fraction(1) / ci, si)
+            _mvec_add_into(s, self.basis[j], Fraction(-1) / cj, sj)
             tr = None
             if self.track:
-                tr = _mvec_add_scaled({}, self.transforms[i], Fraction(1) / ci, si)
-                tr = _mvec_add_scaled(tr, self.transforms[j], Fraction(-1) / cj, sj)
-            self._add(s, tr, pairs)
+                tr = {}
+                _mvec_add_into(tr, self.transforms[i], Fraction(1) / ci, si)
+                _mvec_add_into(tr, self.transforms[j], Fraction(-1) / cj, sj)
+            self._add(s, tr)
 
-    def _add(self, vec: dict, tr: Optional[dict], pairs: list) -> None:
+    def _add(self, vec: dict, tr: Optional[dict]) -> None:
         rem, tr = self._divide(vec, tr)
         if not rem:
             return
-        new = len(self.basis)
-        self.basis.append(rem)
-        self.transforms.append(tr)
-        (pn, en), _ = _mvec_leading(rem, self.key)
+        new = self.append(rem, tr)
+        pn, en = self.lts[new][0]
         for i in range(new):
-            (pi, ei), _ = _mvec_leading(self.basis[i], self.key)
-            if pi != pn:
-                continue
-            lcm = _monomial_lcm(ei, en)
-            pairs.append((sum(lcm), i, new))
+            pi, ei = self.lts[i][0]
+            if pi == pn:
+                heapq.heappush(self.pairs, (sum(_monomial_lcm(ei, en)), i, new))
+
+    def append(self, vec: dict, tr: Optional[dict]) -> int:
+        """Store vec as the next basis element, without pairs; its index."""
+        self.basis.append(vec)
+        self.lts.append(_mvec_leading(vec, self.key))
+        self.transforms.append(tr)
+        return len(self.basis) - 1
 
     def reduce_canonical(self) -> None:
         """Minimalize, inter-reduce, normalize monic, sort by leading term."""
         # minimalize: drop elements whose LT is divisible by another LT
-        items = list(range(len(self.basis)))
-        lts = {i: _mvec_leading(self.basis[i], self.key)[0] for i in items}
+        items = range(len(self.basis))
         keep = []
         for i in items:
-            pi, ei = lts[i]
+            pi, ei = self.lts[i][0]
             dominated = False
             for j in items:
                 if i == j:
                     continue
-                pj, ej = lts[j]
+                pj, ej = self.lts[j][0]
                 if pj == pi and _monomial_divides(ej, ei):
                     if ej != ei or j < i:
                         dominated = True
                         break
             if not dominated:
                 keep.append(i)
-        self.basis = [self.basis[i] for i in keep]
-        self.transforms = [self.transforms[i] for i in keep]
+        self._select(keep)
         # inter-reduce tails to fixpoint
         changed = True
         while changed:
             changed = False
             for i in range(len(self.basis)):
-                others = _Engine.__new__(_Engine)
-                others.key = self.key
-                others.basis = self.basis[:i] + self.basis[i + 1:]
-                others.transforms = self.transforms[:i] + self.transforms[i + 1:]
-                rem, tr = others._divide(
-                    self.basis[i], self.transforms[i] if self.track else None)
+                rem, tr = self._divide(
+                    self.basis[i], self.transforms[i] if self.track else None, skip=i)
                 if rem != self.basis[i]:
                     changed = True
                     if not rem:
-                        del self.basis[i], self.transforms[i]
+                        self._select([j for j in range(len(self.basis)) if j != i])
                         break
                     self.basis[i] = rem
+                    self.lts[i] = _mvec_leading(rem, self.key)
                     self.transforms[i] = tr
         # monic + canonical sort
         for i, g in enumerate(self.basis):
-            _, c = _mvec_leading(g, self.key)
-            self.basis[i] = _mvec_scale(g, Fraction(1) / c)
+            inv = Fraction(1) / self.lts[i][1]
+            self.basis[i] = _mvec_scale(g, inv)
+            self.lts[i] = (self.lts[i][0], Fraction(1))
             if self.track:
-                self.transforms[i] = _mvec_scale(self.transforms[i], Fraction(1) / c)
-        idx = sorted(range(len(self.basis)),
-                     key=lambda i: self.key(_mvec_leading(self.basis[i], self.key)[0]))
+                self.transforms[i] = _mvec_scale(self.transforms[i], inv)
+        self._select(sorted(range(len(self.basis)),
+                            key=lambda i: self.key(self.lts[i][0])))
+
+    def _select(self, idx: list) -> None:
         self.basis = [self.basis[i] for i in idx]
+        self.lts = [self.lts[i] for i in idx]
         self.transforms = [self.transforms[i] for i in idx]
 
 
@@ -639,9 +650,12 @@ class GroebnerBasis:
 
     provenance holds the original generators and a transformation matrix:
     elements[i] = sum_k matrix[i][k] * generators[k], verified exactly.
+    The basis keeps its engine form (the elements as sparse vectors with
+    their leading terms), built once, which every normal_form divides
+    against.
     """
 
-    __slots__ = ("order", "elements", "generators", "matrix", "vars")
+    __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine")
 
     def __init__(self, order: str, elements: Sequence[BasePolynomial],
                  generators: Sequence[BasePolynomial], matrix: Sequence[Sequence[BasePolynomial]],
@@ -651,6 +665,9 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self.matrix = tuple(tuple(row) for row in matrix)
         self.vars = vars
+        self._engine = _Engine([], 1, len(vars), order)
+        for g in self.elements:
+            self._engine.append(_mvec_from_vector(ModuleVector([g])), None)
 
     def __iter__(self):
         return iter(self.elements)
@@ -664,15 +681,79 @@ class GroebnerBasis:
 
 
 class MembershipCertificate:
-    """Witness c with sum(c_i * g_i) = f, verified at construction."""
+    """Witness c with sum(c_i * g_i) = f, verified at construction.
+
+    coefficients is a ModuleVector with one entry per generator, or the
+    empty tuple when the generator list is empty (then f = 0).
+    """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: ModuleVector):
+    def __init__(self, coefficients):
         self.coefficients = coefficients
 
     def __repr__(self):
         return f"MembershipCertificate({self.coefficients!r})"
+
+
+class ModuleBasis:
+    """Tracked Groebner basis of the module a generator list spans.
+
+    Built once per generator list, then asked many membership questions:
+    lift(f) returns a MembershipCertificate over the generators, verified
+    exactly, or None.  add(v) appends a generator and runs Buchberger on
+    the new S-pairs only.  Certificates depend on the basis, so two
+    bases grown from the same generators in different steps agree on
+    membership but may hand out different certificates.  Generators may
+    be BasePolynomial (rank 1) or ModuleVector of a common rank; an
+    empty list spans only the zero vector.
+    """
+
+    __slots__ = ("order", "gens", "_engine")
+
+    def __init__(self, gens: Sequence = (), order: str = ORDER_GREVLEX):
+        if order not in _ORDERS:
+            raise ValueError(f"unknown monomial order {order!r}")
+        self.order = order
+        self.gens = _as_vectors(gens)
+        self._engine = None
+        if self.gens:
+            self._engine = _Engine([_mvec_from_vector(v) for v in self.gens],
+                                   rank=self.gens[0].rank, nvars=len(self.gens[0].vars),
+                                   order=order, track=True)
+
+    def add(self, v) -> None:
+        """Append generator v; the basis grows by the new S-pairs only."""
+        vec = _as_vectors(self.gens[:1] + [v])[-1]   # checked against gens[0]
+        mvec = _mvec_from_vector(vec)
+        if self._engine is None:
+            self._engine = _Engine([mvec], rank=vec.rank, nvars=len(vec.vars),
+                                   order=self.order, track=True)
+        else:
+            self._engine.insert(mvec, len(self.gens))
+            self._engine.complete()
+        self.gens.append(vec)
+
+    def lift(self, f) -> Optional[MembershipCertificate]:
+        """Certificate c with sum(c_i * gens_i) = f, or None."""
+        fv = ModuleVector([f]) if isinstance(f, BasePolynomial) else f
+        if not self.gens:
+            return MembershipCertificate(()) if fv.is_zero() else None
+        vars = self.gens[0].vars
+        if fv.rank != self.gens[0].rank or fv.vars != vars:
+            raise ValueError("target incompatible with generators")
+        rem, comb = self._engine._divide(_mvec_from_vector(fv), {})
+        if rem:
+            return None
+        # f reduced to zero: f = -sum(comb) over inputs
+        coeffs = _mvec_to_vector(_mvec_scale(comb, Fraction(-1)), len(self.gens), vars)
+        acc = None
+        for c, g in zip(coeffs.components, self.gens):
+            contrib = g * c
+            acc = contrib if acc is None else acc + contrib
+        if acc != fv:
+            raise AssertionError("membership certificate failed verification")
+        return MembershipCertificate(coeffs)
 
 
 # -- public operations -------------------------------------------------
@@ -715,16 +796,13 @@ def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
     vars = gb.vars
     if f.vars != vars:
         raise ValueError("variable mismatch with basis")
-    eng = _Engine.__new__(_Engine)
-    eng.key = _module_key(gb.order, 0)
-    eng.basis = [_mvec_from_vector(ModuleVector([g])) for g in gb.elements]
-    eng.transforms = [None] * len(gb.elements)
-    rem, _ = eng._divide(_mvec_from_vector(ModuleVector([f])), None)
+    rem, _ = gb._engine._divide({(0, e): c for e, c in f.terms.items()}, None)
     return _mvec_to_vector(rem, 1, vars)[0]
 
 
-def _as_vectors(items: Sequence) -> tuple:
-    """Normalize a list of BasePolynomial or ModuleVector to vectors."""
+def _as_vectors(items: Sequence) -> list:
+    """Normalize a list of BasePolynomial or ModuleVector to vectors of
+    one rank over one variable list."""
     vecs = []
     for x in items:
         if isinstance(x, BasePolynomial):
@@ -733,45 +811,20 @@ def _as_vectors(items: Sequence) -> tuple:
             vecs.append(x)
         else:
             raise TypeError(f"expected polynomial or vector, got {type(x)!r}")
-    if not vecs:
-        raise ValueError("empty generator list")
-    rank = vecs[0].rank
-    vars = vecs[0].vars
     for v in vecs:
-        if v.rank != rank or v.vars != vars:
+        if v.rank != vecs[0].rank or v.vars != vecs[0].vars:
             raise ValueError("generators must share rank and variables")
-    return vecs, rank, vars
+    return vecs
 
 
 def lift_membership(f, gens: Sequence, order: str = ORDER_GREVLEX):
     """Certificate c with sum(c_i * gens_i) = f, or None.
 
     f and gens may be BasePolynomial (rank 1) or ModuleVector of a
-    common rank.  The certificate is verified exactly before return.
+    common rank.  The certificate is verified exactly before return;
+    a caller asking several questions of one list builds a ModuleBasis.
     """
-    scalar = isinstance(f, BasePolynomial)
-    vecs, rank, vars = _as_vectors(list(gens))
-    fv = ModuleVector([f]) if scalar else f
-    if fv.rank != rank or fv.vars != vars:
-        raise ValueError("target incompatible with generators")
-    if fv.is_zero():
-        zero = BasePolynomial.zero(vars)
-        return MembershipCertificate(ModuleVector([zero] * len(vecs)))
-    mvecs = [_mvec_from_vector(v) for v in vecs]
-    eng = _Engine(mvecs, rank=rank, nvars=len(vars), order=order, track=True)
-    comb0 = {}
-    rem, comb = eng._divide(_mvec_from_vector(fv), comb0)
-    if rem:
-        return None
-    # f reduced to zero: f = -sum(comb) over inputs
-    coeffs = _mvec_to_vector(_mvec_scale(comb, Fraction(-1)), len(vecs), vars)
-    acc = None
-    for c, g in zip(coeffs.components, vecs):
-        contrib = g * c
-        acc = contrib if acc is None else acc + contrib
-    if acc != fv:
-        raise AssertionError("membership certificate failed verification")
-    return MembershipCertificate(coeffs)
+    return ModuleBasis(gens, order).lift(f)
 
 
 def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
@@ -781,7 +834,10 @@ def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
     k[x]^(r+s) under a block order eliminating the first block: basis
     elements supported purely in the tail block are syzygies.
     """
-    vecs, rank, vars = _as_vectors(list(gens))
+    vecs = _as_vectors(list(gens))
+    if not vecs:
+        raise ValueError("empty generator list")
+    rank, vars = vecs[0].rank, vecs[0].vars
     s = len(vecs)
     zero = BasePolynomial.zero(vars)
     aug = []

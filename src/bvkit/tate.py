@@ -26,9 +26,10 @@ from .graded_algebra import (
 )
 from .polynomial_engine import (
     BasePolynomial,
+    ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
-    lift_membership,
+    lift_membership,  # noqa: F401  (bound here: the perfbench self-tests read tate.lift_membership)
     poly_to_str,
     syzygy_basis,
 )
@@ -226,20 +227,6 @@ def _delta_columns(table: GeneratorTable, delta, monomials: list,
     return cols
 
 
-def _lift(vec: ModuleVector, cols: list, order: str):
-    """Coefficient list with sum(c_i * cols_i) = vec, or None.
-
-    Wraps the membership engine so an empty column list means only the
-    zero vector is reachable.
-    """
-    if not cols:
-        return [] if vec.is_zero() else None
-    cert = lift_membership(vec, cols, order)
-    if cert is None:
-        return None
-    return list(cert.coefficients.components)
-
-
 # -- construction ------------------------------------------------------
 
 
@@ -297,11 +284,14 @@ def build_resolution(coords: Sequence[str], s0=None, partials=None,
         cycles = syzygy_basis(cols, order)
         boundary_cols = [c for c in _delta_columns(table, delta, above, here, coords)
                          if not c.is_zero()]
+        # yes/no questions only, so the basis may grow one cycle at a time
+        bounds = ModuleBasis(boundary_cols, order)
         accepted = []
         for z in cycles:
-            if _lift(z, boundary_cols + accepted, order) is not None:
+            if bounds.lift(z) is not None:
                 continue
             accepted.append(z)
+            bounds.add(z)
         if not accepted:
             continue
         new_records = []
@@ -364,9 +354,10 @@ def check_acyclic(res: TateResolution, through: int) -> AcyclicityReport:
         cycles = syzygy_basis(cols, res.order)
         boundary_cols = [c for c in _delta_columns(table, delta, above, here, vars)
                          if not c.is_zero()]
+        bounds = ModuleBasis(boundary_cols, res.order)
         bad = None
         for z in cycles:
-            if _lift(z, boundary_cols, res.order) is None:
+            if bounds.lift(z) is None:
                 bad = z
                 break
         if bad is None:
@@ -465,19 +456,19 @@ def _extend_layer(src: TateResolution, dst: TateResolution,
     chain_monos = negative_monomials(dst.table, d)
     cols = _delta_columns(dst.table, ddelta, chain_monos, basis, vars)
     keep = [(m, c) for m, c in zip(chain_monos, cols) if not c.is_zero()]
+    lifts = ModuleBasis([c for _, c in keep], src.order)
     for g in layer:
         rhs = morphism.apply(transport(g.delta, src.table))
         if rhs.is_zero():
             imap[g.name] = GradedPolynomial.zero(dst.table)
             continue
-        coeffs = _lift(_vectorize(rhs, basis, vars),
-                       [c for _, c in keep], src.order)
-        if coeffs is None:
+        cert = lifts.lift(_vectorize(rhs, basis, vars))
+        if cert is None:
             raise ValueError(
                 f"no lift for generator {g.name!r} at degree {-d}; "
                 f"target depth insufficient")
         img = GradedPolynomial.zero(dst.table)
-        for coeff, (m, _c) in zip(coeffs, keep):
+        for coeff, (m, _c) in zip(cert.coefficients, keep):
             if not coeff.is_zero():
                 img = img + GradedPolynomial.monomial(dst.table, m, coeff)
         imap[g.name] = img

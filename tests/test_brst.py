@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvkit import polynomial_engine
 from bvkit.polynomial_engine import (
     BasePolynomial,
+    groebner_basis,
     lift_membership,
+    monomial_key,
     normal_form,
     nullspace,
     poly_to_str,
@@ -98,6 +101,30 @@ class TestJacobianRing:
     def test_wrong_partial_count_rejected(self):
         with pytest.raises(ValueError):
             jacobian_ring([poly("x")])
+
+
+def _nf_standard_monomials(gb, D):
+    """Reference for standard_monomials: monomials equal to their normal form."""
+    std = []
+    for e in brst._exponents_upto(len(gb.vars), D):
+        m = BasePolynomial(gb.vars, {e: Fraction(1)})
+        if normal_form(m, gb) == m:
+            std.append(e)
+    std.sort(key=monomial_key(gb.order), reverse=True)
+    return std
+
+
+_MONO3 = st.tuples(*[st.integers(0, 2)] * 3)
+_POLY3 = st.dictionaries(_MONO3, st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(
+    lambda t: BasePolynomial(("x", "y", "z"), t))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_POLY3, min_size=1, max_size=3), st.sampled_from(["grevlex", "lex"]),
+       st.integers(0, 6))
+def test_standard_monomials_match_the_normal_form_rule(gens, order, D):
+    gb = groebner_basis(gens, order)
+    assert standard_monomials(gb, D) == _nf_standard_monomials(gb, D)
 
 
 class TestSymmetryPresentation:
@@ -355,6 +382,30 @@ class TestBracket:
         pres = symmetry_presentation(circle_partials())
         h0_bracket(poly("1"), poly("x^2 + y^2"), pres)
         assert sorted(built) == [0, 1]
+
+    def test_one_basis_of_the_partials_per_call(self, monkeypatch):
+        # every lift of tau_i(f) and tau_i(g), for both lifts of f, divides
+        # against one tracked basis; the Jacobian ring is the other build
+        pres = symmetry_presentation(circle_partials())
+        h = poly("x^2 + y^2 - 1")
+        f = poly("x^2 + y^2") + poly("x") * h
+        g = poly("x^2 + y^2") + poly("y") * h
+        tracked, reduced = [], []
+        real_init = polynomial_engine._Engine.__init__
+        real_gb = brst.groebner_basis
+
+        def spy_init(self, *args, **kwargs):
+            tracked.append(kwargs.get("track", False))
+            real_init(self, *args, **kwargs)
+
+        def spy_gb(*args):
+            reduced.append(args)
+            return real_gb(*args)
+
+        monkeypatch.setattr(polynomial_engine._Engine, "__init__", spy_init)
+        monkeypatch.setattr(brst, "groebner_basis", spy_gb)
+        h0_bracket(f, g, pres)
+        assert sum(tracked) - len(reduced) == 1
 
     def test_no_symmetries_gives_empty_tuple(self):
         pres = symmetry_presentation([poly("2*x"), poly("2*y")])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvkit.polynomial_engine import (
     BasePolynomial,
+    ModuleBasis,
     ModuleVector,
     groebner_basis,
     lift_membership,
@@ -145,6 +146,32 @@ class TestLift:
             acc = acc + g * c
         assert acc == target
 
+    def test_empty_list_reaches_only_zero(self):
+        vars = ("x", "y")
+        empty = ModuleBasis([])
+        assert empty.lift(BasePolynomial.zero(vars)).coefficients == ()
+        assert empty.lift(P("x", vars)) is None
+        assert lift_membership(P("x", vars), []) is None
+        empty.add(P("x", vars))
+        assert str(empty.lift(P("x*y", vars)).coefficients[0]) == "y"
+
+    def test_add_completes_the_new_pairs(self):
+        # y^2 = y*(x^2 + y) - x*(x*y) is reached only through their S-pair
+        vars = ("x", "y")
+        grown = ModuleBasis(mk(vars, "x^2 + y"))
+        assert grown.lift(P("y^2", vars)) is None
+        grown.add(P("x*y", vars))
+        assert [str(c) for c in grown.lift(P("y^2", vars)).coefficients] == ["y", "-x"]
+
+
+class TestCoefficients:
+    def test_int_fraction_and_zero_inputs(self):
+        p = BasePolynomial(("x", "y"), {(1, 0): 3, (0, 1): Fraction(-1, 2), (0, 0): 0,
+                                        (2, 0): Fraction(0), (1, 1): Fraction(4, 2)})
+        assert p.terms == {(1, 0): Fraction(3), (0, 1): Fraction(-1, 2),
+                           (1, 1): Fraction(2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+
 
 # -- property suites ---------------------------------------------------
 
@@ -216,6 +243,61 @@ def test_syzygies_annihilate(gens):
         for c, g in zip(syz, gens):
             acc = acc + c * g
         assert acc.is_zero()
+
+
+def _combination(coeffs, gens):
+    acc = None
+    for c, g in zip(coeffs, gens):
+        acc = g * c if acc is None else acc + g * c
+    return acc
+
+
+def _s_vector(a, b, order):
+    """S-vector of two module vectors whose leading terms share a position."""
+    key = monomial_key(order)
+
+    def lead(v):
+        return max(((key(c.leading(order)[0]), -k), k, *c.leading(order))
+                   for k, c in enumerate(v) if not c.is_zero())[1:]
+
+    if a.is_zero() or b.is_zero() or lead(a)[0] != lead(b)[0]:
+        return None
+    (_, ea, ca), (_, eb, cb) = lead(a), lead(b)
+    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
+    ma = BasePolynomial(a.vars, {tuple(l - x for l, x in zip(lcm, ea)): 1 / ca})
+    mb = BasePolynomial(b.vars, {tuple(l - x for l, x in zip(lcm, eb)): 1 / cb})
+    return a * ma - b * mb
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.data())
+def test_module_basis_agrees_with_lift_membership(order, rank, data):
+    vec = st.lists(poly_strategy(VARS2, max_deg=2, max_terms=2),
+                   min_size=rank, max_size=rank).map(ModuleVector)
+    gens = data.draw(st.lists(vec, min_size=1, max_size=3))
+    mults = data.draw(st.lists(poly_strategy(VARS2, max_deg=1, max_terms=2),
+                               min_size=len(gens), max_size=len(gens)))
+    member = _combination(mults, gens)
+    s_vectors = [s for a in gens for b in gens if (s := _s_vector(a, b, order)) is not None]
+    targets = [member] + s_vectors + data.draw(st.lists(vec, max_size=2))
+    split = data.draw(st.integers(0, len(gens)))
+
+    fixed = ModuleBasis(gens, order)
+    grown = ModuleBasis(gens[:split], order)
+    for g in gens[split:]:
+        grown.add(g)
+    for f in targets:
+        fresh = lift_membership(f, gens, order)
+        again, grown_cert = fixed.lift(f), grown.lift(f)
+        if f is member or any(f is s for s in s_vectors):
+            assert fresh is not None
+        assert (again is None) == (grown_cert is None) == (fresh is None)
+        if fresh is None:
+            continue
+        assert again.coefficients == fresh.coefficients
+        assert fixed.lift(f).coefficients == fresh.coefficients
+        for cert in (fresh, grown_cert):
+            assert _combination(cert.coefficients, gens) == f
 
 
 def _dense_rref(rows):

@@ -13,6 +13,7 @@ from bvkit.graded_algebra import (
     parse_graded,
     transport,
 )
+from bvkit import polynomial_engine
 from bvkit.polynomial_engine import BasePolynomial
 from bvkit.tate import (
     AcyclicityReport,
@@ -110,6 +111,22 @@ class TestCircle:
     def test_determinism(self):
         a, b = circle(4), circle(4)
         assert a.to_json() == b.to_json()
+
+
+class TestBasisReuse:
+    def test_check_acyclic_builds_one_module_basis_per_degree(self, monkeypatch):
+        # syzygy_basis builds untracked engines; membership bases are tracked
+        res = circle(5)
+        tracked = []
+        real = polynomial_engine._Engine.__init__
+
+        def spy(self, *args, **kwargs):
+            tracked.append(kwargs.get("track", False))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(polynomial_engine._Engine, "__init__", spy)
+        assert check_acyclic(res, 5).ok
+        assert sum(tracked) <= 5
 
 
 class TestAcyclicityWitness:
