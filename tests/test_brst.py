@@ -114,7 +114,9 @@ def _nf_standard_monomials(gb, D):
     return std
 
 
-_MONO3 = st.tuples(*[st.integers(0, 2)] * 3)
+# total degree <= 2 keeps every basis small: three random sextics can have a
+# lex basis that no exact Buchberger run finishes in reasonable time
+_MONO3 = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2)
 _POLY3 = st.dictionaries(_MONO3, st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(
     lambda t: BasePolynomial(("x", "y", "z"), t))
 
