@@ -130,11 +130,15 @@ class BasePolynomial:
         self._check(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, Fraction(0)) + c
-            if s:
-                t[e] = s
+            s = t.get(e)
+            if s is None:
+                t[e] = c
             else:
-                t.pop(e, None)
+                s += c
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]
         return BasePolynomial(self.vars, t)
 
     __radd__ = __add__
@@ -152,7 +156,7 @@ class BasePolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = other if type(other) is Fraction else Fraction(other)
             if not c:
                 return BasePolynomial(self.vars)
             return BasePolynomial(self.vars, {e: k * c for e, k in self.terms.items()})
@@ -161,11 +165,16 @@ class BasePolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = _monomial_mul(e1, e2)
-                s = t.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    t[e] = s
+                c = c1 * c2
+                s = t.get(e)
+                if s is None:
+                    t[e] = c
                 else:
-                    t.pop(e, None)
+                    s += c
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
         return BasePolynomial(self.vars, t)
 
     __rmul__ = __mul__

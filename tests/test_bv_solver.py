@@ -1,6 +1,7 @@
 """Tests for the master-equation solver and the exact constructors."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ from bvkit.graded_algebra import (
     truncate,
 )
 from bvkit.antibracket import bracket, exp_ad
+from bvkit import bv_solver
 from bvkit.brst import e2_page
 from bvkit.tate import build_resolution
 from bvkit.bv_solver import (
+    _residual_bracket,
     GaugeWord,
     MasterSolution,
     add_square,
@@ -35,10 +38,16 @@ from bvkit.bv_solver import (
 )
 
 CIRCLE = "(x^2+y^2-1)^2/4"
+CIRCLE_PARTIALS = ["x^3+x*y^2-x", "x^2*y+y^3-y"]
 
 
 def circle(depth):
     return build_resolution(["x", "y"], s0=CIRCLE, depth=depth)
+
+
+def circle_partials(depth):
+    return build_resolution(["x", "y"], partials=CIRCLE_PARTIALS,
+                            depth=depth)
 
 
 class TestSLin:
@@ -98,6 +107,16 @@ class TestSolveMaster:
         assert transport(diff, rm.table) == mv.S
         assert verify_master(mv, 4).ok
 
+    def test_multivalued_update_carries_the_one_form_term(self):
+        # from order 5 on the corrections have antifield factors, so the
+        # residual update must include their closed-one-form term
+        rm, rs = circle_partials(6), circle(6)
+        mv = solve_master(rm, 5)
+        sv = solve_master(rs, 5)
+        diff = sv.S - GradedPolynomial.from_scalar(rs.table, rs.s0)
+        assert transport(diff, rm.table) == mv.S
+        assert verify_master(mv, 5).ok
+
     def test_depth_must_cover_order(self):
         with pytest.raises(ValueError, match="depth"):
             solve_master(circle(2), 4)
@@ -117,6 +136,69 @@ class TestSolveMaster:
         sol = solve_master(res, 1)
         assert sol.S == GradedPolynomial.from_scalar(res.table, res.s0)
         assert master_residual(res, sol.S).is_zero()
+
+    def test_full_residual_computed_once(self, monkeypatch):
+        # later orders update the residual by [2S + v, v]; only the
+        # associated solution gets a full [S, S]
+        full, squares = [], []
+        real_residual = bv_solver.master_residual
+        real_bracket = bv_solver.bracket
+
+        def residual_spy(res, S):
+            full.append(len(S.terms))
+            return real_residual(res, S)
+
+        def bracket_spy(a, b):
+            if a is b:
+                squares.append(len(a.terms))
+            return real_bracket(a, b)
+
+        monkeypatch.setattr(bv_solver, "master_residual", residual_spy)
+        monkeypatch.setattr(bv_solver, "bracket", bracket_spy)
+        sol = solve_master(circle(5), 4)
+        assert full == [len(s_lin(sol.resolution).terms)]
+        assert squares == full
+        assert verify_master(sol, 4).ok
+
+
+UPDATE_TABLES = {"s0": circle(3), "partials": circle_partials(3)}
+
+
+def _ghost_zero_monomials(t):
+    """Ghost-0 exponent tuples with at most three factors."""
+    ranges = [range(2 if odd else 3) for odd in t.parities]
+    return [m for m in itertools.product(*ranges)
+            if sum(m) <= 3 and t.ghost_of(m) == 0]
+
+
+GHOST_ZERO = {k: _ghost_zero_monomials(r.table)
+              for k, r in UPDATE_TABLES.items()}
+
+
+@st.composite
+def ghost_zero(draw, kind):
+    t = UPDATE_TABLES[kind].table
+    terms = {}
+    for m in draw(st.lists(st.sampled_from(GHOST_ZERO[kind]),
+                           max_size=4, unique=True)):
+        e = tuple(draw(st.integers(0, 2)) for _ in t.coordinates)
+        c = draw(st.fractions(min_value=-3, max_value=3,
+                              max_denominator=3).filter(bool))
+        terms[m] = BasePolynomial(t.coordinates, {e: c})
+    return GradedPolynomial(t, terms)
+
+
+@pytest.mark.parametrize("kind", sorted(UPDATE_TABLES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residual_update_matches_full_bracket(kind, data):
+    # [S+v, S+v] - [S, S] = [2S + v, v] for ghost-0 S and v, and the
+    # closed-one-form term of the multivalued residual is linear
+    res = UPDATE_TABLES[kind]
+    S = data.draw(ghost_zero(kind), label="S")
+    v = data.draw(ghost_zero(kind), label="v")
+    update = _residual_bracket(res, S * 2 + v, v)
+    assert master_residual(res, S + v) == master_residual(res, S) + update
 
 
 class TestVerifyMaster:
@@ -474,7 +556,8 @@ class TestSerialization:
 class TestGolden:
     """sha256 of exact outputs, pinned so that a change to any term, sign
     or log line shows up: the circle quartic solved at depth 5, p = 4,
-    and its E2 columns 0 and 1 at bound 4."""
+    and its E2 columns 0 and 1 at bound 4; the same solve given only the
+    closed partials."""
 
     SOLUTION = ("858cf794da142928b967e35ea1545e5c"
                 "6452ed530d7d0610e8da885f35e81046")
@@ -485,9 +568,19 @@ class TestGolden:
           1: ("8b4ede1d96e2a1c213ccaab805312f48"
               "360258fbd0eef98289160780b0f5e1bd")}
 
+    MULTIVALUED_SOLUTION = ("054b51d58b28a31e928842df61187cc1"
+                            "d5f8578d9b8cfb78411a6dfe9b564381")
+    MULTIVALUED_LOG = ("eb208302f70b64c0442b9270a79a5483"
+                       "5a3f96f32f2e611cb3ca16a0af1a1858")
+
     @staticmethod
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_multivalued_solution(self):
+        sol = solve_master(circle_partials(5), 4)
+        assert self.sha(sol.to_json()) == self.MULTIVALUED_SOLUTION
+        assert self.sha("\n".join(sol.log)) == self.MULTIVALUED_LOG
 
     def test_circle_solution_and_page(self):
         sol = solve_master(circle(5), 4)
