@@ -411,16 +411,6 @@ def _presentation(parts: list, order: str,
 # -- H^0: invariants ---------------------------------------------------
 
 
-def _invariant_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
-    std = standard_monomials(gb, D)
-    red, _piv = rref(nullspace(_tau_images(pres, gb, std)))
-    return std, red
-
-
-def _vec_to_poly(vars, std, v: dict) -> BasePolynomial:
-    return BasePolynomial(vars, {std[j]: c for j, c in v.items()})
-
-
 def h0(partials: Sequence[BasePolynomial], D: int,
        order: str = ORDER_GREVLEX,
        presentation: Optional[SymmetryPresentation] = None) -> CohomologyReport:
@@ -429,20 +419,25 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     Basis elements f are normal forms with normal_form(tau_i(f)) = 0
     for every generator; invariance under the full symmetry module
     follows because the Koszul fields move everything into the ideal.
+    One image set, of the standard monomials up to D + 1, serves both
+    bounds: its degree-<=D part, in the same order, is the D slice, and
+    the whole set gives the kernel at D + 1 that sets stable.
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     parts, vars = _check_partials(partials)
     pres = _presentation(parts, order, presentation)
     gb = jacobian_ring(parts, order)
-    std, vecs = _invariant_vectors(pres, gb, D)
-    _std1, vecs1 = _invariant_vectors(pres, gb, D + 1)
-    basis = [_vec_to_poly(vars, std, v) for v in vecs]
+    std1 = standard_monomials(gb, D + 1)
+    images = _tau_images(pres, gb, std1)
+    low = [j for j, m in enumerate(std1) if sum(m) <= D]
+    vecs, _piv = rref(nullspace([images[j] for j in low]))
+    basis = [BasePolynomial(vars, {std1[low[j]]: c for j, c in v.items()}) for v in vecs]
     for b in basis:
         for t in pres.tau:
             if not normal_form(apply_vector_field(t, b), gb).is_zero():
                 raise AssertionError("invariant candidate fails its defining condition")
-    return CohomologyReport(0, D, len(basis), basis, len(vecs) == len(vecs1))
+    return CohomologyReport(0, D, len(basis), basis, len(vecs) == len(nullspace(images)))
 
 
 # -- H^1: the one-cochain complex --------------------------------------

@@ -485,19 +485,26 @@ def _mvec_scale(a: dict, factor: Fraction) -> dict:
     return {k: c * factor for k, c in a.items()}
 
 
-def _module_key(order: str, split: int):
-    """Key on (pos, exp): block 0 (pos < split) beats block 1, then ring
-    order, then earlier position.  split <= 0 means a single block."""
-    ring = monomial_key(order)
-    def key(t):
-        pos, e = t
-        block = 1 if (split > 0 and pos < split) else 0
-        return (block, ring(e), -pos)
-    return key
+def _term_key(order: str, split: int):
+    """Heap key on (pos, exp): the smaller key is the larger term.
+
+    Block 0 (pos < split) beats block 1, then the ring order, then the
+    earlier position; split <= 0 means a single block.  Keys are unique
+    per term, so min, heap order and a reversed sort agree.
+    """
+    if order == ORDER_GREVLEX:
+        ring = lambda e: (-sum(e), e[::-1])
+    elif order == ORDER_LEX:
+        ring = lambda e: tuple([-x for x in e])
+    else:
+        raise ValueError(f"unknown monomial order {order!r}")
+    if split <= 0:
+        return lambda t: (ring(t[1]), t[0])
+    return lambda t: (t[0] >= split, ring(t[1]), t[0])
 
 
 def _mvec_leading(m: dict, key) -> tuple:
-    k = max(m, key=key)
+    k = min(m, key=key)
     return k, m[k]
 
 
@@ -509,25 +516,36 @@ class _Engine:
     combinations of the inputs (position = input index), enough to hand
     out membership certificates.  Inputs may arrive after the build:
     insert() queues the new S-pairs and complete() works them off.
+
+    Division (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    sec. 2.3) keeps the pending terms in a heap on the term key, so each
+    term is keyed once.  divisor memoizes, per term (pos, exp), the index
+    of the first leading term that divides it, or -1; many normal forms
+    against one basis share it.  It is cleared whenever lts changes
+    (append, _select, the inter-reduction in reduce_canonical); a
+    division that skips an element neither reads nor writes it.
     """
 
     def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
                  order: str, split: int = 0, track: bool = False):
         self.rank = rank
         self.nvars = nvars
-        self.key = _module_key(order, split)
+        self.key = _term_key(order, split)
         self.track = track
         self.basis: list = []        # list of MVec
         self.lts: list = []          # parallel list of leading (term, coeff)
         self.transforms: list = []   # parallel list of MVec over inputs
         self.pairs: list = []        # heap of (lcm degree, i, j)
+        self.divisor: dict = {}      # term -> first lts index dividing it, or -1
         for idx, v in enumerate(vectors):
             self.insert(v, idx)
         self.complete()
 
     # division of vec by current basis (skipping element skip); returns
     # (remainder, combination) where combination is an MVec over the
-    # inputs (None if not tracking).
+    # inputs (None if not tracking).  The largest pending term is reduced
+    # by the first leading term dividing it; a step adds only terms below
+    # the one it cancels, so a popped term that is gone from vec is stale.
     def _divide(self, vec: dict, comb: Optional[dict], skip: int = -1) -> tuple:
         rem: dict = {}
         vec = dict(vec)
@@ -535,20 +553,44 @@ class _Engine:
             comb = dict(comb)
         key = self.key
         lts = self.lts
-        while vec:
-            t = max(vec, key=key)
-            c = vec[t]
-            pos, e = t
-            for i, ((p2, e2), c2) in enumerate(lts):
-                if p2 == pos and i != skip and _monomial_divides(e2, e):
-                    break
-            else:
+        memo = self.divisor if skip < 0 else None
+        heap = [(key(t), t) for t in vec]
+        heapq.heapify(heap)
+        push, pop = heapq.heappush, heapq.heappop
+        while heap:
+            t = pop(heap)[1]
+            c = vec.get(t)
+            if c is None:
+                continue
+            i = None if memo is None else memo.get(t)
+            if i is None:
+                pos, e = t
+                for i, ((p2, e2), _c2) in enumerate(lts):
+                    if p2 == pos and i != skip and _monomial_divides(e2, e):
+                        break
+                else:
+                    i = -1
+                if memo is not None:
+                    memo[t] = i
+            if i < 0:
                 rem[t] = c
                 del vec[t]
                 continue
-            shift = _monomial_div(e, e2)
+            (_p, e2), c2 = lts[i]
+            shift = _monomial_div(t[1], e2)
             factor = -c / c2
-            _mvec_add_into(vec, self.basis[i], factor, shift)
+            for (p, eb), cb in self.basis[i].items():
+                k = (p, _monomial_mul(eb, shift))
+                s = vec.get(k)
+                if s is None:
+                    vec[k] = factor * cb
+                    push(heap, (key(k), k))
+                else:
+                    s += factor * cb
+                    if s:
+                        vec[k] = s
+                    else:
+                        del vec[k]
             if comb is not None:
                 _mvec_add_into(comb, self.transforms[i], factor, shift)
         return rem, comb
@@ -598,6 +640,7 @@ class _Engine:
         """Store vec as the next basis element, without pairs; its index."""
         self.basis.append(vec)
         self.lts.append(_mvec_leading(vec, self.key))
+        self.divisor.clear()
         self.transforms.append(tr)
         return len(self.basis) - 1
 
@@ -634,6 +677,7 @@ class _Engine:
                         break
                     self.basis[i] = rem
                     self.lts[i] = _mvec_leading(rem, self.key)
+                    self.divisor.clear()
                     self.transforms[i] = tr
         # monic + canonical sort
         for i, g in enumerate(self.basis):
@@ -643,12 +687,13 @@ class _Engine:
             if self.track:
                 self.transforms[i] = _mvec_scale(self.transforms[i], inv)
         self._select(sorted(range(len(self.basis)),
-                            key=lambda i: self.key(self.lts[i][0])))
+                            key=lambda i: self.key(self.lts[i][0]), reverse=True))
 
     def _select(self, idx: list) -> None:
         self.basis = [self.basis[i] for i in idx]
         self.lts = [self.lts[i] for i in idx]
         self.transforms = [self.transforms[i] for i in idx]
+        self.divisor.clear()
 
 
 # -- public types ------------------------------------------------------
@@ -800,6 +845,13 @@ def groebner_basis(gens: Iterable[BasePolynomial], order: str = ORDER_GREVLEX) -
 
 
 def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
+    """Remainder of f on division by the basis.
+
+    The division pops the largest pending term from a heap and looks up
+    its first dividing leading term in the basis's divisor memo, which
+    every normal form against gb shares; the memo is cleared only when
+    the leading terms change, which a built GroebnerBasis never does.
+    """
     if not gb.elements:
         return f
     vars = gb.vars

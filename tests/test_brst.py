@@ -319,6 +319,33 @@ class TestCubicSurfaceH0:
             assert _in_span(f, span, gb)
 
 
+class TestH0OneImageSet:
+    def test_one_image_set_per_report(self, cubic_surface, monkeypatch):
+        # the bound-D slice is the low-degree part of the D + 1 image set
+        parts, pres, gb, _reports = cubic_surface
+        asked = []
+        real = brst._tau_images
+
+        def spy(pres, gb, exps):
+            asked.append(len(exps))
+            return real(pres, gb, exps)
+
+        monkeypatch.setattr(brst, "_tau_images", spy)
+        h0(parts, 6, presentation=pres)
+        assert asked == [len(standard_monomials(gb, 7))]
+
+    @pytest.mark.parametrize("D", range(2, 7))
+    def test_circle_stable_compares_with_the_next_bound(self, D):
+        a, b = h0(circle_partials(), D), h0(circle_partials(), D + 1)
+        assert a.stable == (a.dim == b.dim)
+
+    @pytest.mark.parametrize("D", range(4, 8))
+    def test_cubic_stable_compares_with_the_next_bound(self, cubic_surface, D):
+        parts, pres, _gb, _reports = cubic_surface
+        a, b = (h0(parts, d, presentation=pres) for d in (D, D + 1))
+        assert a.stable == (a.dim == b.dim)
+
+
 def _in_span(f, basis, gb):
     nf = normal_form(f, gb)
     cols = {}

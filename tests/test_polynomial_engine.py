@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from bvkit.polynomial_engine import (
     BasePolynomial,
+    _Engine,
+    _mvec_add_into,
     ModuleBasis,
     ModuleVector,
     groebner_basis,
@@ -164,6 +166,35 @@ class TestLift:
         assert [str(c) for c in grown.lift(P("y^2", vars)).coefficients] == ["y", "-x"]
 
 
+class TestDivisorMemo:
+    def test_add_clears_the_memo(self):
+        # the lift before add records y as unreducible; after add(y) that
+        # entry must be gone, or f and y would stay outside the module
+        vars = ("x", "y")
+        grown = ModuleBasis(mk(vars, "x^2"))
+        f = P("x^3 + y", vars)
+        assert grown.lift(f) is None
+        assert grown.lift(P("y", vars)) is None
+        grown.add(P("y", vars))
+        assert [str(c) for c in grown.lift(P("y", vars)).coefficients] == ["0", "1"]
+        cert = grown.lift(f)
+        assert cert is not None
+        assert _combination(cert.coefficients, grown.gens) == ModuleVector([f])
+
+    def test_reordering_clears_the_memo(self):
+        # reduce_canonical sorts [x^2 + 1, y + 1] to [y + 1, x^2 + 1]; a memo
+        # entry kept from before would send x^2 to y + 1
+        vars = ("x", "y")
+        gens = mk(vars, "x^2 + 1", "y + 1")
+        eng = _Engine([{(0, e): c for e, c in g.terms.items()} for g in gens],
+                      rank=1, nvars=2, order="grevlex")
+        x2 = {(0, (2, 0)): Fraction(1)}
+        assert eng._divide(x2, None)[0] == {(0, (0, 0)): -1}
+        eng.reduce_canonical()
+        assert [lt for lt, _c in eng.lts] == [(0, (0, 1)), (0, (2, 0))]
+        assert eng._divide(x2, None)[0] == {(0, (0, 0)): -1}
+
+
 class TestCoefficients:
     def test_int_fraction_and_zero_inputs(self):
         p = BasePolynomial(("x", "y"), {(1, 0): 3, (0, 1): Fraction(-1, 2), (0, 0): 0,
@@ -298,6 +329,91 @@ def test_module_basis_agrees_with_lift_membership(order, rank, data):
         assert fixed.lift(f).coefficients == fresh.coefficients
         for cert in (fresh, grown_cert):
             assert _combination(cert.coefficients, gens) == f
+
+
+def _scan_key(order, split):
+    """Key the reference maximizes: block 0 (pos < split), then the ring
+    order, then the earlier position."""
+    ring = monomial_key(order)
+
+    def key(t):
+        pos, e = t
+        return (1 if (split > 0 and pos < split) else 0, ring(e), -pos)
+    return key
+
+
+def _scan_divide(eng, key, vec, comb, skip=-1):
+    """Reference division: reduce the largest term by the first leading
+    term dividing it, found by a max over the pending terms and a scan."""
+    rem = {}
+    vec = dict(vec)
+    if comb is not None:
+        comb = dict(comb)
+    while vec:
+        t = max(vec, key=key)
+        c = vec[t]
+        pos, e = t
+        for i, ((p2, e2), c2) in enumerate(eng.lts):
+            if p2 == pos and i != skip and all(a <= b for a, b in zip(e2, e)):
+                break
+        else:
+            rem[t] = c
+            del vec[t]
+            continue
+        shift = tuple(a - b for a, b in zip(e, e2))
+        factor = -c / c2
+        _mvec_add_into(vec, eng.basis[i], factor, shift)
+        if comb is not None:
+            _mvec_add_into(comb, eng.transforms[i], factor, shift)
+    return rem, comb
+
+
+def _mvec(vector):
+    return {(i, e): c for i, p in enumerate(vector) for e, c in p.terms.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
+       st.booleans(), st.data())
+def test_heap_division_matches_the_scan_reference(order, rank, track, build, data):
+    split = data.draw(st.integers(0, rank - 1))
+    vec = st.lists(poly_strategy(VARS2, max_deg=2, max_terms=3),
+                   min_size=rank, max_size=rank).map(_mvec)
+    gens = data.draw(st.lists(vec, min_size=1, max_size=3))
+    if build:
+        # a Groebner basis, sometimes reordered by reduce_canonical
+        eng = _Engine(gens, rank, 2, order, split=split, track=track)
+        if data.draw(st.booleans()):
+            eng.reduce_canonical()
+    else:
+        # any list of leading terms: division needs no Groebner property
+        eng = _Engine([], rank, 2, order, split=split, track=track)
+        for i, g in enumerate(gens):
+            if g:
+                eng.append(g, {(i, (0, 0)): Fraction(1)} if track else None)
+    key = _scan_key(order, split)
+    for f in data.draw(st.lists(vec, min_size=1, max_size=4)):
+        comb = data.draw(vec) if track else None
+        skips = [-1] + list(range(len(eng.lts)))
+        for skip in (-1, data.draw(st.sampled_from(skips))):
+            assert eng._divide(f, comb, skip) == _scan_divide(eng, key, f, comb, skip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(poly_strategy(VARS3, max_deg=2, max_terms=3), min_size=1, max_size=3),
+       st.data())
+def test_membership_does_not_depend_on_the_order(gens, data):
+    # total degree <= 2, as in the standard-monomials property test: exact
+    # lex Buchberger on larger random ideals need not finish in time
+    mults = data.draw(st.lists(poly_strategy(VARS3, max_deg=1, max_terms=2),
+                               min_size=len(gens), max_size=len(gens)))
+    member = _combination(mults, gens)
+    mono = data.draw(st.tuples(*[st.integers(0, 2)] * 3))
+    bases = [ModuleBasis(gens, order) for order in ("grevlex", "lex")]
+    assert all(b.lift(member) is not None for b in bases)
+    f = member + BasePolynomial(VARS3, {mono: data.draw(st.integers(1, 3))})
+    grevlex, lex = (b.lift(f) for b in bases)
+    assert (grevlex is None) == (lex is None)
 
 
 def _dense_rref(rows):
