@@ -39,6 +39,7 @@ from .polynomial_engine import (
 )
 from .graded_algebra import GradedPolynomial, gr_project, graded_to_str
 from .antibracket import _bracket_factors, _bracket_pair
+from .tate import _graded_monomials
 
 __all__ = [
     "CohomologyReport",
@@ -650,35 +651,6 @@ def h0_bracket(f: BasePolynomial, g: BasePolynomial,
 # -- first page of the weight spectral sequence ------------------------
 
 
-def _ghost_monomials(table, p: int) -> list:
-    """Monomials in the positive generators of total ghost degree p."""
-    pos = [(i, d) for i, d in enumerate(table.degrees) if d > 0]
-    out = []
-
-    def rec(k, left, exp):
-        if left == 0:
-            m = [0] * len(table.names)
-            for (i, _d), e in zip(pos, exp):
-                m[i] = e
-            out.append(tuple(m))
-            return
-        if k == len(pos):
-            return
-        i, d = pos[k]
-        emax = left // d
-        if table.parities[i]:
-            emax = min(emax, 1)
-        for e in range(emax + 1):
-            rec(k + 1, left - e * d, exp + [e])
-
-    if p == 0:
-        return [table.unit_monomial()]
-    if p < 0:
-        return []
-    rec(0, p, [])
-    return sorted(out)
-
-
 def _d1_decompose(dS: list, table, gb, gm: tuple, e: tuple, p: int) -> dict:
     """Page differential of x^e * ghost monomial, as {(ghost, exponent): c}.
 
@@ -698,13 +670,13 @@ def _d1_decompose(dS: list, table, gb, gm: tuple, e: tuple, p: int) -> dict:
 def _e2_slice(sol, gb, p: int, D: int, dS: list):
     table = sol.resolution.table
     std = standard_monomials(gb, D)
-    dom = [(gm, e) for gm in _ghost_monomials(table, p) for e in std]
+    dom = [(gm, e) for gm in _graded_monomials(table, p, 1) for e in std]
     if not dom:
         return []
     ker = nullspace([_d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
     # image of the previous column, restricted to the slice
     ext = standard_monomials(gb, D + 1)
-    prev = [(gm, e) for gm in _ghost_monomials(table, p - 1) for e in ext]
+    prev = [(gm, e) for gm in _graded_monomials(table, p - 1, 1) for e in ext]
     dmap = {pair: idx for idx, pair in enumerate(dom)}
     bred, bpiv = _slice_image(
         [_d1_decompose(dS, table, gb, gm, e, p - 1) for gm, e in prev], dmap)

@@ -393,32 +393,6 @@ def gauge_relate(a: MasterSolution, b: MasterSolution,
 # -- exact constructors ------------------------------------------------
 
 
-def _reexpress(a: GradedPolynomial, table: GeneratorTable) -> GradedPolynomial:
-    """Move a graded polynomial to a table with a larger coordinate list.
-
-    Coefficients are extended to the new coordinates; generator names
-    are remapped by position.  The common generators must appear in the
-    same relative order, so no signs arise.
-    """
-    old = a.table
-    posmap = [table.index.get(n) for n in old.names]
-    if any(p is None for p in posmap):
-        missing = [n for n, p in zip(old.names, posmap) if p is None]
-        raise ValueError(f"generators missing from table: {missing}")
-    seen = [p for p in posmap if p is not None]
-    if any(x >= y for x, y in zip(seen, seen[1:])):
-        raise ValueError("generator order not preserved between tables")
-    width = len(table.names)
-    out: dict = {}
-    for m, c in a.terms.items():
-        m2 = [0] * width
-        for i, e in enumerate(m):
-            if e:
-                m2[posmap[i]] = e
-        out[tuple(m2)] = c.extend(table.coordinates)
-    return GradedPolynomial(table, out)
-
-
 def _as_fraction_matrix(rows, nrows: int, ncols: int, what: str) -> list:
     if len(rows) != nrows:
         raise ValueError(f"{what} must have {nrows} rows")
@@ -535,21 +509,18 @@ def product_solution(a: MasterSolution, b: MasterSolution) -> MasterSolution:
     coords = ta.coordinates + tb.coordinates
     pairs = ta.pairs + tb.pairs
     table = GeneratorTable(coords, pairs)
-    partials = ([BasePolynomial.parse(poly_to_str(p), coords)
-                 for p in a.resolution.partials]
-                + [BasePolynomial.parse(poly_to_str(p), coords)
-                   for p in b.resolution.partials])
-    gens = [TateGenerator(g.name, g.degree, _reexpress(g.delta, table))
+    partials = [p.extend(coords)
+                for p in a.resolution.partials + b.resolution.partials]
+    gens = [TateGenerator(g.name, g.degree, transport(g.delta, table))
             for g in a.resolution.generators + b.resolution.generators]
     s0 = None
     if a.resolution.s0 is not None:
-        s0 = (BasePolynomial.parse(poly_to_str(a.resolution.s0), coords)
-              + BasePolynomial.parse(poly_to_str(b.resolution.s0), coords))
+        s0 = a.resolution.s0.extend(coords) + b.resolution.s0.extend(coords)
     depth = min(a.resolution.depth, b.resolution.depth)
     res = TateResolution(table, partials, gens, depth, s0=s0)
-    S = _reexpress(a.S, table) + _reexpress(b.S, table)
-    expected = (_reexpress(master_residual(a.resolution, a.S), table)
-                + _reexpress(master_residual(b.resolution, b.S), table))
+    S = transport(a.S, table) + transport(b.S, table)
+    expected = (transport(master_residual(a.resolution, a.S), table)
+                + transport(master_residual(b.resolution, b.S), table))
     if master_residual(res, S) != expected:
         raise AssertionError("product residual is not additive")
     order = min(a.order, b.order)
@@ -572,16 +543,15 @@ def add_square(sol: MasterSolution, c) -> MasterSolution:
     coords = res.table.coordinates + (tname,)
     table = GeneratorTable(coords, res.table.pairs)
     sq = BasePolynomial.parse(f"{c}*{tname}^2", coords)
-    partials = [BasePolynomial.parse(poly_to_str(p), coords)
-                for p in res.partials]
+    partials = [p.extend(coords) for p in res.partials]
     partials.append(sq.derivative(tname))
     s0 = None
     if res.s0 is not None:
-        s0 = BasePolynomial.parse(poly_to_str(res.s0), coords) + sq
-    gens = [TateGenerator(g.name, g.degree, _reexpress(g.delta, table))
+        s0 = res.s0.extend(coords) + sq
+    gens = [TateGenerator(g.name, g.degree, transport(g.delta, table))
             for g in res.generators]
     res2 = TateResolution(table, partials, gens, res.depth, s0=s0)
-    S = _reexpress(sol.S, table)
+    S = transport(sol.S, table)
     if s0 is not None:
         S = S + GradedPolynomial.from_scalar(table, sq)
     return MasterSolution(res2, S, sol.order,

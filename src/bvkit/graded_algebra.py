@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 from .polynomial_engine import (
     BasePolynomial,
-    ParseError,
     _Parser,
     _tokenize,
     poly_to_str,
@@ -253,6 +252,15 @@ class GradedPolynomial:
         _add_into(t, other.terms.items(), negate=True)
         return GradedPolynomial(self.table, t)
 
+    def __pow__(self, k: int):
+        """Repeated multiply, so a power of an odd generator above 1 is 0."""
+        if k < 0:
+            raise ValueError("negative power")
+        out = GradedPolynomial.from_scalar(self.table, 1)
+        for _ in range(k):
+            out = multiply(out, self)
+        return out
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -350,15 +358,19 @@ def truncate(a: GradedPolynomial, P: int) -> GradedPolynomial:
 def transport(a: GradedPolynomial, new_table: GeneratorTable) -> GradedPolynomial:
     """Re-express a over a table that contains all its generators.
 
-    Both tables must share the coordinate list and list the common
-    generators in the same relative order, so no sign bookkeeping is
-    needed; violations raise rather than silently flipping signs.
+    The new coordinate list must contain the old one, in any order; if
+    the lists differ, the coefficients are extended to the new one.  The
+    common generators must keep their relative order, so no sign
+    bookkeeping is needed; violations raise rather than silently
+    flipping signs.
     """
     old = a.table
     if old == new_table:
         return a
-    if old.coordinates != new_table.coordinates:
+    coords = new_table.coordinates
+    if not set(old.coordinates) <= set(coords):
         raise ValueError("coordinate mismatch")
+    extend = old.coordinates != coords
     posmap = []
     for n in old.names:
         posmap.append(new_table.index.get(n))
@@ -376,7 +388,7 @@ def transport(a: GradedPolynomial, new_table: GeneratorTable) -> GradedPolynomia
             if p is None:
                 raise ValueError(f"generator {old.names[i]!r} missing from table")
             m2[p] = e
-        out[tuple(m2)] = c
+        out[tuple(m2)] = c.extend(coords) if extend else c
     return GradedPolynomial(new_table, out)
 
 
@@ -475,86 +487,35 @@ def graded_to_str(a: GradedPolynomial) -> str:
     return " + ".join(parts)
 
 
+class _GradedParser(_Parser):
+    """The scalar grammar with graded values: a name is a table
+    generator or a coordinate, and an integer or a parenthesized group
+    is a scalar, read by the scalar parser."""
+
+    def __init__(self, toks: list, table: GeneratorTable):
+        super().__init__(toks, table.coordinates)
+        self.table = table
+
+    def primary(self) -> GradedPolynomial:
+        t = self.peek()
+        if t[0] == "name" and t[1] in self.table.index:
+            self.take()
+            return GradedPolynomial.generator(self.table, t[1])
+        scalar = _Parser(self.toks, self.vars)
+        scalar.i = self.i
+        out = scalar.primary()
+        self.i = scalar.i
+        return GradedPolynomial.from_scalar(self.table, out)
+
+
 def parse_graded(text: str, table: GeneratorTable) -> GradedPolynomial:
-    """Parse the canonical graded string form (tolerant of factor order)."""
-    toks = _tokenize(text)
-    pos = 0
+    """Parse graded text: the canonical form of graded_to_str, or any
+    input of the scalar grammar of BasePolynomial.parse whose names are
+    generators or coordinates.
 
-    def peek():
-        return toks[pos]
-
-    def take(kind=None):
-        nonlocal pos
-        t = toks[pos]
-        if kind is not None and t[0] != kind:
-            raise ParseError(f"expected {kind}, found {t[1]!r}", t[2])
-        pos += 1
-        return t
-
-    def parse_factor() -> GradedPolynomial:
-        nonlocal pos
-        t = peek()
-        if t[0] == "(":
-            # scalar coefficient in parentheses
-            take()
-            sub = _Parser(toks, table.coordinates)
-            sub.i = pos
-            scalar = sub.expr()
-            pos = sub.i
-            take(")")
-            return GradedPolynomial.from_scalar(table, scalar)
-        if t[0] == "int":
-            take()
-            val = GradedPolynomial.from_scalar(table, int(t[1]))
-            return val
-        if t[0] == "name":
-            take()
-            name = t[1]
-            if name in table.index:
-                g = GradedPolynomial.generator(table, name)
-            elif name in table.coordinates:
-                g = GradedPolynomial.coordinate(table, name)
-            else:
-                raise ParseError(f"unknown name {name!r}", t[2])
-            if peek()[0] == "^":
-                take()
-                e = int(take("int")[1])
-                out = GradedPolynomial.from_scalar(table, 1)
-                for _ in range(e):
-                    out = multiply(out, g)
-                return out
-            return g
-        raise ParseError(f"unexpected token {t[1]!r}", t[2])
-
-    def parse_term() -> GradedPolynomial:
-        out = parse_factor()
-        while True:
-            t = peek()
-            if t[0] == "*":
-                take()
-                out = multiply(out, parse_factor())
-            elif t[0] == "/":
-                take()
-                d = take("int")
-                denom = int(d[1])
-                if denom == 0:
-                    raise ParseError("division by zero", d[2])
-                out = out * Fraction(1, denom)
-            else:
-                return out
-
-    result = GradedPolynomial.zero(table)
-    sign = 1
-    t = peek()
-    if t[0] in ("+", "-"):
-        take()
-        sign = -1 if t[0] == "-" else 1
-    result = result + parse_term() * sign
-    while peek()[0] in ("+", "-"):
-        op = take()[0]
-        nxt = parse_term()
-        result = result + nxt if op == "+" else result - nxt
-    t = peek()
-    if t[0] != "end":
-        raise ParseError(f"trailing input {t[1]!r}", t[2])
-    return result
+    Factors may come in any order, with integer coefficients, `/k`,
+    `name^k`, unary minus inside a term and `^` after a group or an
+    integer; a parenthesized group is a scalar coefficient.  Powers are
+    products, so an odd generator squared is zero.
+    """
+    return _GradedParser(_tokenize(text), table).parse()

@@ -94,7 +94,7 @@ class BasePolynomial:
 
     @classmethod
     def parse(cls, text: str, vars: Sequence[str]) -> "BasePolynomial":
-        return _parse_poly(text, tuple(vars))
+        return _Parser(_tokenize(text), tuple(vars)).parse()
 
     # -- basic queries -------------------------------------------------
 
@@ -307,10 +307,29 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Recursive descent over the tokens:
+
+        expr   = [+|-] term {(+|-) term}
+        term   = factor {* factor | / int}
+        factor = - factor | primary [^ int]
+
+    A primary is an integer, a variable or a parenthesized expr.  A
+    subclass reads other values by overriding primary; they need only
+    +, -, * and ** with the scalar types.
+    """
+
     def __init__(self, toks: list, vars: tuple):
         self.toks = toks
         self.vars = vars
         self.i = 0
+
+    def parse(self):
+        """The whole input as one expr; trailing tokens raise."""
+        out = self.expr()
+        t = self.peek()
+        if t[0] != "end":
+            raise ParseError(f"trailing input {t[1]!r}", t[2])
+        return out
 
     def peek(self):
         return self.toks[self.i]
@@ -377,15 +396,6 @@ class _Parser:
             self.take(")")
             return inner
         raise ParseError(f"unexpected token {t[1]!r}", t[2])
-
-
-def _parse_poly(text: str, vars: tuple) -> BasePolynomial:
-    p = _Parser(_tokenize(text), vars)
-    out = p.expr()
-    t = p.peek()
-    if t[0] != "end":
-        raise ParseError(f"trailing input {t[1]!r}", t[2])
-    return out
 
 
 # -- module vectors ----------------------------------------------------
@@ -702,26 +712,27 @@ class _Engine:
 class GroebnerBasis:
     """Reduced Groebner basis of an ideal, with provenance.
 
-    provenance holds the original generators and a transformation matrix:
-    elements[i] = sum_k matrix[i][k] * generators[k], verified exactly.
-    The basis keeps its engine form (the elements as sparse vectors with
-    their leading terms), built once, which every normal_form divides
-    against.
+    The basis keeps the engine that groebner_basis built and reduced
+    (sparse vectors with their leading terms), which every normal_form
+    divides against; elements are its vectors as polynomials.
+    provenance holds the original generators and the transformation
+    matrix read off the engine's tracked transforms:
+    elements[i] = sum_k matrix[i][k] * generators[k].  groebner_basis
+    verifies that by plain arithmetic, apart from the engine, so every
+    element is certified to lie in the ideal of the generators.
     """
 
     __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine")
 
-    def __init__(self, order: str, elements: Sequence[BasePolynomial],
-                 generators: Sequence[BasePolynomial], matrix: Sequence[Sequence[BasePolynomial]],
-                 vars: tuple):
+    def __init__(self, order: str, generators: Sequence[BasePolynomial],
+                 vars: tuple, engine: "_Engine"):
         self.order = order
-        self.elements = tuple(elements)
         self.generators = tuple(generators)
-        self.matrix = tuple(tuple(row) for row in matrix)
         self.vars = vars
-        self._engine = _Engine([], 1, len(vars), order)
-        for g in self.elements:
-            self._engine.append(_mvec_from_vector(ModuleVector([g])), None)
+        self._engine = engine
+        self.elements = tuple(_mvec_to_vector(g, 1, vars)[0] for g in engine.basis)
+        self.matrix = tuple(_mvec_to_vector(tr, len(generators), vars).components
+                            for tr in engine.transforms)
 
     def __iter__(self):
         return iter(self.elements)
@@ -817,31 +828,21 @@ def groebner_basis(gens: Iterable[BasePolynomial], order: str = ORDER_GREVLEX) -
     gens = list(gens)
     if order not in _ORDERS:
         raise ValueError(f"unknown monomial order {order!r}")
-    if not gens:
-        return GroebnerBasis(order, [], [], [], ())
-    vars = gens[0].vars
+    vars = gens[0].vars if gens else ()
     for g in gens:
         if g.vars != vars:
             raise ValueError("generators must share one variable list")
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
-        return GroebnerBasis(order, [], gens, [], vars)
     vectors = [_mvec_from_vector(ModuleVector([g])) for g in gens]
     eng = _Engine(vectors, rank=1, nvars=len(vars), order=order, track=True)
     eng.reduce_canonical()
-    elements = []
-    matrix = []
-    for g, tr in zip(eng.basis, eng.transforms):
-        elements.append(_mvec_to_vector(g, 1, vars)[0])
-        row = _mvec_to_vector(tr, len(gens), vars)
-        matrix.append(list(row.components))
-    for el, row in zip(elements, matrix):
+    gb = GroebnerBasis(order, gens, vars, eng)
+    for el, row in zip(gb.elements, gb.matrix):
         acc = BasePolynomial.zero(vars)
         for c, g in zip(row, gens):
             acc = acc + c * g
         if acc != el:
             raise AssertionError("transformation matrix failed verification")
-    return GroebnerBasis(order, elements, gens, matrix, vars)
+    return gb
 
 
 def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:

@@ -169,11 +169,20 @@ class TateResolution:
 
 
 def negative_monomials(table: GeneratorTable, d: int) -> list:
-    """Ghost(-d) monomials in the negative generators, sorted."""
+    """Ghost(-d) monomials in the negative generators, sorted.
+
+    The same body lists the ghost monomials of degree d for brst."""
+    return _graded_monomials(table, d, -1)
+
+
+def _graded_monomials(table: GeneratorTable, d: int, sign: int) -> list:
+    """Monomials of ghost degree sign * d in the generators whose degree
+    has that sign (sign = -1: duals and antifields, 1: ghosts), sorted;
+    an odd generator appears at most once."""
     if d < 0:
         return []
-    negs = [(i, -table.degrees[i], table.parities[i])
-            for i in range(len(table.names)) if table.degrees[i] < 0]
+    gens = [(i, sign * table.degrees[i], table.parities[i])
+            for i in range(len(table.names)) if sign * table.degrees[i] > 0]
     width = len(table.names)
     out = []
 
@@ -184,9 +193,9 @@ def negative_monomials(table: GeneratorTable, d: int) -> list:
                 m[i] = e
             out.append(tuple(m))
             return
-        if k == len(negs):
+        if k == len(gens):
             return
-        idx, size, parity = negs[k]
+        idx, size, parity = gens[k]
         top = 1 if parity else budget // size
         for e in range(top + 1):
             if e * size > budget:
@@ -231,8 +240,7 @@ def _delta_columns(table: GeneratorTable, delta, monomials: list,
 
 
 def build_resolution(coords: Sequence[str], s0=None, partials=None,
-                     depth: int = 1, order: str = ORDER_GREVLEX,
-                     name_prefix: str = "bs") -> TateResolution:
+                     depth: int = 1, order: str = ORDER_GREVLEX) -> TateResolution:
     """Resolve the ideal of the partials, killing homology down to -depth.
 
     Pass either the action s0 (partials are its derivatives) or the
@@ -297,7 +305,7 @@ def build_resolution(coords: Sequence[str], s0=None, partials=None,
         new_records = []
         for z in accepted:
             counter += 1
-            name = f"{name_prefix}{counter}"
+            name = f"bs{counter}"
             new_records.append((name, -(d + 1), _devectorize(z, here, table)))
             pairs.append((name, -(d + 1), partner_name(name)))
         table2 = GeneratorTable(coords, tuple(pairs))

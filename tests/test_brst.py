@@ -20,7 +20,7 @@ from bvkit.polynomial_engine import (
 )
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
 from bvkit.antibracket import bracket
-from bvkit.tate import build_resolution
+from bvkit.tate import _graded_monomials, build_resolution
 from bvkit.bv_solver import solve_master, trivial_solution
 from bvkit import brst
 from bvkit.brst import (
@@ -590,6 +590,45 @@ _IMAGE = st.dictionaries(_KEYS, st.integers(min_value=-3, max_value=3)
 def test_slice_image_matches_dense_elimination(images, slice_keys):
     low = {k: i for i, k in enumerate(slice_keys)}
     assert _slice_image(images, low) == _dense_slice_image(images, low)
+
+
+def _reference_ghost_monomials(table, p):
+    """The ghost-monomial enumerator brst kept beside tate's before the
+    two shared one body: monomials in the positive generators of total
+    ghost degree p, sorted."""
+    pos = [(i, d) for i, d in enumerate(table.degrees) if d > 0]
+    out = []
+
+    def rec(k, left, exp):
+        if left == 0:
+            m = [0] * len(table.names)
+            for (i, _d), e in zip(pos, exp):
+                m[i] = e
+            out.append(tuple(m))
+            return
+        if k == len(pos):
+            return
+        i, d = pos[k]
+        emax = left // d
+        if table.parities[i]:
+            emax = min(emax, 1)
+        for e in range(emax + 1):
+            rec(k + 1, left - e * d, exp + [e])
+
+    if p == 0:
+        return [table.unit_monomial()]
+    if p < 0:
+        return []
+    rec(0, p, [])
+    return sorted(out)
+
+
+def test_ghost_monomials_match_the_reference():
+    for depth in range(2, 8):
+        table = build_resolution(XY, s0="(x^2+y^2-1)^2/4", depth=depth).table
+        for p in range(-2, 7):
+            assert _graded_monomials(table, p, 1) == \
+                _reference_ghost_monomials(table, p)
 
 
 class TestGolden:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvkit.polynomial_engine import BasePolynomial
 from bvkit.graded_algebra import (
+    GeneratorTable,
     GradedPolynomial,
     graded_to_str,
     gr_project,
@@ -400,6 +401,70 @@ class TestAddSquare:
         assert truncate(out.S, 0).is_zero()
         assert out.resolution.partials[-1] == BasePolynomial.parse(
             "10*t", out.resolution.table.coordinates)
+
+
+def _reference_reexpress(a, table):
+    """The table change product_solution and add_square used before
+    transport took it over: coefficients extended to the new
+    coordinates, generators remapped by position."""
+    old = a.table
+    posmap = [table.index.get(n) for n in old.names]
+    if any(p is None for p in posmap):
+        missing = [n for n, p in zip(old.names, posmap) if p is None]
+        raise ValueError(f"generators missing from table: {missing}")
+    seen = [p for p in posmap if p is not None]
+    if any(x >= y for x, y in zip(seen, seen[1:])):
+        raise ValueError("generator order not preserved between tables")
+    width = len(table.names)
+    out = {}
+    for m, c in a.terms.items():
+        m2 = [0] * width
+        for i, e in enumerate(m):
+            if e:
+                m2[posmap[i]] = e
+        out[tuple(m2)] = c.extend(table.coordinates)
+    return GradedPolynomial(table, out)
+
+
+class TestTransportToLargerTables:
+    """transport moves an element to a table with more coordinates and
+    generators, as the exact constructors need."""
+
+    @staticmethod
+    def solution():
+        return solve_master(circle(4), 3)
+
+    @pytest.mark.parametrize("coords", [("x", "y", "t"), ("t", "x", "y"),
+                                        ("u", "x", "t", "y")])
+    def test_matches_the_reference(self, coords):
+        S = self.solution().S
+        pairs = []
+        for k, pair in enumerate(S.table.pairs):
+            pairs += [pair, (f"n{k}s", -2 - k % 2, f"n{k}")]
+        for table in (GeneratorTable(coords, S.table.pairs),
+                      GeneratorTable(coords, tuple(pairs))):
+            moved = transport(S, table)
+            assert moved == _reference_reexpress(S, table)
+            assert moved.table is table and len(moved.terms) == len(S.terms)
+
+    def test_missing_generator(self):
+        S = self.solution().S
+        table = GeneratorTable(("x", "y", "t"), S.table.pairs[:-1])
+        with pytest.raises(ValueError, match="missing"):
+            transport(S, table)
+
+    def test_reordered_generators(self):
+        S = self.solution().S
+        pairs = S.table.pairs
+        table = GeneratorTable(("x", "y", "t"), (pairs[1], pairs[0]) + pairs[2:])
+        with pytest.raises(ValueError, match="order not preserved"):
+            transport(S, table)
+
+    def test_coordinates_not_contained(self):
+        S = self.solution().S
+        for coords in (("x",), ("x", "t")):
+            with pytest.raises(ValueError, match="coordinate mismatch"):
+                transport(S, GeneratorTable(coords, S.table.pairs))
 
 
 class TestFaddeevPopov:

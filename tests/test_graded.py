@@ -19,7 +19,13 @@ from bvkit.graded_algebra import (
     right_derivative,
     truncate,
 )
-from bvkit.polynomial_engine import BasePolynomial, ParseError
+from bvkit.polynomial_engine import (
+    BasePolynomial,
+    ParseError,
+    _Parser,
+    _tokenize,
+    poly_to_str,
+)
 
 
 def table_xy():
@@ -374,3 +380,174 @@ def test_truncate_multiplicative(a, b, P):
 @given(graded_polys(TM))
 def test_string_round_trip(a):
     assert parse_graded(graded_to_str(a), TM) == a
+
+
+# -- one grammar: parse_graded against its former private parser ------
+
+
+def _reference_parse_graded(text, table):
+    """The recursive-descent body parse_graded had before it became a
+    subclass of the scalar parser: factors are a parenthesized scalar,
+    an integer or name[^k]; a sign only before a whole term."""
+    toks = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return toks[pos]
+
+    def take(kind=None):
+        nonlocal pos
+        t = toks[pos]
+        if kind is not None and t[0] != kind:
+            raise ParseError(f"expected {kind}, found {t[1]!r}", t[2])
+        pos += 1
+        return t
+
+    def parse_factor():
+        nonlocal pos
+        t = peek()
+        if t[0] == "(":
+            take()
+            sub = _Parser(toks, table.coordinates)
+            sub.i = pos
+            scalar = sub.expr()
+            pos = sub.i
+            take(")")
+            return GradedPolynomial.from_scalar(table, scalar)
+        if t[0] == "int":
+            take()
+            return GradedPolynomial.from_scalar(table, int(t[1]))
+        if t[0] == "name":
+            take()
+            name = t[1]
+            if name in table.index:
+                g = GradedPolynomial.generator(table, name)
+            elif name in table.coordinates:
+                g = GradedPolynomial.coordinate(table, name)
+            else:
+                raise ParseError(f"unknown name {name!r}", t[2])
+            if peek()[0] == "^":
+                take()
+                e = int(take("int")[1])
+                out = GradedPolynomial.from_scalar(table, 1)
+                for _ in range(e):
+                    out = multiply(out, g)
+                return out
+            return g
+        raise ParseError(f"unexpected token {t[1]!r}", t[2])
+
+    def parse_term():
+        out = parse_factor()
+        while True:
+            t = peek()
+            if t[0] == "*":
+                take()
+                out = multiply(out, parse_factor())
+            elif t[0] == "/":
+                take()
+                d = take("int")
+                denom = int(d[1])
+                if denom == 0:
+                    raise ParseError("division by zero", d[2])
+                out = out * Fraction(1, denom)
+            else:
+                return out
+
+    result = GradedPolynomial.zero(table)
+    sign = 1
+    t = peek()
+    if t[0] in ("+", "-"):
+        take()
+        sign = -1 if t[0] == "-" else 1
+    result = result + parse_term() * sign
+    while peek()[0] in ("+", "-"):
+        op = take()[0]
+        nxt = parse_term()
+        result = result + nxt if op == "+" else result - nxt
+    t = peek()
+    if t[0] != "end":
+        raise ParseError(f"trailing input {t[1]!r}", t[2])
+    return result
+
+
+@st.composite
+def scalar_texts(draw, coords):
+    p = BasePolynomial.zero(coords)
+    for _ in range(draw(st.integers(1, 3))):
+        e = tuple(draw(st.integers(0, 2)) for _ in coords)
+        c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        p = p + BasePolynomial(coords, {e: c})
+    return poly_to_str(p)
+
+
+@st.composite
+def term_texts(draw, t):
+    """One term in any spelling the former grammar reads: factors in any
+    order, integer or parenthesized coefficients, name^k or a repeated
+    name, and /k after any factor."""
+    factors = []
+    if draw(st.booleans()):
+        factors.append(str(draw(st.integers(0, 5))))
+    if draw(st.booleans()):
+        factors.append("(" + draw(scalar_texts(t.coordinates)) + ")")
+    names = list(t.coordinates) + list(t.names)
+    parities = [0] * len(t.coordinates) + list(t.parities)
+    for name, par in zip(names, parities):
+        e = draw(st.integers(0, 1 if par else 2))
+        if e > 1 and draw(st.booleans()):
+            factors.append(f"{name}^{e}")
+        else:
+            factors.extend([name] * e)
+    if not factors:
+        factors.append("1")
+    factors = draw(st.permutations(factors))
+    parts = [factors[0]] + ["*" + f for f in factors[1:]]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, 4))
+        parts.insert(draw(st.integers(1, len(parts))), f"/{k}")
+    return "".join(parts)
+
+
+@st.composite
+def graded_texts(draw, t):
+    text = draw(st.sampled_from(["", "-", "+"])) + draw(term_texts(t))
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from([" + ", " - "])) + draw(term_texts(t))
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_texts(TM))
+def test_parse_graded_matches_the_reference_parser(text):
+    assert parse_graded(text, TM) == _reference_parse_graded(text, TM)
+
+
+class TestScalarGrammar:
+    """Graded text reads exactly the scalar grammar: unary minus inside
+    a term and ^ after a group or an integer, which the former parser
+    rejected."""
+
+    @pytest.mark.parametrize("text,expected", [
+        ("b1*-xs", "-(1)*b1*xs"),
+        ("(x + 1)^2*b1", "(x^2 + 2*x + 1)*b1"),
+        ("2^3*b1", "(8)*b1"),
+        ("-(2)^2*g1^2*bs1", "(-4)*bs1*g1^2"),
+        ("x^2*-(1/2)*g1", "(-1/2*x^2)*g1"),
+    ])
+    def test_wider_inputs(self, text, expected):
+        t = TM
+        assert parse_graded(text, t) == _reference_parse_graded(expected, t) != 0
+        with pytest.raises(ParseError):
+            _reference_parse_graded(text, t)
+
+    def test_power_of_a_sum_is_a_product(self):
+        t = TM
+        a = parse_graded("x*b1 + bs1", t)
+        assert a ** 0 == sc(t, "1")
+        assert a ** 3 == multiply(a, multiply(a, a))
+        with pytest.raises(ValueError):
+            a ** -1
+
+    def test_group_is_a_scalar(self):
+        with pytest.raises(ParseError, match="unbound variable 'b1'"):
+            parse_graded("(x*b1 + bs1)^2", TM)
