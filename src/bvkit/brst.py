@@ -28,6 +28,7 @@ from .polynomial_engine import (
     ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
+    _combination,
     groebner_basis,
     monomial_key,
     normal_form,
@@ -63,21 +64,12 @@ def apply_vector_field(field: ModuleVector, f: BasePolynomial) -> BasePolynomial
     """Apply sum_k field[k] * d/dx_k to f."""
     if field.vars != f.vars or field.rank != len(f.vars):
         raise ValueError("vector field does not match the polynomial's coordinates")
-    out = BasePolynomial.zero(f.vars)
-    for k, name in enumerate(f.vars):
-        out = out + field[k] * f.derivative(name)
-    return out
+    return _combination([f.derivative(name) for name in f.vars], field)
 
 
 def _commutator(a: ModuleVector, b: ModuleVector) -> ModuleVector:
-    vars = a.vars
-    comps = []
-    for k in range(len(vars)):
-        acc = BasePolynomial.zero(vars)
-        for l, name in enumerate(vars):
-            acc = acc + a[l] * b[k].derivative(name) - b[l] * a[k].derivative(name)
-        comps.append(acc)
-    return ModuleVector(comps)
+    return ModuleVector([apply_vector_field(a, bk) - apply_vector_field(b, ak)
+                         for ak, bk in zip(a, b)])
 
 
 def _check_partials(partials: Sequence[BasePolynomial]) -> tuple:
@@ -133,6 +125,28 @@ def _vec_sort_key(v: ModuleVector, order: str):
             tuple(poly_to_str(c, order) for c in v.components))
 
 
+def _prune(vectors: list, spanned: ModuleBasis, order: str) -> list:
+    """The vectors, in _vec_sort_key order, that spanned does not reach.
+
+    Each kept vector is made monic and joins spanned before the next one
+    is tried; the prunes ask yes/no questions only, so spanned grows in
+    place.
+    """
+    kept = []
+    for v in sorted(vectors, key=lambda v: _vec_sort_key(v, order)):
+        if v.is_zero() or spanned.lift(v) is not None:
+            continue
+        kept.append(_monic(v, order))
+        spanned.add(kept[-1])
+    return kept
+
+
+def _bivector(v: ModuleVector, r: int, kpairs: list) -> dict:
+    """Fold the Koszul coefficients v[r:] into the bivector certificate:
+    the entry of pair (i, j) is minus its coefficient."""
+    return {ij: -c for ij, c in zip(kpairs, v.components[r:]) if not c.is_zero()}
+
+
 # -- symmetry presentation ---------------------------------------------
 
 
@@ -175,17 +189,12 @@ class SymmetryPresentation:
 
     def _verify(self) -> None:
         r = self.r
-        zero = ModuleVector([BasePolynomial.zero(self.vars)] * len(self.vars))
         for t in self.tau:
-            acc = BasePolynomial.zero(self.vars)
-            for k in range(len(self.vars)):
-                acc = acc + t[k] * self.partials[k]
-            assert acc.is_zero(), "presentation certificate failed: tau does not annihilate dS0"
+            assert _combination(t, self.partials).is_zero(), (
+                "presentation certificate failed: tau does not annihilate dS0")
         for a in range(self.s):
-            acc = zero
-            for j in range(r):
-                acc = acc + self.tau[j] * self.relations[a][j]
-            acc = acc + _contract(self.partials, self.bivectors_v[a])
+            acc = (_combination(self.relations[a], self.tau)
+                   + _contract(self.partials, self.bivectors_v[a]))
             assert acc.is_zero(), (
                 f"presentation certificate failed: relation {a} is not closed by its bivector")
         for i in range(r):
@@ -195,10 +204,9 @@ class SymmetryPresentation:
                         "presentation certificate failed: structure functions not antisymmetric")
         for i in range(r):
             for j in range(i + 1, r):
-                acc = _commutator(self.tau[i], self.tau[j])
-                for k in range(r):
-                    acc = acc - self.tau[k] * self.structure_f[i][j][k]
-                acc = acc - _contract(self.partials, self.correction_g[i][j])
+                acc = (_commutator(self.tau[i], self.tau[j])
+                       - _combination(self.structure_f[i][j], self.tau)
+                       - _contract(self.partials, self.correction_g[i][j]))
                 assert acc.is_zero(), (
                     f"presentation certificate failed: commutator ({i},{j}) is not resolved")
 
@@ -235,16 +243,7 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
     kosz = koszul_syzygies(parts)
     kpairs = _pair_index(n)
 
-    # the prunes ask yes/no questions only, so their bases grow in place
-    raw = syzygy_basis(parts, order)
-    raw.sort(key=lambda v: _vec_sort_key(v, order))
-    tau = []
-    spanned = ModuleBasis(kosz, order)
-    for v in raw:
-        if v.is_zero() or spanned.lift(v) is not None:
-            continue
-        tau.append(_monic(v, order))
-        spanned.add(tau[-1])
+    tau = _prune(syzygy_basis(parts, order), ModuleBasis(kosz, order), order)
     r = len(tau)
 
     relations = []
@@ -253,22 +252,9 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
         second = syzygy_basis(tau + kosz, order)
         pure = [v for v in second if all(v[i].is_zero() for i in range(r))]
         cands = [v for v in second if not all(v[i].is_zero() for i in range(r))]
-        cands.sort(key=lambda v: _vec_sort_key(v, order))
-        kept = []
-        spanned = ModuleBasis(pure, order)
-        for v in cands:
-            if spanned.lift(v) is not None:
-                continue
-            kept.append(_monic(v, order))
-            spanned.add(kept[-1])
-        for v in kept:
+        for v in _prune(cands, ModuleBasis(pure, order), order):
             relations.append([v[i] for i in range(r)])
-            bv = {}
-            for t, (i, j) in enumerate(kpairs):
-                c = v[r + t]
-                if not c.is_zero():
-                    bv[(i, j)] = -c
-            bivectors.append(bv)
+            bivectors.append(_bivector(v, r, kpairs))
 
     zero = BasePolynomial.zero(vars)
     structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
@@ -286,11 +272,7 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
                 for k in range(r):
                     structure[i][j][k] = co[k]
                     structure[j][i][k] = -co[k]
-                bv = {}
-                for t, (a, b) in enumerate(kpairs):
-                    w = co[r + t]
-                    if not w.is_zero():
-                        bv[(a, b)] = -w
+                bv = _bivector(co, r, kpairs)
                 correction[i][j] = bv
                 correction[j][i] = {k: -c for k, c in bv.items()}
 
@@ -483,7 +465,7 @@ def _boundary_space(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     return std, colmap, red, piv
 
 
-def _cocycle_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, D: int, std, colmap):
+def _cocycle_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, std, colmap):
     r = pres.r
     images = [{} for _ in colmap]
 
@@ -523,17 +505,13 @@ def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
     r = pres.r
     for i in range(r):
         for j in range(i + 1, r):
-            acc = apply_vector_field(pres.tau[i], gs[j]) \
-                - apply_vector_field(pres.tau[j], gs[i])
-            for k in range(r):
-                acc = acc - pres.structure_f[i][j][k] * gs[k]
+            acc = (apply_vector_field(pres.tau[i], gs[j])
+                   - apply_vector_field(pres.tau[j], gs[i])
+                   - _combination(pres.structure_f[i][j], gs))
             if not normal_form(acc, gb).is_zero():
                 raise AssertionError("one-cocycle fails its commutator condition")
     for a in range(pres.s):
-        acc = BasePolynomial.zero(pres.vars)
-        for k in range(r):
-            acc = acc + pres.relations[a][k] * gs[k]
-        if not normal_form(acc, gb).is_zero():
+        if not normal_form(_combination(pres.relations[a], gs), gb).is_zero():
             raise AssertionError("one-cocycle fails a relation condition")
 
 
@@ -548,7 +526,7 @@ def _split_tuple(pres: SymmetryPresentation, colmap, v: dict) -> list:
 
 def _h1_slice(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     std, colmap, bred, bpiv = _boundary_space(pres, gb, D)
-    Z = _cocycle_vectors(pres, gb, D, std, colmap)
+    Z = _cocycle_vectors(pres, gb, std, colmap)
     red, _piv = rref([reduce_row(z, bred, bpiv) for z in Z])
     return [tuple(_split_tuple(pres, colmap, v)) for v in red]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polynomial_engine import BasePolynomial, ModuleBasis, poly_to_str, rref
+from .polynomial_engine import BasePolynomial, ModuleBasis, _combination, poly_to_str, rref
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
@@ -608,17 +608,15 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
                         coords):
                     raise ValueError(
                         "structure constants must be antisymmetric")
+    partials = [s0.derivative(c) for c in coords]
     for i, field in enumerate(fields):
-        val = sum((coeff * s0.derivative(c)
-                   for coeff, c in zip(field, coords)),
-                  BasePolynomial.zero(coords))
+        val = _combination(partials, field) if field else BasePolynomial.zero(coords)
         if not val.is_zero():
             raise ValueError(
                 f"invariance failure: field {i + 1} applied to the action "
                 f"gives {poly_to_str(val)}")
     pairs = tuple((f"bs{i + 1}", -2, f"b{i + 1}") for i in range(nsym))
     table = GeneratorTable(coords, pairs)
-    partials = [s0.derivative(c) for c in coords]
     gens = []
     hats = []
     for i, field in enumerate(fields):

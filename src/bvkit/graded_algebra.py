@@ -220,11 +220,6 @@ class GradedPolynomial:
         t = {m: c for m, c in self.terms.items() if self.table.ghost_of(m) == g}
         return GradedPolynomial(self.table, t)
 
-    def scalar_part(self) -> BasePolynomial:
-        """Coefficient of the empty monomial (the restriction to X)."""
-        unit = self.table.unit_monomial()
-        return self.terms.get(unit, BasePolynomial.zero(self.table.coordinates))
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "GradedPolynomial") -> None:

@@ -107,9 +107,6 @@ class BasePolynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
-
     def leading(self, order: str = ORDER_GREVLEX) -> tuple:
         """(exponent, coefficient) of the leading term."""
         if not self.terms:
@@ -457,6 +454,21 @@ class ModuleVector:
         return "ModuleVector(" + ", ".join(poly_to_str(c) for c in self.components) + ")"
 
 
+def _combination(coeffs: Iterable, gens: Sequence):
+    """sum(c_i * gens_i) by the public * and + of the generators' type.
+
+    Zero coefficients are skipped; gens must not be empty (a combination
+    with no nonzero coefficient is gens[0] * 0).  This is the one
+    certificate check: it never calls the engine, so a check does not
+    depend on the code whose result it checks.
+    """
+    acc = None
+    for c, g in zip(coeffs, gens, strict=True):
+        if c:
+            acc = g * c if acc is None else acc + g * c
+    return gens[0] * 0 if acc is None else acc
+
+
 # -- internal sparse vectors for the Buchberger engine -----------------
 #
 # An MVec is a dict {(position, exponent-tuple): Fraction}.  Rank and the
@@ -746,7 +758,7 @@ class GroebnerBasis:
 
 
 class MembershipCertificate:
-    """Witness c with sum(c_i * g_i) = f, verified at construction.
+    """Witness c with sum(c_i * g_i) = f, verified by ModuleBasis.lift.
 
     coefficients is a ModuleVector with one entry per generator, or the
     empty tuple when the generator list is empty (then f = 0).
@@ -812,11 +824,7 @@ class ModuleBasis:
             return None
         # f reduced to zero: f = -sum(comb) over inputs
         coeffs = _mvec_to_vector(_mvec_scale(comb, Fraction(-1)), len(self.gens), vars)
-        acc = None
-        for c, g in zip(coeffs.components, self.gens):
-            contrib = g * c
-            acc = contrib if acc is None else acc + contrib
-        if acc != fv:
+        if _combination(coeffs, self.gens) != fv:
             raise AssertionError("membership certificate failed verification")
         return MembershipCertificate(coeffs)
 
@@ -837,10 +845,7 @@ def groebner_basis(gens: Iterable[BasePolynomial], order: str = ORDER_GREVLEX) -
     eng.reduce_canonical()
     gb = GroebnerBasis(order, gens, vars, eng)
     for el, row in zip(gb.elements, gb.matrix):
-        acc = BasePolynomial.zero(vars)
-        for c, g in zip(row, gens):
-            acc = acc + c * g
-        if acc != el:
+        if _combination(row, gens) != el:
             raise AssertionError("transformation matrix failed verification")
     return gb
 
@@ -916,11 +921,7 @@ def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
             continue
         shifted = {(pos - rank, e): c for (pos, e), c in g.items()}
         syz = _mvec_to_vector(shifted, s, vars)
-        acc = None
-        for c, v in zip(syz.components, vecs):
-            contrib = v * c
-            acc = contrib if acc is None else acc + contrib
-        if acc is not None and not acc.is_zero():
+        if not _combination(syz, vecs).is_zero():
             raise AssertionError("syzygy failed verification")
         out.append(syz)
     return out

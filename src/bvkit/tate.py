@@ -177,8 +177,8 @@ def negative_monomials(table: GeneratorTable, d: int) -> list:
 
 def _graded_monomials(table: GeneratorTable, d: int, sign: int) -> list:
     """Monomials of ghost degree sign * d in the generators whose degree
-    has that sign (sign = -1: duals and antifields, 1: ghosts), sorted;
-    an odd generator appears at most once."""
+    has that sign (sign = -1: duals and antifields, 1: ghosts), ascending
+    as the recursion emits them; an odd generator appears at most once."""
     if d < 0:
         return []
     gens = [(i, sign * table.degrees[i], table.parities[i])
@@ -206,7 +206,7 @@ def _graded_monomials(table: GeneratorTable, d: int, sign: int) -> list:
                 rec(k + 1, budget, acc)
 
     rec(0, d, [])
-    return sorted(out)
+    return out
 
 
 def _vectorize(a: GradedPolynomial, basis: list, vars: tuple) -> ModuleVector:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bvkit import polynomial_engine
 from bvkit.polynomial_engine import (
     BasePolynomial,
+    ModuleVector,
     groebner_basis,
     lift_membership,
     monomial_key,
@@ -20,7 +21,7 @@ from bvkit.polynomial_engine import (
 )
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
 from bvkit.antibracket import bracket
-from bvkit.tate import _graded_monomials, build_resolution
+from bvkit.tate import _graded_monomials, build_resolution, negative_monomials
 from bvkit.bv_solver import solve_master, trivial_solution
 from bvkit import brst
 from bvkit.brst import (
@@ -57,7 +58,6 @@ def vec_strs(v):
 
 class TestVectorFields:
     def test_apply_is_derivation(self):
-        from bvkit.polynomial_engine import ModuleVector
         t = ModuleVector([poly("y"), poly("-x")])
         f, g = poly("x^2 + y"), poly("x*y - 3")
         lhs = apply_vector_field(t, f * g)
@@ -65,7 +65,6 @@ class TestVectorFields:
         assert lhs == rhs
 
     def test_mismatched_coordinates_rejected(self):
-        from bvkit.polynomial_engine import ModuleVector
         t = ModuleVector([BasePolynomial.parse("1", ("x",))])
         with pytest.raises(ValueError):
             apply_vector_field(t, poly("x"))
@@ -166,6 +165,26 @@ class TestSymmetryPresentation:
                                  [bad], pres.bivectors_v, pres.structure_f,
                                  pres.correction_g)
 
+    def test_tau_off_the_annihilator_rejected(self):
+        pres = symmetry_presentation(circle_partials())
+        t = pres.tau[0]
+        bad = ModuleVector([t[0] + poly("1"), t[1]])
+        with pytest.raises(AssertionError, match="tau does not annihilate dS0"):
+            SymmetryPresentation(pres.vars, pres.order, pres.partials, [bad],
+                                 pres.relations, pres.bivectors_v, pres.structure_f,
+                                 pres.correction_g)
+
+    def test_unresolved_commutator_rejected(self):
+        # the free plane: tau = (d_y, d_x) commute, so f_01^0 = 1 leaves -tau_0
+        pres = symmetry_presentation([BasePolynomial.zero(XY)] * 2)
+        assert pres.r == 2
+        f = [[list(row) for row in plane] for plane in pres.structure_f]
+        f[0][1][0] = f[0][1][0] + poly("1")
+        f[1][0][0] = f[1][0][0] - poly("1")
+        with pytest.raises(AssertionError, match=r"commutator \(0,1\) is not resolved"):
+            SymmetryPresentation(pres.vars, pres.order, pres.partials, pres.tau,
+                                 pres.relations, pres.bivectors_v, f, pres.correction_g)
+
     def test_structure_antisymmetry_enforced(self):
         pres = symmetry_presentation(circle_partials())
         with pytest.raises(AssertionError):
@@ -257,6 +276,17 @@ class TestH1:
         # but 1 + h is, and it lands in the nontrivial class
         lifted = poly("x^2 + y^2")
         assert normal_form(pres.relations[0][0] * lifted, gb).is_zero()
+
+    @pytest.mark.parametrize("partials, gs, condition", [
+        # the free plane: tau_0(g_1) - tau_1(g_0) = -d_x(x) = -1
+        ([BasePolynomial.zero(XY)] * 2, ("x", "0"), "its commutator condition"),
+        # the circle: the relation x^2 + y^2 - 1 times 1 is off the ideal
+        (circle_partials(), ("1",), "a relation condition"),
+    ])
+    def test_non_cocycle_rejected(self, partials, gs, condition):
+        pres = symmetry_presentation(partials)
+        with pytest.raises(AssertionError, match=f"one-cocycle fails {condition}"):
+            brst._h1_check_exact(pres, jacobian_ring(partials), [poly(g) for g in gs])
 
     def test_no_symmetries_no_cohomology(self):
         rep = h1([poly("2*x"), poly("2*y")], 4)
@@ -624,11 +654,15 @@ def _reference_ghost_monomials(table, p):
 
 
 def test_ghost_monomials_match_the_reference():
+    # both signs come out ascending without a sort
     for depth in range(2, 8):
         table = build_resolution(XY, s0="(x^2+y^2-1)^2/4", depth=depth).table
         for p in range(-2, 7):
             assert _graded_monomials(table, p, 1) == \
                 _reference_ghost_monomials(table, p)
+        for d in range(-1, depth + 2):
+            monos = negative_monomials(table, d)
+            assert monos == sorted(monos)
 
 
 class TestGolden:

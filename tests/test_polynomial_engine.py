@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bvkit.polynomial_engine import (
     BasePolynomial,
     _Engine,
+    _combination,
     _mvec_add_into,
     ModuleBasis,
     ModuleVector,
@@ -166,6 +167,50 @@ class TestLift:
         assert [str(c) for c in grown.lift(P("y^2", vars)).coefficients] == ["y", "-x"]
 
 
+class TestCertificateChecks:
+    """Each check raises when the engine hands it a wrong answer."""
+
+    GENS = ("x^2 - y", "x*y")
+
+    @staticmethod
+    def double(tr):
+        return {k: 2 * c for k, c in tr.items()}
+
+    def test_lift_rejects_a_corrupted_transform(self):
+        basis = ModuleBasis(mk(VARS2, *self.GENS))
+        f = P("x^3 - x*y + x*y^2", VARS2)
+        assert basis.lift(f) is not None
+        eng = basis._engine
+        eng.transforms = [self.double(tr) for tr in eng.transforms]
+        with pytest.raises(AssertionError, match="membership certificate failed"):
+            basis.lift(f)
+
+    def test_groebner_basis_rejects_a_corrupted_matrix_row(self, monkeypatch):
+        reduce = _Engine.reduce_canonical
+
+        def corrupt(eng):
+            reduce(eng)
+            eng.transforms[0] = self.double(eng.transforms[0])
+
+        monkeypatch.setattr(_Engine, "reduce_canonical", corrupt)
+        with pytest.raises(AssertionError, match="transformation matrix failed"):
+            groebner_basis(mk(VARS2, *self.GENS))
+
+    def test_syzygy_basis_rejects_a_non_syzygy(self, monkeypatch):
+        # the syzygy (-y, x) of (x, y) becomes (1 - y, x)
+        reduce = _Engine.reduce_canonical
+
+        def corrupt(eng):
+            reduce(eng)
+            for g in eng.basis:
+                if all(pos >= 1 for pos, _e in g):
+                    g[(1, (0, 0))] = g.get((1, (0, 0)), 0) + 1
+
+        monkeypatch.setattr(_Engine, "reduce_canonical", corrupt)
+        with pytest.raises(AssertionError, match="syzygy failed verification"):
+            syzygy_basis(mk(VARS2, "x", "y"))
+
+
 class TestDivisorMemo:
     def test_add_clears_the_memo(self):
         # the lift before add records y as unreducible; after add(y) that
@@ -179,7 +224,7 @@ class TestDivisorMemo:
         assert [str(c) for c in grown.lift(P("y", vars)).coefficients] == ["0", "1"]
         cert = grown.lift(f)
         assert cert is not None
-        assert _combination(cert.coefficients, grown.gens) == ModuleVector([f])
+        assert _reference_combination(cert.coefficients, grown.gens) == ModuleVector([f])
 
     def test_reordering_clears_the_memo(self):
         # reduce_canonical sorts [x^2 + 1, y + 1] to [y + 1, x^2 + 1]; a memo
@@ -276,11 +321,29 @@ def test_syzygies_annihilate(gens):
         assert acc.is_zero()
 
 
-def _combination(coeffs, gens):
+def _reference_combination(coeffs, gens):
+    """The accumulation loop every certificate check wrote out before
+    polynomial_engine._combination: every product, zero or not."""
     acc = None
     for c, g in zip(coeffs, gens):
         acc = g * c if acc is None else acc + g * c
     return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2), st.data())
+def test_combination_matches_the_accumulation_loop(rank, data):
+    # rank 0 draws BasePolynomial generators, rank 1 and 2 ModuleVectors
+    gen = poly_strategy(VARS2, max_deg=2, max_terms=3)
+    if rank:
+        gen = st.lists(gen, min_size=rank, max_size=rank).map(ModuleVector)
+    gens = data.draw(st.lists(gen, min_size=1, max_size=4))
+    coeff = st.one_of(st.just(BasePolynomial.zero(VARS2)),
+                      poly_strategy(VARS2, max_deg=2, max_terms=2))
+    coeffs = data.draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+    got = _combination(coeffs, gens)
+    assert type(got) is type(gens[0])
+    assert got == _reference_combination(coeffs, gens)
 
 
 def _s_vector(a, b, order):
@@ -308,7 +371,7 @@ def test_module_basis_agrees_with_lift_membership(order, rank, data):
     gens = data.draw(st.lists(vec, min_size=1, max_size=3))
     mults = data.draw(st.lists(poly_strategy(VARS2, max_deg=1, max_terms=2),
                                min_size=len(gens), max_size=len(gens)))
-    member = _combination(mults, gens)
+    member = _reference_combination(mults, gens)
     s_vectors = [s for a in gens for b in gens if (s := _s_vector(a, b, order)) is not None]
     targets = [member] + s_vectors + data.draw(st.lists(vec, max_size=2))
     split = data.draw(st.integers(0, len(gens)))
@@ -328,7 +391,7 @@ def test_module_basis_agrees_with_lift_membership(order, rank, data):
         assert again.coefficients == fresh.coefficients
         assert fixed.lift(f).coefficients == fresh.coefficients
         for cert in (fresh, grown_cert):
-            assert _combination(cert.coefficients, gens) == f
+            assert _reference_combination(cert.coefficients, gens) == f
 
 
 def _scan_key(order, split):
@@ -407,7 +470,7 @@ def test_membership_does_not_depend_on_the_order(gens, data):
     # lex Buchberger on larger random ideals need not finish in time
     mults = data.draw(st.lists(poly_strategy(VARS3, max_deg=1, max_terms=2),
                                min_size=len(gens), max_size=len(gens)))
-    member = _combination(mults, gens)
+    member = _reference_combination(mults, gens)
     mono = data.draw(st.tuples(*[st.integers(0, 2)] * 3))
     bases = [ModuleBasis(gens, order) for order in ("grevlex", "lex")]
     assert all(b.lift(member) is not None for b in bases)
