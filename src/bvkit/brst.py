@@ -188,27 +188,32 @@ class SymmetryPresentation:
         return len(self.relations)
 
     def _verify(self) -> None:
+        # explicit raises, not assert: python -O must not strip a certificate check
         r = self.r
         for t in self.tau:
-            assert _combination(t, self.partials).is_zero(), (
-                "presentation certificate failed: tau does not annihilate dS0")
+            if not _combination(t, self.partials).is_zero():
+                raise AssertionError(
+                    "presentation certificate failed: tau does not annihilate dS0")
         for a in range(self.s):
             acc = (_combination(self.relations[a], self.tau)
                    + _contract(self.partials, self.bivectors_v[a]))
-            assert acc.is_zero(), (
-                f"presentation certificate failed: relation {a} is not closed by its bivector")
+            if not acc.is_zero():
+                raise AssertionError(
+                    f"presentation certificate failed: relation {a} is not closed by its bivector")
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    assert (self.structure_f[i][j][k] + self.structure_f[j][i][k]).is_zero(), (
-                        "presentation certificate failed: structure functions not antisymmetric")
+                    if not (self.structure_f[i][j][k] + self.structure_f[j][i][k]).is_zero():
+                        raise AssertionError(
+                            "presentation certificate failed: structure functions not antisymmetric")
         for i in range(r):
             for j in range(i + 1, r):
                 acc = (_commutator(self.tau[i], self.tau[j])
                        - _combination(self.structure_f[i][j], self.tau)
                        - _contract(self.partials, self.correction_g[i][j]))
-                assert acc.is_zero(), (
-                    f"presentation certificate failed: commutator ({i},{j}) is not resolved")
+                if not acc.is_zero():
+                    raise AssertionError(
+                        f"presentation certificate failed: commutator ({i},{j}) is not resolved")
 
     def __repr__(self):
         return f"SymmetryPresentation(r={self.r}, s={self.s}, vars={self.vars})"
@@ -369,6 +374,29 @@ def _slice_image(images: list, low: dict) -> tuple:
     return rref(inslice)
 
 
+def _slice_cohomology(keys: list, images: list, prev: list, D: int) -> tuple:
+    """Cocycles modulo the previous column's image, at bounds D and D + 1.
+
+    keys[j] = (label, exponent) names cochain j, up to degree D + 1, and
+    images[j] is its differential; prev holds the images of the previous
+    column, keyed like the cochains, over inputs far enough beyond D + 1
+    to reach every image landing inside that slice.  Each bound keeps
+    the cochains of its degrees, takes their kernel and reduces it
+    against the in-slice part of prev.  Returns the RREF
+    representatives at bound D as {key: c} and the dimension at D + 1.
+    """
+
+    def reduced(bound):
+        cols = [j for j, (_label, e) in enumerate(keys) if sum(e) <= bound]
+        kernel = nullspace([images[j] for j in cols])
+        bred, bpiv = _slice_image(prev, {keys[j]: n for n, j in enumerate(cols)})
+        return cols, rref([reduce_row(z, bred, bpiv) for z in kernel])[0]
+
+    cols, red = reduced(D)
+    # each pass frees its matrices on return; the D + 1 pass keeps only its rank
+    return [{keys[cols[n]]: c for n, c in v.items()} for v in red], len(reduced(D + 1)[1])
+
+
 def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
     """{(i, e): c} of normal_form(tau_i(x^m)) for each exponent m."""
     out = []
@@ -403,8 +431,9 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     for every generator; invariance under the full symmetry module
     follows because the Koszul fields move everything into the ideal.
     One image set, of the standard monomials up to D + 1, serves both
-    bounds: its degree-<=D part, in the same order, is the D slice, and
-    the whole set gives the kernel at D + 1 that sets stable.
+    bounds in _slice_cohomology, with no previous column: its
+    degree-<=D part, in the same order, is the D slice, and the whole
+    set gives the kernel at D + 1 that sets stable.
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
@@ -412,15 +441,14 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     pres = _presentation(parts, order, presentation)
     gb = jacobian_ring(parts, order)
     std1 = standard_monomials(gb, D + 1)
-    images = _tau_images(pres, gb, std1)
-    low = [j for j, m in enumerate(std1) if sum(m) <= D]
-    vecs, _piv = rref(nullspace([images[j] for j in low]))
-    basis = [BasePolynomial(vars, {std1[low[j]]: c for j, c in v.items()}) for v in vecs]
+    keys = [(None, m) for m in std1]
+    vecs, dim1 = _slice_cohomology(keys, _tau_images(pres, gb, std1), [], D)
+    basis = [BasePolynomial(vars, {m: c for (_none, m), c in v.items()}) for v in vecs]
     for b in basis:
         for t in pres.tau:
             if not normal_form(apply_vector_field(t, b), gb).is_zero():
                 raise AssertionError("invariant candidate fails its defining condition")
-    return CohomologyReport(0, D, len(basis), basis, len(vecs) == len(nullspace(images)))
+    return CohomologyReport(0, D, len(basis), basis, len(basis) == dim1)
 
 
 # -- H^1: the one-cochain complex --------------------------------------
@@ -435,70 +463,58 @@ def _degree_allowance(pres: SymmetryPresentation) -> int:
     """
     allow = 0
     for t in pres.tau:
-        mindeg = None
-        for c in t.components:
-            if c.is_zero():
-                continue
-            d = min(sum(e) for e in c.terms)
-            mindeg = d if mindeg is None else min(mindeg, d)
-        if mindeg is not None:
-            allow = max(allow, 1 - mindeg)
-    return max(0, allow)
+        degrees = [sum(e) for c in t.components for e in c.terms]
+        if degrees:
+            allow = max(allow, 1 - min(degrees))
+    return allow
 
 
 def _boundary_space(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
     """RREF of the boundaries tau_i(f) that lie inside the slice.
 
-    Inputs f range over standard monomials up to the allowance-extended
-    bound; combinations whose images stick out of the slice are
-    eliminated, so the span is the full boundary space intersected with
-    the slice over that input range.
+    Inputs f range over the standard monomials up to D + 1 plus the
+    allowance, the range h1 uses; combinations whose images stick out
+    of the slice are eliminated, so the span is the full boundary space
+    intersected with the slice over that input range.  Returns the
+    slice's (i, e) keys, in coordinate order, with the RREF and pivots.
     """
-    r = pres.r
-    std = standard_monomials(gb, D)
-    colmap = {}
-    for i in range(r):
-        for e in std:
-            colmap[(i, e)] = len(colmap)
-    ext = standard_monomials(gb, D + _degree_allowance(pres))
-    red, piv = _slice_image(_tau_images(pres, gb, ext), colmap)
-    return std, colmap, red, piv
+    ext = standard_monomials(gb, D + 1 + _degree_allowance(pres))
+    keys = [(i, e) for i in range(pres.r) for e in ext if sum(e) <= D]
+    red, piv = _slice_image(_tau_images(pres, gb, ext), {k: n for n, k in enumerate(keys)})
+    return keys, red, piv
 
 
-def _cocycle_vectors(pres: SymmetryPresentation, gb: GroebnerBasis, std, colmap):
-    r = pres.r
-    images = [{} for _ in colmap]
+def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: dict) -> list:
+    """The cocycle conditions of each cochain (k, e), as {(condition, e'): c}.
 
-    def add(cond, ee, col, c):
-        img = images[col]
-        img[(cond, ee)] = img.get((cond, ee), Fraction(0)) + c
+    Condition ("c", i, j) is tau_i(g_j) - tau_j(g_i) - f_ij^k g_k and
+    ("r", a) is sum_k r_ak g_k, both in normal form.  taus maps each
+    exponent to its _tau_images entry, whose tau_i(x^e) part enters
+    the conditions (i, k) and (k, i).
+    """
+    def add(img, cond, terms, sign):
+        for ee, c in terms:
+            img[(cond, ee)] = img.get((cond, ee), Fraction(0)) + sign * c
 
-    for e in std:
+    # one label tuple per condition, shared by all of its keys to keep the images small
+    conds = {(i, j): ("c", i, j) for i, j in _pair_index(pres.r)}
+    rels = [("r", a) for a in range(pres.s)]
+    images = []
+    for k, e in keys:
         m = BasePolynomial(pres.vars, {e: Fraction(1)})
-        nf_tau = [normal_form(apply_vector_field(t, m), gb) for t in pres.tau]
-        for i in range(r):
-            for j in range(i + 1, r):
-                # condition (i,j): tau_i(g_j) - tau_j(g_i) - f_ij^k g_k = 0
-                for ee, c in nf_tau[i].terms.items():
-                    add(("c", i, j), ee, colmap[(j, e)], c)
-                for ee, c in nf_tau[j].terms.items():
-                    add(("c", i, j), ee, colmap[(i, e)], -c)
-                for k in range(r):
-                    fk = pres.structure_f[i][j][k]
-                    if fk.is_zero():
-                        continue
-                    out = normal_form(fk * m, gb)
-                    for ee, c in out.terms.items():
-                        add(("c", i, j), ee, colmap[(k, e)], -c)
-        for a in range(pres.s):
-            for k in range(r):
-                rk = pres.relations[a][k]
-                if rk.is_zero():
-                    continue
-                out = normal_form(rk * m, gb)
-                for ee, c in out.terms.items():
-                    add(("r", a), ee, colmap[(k, e)], c)
-    return nullspace(images)
+        img = {}
+        for (i, ee), c in taus[e].items():
+            if i != k:
+                add(img, conds[min(i, k), max(i, k)], [(ee, c)], 1 if i < k else -1)
+        for (i, j), cond in conds.items():
+            fk = pres.structure_f[i][j][k]
+            if not fk.is_zero():
+                add(img, cond, normal_form(fk * m, gb).terms.items(), -1)
+        for rel, row in zip(rels, pres.relations):
+            if not row[k].is_zero():
+                add(img, rel, normal_form(row[k] * m, gb).terms.items(), 1)
+        images.append(img)
+    return images
 
 
 def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
@@ -515,20 +531,12 @@ def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
             raise AssertionError("one-cocycle fails a relation condition")
 
 
-def _split_tuple(pres: SymmetryPresentation, colmap, v: dict) -> list:
-    """The r polynomials of a vector over the (generator, monomial) slice."""
+def _split_tuple(pres: SymmetryPresentation, v: dict) -> list:
+    """The r polynomials of a slice vector {(i, e): c}."""
     terms = [{} for _ in range(pres.r)]
-    for (i, e), col in colmap.items():
-        if col in v:
-            terms[i][e] = v[col]
+    for (i, e), c in v.items():
+        terms[i][e] = c
     return [BasePolynomial(pres.vars, t) for t in terms]
-
-
-def _h1_slice(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
-    std, colmap, bred, bpiv = _boundary_space(pres, gb, D)
-    Z = _cocycle_vectors(pres, gb, std, colmap)
-    red, _piv = rref([reduce_row(z, bred, bpiv) for z in Z])
-    return [tuple(_split_tuple(pres, colmap, v)) for v in red]
 
 
 def h1(partials: Sequence[BasePolynomial], D: int,
@@ -539,22 +547,27 @@ def h1(partials: Sequence[BasePolynomial], D: int,
     Cocycles are tuples (g_1, ..., g_r) over the degree-<=D slice with
     tau_i(g_j) - tau_j(g_i) - sum_k f_ij^k g_k = 0 and
     sum_k r_ak g_k = 0 in the quotient, both checked exactly.
-    Boundaries are the tuples (tau_i(f)); their inputs range far enough
-    beyond the bound that the boundary space is complete inside the
-    slice.  Representatives are reduced against the boundaries.
+    Boundaries are the tuples (tau_i(f)) for f over the standard
+    monomials up to D + 1 plus the degree allowance, far enough beyond
+    both bounds that the boundary space is complete inside each slice.
+    That one tau image set also gives the tau part of the cocycle
+    conditions, and serves bounds D and D + 1 in _slice_cohomology.
+    Representatives are reduced against the boundaries.
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     parts, _vars = _check_partials(partials)
     pres = _presentation(parts, order, presentation)
     gb = jacobian_ring(parts, order)
-    if pres.r == 0:
-        return CohomologyReport(1, D, 0, [], True)
-    reps = _h1_slice(pres, gb, D)
-    reps1 = _h1_slice(pres, gb, D + 1)
+    ext = standard_monomials(gb, D + 1 + _degree_allowance(pres))
+    taus = _tau_images(pres, gb, ext)
+    keys = [(i, e) for i in range(pres.r) for e in ext if sum(e) <= D + 1]
+    vecs, dim1 = _slice_cohomology(
+        keys, _cocycle_images(pres, gb, keys, dict(zip(ext, taus))), taus, D)
+    reps = [tuple(_split_tuple(pres, v)) for v in vecs]
     for gs in reps:
         _h1_check_exact(pres, gb, gs)
-    return CohomologyReport(1, D, len(reps), reps, len(reps) == len(reps1))
+    return CohomologyReport(1, D, len(reps), reps, len(reps) == dim1)
 
 
 # -- the induced bracket H^0 x H^0 -> H^1 ------------------------------
@@ -581,20 +594,18 @@ def _hamiltonian_lift(pres: SymmetryPresentation, partials: ModuleBasis,
 
 def _class_reduce(pres: SymmetryPresentation, boundary, gs):
     """Reduce a cocycle tuple against a slice's _boundary_space."""
-    _std, colmap, bred, bpiv = boundary
-    v = {colmap[(i, ee)]: c for i, g in enumerate(gs) for ee, c in g.terms.items()}
-    return _split_tuple(pres, colmap, reduce_row(v, bred, bpiv))
+    keys, bred, bpiv = boundary
+    col = {k: n for n, k in enumerate(keys)}
+    v = {col[(i, ee)]: c for i, g in enumerate(gs) for ee, c in g.terms.items()}
+    return _split_tuple(pres, {keys[n]: c for n, c in reduce_row(v, bred, bpiv).items()})
 
 
 def _raw_bracket(pres: SymmetryPresentation, gb: GroebnerBasis,
                  partials: ModuleBasis, f: BasePolynomial, g: BasePolynomial):
     xi = _hamiltonian_lift(pres, partials, f)
     eta = _hamiltonian_lift(pres, partials, g)
-    out = []
-    for i in range(pres.r):
-        out.append(normal_form(apply_vector_field(xi[i], g)
-                               + apply_vector_field(eta[i], f), gb))
-    return out
+    return [normal_form(apply_vector_field(x, g) + apply_vector_field(e, f), gb)
+            for x, e in zip(xi, eta)]
 
 
 def h0_bracket(f: BasePolynomial, g: BasePolynomial,
@@ -645,32 +656,6 @@ def _d1_decompose(dS: list, table, gb, gm: tuple, e: tuple, p: int) -> dict:
     return dec
 
 
-def _e2_slice(sol, gb, p: int, D: int, dS: list):
-    table = sol.resolution.table
-    std = standard_monomials(gb, D)
-    dom = [(gm, e) for gm in _graded_monomials(table, p, 1) for e in std]
-    if not dom:
-        return []
-    ker = nullspace([_d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
-    # image of the previous column, restricted to the slice
-    ext = standard_monomials(gb, D + 1)
-    prev = [(gm, e) for gm in _graded_monomials(table, p - 1, 1) for e in ext]
-    dmap = {pair: idx for idx, pair in enumerate(dom)}
-    bred, bpiv = _slice_image(
-        [_d1_decompose(dS, table, gb, gm, e, p - 1) for gm, e in prev], dmap)
-    red, _piv = rref([reduce_row(z, bred, bpiv) for z in ker])
-    reps = []
-    for v in red:
-        terms = {}
-        for idx, c in v.items():
-            gm, e = dom[idx]
-            terms.setdefault(gm, {})[e] = c
-        gp = GradedPolynomial(table, {gm: BasePolynomial(table.coordinates, t)
-                                      for gm, t in terms.items()})
-        reps.append(gp)
-    return reps
-
-
 def e2_page(sol, p: int, D: int) -> CohomologyReport:
     """Column p of the first-page cohomology of a master solution.
 
@@ -678,9 +663,10 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
     monomials; the differential is the weight-(p+1) projection of the
     antibracket with S, which singles out the linear layer of the
     solution without decomposing it symbolically.  The report gives
-    ker/im on the degree-<=D slice; images are taken from inputs one
-    degree beyond the bound, which covers every combination landing
-    inside the slice.
+    ker/im on the degree-<=D slice.  Cochains up to degree D + 1 and
+    previous-column inputs up to D + 2 are decomposed once and serve
+    both bounds in _slice_cohomology; inputs one degree beyond a bound
+    cover every combination landing inside its slice.
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
@@ -689,13 +675,26 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
             f"solution is certified to order {sol.order}; column {p} needs "
             f"order at least {p + 1}")
     res = sol.resolution
+    table = res.table
     gb = groebner_basis(list(res.partials), res.order)
     dS = _bracket_factors(sol.S)
-    reps = _e2_slice(sol, gb, p, D, dS)
-    reps1 = _e2_slice(sol, gb, p, D + 1, dS)
+    std = standard_monomials(gb, D + 2)
+
+    def column(q, bound):
+        pairs = [(gm, e) for gm in _graded_monomials(table, q, 1) for e in std
+                 if sum(e) <= bound]
+        return pairs, [_d1_decompose(dS, table, gb, gm, e, q) for gm, e in pairs]
+
+    vecs, dim1 = _slice_cohomology(*column(p, D + 1), column(p - 1, D + 2)[1], D)
+    reps = []
+    for v in vecs:
+        terms = {}
+        for (gm, e), c in v.items():
+            terms.setdefault(gm, {})[e] = c
+        reps.append(GradedPolynomial(table, {gm: BasePolynomial(table.coordinates, t)
+                                             for gm, t in terms.items()}))
     for rep in reps:
-        out = gr_project(_bracket_pair(dS, rep), p + 1)
-        for _m, c in out.terms.items():
+        for c in gr_project(_bracket_pair(dS, rep), p + 1).terms.values():
             if not normal_form(c, gb).is_zero():
                 raise AssertionError("page cocycle fails its defining condition")
-    return CohomologyReport(p, D, len(reps), reps, len(reps) == len(reps1))
+    return CohomologyReport(p, D, len(reps), reps, len(reps) == dim1)

@@ -26,7 +26,7 @@ from .graded_algebra import (
     transport,
     truncate,
 )
-from .antibracket import bracket, exp_ad
+from .antibracket import antifield_lift, bracket, exp_ad
 from .tate import (
     TateGenerator,
     TateResolution,
@@ -617,17 +617,8 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
                 f"gives {poly_to_str(val)}")
     pairs = tuple((f"bs{i + 1}", -2, f"b{i + 1}") for i in range(nsym))
     table = GeneratorTable(coords, pairs)
-    gens = []
-    hats = []
-    for i, field in enumerate(fields):
-        hat = GradedPolynomial.zero(table)
-        for coeff, c in zip(field, coords):
-            if not coeff.is_zero():
-                hat = hat + multiply(
-                    GradedPolynomial.from_scalar(table, coeff),
-                    GradedPolynomial.generator(table, dual_name(c))) * -1
-        hats.append(hat)
-        gens.append(TateGenerator(f"bs{i + 1}", -2, hat))
+    hats = [antifield_lift(table, field) for field in fields]
+    gens = [TateGenerator(f"bs{i + 1}", -2, hat) for i, hat in enumerate(hats)]
     res = TateResolution(table, partials, gens, 0, s0=s0)
     S = GradedPolynomial.from_scalar(table, s0)
     for i in range(nsym):
@@ -774,19 +765,11 @@ def bundle_solution(g, A, F, base: Optional[Sequence[str]] = None,
                            * Fraction(1, 2))
     pairs = tuple((f"bs{mu + 1}", -2, f"b{mu + 1}") for mu in range(m))
     table = GeneratorTable(coords, pairs)
-    ws = []
-    for mu in range(m):
-        w = GradedPolynomial.generator(table, dual_name(base[mu]))
-        for i in range(r):
-            for j in range(r):
-                if amat[mu][i][j].is_zero():
-                    continue
-                w = w - multiply(
-                    GradedPolynomial.from_scalar(
-                        table, amat[mu][i][j]
-                        * BasePolynomial.parse(fiber[j], coords)),
-                    GradedPolynomial.generator(table, dual_name(fiber[i])))
-        ws.append(w)
+    # w_mu lifts the field -d/dy_mu + sum_ij A^i_j,mu v_j d/dv_i
+    fvars = [BasePolynomial.var(coords, v) for v in fiber]
+    ws = [antifield_lift(table, [-1 if nu == mu else 0 for nu in range(m)]
+                         + [_combination(amat[mu][i], fvars) for i in range(r)])
+          for mu in range(m)]
     partials = [s0.derivative(c) for c in coords]
     gens = [TateGenerator(f"bs{mu + 1}", -2, ws[mu] * -1)
             for mu in range(m)]

@@ -37,7 +37,7 @@ from .graded_algebra import (
     parse_graded,
     truncate,
 )
-from .tate import TateResolution, build_resolution, check_acyclic
+from .tate import TateResolution, _open_pair, build_resolution, check_acyclic
 from .bv_solver import (
     MasterSolution,
     bundle_solution,
@@ -219,14 +219,12 @@ def parse_problem(text: str) -> ProblemSpec:
         if len(partials) != len(coords):
             raise ProblemError(
                 f"dS0 needs {len(coords)} components, got {len(partials)}", 1, 1)
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                left = partials[i].derivative(coords[j])
-                right = partials[j].derivative(coords[i])
-                if left != right:
-                    raise ProblemError(
-                        f"dS0 is not closed: d(component {i + 1})/d{coords[j]}"
-                        f" != d(component {j + 1})/d{coords[i]}", 1, 1)
+        bad = _open_pair(partials, coords)
+        if bad is not None:
+            i, j = bad
+            raise ProblemError(
+                f"dS0 is not closed: d(component {i + 1})/d{coords[j]}"
+                f" != d(component {j + 1})/d{coords[i]}", 1, 1)
     return ProblemSpec(coords, s0, partials, options)
 
 

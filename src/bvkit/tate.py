@@ -12,6 +12,7 @@ stored depth certifies exactness in degrees -1 down to -depth.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .graded_algebra import (
@@ -239,6 +240,17 @@ def _delta_columns(table: GeneratorTable, delta, monomials: list,
 # -- construction ------------------------------------------------------
 
 
+def _open_pair(partials: Sequence[BasePolynomial], coords: Sequence[str]):
+    """The first pair (i, j), i < j, with d p_i/dx_j != d p_j/dx_i, or None.
+
+    The one-form sum p_i dx_i is closed exactly when there is none.
+    """
+    for i, j in combinations(range(len(coords)), 2):
+        if partials[i].derivative(coords[j]) != partials[j].derivative(coords[i]):
+            return i, j
+    return None
+
+
 def build_resolution(coords: Sequence[str], s0=None, partials=None,
                      depth: int = 1, order: str = ORDER_GREVLEX) -> TateResolution:
     """Resolve the ideal of the partials, killing homology down to -depth.
@@ -259,14 +271,12 @@ def build_resolution(coords: Sequence[str], s0=None, partials=None,
                 for p in partials]
     if len(partials) != len(coords):
         raise ValueError("one partial per coordinate required")
-    for i, ci in enumerate(coords):
-        for j in range(i + 1, len(coords)):
-            left = partials[i].derivative(coords[j])
-            right = partials[j].derivative(ci)
-            if left != right:
-                raise ValueError(
-                    f"closedness violation: d({poly_to_str(partials[i])})/"
-                    f"d{coords[j]} != d({poly_to_str(partials[j])})/d{ci}")
+    bad = _open_pair(partials, coords)
+    if bad is not None:
+        i, j = bad
+        raise ValueError(
+            f"closedness violation: d({poly_to_str(partials[i])})/"
+            f"d{coords[j]} != d({poly_to_str(partials[j])})/d{coords[i]}")
 
     pairs: list = []
     gens: list = []

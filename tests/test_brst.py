@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -17,10 +21,11 @@ from bvkit.polynomial_engine import (
     normal_form,
     nullspace,
     poly_to_str,
+    reduce_row,
     rref,
 )
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
-from bvkit.antibracket import bracket
+from bvkit.antibracket import _bracket_factors, bracket
 from bvkit.tate import _graded_monomials, build_resolution, negative_monomials
 from bvkit.bv_solver import solve_master, trivial_solution
 from bvkit import brst
@@ -191,6 +196,32 @@ class TestSymmetryPresentation:
             SymmetryPresentation(pres.vars, pres.order, pres.partials, pres.tau,
                                  pres.relations, pres.bivectors_v,
                                  [[[poly("1")]]], pres.correction_g)
+
+    def test_checks_survive_python_O(self):
+        # python -O strips assert statements; the certificate checks must not go with them
+        code = textwrap.dedent("""
+            import sys
+            from bvkit.brst import SymmetryPresentation, symmetry_presentation
+            from bvkit.polynomial_engine import BasePolynomial, ModuleVector
+            xy = ("x", "y")
+            h = BasePolynomial.parse("x^2 + y^2 - 1", xy)
+            pres = symmetry_presentation([BasePolynomial.parse("x", xy) * h,
+                                          BasePolynomial.parse("y", xy) * h])
+            bad = ModuleVector([BasePolynomial.parse("y + 1", xy),
+                                BasePolynomial.parse("-x", xy)])
+            print(sys.flags.optimize, flush=True)
+            SymmetryPresentation(pres.vars, pres.order, pres.partials, [bad],
+                                 pres.relations, pres.bivectors_v, pres.structure_f,
+                                 pres.correction_g)
+            """)
+        src = os.path.dirname(os.path.dirname(brst.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == ["1"]
+        assert out.returncode != 0
+        assert ("AssertionError: presentation certificate failed: "
+                "tau does not annihilate dS0") in out.stderr
 
     def test_cubic_surface_presentation(self):
         s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", WXYZ)
@@ -663,6 +694,168 @@ def test_ghost_monomials_match_the_reference():
         for d in range(-1, depth + 2):
             monos = negative_monomials(table, d)
             assert monos == sorted(monos)
+
+
+# -- the slice routines that brst._slice_cohomology replaced, kept as references.
+# Each built its own boundary or previous-column images at D and again at D + 1:
+# h1 from inputs up to D plus the degree allowance, E2 from inputs up to D + 1.
+
+
+def _reference_cocycle_vectors(pres, gb, std, colmap):
+    r = pres.r
+    images = [{} for _ in colmap]
+
+    def add(cond, ee, col, c):
+        img = images[col]
+        img[(cond, ee)] = img.get((cond, ee), Fraction(0)) + c
+
+    for e in std:
+        m = BasePolynomial(pres.vars, {e: Fraction(1)})
+        nf_tau = [normal_form(apply_vector_field(t, m), gb) for t in pres.tau]
+        for i in range(r):
+            for j in range(i + 1, r):
+                # condition (i,j): tau_i(g_j) - tau_j(g_i) - f_ij^k g_k = 0
+                for ee, c in nf_tau[i].terms.items():
+                    add(("c", i, j), ee, colmap[(j, e)], c)
+                for ee, c in nf_tau[j].terms.items():
+                    add(("c", i, j), ee, colmap[(i, e)], -c)
+                for k in range(r):
+                    fk = pres.structure_f[i][j][k]
+                    if fk.is_zero():
+                        continue
+                    out = normal_form(fk * m, gb)
+                    for ee, c in out.terms.items():
+                        add(("c", i, j), ee, colmap[(k, e)], -c)
+        for a in range(pres.s):
+            for k in range(r):
+                rk = pres.relations[a][k]
+                if rk.is_zero():
+                    continue
+                out = normal_form(rk * m, gb)
+                for ee, c in out.terms.items():
+                    add(("r", a), ee, colmap[(k, e)], c)
+    return nullspace(images)
+
+
+def _reference_h1_slice(pres, gb, D):
+    std = standard_monomials(gb, D)
+    colmap = {}
+    for i in range(pres.r):
+        for e in std:
+            colmap[(i, e)] = len(colmap)
+    ext = standard_monomials(gb, D + brst._degree_allowance(pres))
+    bred, bpiv = _slice_image(brst._tau_images(pres, gb, ext), colmap)
+    Z = _reference_cocycle_vectors(pres, gb, std, colmap)
+    red, _piv = rref([reduce_row(z, bred, bpiv) for z in Z])
+    reps = []
+    for v in red:
+        terms = [{} for _ in range(pres.r)]
+        for (i, e), col in colmap.items():
+            if col in v:
+                terms[i][e] = v[col]
+        reps.append(tuple(BasePolynomial(pres.vars, t) for t in terms))
+    return reps
+
+
+def _reference_e2_slice(sol, gb, p, D, dS):
+    table = sol.resolution.table
+    std = standard_monomials(gb, D)
+    dom = [(gm, e) for gm in _graded_monomials(table, p, 1) for e in std]
+    if not dom:
+        return []
+    ker = nullspace([brst._d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
+    # image of the previous column, restricted to the slice
+    ext = standard_monomials(gb, D + 1)
+    prev = [(gm, e) for gm in _graded_monomials(table, p - 1, 1) for e in ext]
+    dmap = {pair: idx for idx, pair in enumerate(dom)}
+    bred, bpiv = _slice_image(
+        [brst._d1_decompose(dS, table, gb, gm, e, p - 1) for gm, e in prev], dmap)
+    red, _piv = rref([reduce_row(z, bred, bpiv) for z in ker])
+    reps = []
+    for v in red:
+        terms = {}
+        for idx, c in v.items():
+            gm, e = dom[idx]
+            terms.setdefault(gm, {})[e] = c
+        gp = GradedPolynomial(table, {gm: BasePolynomial(table.coordinates, t)
+                                      for gm, t in terms.items()})
+        reps.append(gp)
+    return reps
+
+
+_REFERENCE_ACTIONS = {
+    "circle": (XY, "(x^2+y^2-1)^2/4"),
+    "x2y2": (XY, "x^2*y^2"),
+    "sphere": (("x", "y", "z"), "(x^2+y^2+z^2-1)^2"),
+}
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("action", sorted(_REFERENCE_ACTIONS))
+def test_h1_matches_the_reference_slices(action, order):
+    vars, s0 = _REFERENCE_ACTIONS[action]
+    parts = [BasePolynomial.parse(s0, vars).derivative(v) for v in vars]
+    pres = symmetry_presentation(parts, order)
+    gb = jacobian_ring(parts, order)
+    assert pres.r > 0
+    slices = [_reference_h1_slice(pres, gb, D) for D in range(7)]
+    for D in range(6):
+        rep = h1(parts, D, order, pres)
+        assert rep.basis == slices[D]
+        assert rep.stable == (len(slices[D]) == len(slices[D + 1]))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("action", sorted(_REFERENCE_ACTIONS))
+def test_e2_page_matches_the_reference_slices(action, order):
+    vars, s0 = _REFERENCE_ACTIONS[action]
+    sol = solve_master(build_resolution(vars, s0=s0, depth=3, order=order), p_max=2)
+    gb = groebner_basis(list(sol.resolution.partials), order)
+    dS = _bracket_factors(sol.S)
+    for p in (0, 1):
+        slices = [_reference_e2_slice(sol, gb, p, D, dS) for D in range(7)]
+        for D in range(6):
+            rep = e2_page(sol, p, D)
+            assert rep.basis == slices[D]
+            assert rep.stable == (len(slices[D]) == len(slices[D + 1]))
+
+
+class TestOneImageSetForBothBounds:
+    def test_h1_builds_one_tau_image_set(self, cubic_surface, monkeypatch):
+        # the boundaries and the tau part of the cocycle conditions share it
+        parts, pres, gb, _reports = cubic_surface
+        asked = []
+        real = brst._tau_images
+
+        def spy(pres, gb, exps):
+            asked.append(len(exps))
+            return real(pres, gb, exps)
+
+        monkeypatch.setattr(brst, "_tau_images", spy)
+        h1(parts, 1, presentation=pres)
+        assert asked == [len(standard_monomials(gb, 2 + brst._degree_allowance(pres)))]
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_e2_decomposes_each_input_once(self, monkeypatch, p):
+        sol = solve_master(build_resolution(XY, s0="(x^2+y^2-1)^2/4", depth=4), p_max=3)
+        decomposed, shapes = [], []
+        real_d1, real_slices = brst._d1_decompose, brst._slice_cohomology
+
+        def spy_d1(dS, table, gb, gm, e, q):
+            decomposed.append((gm, e, q))
+            return real_d1(dS, table, gb, gm, e, q)
+
+        def spy_slices(keys, images, prev, D):
+            shapes.append((len(keys), len(prev)))
+            return real_slices(keys, images, prev, D)
+
+        monkeypatch.setattr(brst, "_d1_decompose", spy_d1)
+        monkeypatch.setattr(brst, "_slice_cohomology", spy_slices)
+        e2_page(sol, p, 4)
+        (nkeys, nprev), = shapes
+        assert nkeys > 0 and (nprev > 0) == (p > 0)
+        assert len(decomposed) == nkeys + nprev
+        assert len(set(decomposed)) == len(decomposed)
 
 
 class TestGolden:
