@@ -9,11 +9,14 @@ ghost degree by +1 and is a graded biderivation.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     _add_into,
+    _products,
+    _weight_rows,
     coordinate_derivative,
     dual_name,
     left_derivative,
@@ -39,9 +42,10 @@ def bracket(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
 def _bracket_factors(a: GradedPolynomial) -> list:
     """The nonzero derivatives of a that enter [a, -].
 
-    Each entry is (signed derivative of a, derivative to take of b, the
-    name to take it by), in bracket order; a subtracted product has its
-    sign folded into the derivative of a here, once.
+    Each entry is (signed derivative of a as weight rows, derivative to
+    take of b, the name to take it by), in bracket order; a subtracted
+    product has its sign folded into the derivative of a, and its terms
+    are sorted by weight, here, once.
     """
     table = a.table
     out = []
@@ -49,27 +53,33 @@ def _bracket_factors(a: GradedPolynomial) -> list:
         d = dual_name(coord)
         da = coordinate_derivative(a, coord)
         if da:
-            out.append((da, left_derivative, d))
+            out.append((_weight_rows(da), left_derivative, d))
         ra = right_derivative(a, d)
         if ra:
-            out.append((-ra, coordinate_derivative, coord))
+            out.append((_weight_rows(-ra), coordinate_derivative, coord))
     for aname, _deg, gname in table.pairs:
         ra = right_derivative(a, gname)
         if ra:
-            out.append((ra, left_derivative, aname))
+            out.append((_weight_rows(ra), left_derivative, aname))
         ra = right_derivative(a, aname)
         if ra:
-            out.append((-ra, left_derivative, gname))
+            out.append((_weight_rows(-ra), left_derivative, gname))
     return out
 
 
-def _bracket_pair(factors: list, b: GradedPolynomial) -> GradedPolynomial:
-    """[a, b] from the derivatives of a collected by ``_bracket_factors``."""
+def _bracket_pair(factors: list, b: GradedPolynomial,
+                  cap: Optional[int] = None) -> GradedPolynomial:
+    """[a, b] from the derivatives of a collected by ``_bracket_factors``.
+
+    With a cap, only the terms of weight <= cap are computed: the result
+    is truncate([a, b], cap).
+    """
     out: dict = {}
-    for da, derivative, name in factors:
+    for rows, derivative, name in factors:
         db = derivative(b, name)
         if db:
-            _add_into(out, multiply(da, db).terms.items())
+            _add_into(out, _products(b.table, rows,
+                                     _weight_rows(db, cap is not None), cap))
     return GradedPolynomial(b.table, out)
 
 
@@ -102,7 +112,7 @@ def exp_ad(u: GradedPolynomial, a: GradedPolynomial, P: int) -> GradedPolynomial
     factors = _bracket_factors(u)
     k = 1
     while True:
-        term = truncate(_bracket_pair(factors, term), P) * Fraction(1, k)
+        term = _bracket_pair(factors, term, P) * Fraction(1, k)
         if term.is_zero():
             return GradedPolynomial(a.table, total)
         _add_into(total, term.terms.items())

@@ -648,7 +648,7 @@ def _d1_decompose(dS: list, table, gb, gm: tuple, e: tuple, p: int) -> dict:
     """
     coeff = BasePolynomial(table.coordinates, {e: Fraction(1)})
     a = GradedPolynomial.monomial(table, gm, coeff)
-    out = gr_project(_bracket_pair(dS, a), p + 1)
+    out = gr_project(_bracket_pair(dS, a, p + 1), p + 1)
     dec = {}
     for m, c in out.terms.items():
         for ee, cc in normal_form(c, gb).terms.items():
@@ -694,7 +694,7 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
         reps.append(GradedPolynomial(table, {gm: BasePolynomial(table.coordinates, t)
                                              for gm, t in terms.items()}))
     for rep in reps:
-        for c in gr_project(_bracket_pair(dS, rep), p + 1).terms.values():
+        for c in gr_project(_bracket_pair(dS, rep, p + 1), p + 1).terms.values():
             if not normal_form(c, gb).is_zero():
                 raise AssertionError("page cocycle fails its defining condition")
     return CohomologyReport(p, D, len(reps), reps, len(reps) == dim1)

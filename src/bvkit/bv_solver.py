@@ -26,7 +26,7 @@ from .graded_algebra import (
     transport,
     truncate,
 )
-from .antibracket import antifield_lift, bracket, exp_ad
+from .antibracket import _bracket_factors, _bracket_pair, antifield_lift, bracket, exp_ad
 from .tate import (
     TateGenerator,
     TateResolution,
@@ -186,20 +186,22 @@ def master_residual(res: TateResolution,
 
 
 def _residual_bracket(res: TateResolution, a: GradedPolynomial,
-                      v: GradedPolynomial) -> GradedPolynomial:
+                      v: GradedPolynomial,
+                      cap: Optional[int] = None) -> GradedPolynomial:
     """[a, v] plus, for closed partials, 2 sum_i dS0/dx_i * dv/dxs_i.
 
     The added one-form term is linear in v, so (a, v) = (S, S) gives the
     residual of S and (a, v) = (2S + v, v) its change from S to S + v.
+    With a cap, only the terms of weight <= cap are computed.
     """
-    r = bracket(a, v)
+    r = bracket(a, v) if cap is None else _bracket_pair(_bracket_factors(a), v, cap)
     if res.s0 is None:
         out = dict(r.terms)
         for c, p in zip(res.table.coordinates, res.partials):
             if p.is_zero():
                 continue
             term = multiply(GradedPolynomial.from_scalar(res.table, p * 2),
-                            left_derivative(v, dual_name(c)))
+                            left_derivative(v, dual_name(c)), cap)
             _add_into(out, term.terms.items())
         r = GradedPolynomial(res.table, out)
     return r
@@ -264,16 +266,24 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
 
     Works one filtration order at a time: the weight-(p+1) slice of the
     residual is a boundary in the acyclic range, and half its negative
-    lift is subtracted from S.  Every residual term is checked to carry
-    at least two positive factors and weight at least p+1 before the
-    slice is taken.
+    lift is subtracted from S.
 
     The full residual [S,S] is computed once, for the associated
-    solution.  After each correction v it is updated as
-    r <- r + [2S + v, v]: S and v have ghost degree 0, so the bracket is
-    bilinear and symmetric on them and [S+v, S+v] - [S,S] = 2[S,v] + [v,v].
-    ``verify_master`` recomputes the full bracket and is the independent
-    check of the result.
+    solution.  It is then truncated to weight P = p_max + 1, the highest
+    weight any order reads, and after each correction v it is updated as
+    r <- r + [2S + v, v], computing only the terms of weight <= P: S
+    and v have ghost degree 0, so the bracket is bilinear and symmetric
+    on them and [S+v, S+v] - [S,S] = 2[S,v] + [v,v].
+
+    Each order scans the residual once: every term must carry at least
+    two positive factors, ghost degree 1 and weight at least p+1, and
+    the terms of weight p+1 form the slice.  The checks see every term
+    the solver computes, which after the first order means the terms of
+    weight <= P; ``verify_master`` recomputes the full bracket, checks
+    all its terms and is the independent check of the result.  "residual
+    vanished" is logged only for the associated solution, the one time
+    the full residual is at hand; a truncated residual without terms of
+    weight p+1 is logged as already lying in F^(p+2).
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
@@ -282,44 +292,48 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
             f"resolution depth {res.depth} is insufficient for order "
             f"{p_max}; need depth at least {p_max + 1}")
     t = res.table
+    P = p_max + 1
     S = s_lin(res)
     low = truncate(S, 1)
     log = [f"associated solution: {len(S.terms)} terms"]
     cache: dict = {}
-    order = p_max
     r = master_residual(res, S)
+    if r.is_zero():
+        log.append("order 1: residual vanished")
+        return MasterSolution(res, S, p_max, log)
     for p in range(1, p_max + 1):
-        if r.is_zero():
-            log.append(f"order {p}: residual vanished")
-            break
-        for m in r.terms:
+        rbar = {}
+        for m, c in r.terms.items():
             if t.count_of(m) < 2:
                 raise AssertionError(
                     "residual term with fewer than two positive factors "
                     f"at order {p}")
-            if t.weight_of(m) < p + 1:
+            w = t.weight_of(m)
+            if w < p + 1:
                 raise AssertionError(
-                    f"residual term of weight {t.weight_of(m)} below "
-                    f"{p + 1} at order {p}")
+                    f"residual term of weight {w} below {p + 1} at order {p}")
             if t.ghost_of(m) != 1:
                 raise AssertionError(f"residual term of ghost "
                                      f"{t.ghost_of(m)} at order {p}")
-        rbar = gr_project(r, p + 1)
-        if rbar.is_zero():
+            if w == p + 1:
+                rbar[m] = c
+        if p == 1:
+            r = truncate(r, P)
+        if not rbar:
             log.append(f"order {p}: residual already in F^{p + 2}")
             continue
-        blocks = _split_blocks(rbar * Fraction(-1, 2))
+        blocks = _split_blocks(GradedPolynomial(t, rbar) * Fraction(-1, 2))
         v = _solve_layer(res, blocks, p, cache)
-        r = r + _residual_bracket(res, S * 2 + v, v)
+        r = r + _residual_bracket(res, S * 2 + v, v, P)
         S = S + v
         if truncate(S, 1) != low:
             raise AssertionError("correction leaked into weight <= 1")
-        if not r.is_zero() and r.min_weight() < p + 2:
-            raise AssertionError(
-                f"residual weight failed to increase at order {p}")
         log.append(f"order {p}: cleared {len(blocks)} obstruction blocks, "
                    f"{len(v.terms)} correction terms")
-    return MasterSolution(res, S, order, log)
+    if not r.is_zero():
+        raise AssertionError(
+            f"residual weight failed to increase at order {p_max}")
+    return MasterSolution(res, S, p_max, log)
 
 
 def verify_master(sol: MasterSolution, p: int) -> VerifyReport:

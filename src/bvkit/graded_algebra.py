@@ -312,28 +312,58 @@ def _merge_sign(a: tuple, b: tuple, odd: tuple) -> int:
     return total % 2
 
 
-def multiply(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
-    """Graded-commutative product with Koszul signs; odd squares vanish."""
+def multiply(a: GradedPolynomial, b: GradedPolynomial,
+             cap: Optional[int] = None) -> GradedPolynomial:
+    """Graded-commutative product with Koszul signs; odd squares vanish.
+
+    With a cap, a pair of terms whose weights add up to more than cap is
+    skipped.  Weight is additive over products, so the result is
+    truncate(a * b, cap) without the products that truncation drops.
+    """
     if a.table != b.table:
         raise ValueError("generator table mismatch")
-    table = a.table
-    odd = table._odd_idx
-
-    def products():
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                for i in odd:
-                    if ma[i] + mb[i] > 1:
-                        break
-                else:
-                    c = ca * cb
-                    if _merge_sign(ma, mb, odd):
-                        c = -c
-                    yield tuple(map(add, ma, mb)), c
-
+    split = cap is not None
     out: dict = {}
-    _add_into(out, products())
-    return GradedPolynomial(table, out)
+    _add_into(out, _products(a.table, _weight_rows(a, split),
+                             _weight_rows(b, split), cap))
+    return GradedPolynomial(a.table, out)
+
+
+def _weight_rows(a: GradedPolynomial, split: bool = True) -> list:
+    """The terms of a as (weight, its terms of that weight) by weight.
+
+    Unsplit, all terms form one row of weight 0 in their own order.
+    """
+    if not split:
+        return [(0, a.terms.items())]
+    rows: dict = {}
+    weight = a.table.weight_of
+    for m, c in a.terms.items():
+        rows.setdefault(weight(m), {})[m] = c
+    return [(w, rows[w].items()) for w in sorted(rows)]
+
+
+def _products(table: GeneratorTable, rows_a, rows_b, cap: Optional[int]):
+    """The signed products of two factors given as weight rows.
+
+    Rows come in increasing weight, so once a pair of rows exceeds cap
+    the rest of rows_b is skipped without touching its terms.
+    """
+    odd = table._odd_idx
+    for wa, terms_a in rows_a:
+        for wb, terms_b in rows_b:
+            if cap is not None and wa + wb > cap:
+                break
+            for ma, ca in terms_a:
+                for mb, cb in terms_b:
+                    for i in odd:
+                        if ma[i] + mb[i] > 1:
+                            break
+                    else:
+                        c = ca * cb
+                        if _merge_sign(ma, mb, odd):
+                            c = -c
+                        yield tuple(map(add, ma, mb)), c
 
 
 def gr_project(a: GradedPolynomial, p: int) -> GradedPolynomial:

@@ -305,3 +305,13 @@ def test_12_empty_critical_locus_has_no_cohomology():
         assert h0(parts, bound).dim == 0
         assert h1(parts, bound).dim == 0
     _within(start, 5)
+
+
+def test_13_circle_quartic_solves_to_order_seven():
+    # the solver computes only the residual terms of weight <= p_max + 1;
+    # verify_master recomputes the full [S, S] and checks all of it
+    start = time.monotonic()
+    res = build_resolution(["x", "y"], s0=CIRCLE, depth=8)
+    sol = solve_master(res, 7)
+    assert verify_master(sol, 7).ok
+    _within(start, 10)

@@ -258,3 +258,26 @@ def test_once_computed_d_s_matches_bracket(S, a, b):
         out = _bracket_pair(factors, x)
         assert out.terms == bracket(S, x).terms
         assert out.terms == d_S(S, x).terms
+
+
+@st.composite
+def capped_pairs(draw, t):
+    """Two sums of random monomials and a cap from 0 to the largest
+    weight of either factor's product with the other, plus one."""
+    a = sum(draw(st.lists(monomials(t), min_size=1, max_size=4)),
+            GradedPolynomial.zero(t))
+    b = sum(draw(st.lists(monomials(t), min_size=1, max_size=4)),
+            GradedPolynomial.zero(t))
+    top = (a.max_weight() or 0) + (b.max_weight() or 0)
+    return a, b, draw(st.integers(0, top + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(capped_pairs(TM))
+def test_capped_products_are_truncations(case):
+    # weight is additive, so skipping every pair above the cap loses
+    # exactly the terms that truncation drops and changes no other term
+    a, b, cap = case
+    assert multiply(a, b, cap) == truncate(multiply(a, b), cap)
+    assert _bracket_pair(_bracket_factors(a), b, cap) == truncate(
+        bracket(a, b), cap)

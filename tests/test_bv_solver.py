@@ -24,6 +24,8 @@ from bvkit.brst import e2_page
 from bvkit.tate import build_resolution
 from bvkit.bv_solver import (
     _residual_bracket,
+    _solve_layer,
+    _split_blocks,
     GaugeWord,
     MasterSolution,
     add_square,
@@ -160,6 +162,81 @@ class TestSolveMaster:
         assert full == [len(s_lin(sol.resolution).terms)]
         assert squares == full
         assert verify_master(sol, 4).ok
+
+
+def _reference_solve_master(res, p_max):
+    """The solver loop before weight-capped brackets: it carries every
+    term of the residual and updates it with uncapped brackets."""
+    t = res.table
+    S = s_lin(res)
+    low = truncate(S, 1)
+    log = [f"associated solution: {len(S.terms)} terms"]
+    cache = {}
+    r = master_residual(res, S)
+    for p in range(1, p_max + 1):
+        if r.is_zero():
+            log.append(f"order {p}: residual vanished")
+            break
+        for m in r.terms:
+            assert t.count_of(m) >= 2
+            assert t.weight_of(m) >= p + 1
+            assert t.ghost_of(m) == 1
+        rbar = gr_project(r, p + 1)
+        if rbar.is_zero():
+            log.append(f"order {p}: residual already in F^{p + 2}")
+            continue
+        blocks = _split_blocks(rbar * Fraction(-1, 2))
+        v = _solve_layer(res, blocks, p, cache)
+        r = r + _residual_bracket(res, S * 2 + v, v)
+        S = S + v
+        assert truncate(S, 1) == low
+        assert r.is_zero() or r.min_weight() >= p + 2
+        log.append(f"order {p}: cleared {len(blocks)} obstruction blocks, "
+                   f"{len(v.terms)} correction terms")
+    return MasterSolution(res, S, p_max, log)
+
+
+REFERENCE_SOLVES = {
+    "circle-5": (lambda: circle(5), 4),
+    "circle-6": (lambda: circle(6), 5),
+    "circle-7": (lambda: circle(7), 6),
+    "circle-dS0-6": (lambda: circle_partials(6), 5),
+    # the registry's exa1 (exact at order 1) and exa7 actions
+    "exa1": (lambda: build_resolution(["x", "y", "z"], s0="x^2 + y^2",
+                                      depth=2), 1),
+    "exa7": (lambda: build_resolution(["x", "y"], s0=CIRCLE, depth=3), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_SOLVES))
+def test_capped_solver_matches_the_reference(case):
+    build, p_max = REFERENCE_SOLVES[case]
+    res = build()
+    sol = solve_master(res, p_max)
+    ref = _reference_solve_master(res, p_max)
+    assert list(sol.S.terms.items()) == list(ref.S.terms.items())
+    assert ([line for line in sol.log if line.startswith("order ")]
+            == [line for line in ref.log if line.startswith("order ")])
+    assert verify_master(sol, p_max).ok
+
+
+def test_residual_updates_are_capped(monkeypatch):
+    # every update after a correction computes only weights <= p_max + 1
+    caps, weights = [], []
+    real = bv_solver._residual_bracket
+
+    def spy(res, a, v, cap=None):
+        out = real(res, a, v, cap)
+        caps.append(cap)
+        weights.append(out.max_weight() or 0)
+        return out
+
+    monkeypatch.setattr(bv_solver, "_residual_bracket", spy)
+    sol = solve_master(circle_partials(6), 5)
+    assert caps[0] is None and len(caps) == 4
+    assert set(caps[1:]) == {6}
+    assert max(weights[1:]) <= 6
+    assert verify_master(sol, 5).ok
 
 
 UPDATE_TABLES = {"s0": circle(3), "partials": circle_partials(3)}

@@ -1,8 +1,13 @@
 """Tests for problem parsing, command dispatch, and the example registry."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import bvkit
 
 from bvkit.polynomial_engine import poly_to_str
 from bvkit.tate import TateResolution, build_resolution
@@ -282,3 +287,15 @@ class TestExampleRegistry:
         assert "FAIL" not in out
         for i in EXAMPLES:
             assert i + ":" in out
+
+
+def test_python_m_bvkit_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(bvkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "bvkit", "example", "exa2", "--check", "--json"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    payload = json.loads(out.stdout)
+    assert payload[0]["id"] == "exa2" and payload[0]["ok"]
