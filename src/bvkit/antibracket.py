@@ -33,37 +33,46 @@ def bracket(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
     It is computed in two steps, the derivatives of a and then their
     pairing with derivatives of b, so that a caller bracketing one a
     with many b (the E2 page with a fixed S) can take the first once.
+    If a is b and every term of a is even, graded symmetry makes the two
+    products of each pair equal, [a, a] = 2 sum_x (da/dx)(dl a/dxs) +
+    2 sum_g (dr a/dg)(dl a/dgs), and only that half is computed.
     """
     if a.table != b.table:
         raise ValueError("generator table mismatch")
-    return _bracket_pair(_bracket_factors(a), b)
+    return _bracket_pair(_bracket_factors(a, a is b and _is_even(a)), b)
 
 
-def _bracket_factors(a: GradedPolynomial) -> list:
+def _is_even(a: GradedPolynomial) -> bool:
+    """Whether every term of a has an even number of odd factors."""
+    odd = a.table._odd_idx
+    return not any(sum(m[i] for i in odd) % 2 for m in a.terms)
+
+
+def _bracket_factors(a: GradedPolynomial, half: bool = False) -> list:
     """The nonzero derivatives of a that enter [a, -].
 
     Each entry is (signed derivative of a as weight rows, derivative to
     take of b, the name to take it by), in bracket order; a subtracted
     product has its sign folded into the derivative of a, and its terms
-    are sorted by weight, here, once.
+    are sorted by weight, here, once.  With half, only the first product
+    of each pair enters, with its derivative of a doubled.
     """
     table = a.table
+    pairs = [(c, dual_name(c), coordinate_derivative, coordinate_derivative)
+             for c in table.coordinates]
+    pairs += [(g, aname, right_derivative, left_derivative)
+              for aname, _deg, g in table.pairs]
     out = []
-    for coord in table.coordinates:
-        d = dual_name(coord)
-        da = coordinate_derivative(a, coord)
+    for x, xs, da_dx, db_dx in pairs:
+        da = da_dx(a, x)
         if da:
-            out.append((_weight_rows(da), left_derivative, d))
-        ra = right_derivative(a, d)
+            out.append((_weight_rows(da * 2 if half else da),
+                        left_derivative, xs))
+        if half:
+            continue
+        ra = right_derivative(a, xs)
         if ra:
-            out.append((_weight_rows(-ra), coordinate_derivative, coord))
-    for aname, _deg, gname in table.pairs:
-        ra = right_derivative(a, gname)
-        if ra:
-            out.append((_weight_rows(ra), left_derivative, aname))
-        ra = right_derivative(a, aname)
-        if ra:
-            out.append((_weight_rows(-ra), left_derivative, gname))
+            out.append((_weight_rows(-ra), db_dx, x))
     return out
 
 

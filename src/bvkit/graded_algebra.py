@@ -17,7 +17,7 @@ surrogate for the completed algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .polynomial_engine import (
@@ -103,7 +103,7 @@ class GeneratorTable:
     # -- monomial-level grading ---------------------------------------
 
     def ghost_of(self, m: tuple) -> int:
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return sum(map(mul, m, self.degrees))
 
     def weight_of(self, m: tuple) -> int:
         return sum(m[i] * self.degrees[i] for i in self._positive_idx)

@@ -281,3 +281,22 @@ def test_capped_products_are_truncations(case):
     assert multiply(a, b, cap) == truncate(multiply(a, b), cap)
     assert _bracket_pair(_bracket_factors(a), b, cap) == truncate(
         bracket(a, b), cap)
+
+
+@st.composite
+def self_bracket_cases(draw, t):
+    """A sum of up to four random monomials, kept whole (often of mixed
+    Koszul parity) or cut down to its even or to its odd terms."""
+    terms = draw(st.lists(monomials(t), min_size=1, max_size=4))
+    parity = draw(st.sampled_from((0, 1, None)))
+    if parity is not None:
+        terms = [m for m in terms if m.ghost_degree() % 2 == parity]
+    return sum(terms, GradedPolynomial.zero(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(self_bracket_cases(TM))
+def test_self_bracket_matches_both_sums(a):
+    # bracket(a, a) takes one doubled sum for even a; the reference
+    # pairs the derivatives of a with those of a through both sums
+    assert bracket(a, a) == _bracket_pair(_bracket_factors(a), a)

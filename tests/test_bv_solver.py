@@ -12,14 +12,18 @@ from bvkit.polynomial_engine import BasePolynomial
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
+    coordinate_derivative,
+    dual_name,
     graded_to_str,
     gr_project,
+    left_derivative,
     parse_graded,
+    right_derivative,
     transport,
     truncate,
 )
-from bvkit.antibracket import bracket, exp_ad
-from bvkit import bv_solver
+from bvkit.antibracket import _bracket_factors, _bracket_pair, bracket, exp_ad
+from bvkit import antibracket, bv_solver
 from bvkit.brst import e2_page
 from bvkit.tate import build_resolution
 from bvkit.bv_solver import (
@@ -315,6 +319,48 @@ class TestVerifyMaster:
         rep = verify_master(MasterSolution(res, junk, 4), 4)
         assert not rep.ok
         assert not rep.s0_ok
+
+    def test_square_is_built_from_the_half_factors(self, monkeypatch):
+        # S is even, so [S, S] pairs only dS/dx with dl S/dxs and
+        # dr S/dg with dl S/dgs, doubled: one product per pair, not two
+        sol = solve_master(circle(5), 4)
+        S, t = sol.S, sol.S.table
+        half = sum(1 for c in t.coordinates
+                   if coordinate_derivative(S, c)
+                   and left_derivative(S, dual_name(c)))
+        half += sum(1 for a, _d, g in t.pairs
+                    if right_derivative(S, g) and left_derivative(S, a))
+        calls = []
+        real = antibracket._products
+
+        def spy(table, rows_a, rows_b, cap):
+            calls.append(cap)
+            return real(table, rows_a, rows_b, cap)
+
+        monkeypatch.setattr(antibracket, "_products", spy)
+        assert verify_master(sol, 4).ok
+        assert half > 0 and calls == [None] * half
+
+    @pytest.mark.parametrize("kind", ["s0", "partials"])
+    def test_residual_of_truncated_solution_matches_two_sums(
+            self, monkeypatch, kind):
+        # S with its corrections truncated has a residual that does not
+        # vanish to order p; its report must equal the one built on the
+        # two-sum bracket
+        res = circle(6) if kind == "s0" else circle_partials(6)
+        lin = s_lin(res)
+        corrections = solve_master(res, 5).S - lin
+        for P in (3, 4):
+            sol = MasterSolution(res, lin + truncate(corrections, P), 5)
+            with monkeypatch.context() as m:
+                m.setattr(bv_solver, "bracket",
+                          lambda a, b: _bracket_pair(_bracket_factors(a), b))
+                ref = verify_master(sol, 5)
+            rep = verify_master(sol, 5)
+            assert ref.residual_class is not None and ref.achieved == P
+            assert rep.achieved == ref.achieved
+            assert (graded_to_str(rep.residual_class)
+                    == graded_to_str(ref.residual_class))
 
 
 class TestGaugeWord:
