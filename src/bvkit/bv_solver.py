@@ -10,9 +10,10 @@ pairings on a bundle).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
-from .polynomial_engine import BasePolynomial, ModuleBasis, _combination, poly_to_str, rref
+from .polynomial_engine import BasePolynomial, _combination, poly_to_str, rref
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
@@ -27,13 +28,7 @@ from .graded_algebra import (
     truncate,
 )
 from .antibracket import _bracket_factors, _bracket_pair, antifield_lift, bracket, exp_ad
-from .tate import (
-    TateGenerator,
-    TateResolution,
-    _delta_columns,
-    _vectorize,
-    negative_monomials,
-)
+from .tate import TateGenerator, TateResolution, _DeltaLayer
 
 import json
 
@@ -236,23 +231,14 @@ def _solve_layer(res: TateResolution, blocks: dict, p: int,
     """
     t = res.table
     if p not in cache:
-        basis = negative_monomials(t, p)
-        chains = negative_monomials(t, p + 1)
-        delta = res.gr_delta()
-        cols = _delta_columns(t, delta, chains, basis, t.coordinates)
-        cache[p] = (basis, chains, ModuleBasis(cols, res.order))
-    basis, chains, lifts = cache[p]
+        cache[p] = _DeltaLayer(t, res.gr_delta(), p, res.order)
     out: dict = {}
     for pos in sorted(blocks):
-        rhs = GradedPolynomial(t, dict(blocks[pos]))
-        vec = _vectorize(rhs, basis, t.coordinates)
-        cert = lifts.lift(vec)
-        if cert is None:
+        vbar = cache[p].lift(GradedPolynomial(t, dict(blocks[pos])))
+        if vbar is None:
             raise RuntimeError(
                 f"no lift for an obstruction block at weight {p + 1}; "
                 "resolution depth insufficient")
-        vbar = GradedPolynomial(
-            t, {m: c for m, c in zip(chains, cert.coefficients) if not c.is_zero()})
         term = multiply(vbar, GradedPolynomial.monomial(t, pos, 1))
         _add_into(out, term.terms.items())
     return GradedPolynomial(t, out)
@@ -344,8 +330,17 @@ def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
         achieved = p
         residual_class = None
     else:
-        mc = r.min_count()
-        mw = r.min_weight()
+        # both minima in one pass over the positive exponents of each term
+        pos = res.table._positive_idx
+        degs = [res.table.degrees[i] for i in pos]
+        mw = mc = None
+        for m in r.terms:
+            exps = [m[i] for i in pos]
+            w, n = sum(map(mul, exps, degs)), sum(exps)
+            if mw is None or w < mw:
+                mw = w
+            if mc is None or n < mc:
+                mc = n
         achieved = min(p, mw - 1) if mc >= 2 else 0
         residual_class = gr_project(r, mw) if achieved < p else None
     if res.s0 is None:
@@ -369,7 +364,9 @@ def gauge_relate(a: MasterSolution, b: MasterSolution,
     order p_max.  The word is built by a double induction on the weight
     of the difference and the number of positive factors in it.
     """
-    if a.resolution.to_json_obj() != b.resolution.to_json_obj():
+    # the monomial order is how lifts are computed, not part of the resolution
+    if (dict(a.resolution.to_json_obj(), order=None)
+            != dict(b.resolution.to_json_obj(), order=None)):
         raise ValueError("solutions live on different resolutions")
     if a.order < p_max or b.order < p_max:
         raise ValueError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .polynomial_engine import (
     BasePolynomial,

@@ -12,6 +12,7 @@ stored depth certifies exactness in degrees -1 down to -depth.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,7 @@ from .polynomial_engine import (
     ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
+    ORDER_LEX,
     lift_membership,  # noqa: F401  (bound here: the perfbench self-tests read tate.lift_membership)
     poly_to_str,
     syzygy_basis,
@@ -72,6 +74,8 @@ class TateResolution:
         self.generators = tuple(generators)
         self.depth = depth
         self.s0 = s0
+        if order not in (ORDER_GREVLEX, ORDER_LEX):
+            raise ValueError(f"unknown monomial order {order!r}")
         self.order = order
         self._validate()
 
@@ -111,12 +115,7 @@ class TateResolution:
         return out
 
     def delta_images(self) -> dict:
-        imgs = {}
-        for c, p in zip(self.table.coordinates, self.partials):
-            imgs[dual_name(c)] = GradedPolynomial.from_scalar(self.table, p)
-        for g in self.generators:
-            imgs[g.name] = transport(g.delta, self.table)
-        return imgs
+        return _delta_images(self.table, self.partials, self.generators)
 
     def gr_delta(self) -> Callable[[GradedPolynomial], GradedPolynomial]:
         """The Koszul-Tate boundary as an odd derivation (ghosts go to 0)."""
@@ -137,6 +136,8 @@ class TateResolution:
         }
         if self.s0 is not None:
             obj["s0"] = poly_to_str(self.s0)
+        if self.order != ORDER_GREVLEX:
+            obj["order"] = self.order
         return obj
 
     def to_json(self) -> str:
@@ -155,7 +156,8 @@ class TateResolution:
         s0 = None
         if "s0" in obj:
             s0 = BasePolynomial.parse(obj["s0"], coords)
-        return cls(table, partials, gens, int(obj["depth"]), s0=s0)
+        return cls(table, partials, gens, int(obj["depth"]), s0=s0,
+                   order=obj.get("order", ORDER_GREVLEX))
 
     @classmethod
     def from_json(cls, text: str) -> "TateResolution":
@@ -210,31 +212,69 @@ def _graded_monomials(table: GeneratorTable, d: int, sign: int) -> list:
     return out
 
 
-def _vectorize(a: GradedPolynomial, basis: list, vars: tuple) -> ModuleVector:
-    index = {m: i for i, m in enumerate(basis)}
-    comps = [BasePolynomial.zero(vars) for _ in basis]
-    for m, c in a.terms.items():
-        if m not in index:
-            raise ValueError("element does not lie in the chain span")
-        comps[index[m]] = c
-    return ModuleVector(comps)
+class _DeltaLayer:
+    """delta from the ghost(-d-1) chains onto the ghost(-d) chains, as a
+    map of free modules over the coordinate ring.
+
+    ``here`` and ``above`` list the ghost(-d) and ghost(-d-1) chain
+    monomials, and ``columns`` holds delta of each monomial of ``above``
+    written over ``here``.  ``bounds`` is the ModuleBasis of the nonzero
+    columns, built on first use, so a layer read only for its columns
+    costs no Groebner basis.  lift(a) returns a chain c with
+    delta(c) = a, or None.
+    """
+
+    def __init__(self, table: GeneratorTable, delta, d: int, order: str):
+        self.table = table
+        self.order = order
+        self.here = negative_monomials(table, d)
+        self.above = negative_monomials(table, d + 1)
+        self._index = {m: i for i, m in enumerate(self.here)}
+        self.columns = [self.vector(delta(GradedPolynomial.monomial(table, m, 1)))
+                        for m in self.above]
+        self._reach = [m for m, c in zip(self.above, self.columns) if not c.is_zero()]
+
+    @cached_property
+    def bounds(self) -> ModuleBasis:
+        return ModuleBasis([c for c in self.columns if not c.is_zero()], self.order)
+
+    def vector(self, a: GradedPolynomial) -> ModuleVector:
+        """a, a ghost(-d) chain, as its coefficient vector over ``here``."""
+        comps = [BasePolynomial.zero(self.table.coordinates) for _ in self.here]
+        for m, c in a.terms.items():
+            if m not in self._index:
+                raise ValueError("element does not lie in the chain span")
+            comps[self._index[m]] = c
+        return ModuleVector(comps)
+
+    def lift(self, a: GradedPolynomial) -> Optional[GradedPolynomial]:
+        cert = self.bounds.lift(self.vector(a))
+        if cert is None:
+            return None
+        return GradedPolynomial(self.table, dict(zip(self._reach, cert.coefficients)))
+
+    def unreached(self, cycles: Sequence[ModuleVector]) -> list:
+        """The cycles, as chains, that neither the boundaries nor an earlier
+        kept cycle reach.  Each kept cycle joins ``bounds``; only membership
+        is asked of it, so it may grow one cycle at a time."""
+        kept = []
+        for z in cycles:
+            if self.bounds.lift(z) is None:
+                kept.append(GradedPolynomial(self.table, dict(zip(self.here, z))))
+                self.bounds.add(z)
+        return kept
 
 
-def _devectorize(vec, basis: list, table: GeneratorTable) -> GradedPolynomial:
-    terms = {}
-    for c, m in zip(vec, basis):
-        if not c.is_zero():
-            terms[m] = c
-    return GradedPolynomial(table, terms)
-
-
-def _delta_columns(table: GeneratorTable, delta, monomials: list,
-                   basis: list, vars: tuple) -> list:
-    cols = []
-    for m in monomials:
-        img = delta(GradedPolynomial.monomial(table, m, 1))
-        cols.append(_vectorize(img, basis, vars))
-    return cols
+def _delta_images(table: GeneratorTable, partials: Sequence[BasePolynomial],
+                  generators: Sequence[TateGenerator]) -> dict:
+    """delta on the generators: xs_i goes to the i-th partial and each
+    added generator to its boundary."""
+    imgs = {}
+    for c, p in zip(table.coordinates, partials):
+        imgs[dual_name(c)] = GradedPolynomial.from_scalar(table, p)
+    for g in generators:
+        imgs[g.name] = transport(g.delta, table)
+    return imgs
 
 
 # -- construction ------------------------------------------------------
@@ -283,40 +323,20 @@ def build_resolution(coords: Sequence[str], s0=None, partials=None,
     table = GeneratorTable(coords, ())
     counter = 0
 
-    def images_for(tbl):
-        imgs = {}
-        for c, p in zip(coords, partials):
-            imgs[dual_name(c)] = GradedPolynomial.from_scalar(tbl, p)
-        for g in gens:
-            imgs[g.name] = g.delta
-        return imgs
-
     for d in range(1, depth + 1):
-        delta = odd_derivation(table, images_for(table))
-        lower = negative_monomials(table, d - 1)
-        here = negative_monomials(table, d)
-        above = negative_monomials(table, d + 1)
-        if not here:
+        delta = odd_derivation(table, _delta_images(table, partials, gens))
+        into = _DeltaLayer(table, delta, d - 1, order)
+        if not into.above:
             continue
-        cols = _delta_columns(table, delta, here, lower, coords)
-        cycles = syzygy_basis(cols, order)
-        boundary_cols = [c for c in _delta_columns(table, delta, above, here, coords)
-                         if not c.is_zero()]
-        # yes/no questions only, so the basis may grow one cycle at a time
-        bounds = ModuleBasis(boundary_cols, order)
-        accepted = []
-        for z in cycles:
-            if bounds.lift(z) is not None:
-                continue
-            accepted.append(z)
-            bounds.add(z)
+        accepted = _DeltaLayer(table, delta, d, order).unreached(
+            syzygy_basis(into.columns, order))
         if not accepted:
             continue
         new_records = []
         for z in accepted:
             counter += 1
             name = f"bs{counter}"
-            new_records.append((name, -(d + 1), _devectorize(z, here, table)))
+            new_records.append((name, -(d + 1), z))
             pairs.append((name, -(d + 1), partner_name(name)))
         table2 = GeneratorTable(coords, tuple(pairs))
         gens = [TateGenerator(g.name, g.degree, transport(g.delta, table2))
@@ -356,32 +376,22 @@ class AcyclicityReport:
 
 
 def check_acyclic(res: TateResolution, through: int) -> AcyclicityReport:
-    """Independently recheck exactness in degrees -1 .. -through."""
-    table = res.table
-    vars = res.coordinates
+    """Recheck exactness in degrees -1 .. -through on the stored boundaries.
+
+    Each degree's cycles come from the same syzygy routine the builder
+    uses, applied to the resolution as stored; the first cycle that no
+    boundary reaches is the witness.  A syzygy computation independent
+    of the builder's is still open.
+    """
     delta = res.gr_delta()
     entries = []
     for d in range(1, through + 1):
-        lower = negative_monomials(table, d - 1)
-        here = negative_monomials(table, d)
-        above = negative_monomials(table, d + 1)
-        if not here:
-            entries.append((d, True, None))
-            continue
-        cols = _delta_columns(table, delta, here, lower, vars)
-        cycles = syzygy_basis(cols, res.order)
-        boundary_cols = [c for c in _delta_columns(table, delta, above, here, vars)
-                         if not c.is_zero()]
-        bounds = ModuleBasis(boundary_cols, res.order)
-        bad = None
-        for z in cycles:
-            if bounds.lift(z) is None:
-                bad = z
-                break
-        if bad is None:
-            entries.append((d, True, None))
-        else:
-            entries.append((d, False, _devectorize(bad, here, table)))
+        into = _DeltaLayer(res.table, delta, d - 1, res.order)
+        missed = []
+        if into.above:
+            missed = _DeltaLayer(res.table, delta, d, res.order).unreached(
+                syzygy_basis(into.columns, res.order))
+        entries.append((d, not missed, missed[0] if missed else None))
     return AcyclicityReport(entries)
 
 
@@ -420,20 +430,19 @@ class ResolutionMorphism:
     def is_chain_map(self, through: int) -> bool:
         sdelta = self.source.gr_delta()
         tdelta = self.target.gr_delta()
-        for c in self.source.coordinates:
-            n = dual_name(c)
+        names = [dual_name(c) for c in self.source.coordinates]
+        names += [g.name for g in self.source.generators if -g.degree <= through]
+        for n in names:
             x = GradedPolynomial.generator(self.source.table, n)
-            if self.apply(sdelta(x)) != tdelta(self.apply(x)):
-                return False
-        for g in self.source.generators:
-            if -g.degree > through:
-                continue
-            x = GradedPolynomial.generator(self.source.table, g.name)
             if self.apply(sdelta(x)) != tdelta(self.apply(x)):
                 return False
         return True
 
 
+def _duals_to_duals(src: TateResolution, dst: TateResolution) -> dict:
+    """The start of every chain map: each coordinate dual goes to itself."""
+    return {n: GradedPolynomial.generator(dst.table, n)
+            for n in map(dual_name, src.coordinates)}
 
 
 def extend_morphism(source: TateResolution, target: TateResolution,
@@ -451,10 +460,7 @@ def extend_morphism(source: TateResolution, target: TateResolution,
         raise ValueError("resolutions present different partials")
     if through is None:
         through = max((-g.degree for g in source.generators), default=1)
-    images = {}
-    for c in source.coordinates:
-        images[dual_name(c)] = GradedPolynomial.generator(
-            target.table, dual_name(c))
+    images = _duals_to_duals(source, target)
     for d in range(2, through + 1):
         _extend_layer(source, target, images, d)
     return ResolutionMorphism(source, target, images)
@@ -467,28 +473,14 @@ def _extend_layer(src: TateResolution, dst: TateResolution,
              if g.degree == -d and g.name not in imap]
     if not layer:
         return
-    vars = src.coordinates
     morphism = ResolutionMorphism(src, dst, imap)
-    ddelta = dst.gr_delta()
-    basis = negative_monomials(dst.table, d - 1)
-    chain_monos = negative_monomials(dst.table, d)
-    cols = _delta_columns(dst.table, ddelta, chain_monos, basis, vars)
-    keep = [(m, c) for m, c in zip(chain_monos, cols) if not c.is_zero()]
-    lifts = ModuleBasis([c for _, c in keep], src.order)
+    lifts = _DeltaLayer(dst.table, dst.gr_delta(), d - 1, src.order)
     for g in layer:
-        rhs = morphism.apply(transport(g.delta, src.table))
-        if rhs.is_zero():
-            imap[g.name] = GradedPolynomial.zero(dst.table)
-            continue
-        cert = lifts.lift(_vectorize(rhs, basis, vars))
-        if cert is None:
+        img = lifts.lift(morphism.apply(transport(g.delta, src.table)))
+        if img is None:
             raise ValueError(
                 f"no lift for generator {g.name!r} at degree {-d}; "
                 f"target depth insufficient")
-        img = GradedPolynomial.zero(dst.table)
-        for coeff, (m, _c) in zip(cert.coefficients, keep):
-            if not coeff.is_zero():
-                img = img + GradedPolynomial.monomial(dst.table, m, coeff)
         imap[g.name] = img
 
 
@@ -522,10 +514,7 @@ def _pad_layer(res: TateResolution, d: int, count: int, prefix: str,
 
 def _identity_morphism(src: TateResolution,
                        dst: TateResolution) -> ResolutionMorphism:
-    images = {}
-    for c in src.coordinates:
-        images[dual_name(c)] = GradedPolynomial.generator(
-            dst.table, dual_name(c))
+    images = _duals_to_duals(src, dst)
     for g in src.generators:
         images[g.name] = GradedPolynomial.generator(dst.table, g.name)
     return ResolutionMorphism(src, dst, images)
@@ -552,17 +541,13 @@ def stabilize(res_a: TateResolution, res_b: TateResolution, through: int):
     for j in (ja, jb):
         j.pop("depth", None)
         j.pop("s0", None)
+        j.pop("order", None)
     if ja == jb:
         return (res_a, res_b, _identity_morphism(res_a, res_b),
                 _identity_morphism(res_b, res_a))
     a, b = res_a, res_b
-    fmap = {}
-    gmap = {}
-    for c in a.coordinates:
-        fmap[dual_name(c)] = GradedPolynomial.generator(
-            b.table, dual_name(c))
-        gmap[dual_name(c)] = GradedPolynomial.generator(
-            a.table, dual_name(c))
+    fmap = _duals_to_duals(a, b)
+    gmap = _duals_to_duals(b, a)
     tpad = upad = 0
     for d in range(2, through + 1):
         _extend_layer(a, b, fmap, d)

@@ -735,6 +735,17 @@ class TestSerialization:
         assert (back.resolution.to_json_obj()
                 == sol.resolution.to_json_obj())
 
+    def test_lex_round_trip_keeps_the_order(self):
+        lex = build_resolution(["x", "y"], s0=CIRCLE, depth=4, order="lex")
+        sol = solve_master(lex, 3)
+        back = MasterSolution.from_json(sol.to_json())
+        assert back.resolution.order == "lex"
+        assert back.to_json() == sol.to_json()
+        assert verify_master(back, 3).ok
+        # to depth 4 the circle's two orders give one presentation, so the
+        # solutions live on the same resolution
+        assert len(gauge_relate(solve_master(circle(4), 3), back, 3)) == 0
+
     def test_json_keys(self):
         sol = trivial_solution([(-1, 1), (-2, 1)], {-2: [[1]]})
         obj = sol.to_json_obj()

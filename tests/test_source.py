@@ -17,3 +17,30 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_unused_imports_in_the_package():
+    # a name imported and never read is dead code, often left behind when
+    # its last caller was deleted; an import line marked "# noqa: F401"
+    # re-exports on purpose
+    paths = sorted(Path(bvkit.__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno} {name}")
+    assert found == []

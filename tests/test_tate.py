@@ -202,6 +202,18 @@ class TestSerialization:
         back = TateResolution.from_json_obj(obj)
         assert back.to_json_obj() == obj
 
+    def test_lex_round_trip_keeps_the_order(self):
+        r = build_resolution(["x", "y"], s0="x^2*y^2", depth=4, order="lex")
+        back = TateResolution.from_json(r.to_json())
+        assert back.order == "lex"
+        assert back.to_json() == r.to_json()
+        # only a non-default order is written, so grevlex JSON is unchanged
+        obj = circle(2).to_json_obj()
+        assert "order" not in obj
+        obj["order"] = "revlex"
+        with pytest.raises(ValueError, match="monomial order"):
+            TateResolution.from_json_obj(obj)
+
     def test_tampered_delta_rejected(self):
         obj = circle(2).to_json_obj()
         obj["generators"][1]["delta"] = "(1)*xs*ys"
@@ -297,6 +309,14 @@ class TestStabilize:
         for d in (-2, -3):
             assert ca.get(d, 0) == cb.get(d, 0)
         assert time.time() - t0 < 10.0
+
+    def test_identical_presentations_in_two_orders_skip_padding(self):
+        r = circle(3)
+        lex = build_resolution(["x", "y"], s0=CIRCLE, depth=3, order="lex")
+        a, b, f, g = stabilize(r, lex, 3)
+        assert a is r and b is lex
+        assert f.images == {n: GradedPolynomial.generator(lex.table, n)
+                            for n in ("xs", "ys", "bs1", "bs2", "bs3", "bs4")}
 
     def test_mismatched_partials_rejected(self):
         a = build_resolution(["x"], s0="0", depth=2)
