@@ -10,6 +10,7 @@ pairings on a bundle).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from typing import Optional, Sequence
 
@@ -404,15 +405,82 @@ def gauge_relate(a: MasterSolution, b: MasterSolution,
 # -- exact constructors ------------------------------------------------
 
 
-def _as_fraction_matrix(rows, nrows: int, ncols: int, what: str) -> list:
-    if len(rows) != nrows:
-        raise ValueError(f"{what} must have {nrows} rows")
-    out = []
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"{what} must have {ncols} columns")
-        out.append([Fraction(x) for x in row])
+def _matrix(rows, nrows: int, ncols: int, what: str, entry) -> list:
+    """rows as an nrows x ncols list of lists, each entry read by entry."""
+    if len(rows) != nrows or any(len(row) != ncols for row in rows):
+        raise ValueError(f"{what} must be {nrows} x {ncols}")
+    return [[entry(x) for x in row] for row in rows]
+
+
+def _poly(x, coords: Sequence[str]) -> BasePolynomial:
+    """x as it is if it is a BasePolynomial, else read from its text."""
+    if isinstance(x, BasePolynomial):
+        return x
+    return BasePolynomial.parse(str(x), coords)
+
+
+def _word(table: GeneratorTable, coeff, names: Sequence[str]) -> GradedPolynomial:
+    """coeff times the product of the named generators, in that order."""
+    out = GradedPolynomial.from_scalar(table, coeff)
+    for n in names:
+        out = multiply(out, GradedPolynomial.generator(table, n))
     return out
+
+
+def _exact(res: TateResolution, S: GradedPolynomial, what: str,
+           defect=None) -> MasterSolution:
+    """Close an exact construction: check [S, S] = 0 and certify order 8.
+
+    A nonzero [S, S] raises ValueError(defect(residual)) if the caller
+    can name what in its data the residual reveals, else AssertionError,
+    since the data passed their checks.  [S, S] = 0 holds to every order,
+    but a MasterSolution carries one number: 8 stands in for every order,
+    so a caller that needs order p (e2_page, gauge_relate) accepts an
+    exact solution for every p <= 8.  The number is written into the
+    solution JSON.
+    """
+    r = master_residual(res, S)
+    if not r.is_zero():
+        if defect is not None:
+            raise ValueError(defect(r))
+        raise AssertionError(f"{what}: [S, S] does not vanish")
+    return MasterSolution(res, S, 8, [what])
+
+
+def _symmetry_solution(s0: BasePolynomial, fields: Sequence[Sequence]):
+    """The resolution of s0 with one pair (bs_i, b_i) per vector field,
+    delta(bs_i) the antifield lift of field i, and S0 + sum_i
+    delta(bs_i) * b_i on it.  Returns (resolution, S)."""
+    coords = s0.vars
+    pairs = tuple((f"bs{i + 1}", -2, f"b{i + 1}") for i in range(len(fields)))
+    table = GeneratorTable(coords, pairs)
+    gens = [TateGenerator(name, -2, antifield_lift(table, field))
+            for (name, _deg, _ghost), field in zip(pairs, fields)]
+    res = TateResolution(table, [s0.derivative(c) for c in coords], gens, 0,
+                         s0=s0)
+    return res, s_lin(res)
+
+
+def _direct_sum(a: TateResolution, b: TateResolution) -> TateResolution:
+    """The resolution of the sum of two actions on disjoint coordinates:
+    a's coordinates and generators, then b's."""
+    ta, tb = a.table, b.table
+    clash = ((set(ta.names) | set(ta.coordinates))
+             & (set(tb.names) | set(tb.coordinates)))
+    if clash:
+        raise ValueError(f"name clash: {sorted(clash)}")
+    if (a.s0 is None) != (b.s0 is None):
+        raise ValueError("cannot combine a multivalued solution with a "
+                         "standard one")
+    if a.order != b.order:
+        raise ValueError(f"cannot combine the monomial orders {a.order!r} "
+                         f"and {b.order!r}")
+    coords = ta.coordinates + tb.coordinates
+    s0 = None if a.s0 is None else a.s0.extend(coords) + b.s0.extend(coords)
+    return TateResolution(GeneratorTable(coords, ta.pairs + tb.pairs),
+                          [p.extend(coords) for p in a.partials + b.partials],
+                          a.generators + b.generators, min(a.depth, b.depth),
+                          s0=s0, order=a.order)
 
 
 def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
@@ -441,9 +509,8 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
     mats: dict = {}
     for deg in sorted(dims):
         if deg + 1 in dims:
-            mats[deg] = _as_fraction_matrix(
-                d_W.get(deg, []), dims[deg + 1], dims[deg],
-                f"d_W[{deg}]")
+            mats[deg] = _matrix(d_W.get(deg, []), dims[deg + 1], dims[deg],
+                                f"d_W[{deg}]", Fraction)
     # d squared is zero
     for deg in mats:
         if deg + 1 in mats:
@@ -492,43 +559,18 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
             img = GradedPolynomial.zero(table)
             for i in range(dims[deg + 1]):
                 if mat[i][j] != 0:
-                    img = img + GradedPolynomial.generator(
-                        table, names[(deg + 1, i)]) * mat[i][j]
+                    img = img + _word(table, mat[i][j], [names[(deg + 1, i)]])
             gens.append(TateGenerator(names[(deg, j)], deg, img))
     depth = max((-d - 1 for d in dims), default=0)
-    res = TateResolution(table, partials, gens, depth,
-                         s0=BasePolynomial.zero(coords))
-    S = s_lin(res)
-    r = master_residual(res, S)
-    if not r.is_zero():
-        raise AssertionError("trivial solution failed the master equation")
-    return MasterSolution(res, S, 8,
-                          [f"trivial solution on a complex of total "
-                           f"dimension {sum(dims.values())}"])
+    res = TateResolution(table, partials, gens, depth, s0=zero)
+    return _exact(res, s_lin(res), f"trivial solution on a complex of total "
+                                   f"dimension {sum(dims.values())}")
 
 
 def product_solution(a: MasterSolution, b: MasterSolution) -> MasterSolution:
     """Disjoint union of two solutions; the residuals simply add."""
-    ta, tb = a.resolution.table, b.resolution.table
-    clash = set(ta.names) & set(tb.names)
-    clash |= set(ta.coordinates) & set(tb.coordinates)
-    if clash:
-        raise ValueError(f"name clash: {sorted(clash)}")
-    if (a.resolution.s0 is None) != (b.resolution.s0 is None):
-        raise ValueError("cannot combine a multivalued solution with a "
-                         "standard one")
-    coords = ta.coordinates + tb.coordinates
-    pairs = ta.pairs + tb.pairs
-    table = GeneratorTable(coords, pairs)
-    partials = [p.extend(coords)
-                for p in a.resolution.partials + b.resolution.partials]
-    gens = [TateGenerator(g.name, g.degree, transport(g.delta, table))
-            for g in a.resolution.generators + b.resolution.generators]
-    s0 = None
-    if a.resolution.s0 is not None:
-        s0 = a.resolution.s0.extend(coords) + b.resolution.s0.extend(coords)
-    depth = min(a.resolution.depth, b.resolution.depth)
-    res = TateResolution(table, partials, gens, depth, s0=s0)
+    res = _direct_sum(a.resolution, b.resolution)
+    table = res.table
     S = transport(a.S, table) + transport(b.S, table)
     expected = (transport(master_residual(a.resolution, a.S), table)
                 + transport(master_residual(b.resolution, b.S), table))
@@ -551,20 +593,15 @@ def add_square(sol: MasterSolution, c) -> MasterSolution:
     while tname in used or dual_name(tname) in used:
         n += 1
         tname = f"t{n}"
-    coords = res.table.coordinates + (tname,)
-    table = GeneratorTable(coords, res.table.pairs)
-    sq = BasePolynomial.parse(f"{c}*{tname}^2", coords)
-    partials = [p.extend(coords) for p in res.partials]
-    partials.append(sq.derivative(tname))
-    s0 = None
-    if res.s0 is not None:
-        s0 = res.s0.extend(coords) + sq
-    gens = [TateGenerator(g.name, g.degree, transport(g.delta, table))
-            for g in res.generators]
-    res2 = TateResolution(table, partials, gens, res.depth, s0=s0)
-    S = transport(sol.S, table)
-    if s0 is not None:
-        S = S + GradedPolynomial.from_scalar(table, sq)
+    sq = BasePolynomial.parse(f"{c}*{tname}^2", (tname,))
+    # the square resolves itself: one coordinate, no generators
+    square = TateResolution(GeneratorTable((tname,)), [sq.derivative(tname)],
+                            (), res.depth, s0=None if res.s0 is None else sq,
+                            order=res.order)
+    res2 = _direct_sum(res, square)
+    S = transport(sol.S, res2.table)
+    if res2.s0 is not None:
+        S = S + GradedPolynomial.from_scalar(res2.table, sq.extend(res2.coordinates))
     return MasterSolution(res2, S, sol.order,
                           sol.log + [f"added square {c}*{tname}^2"])
 
@@ -582,43 +619,23 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
     reported: its part free of antifields is the closure defect, the part
     linear in them the Jacobi defect.
     """
-    if isinstance(s0, str):
-        if coords is None:
-            raise ValueError("coords are required when s0 is a string")
-        coords = tuple(coords)
-        s0 = BasePolynomial.parse(s0, coords)
-    else:
-        coords = tuple(coords) if coords is not None else s0.vars
+    if isinstance(s0, str) and coords is None:
+        raise ValueError("coords are required when s0 is a string")
+    coords = tuple(coords) if coords is not None else s0.vars
+    s0 = _poly(s0, coords)
     nsym = len(action)
-    fields = []
-    for i, row in enumerate(action):
-        if len(row) != len(coords):
-            raise ValueError(f"action row {i} must have {len(coords)} "
-                             "entries")
-        fields.append([x if isinstance(x, BasePolynomial)
-                       else BasePolynomial.parse(str(x), coords)
-                       for x in row])
+
+    def poly(x):
+        return _poly(x, coords)
+
+    fields = _matrix(action, nsym, len(coords), "action", poly)
     if structure is None:
-        structure = [[[Fraction(0)] * nsym for _ in range(nsym)]
-                     for _ in range(nsym)]
-    cmat = []
-    for i in range(nsym):
-        crow = []
-        for j in range(nsym):
-            entry = [x if isinstance(x, BasePolynomial)
-                     else BasePolynomial.parse(str(x), coords)
-                     for x in structure[i][j]]
-            if len(entry) != nsym:
-                raise ValueError("structure constants have wrong shape")
-            crow.append(entry)
-        cmat.append(crow)
-    for i in range(nsym):
-        for j in range(nsym):
-            for l in range(nsym):
-                if cmat[i][j][l] + cmat[j][i][l] != BasePolynomial.zero(
-                        coords):
-                    raise ValueError(
-                        "structure constants must be antisymmetric")
+        structure = [[[0] * nsym] * nsym] * nsym
+    cmat = _matrix(structure, nsym, nsym, "structure",
+                   lambda c: _matrix([c], 1, nsym, "structure[i][j]", poly)[0])
+    for i, j, l in product(range(nsym), repeat=3):
+        if not (cmat[i][j][l] + cmat[j][i][l]).is_zero():
+            raise ValueError("structure constants must be antisymmetric")
     partials = [s0.derivative(c) for c in coords]
     for i, field in enumerate(fields):
         val = _combination(partials, field) if field else BasePolynomial.zero(coords)
@@ -626,32 +643,14 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
             raise ValueError(
                 f"invariance failure: field {i + 1} applied to the action "
                 f"gives {poly_to_str(val)}")
-    pairs = tuple((f"bs{i + 1}", -2, f"b{i + 1}") for i in range(nsym))
-    table = GeneratorTable(coords, pairs)
-    hats = [antifield_lift(table, field) for field in fields]
-    gens = [TateGenerator(f"bs{i + 1}", -2, hat) for i, hat in enumerate(hats)]
-    res = TateResolution(table, partials, gens, 0, s0=s0)
-    S = GradedPolynomial.from_scalar(table, s0)
-    for i in range(nsym):
-        S = S + multiply(hats[i], GradedPolynomial.generator(table,
-                                                             f"b{i + 1}"))
-    for i in range(nsym):
-        for j in range(nsym):
-            for l in range(nsym):
-                if cmat[i][j][l].is_zero():
-                    continue
-                term = multiply(
-                    GradedPolynomial.from_scalar(table, cmat[i][j][l]),
-                    multiply(GradedPolynomial.generator(table, f"bs{l + 1}"),
-                             multiply(
-                                 GradedPolynomial.generator(table,
-                                                            f"b{i + 1}"),
-                                 GradedPolynomial.generator(table,
-                                                            f"b{j + 1}"))))
-                S = S - term * Fraction(1, 2)
-    r = bracket(S, S)
-    if not r.is_zero():
-        t = table
+    res, S = _symmetry_solution(s0, fields)
+    for i, j, l in product(range(nsym), repeat=3):
+        if not cmat[i][j][l].is_zero():
+            S = S + _word(res.table, cmat[i][j][l] * Fraction(-1, 2),
+                          (f"bs{l + 1}", f"b{i + 1}", f"b{j + 1}"))
+
+    def defect(r):
+        t = res.table
         closure = GradedPolynomial(
             t, {m: c for m, c in r.terms.items()
                 if sum(e for i, e in enumerate(m)
@@ -662,9 +661,9 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
             parts.append(f"closure defect {graded_to_str(closure)}")
         if not jacobi.is_zero():
             parts.append(f"Jacobi defect {graded_to_str(jacobi)}")
-        raise ValueError("gauge data are inconsistent: " + "; ".join(parts))
-    return MasterSolution(res, S, 8,
-                          [f"group action with {nsym} symmetries"])
+        return "gauge data are inconsistent: " + "; ".join(parts)
+
+    return _exact(res, S, f"group action with {nsym} symmetries", defect)
 
 
 def bundle_solution(g, A, F, base: Optional[Sequence[str]] = None,
@@ -697,29 +696,18 @@ def bundle_solution(g, A, F, base: Optional[Sequence[str]] = None,
         raise ValueError("coordinate names do not match the data shape")
     coords = base + fiber
 
-    def parse(x):
-        return (x if isinstance(x, BasePolynomial)
-                else BasePolynomial.parse(str(x), coords))
+    def poly(x):
+        return _poly(x, coords)
 
-    gmat = [[parse(g[i][j]) for j in range(r)] for i in range(r)]
-    amat = [_pm(A[mu], r, parse, f"A[{mu}]") for mu in range(m)]
-    fmat = [[None] * m for _ in range(m)]
-    for mu in range(m):
-        if len(F) != m or len(F[mu]) != m:
-            raise ValueError("F must be an m x m array of fiber matrices")
-        for nu in range(m):
-            fmat[mu][nu] = _pm(F[mu][nu], r, parse, f"F[{mu}][{nu}]")
+    gmat = _matrix(g, r, r, "g", poly)
+    amat = [_matrix(a, r, r, f"A[{mu}]", poly) for mu, a in enumerate(A)]
+    fmat = _matrix(F, m, m, "F", lambda f: _matrix(f, r, r, "F[mu][nu]", poly))
     zero = BasePolynomial.zero(coords)
-    for mu in range(m):
-        for nu in range(m):
-            for i in range(r):
-                for j in range(r):
-                    if fmat[mu][nu][i][j] + fmat[nu][mu][i][j] != zero:
-                        raise ValueError("F must be antisymmetric in the "
-                                         "base indices")
-                    if fmat[mu][nu][i][j] + fmat[mu][nu][j][i] != zero:
-                        raise ValueError("F must be antisymmetric in the "
-                                         "fiber indices")
+    for mu, nu, i, j in product(range(m), range(m), range(r), range(r)):
+        if fmat[mu][nu][i][j] + fmat[nu][mu][i][j] != zero:
+            raise ValueError("F must be antisymmetric in the base indices")
+        if fmat[mu][nu][i][j] + fmat[mu][nu][j][i] != zero:
+            raise ValueError("F must be antisymmetric in the fiber indices")
     for mu in range(m):
         for i in range(r):
             for j in range(r):
@@ -766,63 +754,20 @@ def bundle_solution(g, A, F, base: Optional[Sequence[str]] = None,
                                 f'identity "(c)" fails at mu={mu + 1}, '
                                 f"nu={nu + 1}, rho={rho + 1}, i={i + 1}, "
                                 f"j={j + 1}")
+    fvars = [BasePolynomial.var(coords, v) for v in fiber]
     s0 = zero
     for i in range(r):
         for j in range(r):
             if not gmat[i][j].is_zero():
-                s0 = s0 + (gmat[i][j]
-                           * BasePolynomial.parse(
-                               f"{fiber[i]}*{fiber[j]}", coords)
-                           * Fraction(1, 2))
-    pairs = tuple((f"bs{mu + 1}", -2, f"b{mu + 1}") for mu in range(m))
-    table = GeneratorTable(coords, pairs)
-    # w_mu lifts the field -d/dy_mu + sum_ij A^i_j,mu v_j d/dv_i
-    fvars = [BasePolynomial.var(coords, v) for v in fiber]
-    ws = [antifield_lift(table, [-1 if nu == mu else 0 for nu in range(m)]
-                         + [_combination(amat[mu][i], fvars) for i in range(r)])
-          for mu in range(m)]
-    partials = [s0.derivative(c) for c in coords]
-    gens = [TateGenerator(f"bs{mu + 1}", -2, ws[mu] * -1)
-            for mu in range(m)]
-    res = TateResolution(table, partials, gens, 0, s0=s0)
-    S = GradedPolynomial.from_scalar(table, s0)
-    for mu in range(m):
-        S = S + multiply(GradedPolynomial.generator(table, f"b{mu + 1}"),
-                         ws[mu])
-    for mu in range(m):
-        for nu in range(m):
-            for i in range(r):
-                for j in range(r):
-                    if fmat[mu][nu][i][j].is_zero():
-                        continue
-                    term = multiply(
-                        GradedPolynomial.from_scalar(table,
-                                                     fmat[mu][nu][i][j]),
-                        multiply(
-                            GradedPolynomial.generator(table, f"b{mu + 1}"),
-                            multiply(
-                                GradedPolynomial.generator(table,
-                                                           f"b{nu + 1}"),
-                                multiply(
-                                    GradedPolynomial.generator(
-                                        table, dual_name(fiber[i])),
-                                    GradedPolynomial.generator(
-                                        table, dual_name(fiber[j]))))))
-                    S = S + term * Fraction(1, 4)
-    rres = bracket(S, S)
-    if not rres.is_zero():
-        raise AssertionError("bundle data passed the identities but the "
-                             "master equation failed")
-    return MasterSolution(res, S, 8,
-                          [f"bundle solution, rank {r} over dimension {m}"])
-
-
-def _pm(rows, r: int, parse, what: str) -> list:
-    if len(rows) != r:
-        raise ValueError(f"{what} must be an {r} x {r} matrix")
-    out = []
-    for row in rows:
-        if len(row) != r:
-            raise ValueError(f"{what} must be an {r} x {r} matrix")
-        out.append([parse(x) for x in row])
-    return out
+                s0 = s0 + gmat[i][j] * fvars[i] * fvars[j] * Fraction(1, 2)
+    # one field d/dy_mu - sum_ij A^i_j,mu v_j d/dv_i per base direction
+    fields = [[1 if nu == mu else 0 for nu in range(m)]
+              + [-_combination(amat[mu][i], fvars) for i in range(r)]
+              for mu in range(m)]
+    res, S = _symmetry_solution(s0, fields)
+    for mu, nu, i, j in product(range(m), range(m), range(r), range(r)):
+        if not fmat[mu][nu][i][j].is_zero():
+            S = S + _word(res.table, fmat[mu][nu][i][j] * Fraction(1, 4),
+                          (f"b{mu + 1}", f"b{nu + 1}", dual_name(fiber[i]),
+                           dual_name(fiber[j])))
+    return _exact(res, S, f"bundle solution, rank {r} over dimension {m}")

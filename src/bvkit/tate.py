@@ -71,7 +71,10 @@ class TateResolution:
         self.partials = tuple(partials)
         if len(self.partials) != len(table.coordinates):
             raise ValueError("one partial per coordinate required")
-        self.generators = tuple(generators)
+        # every boundary is held over this table, so no reader transports it
+        self.generators = tuple(
+            TateGenerator(g.name, g.degree, transport(g.delta, table))
+            for g in generators)
         self.depth = depth
         self.s0 = s0
         if order not in (ORDER_GREVLEX, ORDER_LEX):
@@ -85,17 +88,16 @@ class TateResolution:
         delta = self.gr_delta()
         nc = self.table.ncoords
         for g in self.generators:
-            gd = transport(g.delta, self.table)
-            if not delta(gd).is_zero():
+            if not delta(g.delta).is_zero():
                 raise AssertionError(
                     f"boundary fails to square to zero on {g.name!r}")
-            for m in gd.terms:
+            for m in g.delta.terms:
                 if self.table.ghost_of(m) != g.degree + 1:
                     raise AssertionError(
                         f"boundary of {g.name!r} is not homogeneous of "
                         f"degree {g.degree + 1}")
             if g.degree == -2:
-                for m in gd.terms:
+                for m in g.delta.terms:
                     neg = [i for i, e in enumerate(m)
                            if e and self.table.degrees[i] < 0]
                     if (self.table.count_of(m) != 0 or len(neg) != 1
@@ -129,7 +131,7 @@ class TateResolution:
             "partials": [poly_to_str(p) for p in self.partials],
             "generators": [
                 {"name": g.name, "degree": g.degree,
-                 "delta": graded_to_str(transport(g.delta, self.table))}
+                 "delta": graded_to_str(g.delta)}
                 for g in self.generators
             ],
             "depth": self.depth,
@@ -268,7 +270,8 @@ class _DeltaLayer:
 def _delta_images(table: GeneratorTable, partials: Sequence[BasePolynomial],
                   generators: Sequence[TateGenerator]) -> dict:
     """delta on the generators: xs_i goes to the i-th partial and each
-    added generator to its boundary."""
+    added generator to its boundary, written over table.  A resolution's
+    boundaries already are; the builder's carry the table of their stage."""
     imgs = {}
     for c, p in zip(table.coordinates, partials):
         imgs[dual_name(c)] = GradedPolynomial.from_scalar(table, p)
@@ -332,18 +335,12 @@ def build_resolution(coords: Sequence[str], s0=None, partials=None,
             syzygy_basis(into.columns, order))
         if not accepted:
             continue
-        new_records = []
         for z in accepted:
             counter += 1
             name = f"bs{counter}"
-            new_records.append((name, -(d + 1), z))
+            gens.append(TateGenerator(name, -(d + 1), z))
             pairs.append((name, -(d + 1), partner_name(name)))
-        table2 = GeneratorTable(coords, tuple(pairs))
-        gens = [TateGenerator(g.name, g.degree, transport(g.delta, table2))
-                for g in gens]
-        for name, deg, old_delta in new_records:
-            gens.append(TateGenerator(name, deg, transport(old_delta, table2)))
-        table = table2
+        table = GeneratorTable(coords, tuple(pairs))
 
     return TateResolution(table, partials, gens, depth, s0=s0, order=order)
 
@@ -476,7 +473,7 @@ def _extend_layer(src: TateResolution, dst: TateResolution,
     morphism = ResolutionMorphism(src, dst, imap)
     lifts = _DeltaLayer(dst.table, dst.gr_delta(), d - 1, src.order)
     for g in layer:
-        img = lifts.lift(morphism.apply(transport(g.delta, src.table)))
+        img = lifts.lift(morphism.apply(g.delta))
         if img is None:
             raise ValueError(
                 f"no lift for generator {g.name!r} at degree {-d}; "
@@ -501,8 +498,7 @@ def _pad_layer(res: TateResolution, d: int, count: int, prefix: str,
         pairs.append((lower, -d - 1, partner_name(lower)))
         names.append((upper, lower))
     table = GeneratorTable(res.coordinates, tuple(pairs))
-    gens = [TateGenerator(g.name, g.degree, transport(g.delta, table))
-            for g in res.generators]
+    gens = list(res.generators)
     for upper, lower in names:
         gens.append(TateGenerator(upper, -d, GradedPolynomial.zero(table)))
         gens.append(TateGenerator(

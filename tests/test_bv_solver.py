@@ -501,6 +501,67 @@ class TestProductSolution:
             product_solution(t1, mv)
 
 
+class TestMonomialOrder:
+    """The direct sums keep the resolutions' monomial order, and refuse to
+    combine two different ones."""
+
+    @staticmethod
+    def lex_solution():
+        return solve_master(build_resolution(["x", "y"], s0=CIRCLE, depth=3,
+                                             order="lex"), 2)
+
+    def test_add_square_keeps_lex(self):
+        sol = add_square(self.lex_solution(), 1)
+        assert sol.resolution.order == "lex"
+        assert MasterSolution.from_json(sol.to_json()).resolution.order == "lex"
+
+    def test_product_keeps_lex(self):
+        # u^2 needs no generators, so no name meets the circle's
+        u = solve_master(build_resolution(["u"], s0="u^2", depth=2,
+                                          order="lex"), 1)
+        sol = product_solution(self.lex_solution(), u)
+        assert sol.resolution.order == "lex"
+        back = MasterSolution.from_json(sol.to_json())
+        assert back.resolution.order == "lex"
+        assert back.to_json() == sol.to_json()
+
+    def test_mixed_orders_rejected(self):
+        sq = add_square(trivial_solution([], {}), 1)
+        with pytest.raises(ValueError, match="monomial orders"):
+            product_solution(self.lex_solution(), sq)
+
+
+class TestShapeChecks:
+    """Every matrix a constructor reads has its shape checked: a ragged,
+    short or long input raises ValueError, never IndexError, and no entry
+    is dropped."""
+
+    Z2 = [[0, 0], [0, 0]]
+
+    @pytest.mark.parametrize("build", [
+        lambda z: bundle_solution([[1, 0], [0]], [z], [[z]]),
+        lambda z: bundle_solution([[1, 0, 5], [0, 1, 7]], [z], [[z]]),
+        lambda z: bundle_solution([[1, 0], [0, 1]], [[[0, 0], [0]]], [[z]]),
+        lambda z: bundle_solution([[1, 0], [0, 1]], [z], [[z, z]]),
+        lambda z: bundle_solution([[1, 0], [0, 1]], [z], [[[[0, 0]]]]),
+        lambda z: faddeev_popov("0", [["1"]], structure=[[[0]]] * 3,
+                                coords=["x"]),
+        lambda z: faddeev_popov("0", [["1"], ["x"]], structure=[z],
+                                coords=["x"]),
+        lambda z: faddeev_popov("0", [["1"], ["x"]],
+                                structure=[[[0], [0]], [[0], [0]]],
+                                coords=["x"]),
+        lambda z: faddeev_popov("0", [["1", "0"]], coords=["x"]),
+        lambda z: trivial_solution([(-1, 1), (-2, 1)], {-2: [[1, 0]]}),
+        lambda z: trivial_solution([(-1, 1), (-2, 1)], {-2: [[1], [0]]}),
+    ], ids=["g-ragged", "g-long-rows", "A-ragged", "F-short", "F-entry",
+            "structure-long", "structure-short", "structure-entry",
+            "action-row", "d_W-columns", "d_W-rows"])
+    def test_wrong_shape_raises_value_error(self, build):
+        with pytest.raises(ValueError, match="must be"):
+            build(self.Z2)
+
+
 class TestAddSquare:
     def test_appends_quadratic_coordinate(self):
         sol = add_square(trivial_solution([], {}), Fraction(-1, 2))
@@ -756,7 +817,7 @@ class TestGolden:
     """sha256 of exact outputs, pinned so that a change to any term, sign
     or log line shows up: the circle quartic solved at depth 5, p = 4,
     and its E2 columns 0 and 1 at bound 4; the same solve given only the
-    closed partials."""
+    closed partials; the solution and log of each exact constructor."""
 
     SOLUTION = ("858cf794da142928b967e35ea1545e5c"
                 "6452ed530d7d0610e8da885f35e81046")
@@ -788,3 +849,54 @@ class TestGolden:
         for col, want in self.E2.items():
             obj = e2_page(sol, col, 4).to_json_obj()
             assert self.sha(json.dumps(obj, sort_keys=True)) == want
+
+    # the exact constructors: (to_json(), "\n".join(log)) per case
+    CONSTRUCTED = {
+        "fp_so3": ("a31670e4caf4acb6636faf6c0cc1a4ab"
+                   "cde7af57976500befaf08d3470a00abf",
+                   "38837d4691d7d5f100e8bda343d1c47e"
+                   "7738732a9b10ea98f562aa303aa2d5ec"),
+        "fp_function_structure": ("ffea844cee49fcf0efbd241d4093e3a6"
+                                  "a8102aa2b9e1c913da5d5801d5663e65",
+                                  "585cdb3753b236900732a6d1b59fd2b4"
+                                  "59447ca57a81845ff534c310688c07a6"),
+        "bundle_curved": ("6825a18f62f9a15e3f7936202c1331be"
+                          "4ded817e399dfda8423331986144a26d",
+                          "1fab24cb748d8e650bce2db2e898439a"
+                          "d9cfeb5a3e73fb10641e279702ff6766"),
+        "product_with_square": ("991bd8dd9027ef24535b1fc667e7f342"
+                                "82f205f4a84037180249aced23d50849",
+                                "7eda4b12292f7e9d739828f3f4d97b40"
+                                "cebdd73f3c99ed79576652fd76b42b5f"),
+        "square_on_multivalued": ("060f7ecf2d00a6638e2cba57edf144eb"
+                                  "d5c1e525ae047f1fa891dc62811ef470",
+                                  "15501bf9c3ddf366d3ad165281e96004"
+                                  "e11b0948a29dcd7610c49100bb4fa241"),
+    }
+
+    @staticmethod
+    def construct(case):
+        fp, bundle = TestFaddeevPopov, TestBundleSolution
+        if case == "fp_so3":
+            return faddeev_popov("(x^2+y^2+z^2-1)^2", fp.SO3_FIELDS,
+                                 structure=fp.so3_structure(),
+                                 coords=["x", "y", "z"])
+        if case == "fp_function_structure":
+            c = [[["0", "0"], ["2*x", "0"]], [["-2*x", "0"], ["0", "0"]]]
+            return faddeev_popov("0", [["1"], ["x^2"]], structure=c,
+                                 coords=["x"])
+        if case == "bundle_curved":
+            return bundle_solution([[1, 0], [0, 1]],
+                                   [bundle.Z2, [[0, "y1"], ["-y1", 0]]],
+                                   [[bundle.Z2, bundle.J],
+                                    [bundle.NJ, bundle.Z2]])
+        if case == "product_with_square":
+            t1 = trivial_solution([(-1, 1), (-2, 1)], {-2: [[1]]})
+            return product_solution(t1, add_square(trivial_solution([], {}), 3))
+        return add_square(solve_master(circle_partials(5), 4), 2)
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCTED))
+    def test_exact_constructors(self, case):
+        sol = self.construct(case)
+        assert (self.sha(sol.to_json()), self.sha("\n".join(sol.log))) \
+            == self.CONSTRUCTED[case]

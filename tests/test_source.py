@@ -44,3 +44,31 @@ def test_no_unused_imports_in_the_package():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     found.append(f"{path.name}:{alias.lineno} {name}")
     assert found == []
+
+
+def test_no_unnamed_private_definitions_in_the_package():
+    # a private module-level function or class, or a private method, that
+    # no line of the package names is dead code, often left behind when
+    # its last caller moved to a shared helper
+    paths = sorted(Path(bvkit.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    named = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+            elif isinstance(n, ast.alias):
+                named.add(n.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for fname, tree in trees.items():
+        scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if (isinstance(node, defs) and node.name.startswith("_")
+                        and not node.name.endswith("__")
+                        and node.name not in named):
+                    found.append(f"{fname}:{node.lineno} {node.name}")
+    assert found == []
