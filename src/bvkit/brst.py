@@ -3,7 +3,9 @@
 Everything here is reduced to exact linear algebra over the rationals.
 The Jacobian ring is presented by a Groebner basis, so its elements have
 canonical normal forms and a degree-d slice has the standard monomials
-as a basis.  Symmetries of the action enter through a finite
+as a basis.  A symmetry presentation keeps that basis, one per monomial
+order, so every slice computed from it shares the normal forms memoized
+on the basis.  Symmetries of the action enter through a finite
 presentation: generators tau_i of the vector fields annihilating S0
 modulo the trivial ones, relations among them with bivector
 certificates, and structure functions for their commutators.  H^0 is
@@ -29,6 +31,7 @@ from .polynomial_engine import (
     ModuleVector,
     ORDER_GREVLEX,
     _combination,
+    _monomial_mul,
     groebner_basis,
     monomial_key,
     normal_form,
@@ -163,7 +166,7 @@ class SymmetryPresentation:
     """
 
     __slots__ = ("vars", "order", "partials", "tau", "relations",
-                 "bivectors_v", "structure_f", "correction_g")
+                 "bivectors_v", "structure_f", "correction_g", "_rings")
 
     def __init__(self, vars, order, partials, tau, relations, bivectors_v,
                  structure_f, correction_g):
@@ -177,6 +180,7 @@ class SymmetryPresentation:
                                  for plane in structure_f)
         self.correction_g = tuple(tuple(dict(b) for b in row)
                                   for row in correction_g)
+        self._rings: dict = {}   # monomial order -> Jacobian ring, built on first use
         self._verify()
 
     @property
@@ -214,6 +218,18 @@ class SymmetryPresentation:
                 if not acc.is_zero():
                     raise AssertionError(
                         f"presentation certificate failed: commutator ({i},{j}) is not resolved")
+
+    def _ring(self, order: str) -> GroebnerBasis:
+        """The Jacobian ring of the partials in the given order.
+
+        Built on first use and kept: every slice computed from this
+        presentation divides against one basis and shares the normal
+        forms memoized on it.
+        """
+        gb = self._rings.get(order)
+        if gb is None:
+            gb = self._rings[order] = jacobian_ring(self.partials, order)
+        return gb
 
     def __repr__(self):
         return f"SymmetryPresentation(r={self.r}, s={self.s}, vars={self.vars})"
@@ -289,18 +305,10 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
 
 
 def _exponents_upto(n: int, D: int) -> list:
-    out = []
-
-    def rec(i, left, exp):
-        if i == n:
-            out.append(tuple(exp))
-            return
-        for k in range(left + 1):
-            exp.append(k)
-            rec(i + 1, left - k, exp)
-            exp.pop()
-
-    rec(0, D, [])
+    """Exponents of length n and total degree <= D, ascending in lex."""
+    out = [()]
+    for _ in range(n):
+        out = [p + (k,) for p in out for k in range(D - sum(p) + 1)]
     return out
 
 
@@ -398,13 +406,23 @@ def _slice_cohomology(keys: list, images: list, prev: list, D: int) -> tuple:
 
 
 def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
-    """{(i, e): c} of normal_form(tau_i(x^m)) for each exponent m."""
+    """{(i, e): c} of normal_form(tau_i(x^m)) for each exponent m.
+
+    tau_i(x^m) = sum_k m_k t_ik x^(m - e_k) is written by shifting the
+    exponents of the coefficients t_ik, with no polynomial multiply.
+    """
     out = []
     for m in exps:
-        mono = BasePolynomial(pres.vars, {m: Fraction(1)})
         img = {}
         for i, t in enumerate(pres.tau):
-            for e, c in normal_form(apply_vector_field(t, mono), gb).terms.items():
+            terms: dict = {}
+            for k, tk in enumerate(t):
+                if m[k]:
+                    down = m[:k] + (m[k] - 1,) + m[k + 1:]
+                    for e, c in tk.terms.items():
+                        ee = _monomial_mul(e, down)
+                        terms[ee] = terms.get(ee, 0) + m[k] * c
+            for e, c in normal_form(BasePolynomial(pres.vars, terms), gb).terms.items():
                 img[(i, e)] = c
         out.append(img)
     return out
@@ -439,7 +457,7 @@ def h0(partials: Sequence[BasePolynomial], D: int,
         raise ValueError("degree bound must be >= 0")
     parts, vars = _check_partials(partials)
     pres = _presentation(parts, order, presentation)
-    gb = jacobian_ring(parts, order)
+    gb = pres._ring(order)
     std1 = standard_monomials(gb, D + 1)
     keys = [(None, m) for m in std1]
     vecs, dim1 = _slice_cohomology(keys, _tau_images(pres, gb, std1), [], D)
@@ -558,7 +576,7 @@ def h1(partials: Sequence[BasePolynomial], D: int,
         raise ValueError("degree bound must be >= 0")
     parts, _vars = _check_partials(partials)
     pres = _presentation(parts, order, presentation)
-    gb = jacobian_ring(parts, order)
+    gb = pres._ring(order)
     ext = standard_monomials(gb, D + 1 + _degree_allowance(pres))
     taus = _tau_images(pres, gb, ext)
     keys = [(i, e) for i in range(pres.r) for e in ext if sum(e) <= D + 1]
@@ -622,7 +640,7 @@ def h0_bracket(f: BasePolynomial, g: BasePolynomial,
     pres = presentation
     if pres.r == 0:
         return []
-    gb = jacobian_ring(list(pres.partials), pres.order)
+    gb = pres._ring(pres.order)
     partials = ModuleBasis(pres.partials, pres.order)
     raw = _raw_bracket(pres, gb, partials, f, g)
     bound = max(0, max(p.total_degree() for p in raw))

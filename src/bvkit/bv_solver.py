@@ -413,8 +413,12 @@ def _matrix(rows, nrows: int, ncols: int, what: str, entry) -> list:
 
 
 def _poly(x, coords: Sequence[str]) -> BasePolynomial:
-    """x as it is if it is a BasePolynomial, else read from its text."""
+    """x as it is if it is a BasePolynomial over coords, else read from
+    its text; a BasePolynomial over other variables raises ValueError."""
     if isinstance(x, BasePolynomial):
+        if x.vars != tuple(coords):
+            raise ValueError(f"polynomial over {x.vars} does not match the "
+                             f"coordinates {tuple(coords)}")
         return x
     return BasePolynomial.parse(str(x), coords)
 

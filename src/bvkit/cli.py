@@ -53,7 +53,6 @@ from .brst import (
     h0,
     h0_bracket,
     h1,
-    jacobian_ring,
     symmetry_presentation,
 )
 
@@ -616,7 +615,7 @@ def _check_exa8():
     s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", coords)
     parts = [s0.derivative(v) for v in coords]
     pres = symmetry_presentation(parts)
-    gb = jacobian_ring(parts)
+    gb = pres._ring(pres.order)
     r11 = h0(parts, 11, presentation=pres)
     r12 = h0(parts, 12, presentation=pres)
     w3 = BasePolynomial.parse("(w^3 - 1)^2", coords)

@@ -5,7 +5,8 @@ reduces to three primitives implemented here: reduced Groebner bases over
 free modules k[x]^r, membership certificates extracted from the tracked
 transformation matrix, and syzygy modules computed by block elimination.
 Each basis is built once and reused: a GroebnerBasis keeps its engine
-form for normal forms, and a ModuleBasis answers many membership
+form for normal forms and the normal form of every monomial it has
+reduced, and a ModuleBasis answers many membership
 questions against one generator list and can grow by one generator at a
 time.  Cohomology slices use the one sparse eliminator at the end (rref,
 nullspace, reduce_row on dict rows).  Coefficients are
@@ -542,10 +543,11 @@ class _Engine:
     Division (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
     sec. 2.3) keeps the pending terms in a heap on the term key, so each
     term is keyed once.  divisor memoizes, per term (pos, exp), the index
-    of the first leading term that divides it, or -1; many normal forms
-    against one basis share it.  It is cleared whenever lts changes
-    (append, _select, the inter-reduction in reduce_canonical); a
-    division that skips an element neither reads nor writes it.
+    of the first leading term that divides it, or -1; the reductions of
+    one build or of one ModuleBasis share it.  It is cleared whenever
+    lts changes (append, _select, the inter-reduction in
+    reduce_canonical); a division that skips an element neither reads
+    nor writes it.
     """
 
     def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
@@ -732,9 +734,10 @@ class GroebnerBasis:
     elements[i] = sum_k matrix[i][k] * generators[k].  groebner_basis
     verifies that by plain arithmetic, apart from the engine, so every
     element is certified to lie in the ideal of the generators.
+    _nf holds the normal form of each monomial reduced (_monomial_nf).
     """
 
-    __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine")
+    __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine", "_nf")
 
     def __init__(self, order: str, generators: Sequence[BasePolynomial],
                  vars: tuple, engine: "_Engine"):
@@ -742,6 +745,7 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self.vars = vars
         self._engine = engine
+        self._nf: dict = {}   # exponent -> flat (exponent, coeff, ...) of its normal form
         self.elements = tuple(_mvec_to_vector(g, 1, vars)[0] for g in engine.basis)
         self.matrix = tuple(_mvec_to_vector(tr, len(generators), vars).components
                             for tr in engine.transforms)
@@ -850,21 +854,48 @@ def groebner_basis(gens: Iterable[BasePolynomial], order: str = ORDER_GREVLEX) -
     return gb
 
 
+def _monomial_nf(gb: GroebnerBasis, a: tuple) -> tuple:
+    """NF(x^a) as a flat tuple (exponent, coeff, ...), kept on gb.
+
+    Each monomial is divided once; every x^a that reduces to 0 holds the
+    one empty tuple.  The engine's divisor memo is emptied after the
+    division, since gb._nf answers every later question about x^a.
+    """
+    nf = gb._nf.get(a)
+    if nf is None:
+        rem, _ = gb._engine._divide({(0, a): Fraction(1)}, None)
+        gb._engine.divisor.clear()
+        nf = gb._nf[a] = tuple(x for (_p, e), r in rem.items() for x in (e, r))
+    return nf
+
+
 def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
     """Remainder of f on division by the basis.
 
-    The division pops the largest pending term from a heap and looks up
-    its first dividing leading term in the basis's divisor memo, which
-    every normal form against gb shares; the memo is cleared only when
-    the leading terms change, which a built GroebnerBasis never does.
+    A Groebner basis leaves one remainder (Cox, Little & O'Shea, sec.
+    2.6), so the normal form is sum c * NF(x^a) over the terms of f;
+    each NF(x^a) is computed once per basis, and the leading terms of a
+    built GroebnerBasis never change, so no kept remainder goes stale.
     """
     if not gb.elements:
         return f
     vars = gb.vars
     if f.vars != vars:
         raise ValueError("variable mismatch with basis")
-    rem, _ = gb._engine._divide({(0, e): c for e, c in f.terms.items()}, None)
-    return _mvec_to_vector(rem, 1, vars)[0]
+    out: dict = {}
+    for a, c in f.terms.items():
+        it = iter(_monomial_nf(gb, a))
+        for e, r in zip(it, it):
+            s = out.get(e)
+            if s is None:
+                out[e] = c * r
+            else:
+                s += c * r
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return BasePolynomial(vars, out)
 
 
 def _as_vectors(items: Sequence) -> list:

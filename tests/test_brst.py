@@ -1,5 +1,6 @@
 """Tests for symmetry presentations, H^0/H^1, the induced bracket, and E2 slices."""
 
+import gc
 import hashlib
 import json
 import os
@@ -856,6 +857,122 @@ class TestOneImageSetForBothBounds:
         assert nkeys > 0 and (nprev > 0) == (p > 0)
         assert len(decomposed) == nkeys + nprev
         assert len(set(decomposed)) == len(decomposed)
+
+
+def _reference_tau_images(pres, gb, exps):
+    """_tau_images before it shifted exponents: apply_vector_field to the
+    monomial, then normal_form of the whole image."""
+    out = []
+    for m in exps:
+        mono = BasePolynomial(pres.vars, {m: Fraction(1)})
+        img = {}
+        for i, t in enumerate(pres.tau):
+            for e, c in normal_form(apply_vector_field(t, mono), gb).terms.items():
+                img[(i, e)] = c
+        out.append(img)
+    return out
+
+
+def _reference_exponents_upto(n, D):
+    """_exponents_upto before it enumerated iteratively: a recursive closure."""
+    out = []
+
+    def rec(i, left, exp):
+        if i == n:
+            out.append(tuple(exp))
+            return
+        for k in range(left + 1):
+            exp.append(k)
+            rec(i + 1, left - k, exp)
+            exp.pop()
+
+    rec(0, D, [])
+    return out
+
+
+class TestSharedJacobianRing:
+    """A presentation owns one Jacobian ring per monomial order, and the
+    normal forms memoized on it serve every slice computed from it."""
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("action", ["circle", "cubic"])
+    def test_tau_images_match_the_reference(self, action, order, cubic_surface):
+        if action == "circle":
+            parts, D = circle_partials(), 8
+        else:
+            parts, D = cubic_surface[0], 7
+        pres = symmetry_presentation(parts, order)
+        exps = standard_monomials(jacobian_ring(parts, order),
+                                  D + brst._degree_allowance(pres))
+        got = brst._tau_images(pres, pres._ring(order), exps)
+        # a fresh basis for the reference, so no memo entry is shared
+        assert got == _reference_tau_images(pres, jacobian_ring(parts, order), exps)
+
+    def test_shared_presentation_matches_a_fresh_one_per_bound(self):
+        coords = ("x", "w", "y", "z")
+        s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", coords)
+        parts = [s0.derivative(v) for v in coords]
+        pres = symmetry_presentation(parts)
+        for D in (11, 12, 13, 14):
+            shared = h0(parts, D, presentation=pres)
+            fresh = h0(parts, D, presentation=symmetry_presentation(parts))
+            assert (shared.dim, shared.stable) == (fresh.dim, fresh.stable)
+            assert shared.basis == fresh.basis
+            assert shared.to_json_obj() == fresh.to_json_obj()
+
+    def test_one_ring_per_order(self, monkeypatch):
+        parts = circle_partials()
+        pres = symmetry_presentation(parts)
+        built = []
+        real = brst.jacobian_ring
+
+        def spy(partials, order="grevlex"):
+            built.append(order)
+            return real(partials, order)
+
+        monkeypatch.setattr(brst, "jacobian_ring", spy)
+        for order in ("grevlex", "lex", "grevlex", "lex"):
+            h0(parts, 4, order, pres)
+            h1(parts, 4, order, pres)
+        h0_bracket(poly("1"), poly("x^2 + y^2"), pres)
+        assert built == ["grevlex", "lex"]
+        assert sorted(pres._rings) == ["grevlex", "lex"]
+
+    # sha256 of the reports at the commit before the presentation owned its
+    # ring: a grevlex presentation asked for lex slices divides by the lex ring
+    LEX_OF_GREVLEX = {
+        ("circle", "h0", 6): "a7e283892e11202184e301d673e9478c8b3c2797b3263ae75553054506ce9790",
+        ("circle", "h1", 6): "0433a7486c98906145e27189ecfba917aa6b3db1f3c268f409e9adfc4012fff9",
+        ("cubic", "h0", 6): "368d9a076bcbd2900670f91441b2ff1472ba5cc4174cb27b6e1c56d6906bfdc5",
+        ("cubic", "h1", 2): "ecccbfb89f0614c85b17a3bc355d25f603d813c7ccefb11ffbb17b79b6a7d284",
+    }
+
+    @pytest.mark.parametrize("case", sorted(LEX_OF_GREVLEX))
+    def test_lex_slices_of_a_grevlex_presentation(self, case, cubic_surface):
+        action, group, D = case
+        parts = circle_partials() if action == "circle" else cubic_surface[0]
+        pres = symmetry_presentation(parts)
+        rep = {"h0": h0, "h1": h1}[group](parts, D, "lex", pres)
+        text = json.dumps(rep.to_json_obj(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.LEX_OF_GREVLEX[case]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_exponents_match_the_recursive_reference(n):
+    for D in range(7):
+        assert brst._exponents_upto(n, D) == _reference_exponents_upto(n, D)
+
+
+def test_standard_monomials_leave_no_cycle_behind():
+    gb = jacobian_ring(circle_partials())
+    gc.collect()
+    gc.disable()
+    try:
+        standard_monomials(gb, 15)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 class TestGolden:

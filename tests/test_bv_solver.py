@@ -695,6 +695,14 @@ class TestFaddeevPopov:
         with pytest.raises(ValueError, match="invariance failure"):
             faddeev_popov("x^2+y^2", [["y", "x"]], coords=["x", "y"])
 
+    @pytest.mark.parametrize("coords", [["x", "y", "z"], ["y", "x"]])
+    def test_polynomial_over_other_coordinates_rejected(self, coords):
+        s0 = BasePolynomial.parse("x^2+y^2", ("x", "y"))
+        with pytest.raises(ValueError) as err:
+            faddeev_popov(s0, [["x", "-y", "0"][:len(coords)]], coords=coords)
+        assert str(err.value) == (f"polynomial over ('x', 'y') does not match "
+                                  f"the coordinates {tuple(coords)}")
+
     def test_antisymmetry_enforced(self):
         c = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
         with pytest.raises(ValueError, match="antisymmetric"):

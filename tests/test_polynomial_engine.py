@@ -1,5 +1,9 @@
 """Engine tests: frozen oracle values first, then property suites."""
 
+import contextlib
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -263,6 +267,48 @@ def _clamp_degree(e, budget):
     return tuple(e)
 
 
+# Generous: a property example runs in well under a second, and one full
+# run once stalled for minutes inside a Buchberger call of these suites.
+BUCHBERGER_LIMIT_S = 180
+
+
+class BuchbergerTimeout(AssertionError):
+    """A Buchberger call of a property ran past its time limit."""
+
+
+@contextlib.contextmanager
+def _time_limit(ideal, seconds=BUCHBERGER_LIMIT_S):
+    """Fail, naming the ideal, if the block runs longer than seconds.
+
+    The block holds a property's Buchberger calls, so a stalled example
+    reports its input instead of hanging the run.  signal.alarm works on
+    the main thread only; on any other thread the block runs untimed.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(_signum, _frame):
+        raise BuchbergerTimeout(f"Buchberger calls ran past {seconds} s on the ideal {ideal!r}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_time_limit_names_the_ideal():
+    gens = mk(VARS2, "x^2 + y", "x*y - 1")
+    with pytest.raises(BuchbergerTimeout, match=r"ideal \[BasePolynomial\('x\^2 \+ y'\)"):
+        with _time_limit(gens, seconds=1):
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                pass
+
+
 def poly_strategy(vars, max_deg=4, max_terms=4):
     n = len(vars)
     mono = st.tuples(*[st.integers(0, max_deg) for _ in range(n)]).map(
@@ -279,9 +325,10 @@ def test_remainder_certificate(gens, f):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return
-    gb = groebner_basis(gens)
-    nf = normal_form(f, gb)
-    cert = lift_membership(f - nf, gens)
+    with _time_limit(gens):
+        gb = groebner_basis(gens)
+        nf = normal_form(f, gb)
+        cert = lift_membership(f - nf, gens)
     assert cert is not None
 
 
@@ -293,18 +340,40 @@ def test_normal_form_idempotent_linear(gens, f, g, c):
     gens = [p for p in gens if not p.is_zero()]
     if not gens:
         return
-    gb = groebner_basis(gens)
+    with _time_limit(gens):
+        gb = groebner_basis(gens)
     nf = normal_form(f, gb)
     assert normal_form(nf, gb) == nf
     assert normal_form(f * c + g, gb) == normal_form(f, gb) * c + normal_form(g, gb)
+
+
+def _direct_normal_form(f, gb):
+    """normal_form before the monomial memo: one division of all of f."""
+    rem, _ = gb._engine._divide({(0, e): c for e, c in f.terms.items()}, None)
+    return {e: c for (_p, e), c in rem.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]),
+       st.lists(poly_strategy(VARS3, max_deg=2, max_terms=3), min_size=1, max_size=3),
+       st.lists(poly_strategy(VARS3, max_deg=4), min_size=1, max_size=4))
+def test_memoized_normal_form_matches_direct_division(order, gens, fs):
+    # total degree <= 2 keeps the lex bases small, as in the membership property
+    with _time_limit(gens):
+        gb = groebner_basis(gens, order)
+    for f in fs + fs:   # the second pass reads memo entries only
+        nf = normal_form(f, gb)
+        assert nf.vars == f.vars
+        assert nf.terms == _direct_normal_form(f, gb)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(range(3)),
        st.lists(poly_strategy(VARS2, max_deg=3, max_terms=3), min_size=3, max_size=3))
 def test_groebner_permutation_invariant(perm, gens):
-    a = groebner_basis(gens)
-    b = groebner_basis([gens[i] for i in perm])
+    with _time_limit(gens):
+        a = groebner_basis(gens)
+        b = groebner_basis([gens[i] for i in perm])
     assert [str(g) for g in a] == [str(g) for g in b]
 
 
@@ -314,7 +383,9 @@ def test_syzygies_annihilate(gens):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return
-    for syz in syzygy_basis(gens):
+    with _time_limit(gens):
+        syzygies = syzygy_basis(gens)
+    for syz in syzygies:
         acc = BasePolynomial.zero(VARS2)
         for c, g in zip(syz, gens):
             acc = acc + c * g
@@ -376,12 +447,14 @@ def test_module_basis_agrees_with_lift_membership(order, rank, data):
     targets = [member] + s_vectors + data.draw(st.lists(vec, max_size=2))
     split = data.draw(st.integers(0, len(gens)))
 
-    fixed = ModuleBasis(gens, order)
-    grown = ModuleBasis(gens[:split], order)
-    for g in gens[split:]:
-        grown.add(g)
+    with _time_limit(gens):
+        fixed = ModuleBasis(gens, order)
+        grown = ModuleBasis(gens[:split], order)
+        for g in gens[split:]:
+            grown.add(g)
     for f in targets:
-        fresh = lift_membership(f, gens, order)
+        with _time_limit(gens):
+            fresh = lift_membership(f, gens, order)
         again, grown_cert = fixed.lift(f), grown.lift(f)
         if f is member or any(f is s for s in s_vectors):
             assert fresh is not None
@@ -445,7 +518,8 @@ def test_heap_division_matches_the_scan_reference(order, rank, track, build, dat
     gens = data.draw(st.lists(vec, min_size=1, max_size=3))
     if build:
         # a Groebner basis, sometimes reordered by reduce_canonical
-        eng = _Engine(gens, rank, 2, order, split=split, track=track)
+        with _time_limit(gens):
+            eng = _Engine(gens, rank, 2, order, split=split, track=track)
         if data.draw(st.booleans()):
             eng.reduce_canonical()
     else:
@@ -472,7 +546,8 @@ def test_membership_does_not_depend_on_the_order(gens, data):
                                min_size=len(gens), max_size=len(gens)))
     member = _reference_combination(mults, gens)
     mono = data.draw(st.tuples(*[st.integers(0, 2)] * 3))
-    bases = [ModuleBasis(gens, order) for order in ("grevlex", "lex")]
+    with _time_limit(gens):
+        bases = [ModuleBasis(gens, order) for order in ("grevlex", "lex")]
     assert all(b.lift(member) is not None for b in bases)
     f = member + BasePolynomial(VARS3, {mono: data.draw(st.integers(1, 3))})
     grevlex, lex = (b.lift(f) for b in bases)
