@@ -304,25 +304,27 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
 # -- degree slices of the quotient ring --------------------------------
 
 
-def _exponents_upto(n: int, D: int) -> list:
-    """Exponents of length n and total degree <= D, ascending in lex."""
-    out = [()]
-    for _ in range(n):
-        out = [p + (k,) for p in out for k in range(D - sum(p) + 1)]
-    return out
-
-
 def standard_monomials(gb: GroebnerBasis, D: int) -> list:
     """Exponents of the monomials of degree <= D in normal form.
 
     A monomial is its own normal form exactly when no leading term of
-    the basis divides it.  Sorted descending in the basis order, so
-    linear algebra over slices eliminates against high monomials first
-    and representatives come out reduced toward low degree.
+    the basis divides it.  Every divisor of such a monomial is one too,
+    so those of degree k + 1 are found among the degree-k ones times a
+    variable, and no other exponent is tried.  Sorted descending in the
+    basis order, so linear algebra over slices eliminates against high
+    monomials first and representatives come out reduced toward low
+    degree.
     """
     leads = [g.leading(gb.order)[0] for g in gb.elements]
-    std = [e for e in _exponents_upto(len(gb.vars), D)
-           if not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)]
+    n = len(gb.vars)
+    std: list = []
+    layer = [(0,) * n]
+    for k in range(D + 1):
+        if k:
+            layer = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(n)}
+        layer = [e for e in layer
+                 if not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)]
+        std += layer
     std.sort(key=monomial_key(gb.order), reverse=True)
     return std
 

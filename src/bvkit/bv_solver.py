@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from operator import mul
 from typing import Optional, Sequence
 
 from .polynomial_engine import BasePolynomial, _combination, poly_to_str, rref
@@ -28,7 +27,14 @@ from .graded_algebra import (
     transport,
     truncate,
 )
-from .antibracket import _bracket_factors, _bracket_pair, antifield_lift, bracket, exp_ad
+from .antibracket import (
+    _bracket_factors,
+    _bracket_pair,
+    _is_even,
+    antifield_lift,
+    bracket,
+    exp_ad,
+)
 from .tate import TateGenerator, TateResolution, _DeltaLayer
 
 import json
@@ -188,9 +194,14 @@ def _residual_bracket(res: TateResolution, a: GradedPolynomial,
 
     The added one-form term is linear in v, so (a, v) = (S, S) gives the
     residual of S and (a, v) = (2S + v, v) its change from S to S + v.
-    With a cap, only the terms of weight <= cap are computed.
+    With a cap, only the terms of weight <= cap are computed; a capped
+    square of an even a is built from the half factors, as ``bracket``
+    builds the uncapped one.
     """
-    r = bracket(a, v) if cap is None else _bracket_pair(_bracket_factors(a), v, cap)
+    if cap is None:
+        r = bracket(a, v)
+    else:
+        r = _bracket_pair(_bracket_factors(a, a is v and _is_even(a)), v, cap)
     if res.s0 is None:
         out = dict(r.terms)
         for c, p in zip(res.table.coordinates, res.partials):
@@ -266,8 +277,9 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     two positive factors, ghost degree 1 and weight at least p+1, and
     the terms of weight p+1 form the slice.  The checks see every term
     the solver computes, which after the first order means the terms of
-    weight <= P; ``verify_master`` recomputes the full bracket, checks
-    all its terms and is the independent check of the result.  "residual
+    weight <= P.  ``verify_master`` is the independent check of the
+    result: it recomputes from S alone the terms of [S,S] of count <= 1
+    and of weight <= P, the two parts its verdict reads.  "residual
     vanished" is logged only for the associated solution, the one time
     the full residual is at hand; a truncated residual without terms of
     weight p+1 is logged as already lying in F^(p+2).
@@ -324,32 +336,58 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
 
 
 def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
-    """Recompute the residual and report how far the certification holds."""
+    """Recompute the residual and report how far the certification holds.
+
+    ``achieved`` is 0 when some term of [S,S] has fewer than two positive
+    factors, and min(p, w - 1) otherwise, w the minimum weight of [S,S];
+    below p, ``residual_class`` is the slice of weight w.  The report
+    reads [S,S] through two capped brackets and equals the one the full
+    bracket gives:
+
+    - The count part.  A term of [a, b] has the positive-factor counts
+      of its two factors added, less one when a ghost is paired with its
+      antifield; the closed-one-form term keeps the count of v.  So with
+      S_k the count-k part of S, the terms of count <= 1 are those of
+      [T, T] + [S_0, S_2] + [S_2, S_0], T = S_0 + S_1, and for an even S
+      the last two are equal.  A term of count <= 1 has weight at most
+      the largest generator degree, which caps these brackets.
+    - The square, capped.  When the count part is empty, [S,S] capped at
+      p + 1 holds every term of weight <= p + 1: its minimum weight is w,
+      and when it is empty too, achieved = p.  When the count part is
+      not empty, achieved = 0 and w is at most the count part's minimum
+      weight, so the square is capped there instead and holds the slice.
+
+    The full bracket is never computed; ``master_residual`` computes it.
+    """
     res = sol.resolution
-    r = master_residual(res, sol.S)
-    if r.is_zero():
+    t, S = res.table, sol.S
+    parts = ({}, {}, {})
+    for m, c in S.terms.items():
+        k = t.count_of(m)
+        if k <= 2:
+            parts[k][m] = c
+    S0, S1, S2 = (GradedPolynomial(t, d) for d in parts)
+    top = max((t.degrees[i] for i in t._positive_idx), default=0)
+    even = _is_even(S)
+    low = (_residual_bracket(res, S0 + S1, S0 + S1, top)
+           + _residual_bracket(res, S0 * 2 if even else S0, S2, top))
+    if not even:
+        low = low + _bracket_pair(_bracket_factors(S2), S0, top)
+    low = [m for m in low.terms if t.count_of(m) <= 1]
+    cap = min(map(t.weight_of, low)) if low else p + 1
+    r = _residual_bracket(res, S, S, cap)
+    if low:
+        achieved = 0
+    elif r:
+        achieved = r.min_weight() - 1
+    else:
         achieved = p
-        residual_class = None
-    else:
-        # both minima in one pass over the positive exponents of each term
-        pos = res.table._positive_idx
-        degs = [res.table.degrees[i] for i in pos]
-        mw = mc = None
-        for m in r.terms:
-            exps = [m[i] for i in pos]
-            w, n = sum(map(mul, exps, degs)), sum(exps)
-            if mw is None or w < mw:
-                mw = w
-            if mc is None or n < mc:
-                mc = n
-        achieved = min(p, mw - 1) if mc >= 2 else 0
-        residual_class = gr_project(r, mw) if achieved < p else None
+    residual_class = gr_project(r, r.min_weight()) if achieved < p else None
     if res.s0 is None:
-        s0_ok = truncate(sol.S, 0).is_zero()
+        s0_ok = truncate(S, 0).is_zero()
     else:
-        s0_ok = truncate(sol.S, 0) == GradedPolynomial.from_scalar(
-            res.table, res.s0)
-    diff = sol.S - s_lin(res)
+        s0_ok = truncate(S, 0) == GradedPolynomial.from_scalar(t, res.s0)
+    diff = S - s_lin(res)
     associated_ok = diff.is_zero() or diff.min_count() >= 2
     return VerifyReport(p, achieved, s0_ok, associated_ok, residual_class)
 

@@ -382,13 +382,16 @@ def check_acyclic(res: TateResolution, through: int) -> AcyclicityReport:
     """
     delta = res.gr_delta()
     entries = []
+    into = _DeltaLayer(res.table, delta, 0, res.order)
     for d in range(1, through + 1):
-        into = _DeltaLayer(res.table, delta, d - 1, res.order)
+        # each layer is read twice: for its boundaries at d, then as the
+        # map whose syzygies are the cycles at d + 1
+        layer = _DeltaLayer(res.table, delta, d, res.order)
         missed = []
         if into.above:
-            missed = _DeltaLayer(res.table, delta, d, res.order).unreached(
-                syzygy_basis(into.columns, res.order))
+            missed = layer.unreached(syzygy_basis(into.columns, res.order))
         entries.append((d, not missed, missed[0] if missed else None))
+        into = layer
     return AcyclicityReport(entries)
 
 

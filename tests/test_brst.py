@@ -108,10 +108,28 @@ class TestJacobianRing:
             jacobian_ring([poly("x")])
 
 
+def _exponents_upto(n, D):
+    """Exponents of length n and total degree <= D, ascending in lex."""
+    out = [()]
+    for _ in range(n):
+        out = [p + (k,) for p in out for k in range(D - sum(p) + 1)]
+    return out
+
+
+def _reference_standard_monomials(gb, D):
+    """standard_monomials before it grew the order ideal: every exponent
+    of degree <= D, kept when no leading term divides it."""
+    leads = [g.leading(gb.order)[0] for g in gb.elements]
+    std = [e for e in _exponents_upto(len(gb.vars), D)
+           if not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)]
+    std.sort(key=monomial_key(gb.order), reverse=True)
+    return std
+
+
 def _nf_standard_monomials(gb, D):
     """Reference for standard_monomials: monomials equal to their normal form."""
     std = []
-    for e in brst._exponents_upto(len(gb.vars), D):
+    for e in _exponents_upto(len(gb.vars), D):
         m = BasePolynomial(gb.vars, {e: Fraction(1)})
         if normal_form(m, gb) == m:
             std.append(e)
@@ -131,7 +149,22 @@ _POLY3 = st.dictionaries(_MONO3, st.integers(-3, 3).filter(bool), min_size=1, ma
        st.integers(0, 6))
 def test_standard_monomials_match_the_normal_form_rule(gens, order, D):
     gb = groebner_basis(gens, order)
-    assert standard_monomials(gb, D) == _nf_standard_monomials(gb, D)
+    std = standard_monomials(gb, D)
+    assert std == _nf_standard_monomials(gb, D)
+    assert std == _reference_standard_monomials(gb, D)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("action", ["circle", "cubic"])
+def test_standard_monomials_match_the_enumerating_reference(action, order):
+    if action == "circle":
+        parts, bounds = circle_partials(), range(12)
+    else:
+        s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", WXYZ)
+        parts, bounds = [s0.derivative(v) for v in WXYZ], (0, 1, 5, 15)
+    gb = jacobian_ring(parts, order)
+    for D in bounds:
+        assert standard_monomials(gb, D) == _reference_standard_monomials(gb, D)
 
 
 class TestSymmetryPresentation:
@@ -874,7 +907,7 @@ def _reference_tau_images(pres, gb, exps):
 
 
 def _reference_exponents_upto(n, D):
-    """_exponents_upto before it enumerated iteratively: a recursive closure."""
+    """_exponents_upto as a recursive closure."""
     out = []
 
     def rec(i, left, exp):
@@ -959,8 +992,9 @@ class TestSharedJacobianRing:
 
 @pytest.mark.parametrize("n", range(5))
 def test_exponents_match_the_recursive_reference(n):
+    # the enumeration under the standard-monomial references
     for D in range(7):
-        assert brst._exponents_upto(n, D) == _reference_exponents_upto(n, D)
+        assert _exponents_upto(n, D) == _reference_exponents_upto(n, D)
 
 
 def test_standard_monomials_leave_no_cycle_behind():

@@ -1,9 +1,11 @@
 """Tests for the master-equation solver and the exact constructors."""
 
+import functools
 import hashlib
 import itertools
 import json
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,20 +14,16 @@ from bvkit.polynomial_engine import BasePolynomial
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
-    coordinate_derivative,
-    dual_name,
     graded_to_str,
     gr_project,
-    left_derivative,
     parse_graded,
-    right_derivative,
     transport,
     truncate,
 )
-from bvkit.antibracket import _bracket_factors, _bracket_pair, bracket, exp_ad
+from bvkit.antibracket import exp_ad
 from bvkit import antibracket, bv_solver
 from bvkit.brst import e2_page
-from bvkit.tate import build_resolution
+from bvkit.tate import _graded_monomials, build_resolution, negative_monomials
 from bvkit.bv_solver import (
     _residual_bracket,
     _solve_layer,
@@ -321,46 +319,198 @@ class TestVerifyMaster:
         assert not rep.s0_ok
 
     def test_square_is_built_from_the_half_factors(self, monkeypatch):
-        # S is even, so [S, S] pairs only dS/dx with dl S/dxs and
-        # dr S/dg with dl S/dgs, doubled: one product per pair, not two
+        # every product the verify computes is capped, and S is even, so
+        # its capped square takes the half factors of S: one product per
+        # pair, doubled
         sol = solve_master(circle(5), 4)
-        S, t = sol.S, sol.S.table
-        half = sum(1 for c in t.coordinates
-                   if coordinate_derivative(S, c)
-                   and left_derivative(S, dual_name(c)))
-        half += sum(1 for a, _d, g in t.pairs
-                    if right_derivative(S, g) and left_derivative(S, a))
-        calls = []
-        real = antibracket._products
+        caps, halves = [], []
+        real_products = antibracket._products
+        real_factors = bv_solver._bracket_factors
 
-        def spy(table, rows_a, rows_b, cap):
-            calls.append(cap)
-            return real(table, rows_a, rows_b, cap)
+        def products_spy(table, rows_a, rows_b, cap):
+            caps.append(cap)
+            return real_products(table, rows_a, rows_b, cap)
 
-        monkeypatch.setattr(antibracket, "_products", spy)
+        def factors_spy(a, half=False):
+            if a is sol.S:
+                halves.append(half)
+            return real_factors(a, half)
+
+        monkeypatch.setattr(antibracket, "_products", products_spy)
+        monkeypatch.setattr(bv_solver, "_bracket_factors", factors_spy)
         assert verify_master(sol, 4).ok
-        assert half > 0 and calls == [None] * half
+        assert caps and None not in caps
+        assert halves == [True]
 
     @pytest.mark.parametrize("kind", ["s0", "partials"])
-    def test_residual_of_truncated_solution_matches_two_sums(
-            self, monkeypatch, kind):
+    def test_residual_of_truncated_solution_matches_two_sums(self, kind):
         # S with its corrections truncated has a residual that does not
-        # vanish to order p; its report must equal the one built on the
-        # two-sum bracket
+        # vanish to order p; its report must equal the full-bracket one
         res = circle(6) if kind == "s0" else circle_partials(6)
         lin = s_lin(res)
         corrections = solve_master(res, 5).S - lin
         for P in (3, 4):
             sol = MasterSolution(res, lin + truncate(corrections, P), 5)
-            with monkeypatch.context() as m:
-                m.setattr(bv_solver, "bracket",
-                          lambda a, b: _bracket_pair(_bracket_factors(a), b))
-                ref = verify_master(sol, 5)
-            rep = verify_master(sol, 5)
+            ref = _reference_verify(sol, 5)
             assert ref.residual_class is not None and ref.achieved == P
-            assert rep.achieved == ref.achieved
-            assert (graded_to_str(rep.residual_class)
-                    == graded_to_str(ref.residual_class))
+            assert_same_report(verify_master(sol, 5), ref)
+
+
+def _reference_verify(sol, p):
+    """verify_master before it capped its brackets: it computes all of
+    [S, S] and takes both minima from every term."""
+    res = sol.resolution
+    r = master_residual(res, sol.S)
+    if r.is_zero():
+        achieved = p
+        residual_class = None
+    else:
+        pos = res.table._positive_idx
+        degs = [res.table.degrees[i] for i in pos]
+        mw = mc = None
+        for m in r.terms:
+            exps = [m[i] for i in pos]
+            w, n = sum(map(mul, exps, degs)), sum(exps)
+            if mw is None or w < mw:
+                mw = w
+            if mc is None or n < mc:
+                mc = n
+        achieved = min(p, mw - 1) if mc >= 2 else 0
+        residual_class = gr_project(r, mw) if achieved < p else None
+    if res.s0 is None:
+        s0_ok = truncate(sol.S, 0).is_zero()
+    else:
+        s0_ok = truncate(sol.S, 0) == GradedPolynomial.from_scalar(
+            res.table, res.s0)
+    diff = sol.S - s_lin(res)
+    associated_ok = diff.is_zero() or diff.min_count() >= 2
+    return bv_solver.VerifyReport(p, achieved, s0_ok, associated_ok,
+                                  residual_class)
+
+
+def assert_same_report(rep, ref):
+    assert (rep.requested, rep.achieved, rep.s0_ok, rep.associated_ok) == (
+        ref.requested, ref.achieved, ref.s0_ok, ref.associated_ok)
+    if ref.residual_class is None:
+        assert rep.residual_class is None
+    else:
+        assert rep.residual_class.terms == ref.residual_class.terms
+        assert (graded_to_str(rep.residual_class)
+                == graded_to_str(ref.residual_class))
+
+
+@functools.cache
+def perturbation_base(kind):
+    """A solution and its ghost-0 monomials of count <= 3 by weight."""
+    if kind == "x2y2":
+        res, p = build_resolution(["x", "y"], s0="x^2*y^2", depth=5), 4
+    else:
+        res, p = (circle(6) if kind == "s0" else circle_partials(6)), 5
+    t = res.table
+    by_weight = {}
+    for w in range(p + 3):
+        for pos in _graded_monomials(t, w, 1):
+            if t.count_of(pos) <= 3:
+                by_weight.setdefault(w, []).extend(
+                    tuple(map(add, pos, neg)) for neg in negative_monomials(t, w))
+    return solve_master(res, p), by_weight
+
+
+@st.composite
+def perturbed(draw, kind):
+    sol, by_weight = perturbation_base(kind)
+    t = sol.S.table
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.sampled_from(by_weight[draw(st.sampled_from(sorted(by_weight)))]))
+        e = tuple(draw(st.integers(0, 2)) for _ in t.coordinates)
+        c = draw(st.fractions(min_value=-3, max_value=3,
+                              max_denominator=3).filter(bool))
+        terms[m] = BasePolynomial(t.coordinates, {e: c})
+    return MasterSolution(sol.resolution, sol.S + GradedPolynomial(t, terms),
+                          sol.order)
+
+
+@pytest.mark.parametrize("kind", ["s0", "partials", "x2y2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_capped_verify_matches_the_full_bracket(kind, data):
+    sol = data.draw(perturbed(kind), label="solution")
+    p = data.draw(st.integers(1, sol.order), label="p")
+    assert_same_report(verify_master(sol, p), _reference_verify(sol, p))
+
+
+class TestVerifyBranches:
+    """Each case pins the cap of the square the verify takes, and its
+    report against the full-bracket reference."""
+
+    @staticmethod
+    def square_caps(monkeypatch, sol, p):
+        caps = []
+        real = bv_solver._residual_bracket
+
+        def spy(res, a, v, cap=None):
+            if a is sol.S and v is sol.S:
+                caps.append(cap)
+            return real(res, a, v, cap)
+
+        monkeypatch.setattr(bv_solver, "_residual_bracket", spy)
+        rep = verify_master(sol, p)
+        monkeypatch.undo()
+        assert_same_report(rep, _reference_verify(sol, p))
+        return rep, caps
+
+    @pytest.mark.parametrize("kind", ["s0", "partials"])
+    def test_zero_residual(self, monkeypatch, kind):
+        # a nondegenerate quadratic: the associated solution is exact,
+        # and both parts of [S, S] are empty
+        if kind == "s0":
+            res = build_resolution(["x", "y"], s0="x^2 + 3*y^2", depth=2)
+        else:
+            res = build_resolution(["x", "y"], partials=["2*x", "6*y"], depth=2)
+        sol = MasterSolution(res, s_lin(res), 1)
+        assert master_residual(res, sol.S).is_zero()
+        rep, caps = self.square_caps(monkeypatch, sol, 1)
+        assert caps == [2]
+        assert rep.ok and rep.achieved == 1 and rep.residual_class is None
+
+    @pytest.mark.parametrize("kind", ["s0", "partials"])
+    def test_count_one_residual_below_the_order(self, monkeypatch, kind):
+        # a count-1 tamper of weight 1: the square is capped at the count
+        # part's minimum weight, below p + 1
+        res = circle(5) if kind == "s0" else circle_partials(5)
+        sol = solve_master(res, 4)
+        bad = MasterSolution(res, sol.S + parse_graded("(-2*x)*ys*b1", res.table), 4)
+        rep, caps = self.square_caps(monkeypatch, bad, 4)
+        assert caps == [1]
+        assert rep.achieved == 0 and rep.residual_class.min_weight() == 1
+
+    @pytest.mark.parametrize("kind", ["s0", "partials"])
+    def test_count_one_residual_above_the_order(self, monkeypatch, kind):
+        # a count-1 tamper on a weight-4 ghost verified at p = 1: [S, S]
+        # has no term of weight <= p + 1, so the square is capped at the
+        # count part's minimum weight, above p + 1
+        res = circle(5) if kind == "s0" else circle_partials(5)
+        sol = solve_master(res, 4)
+        bad = MasterSolution(res, sol.S + parse_graded("bs3*b5", res.table), 4)
+        assert _residual_bracket(res, bad.S, bad.S, 2).is_zero()
+        rep, caps = self.square_caps(monkeypatch, bad, 1)
+        assert caps == [4]
+        assert rep.achieved == 0 and rep.residual_class.min_weight() == 4
+
+    @pytest.mark.parametrize("text,achieved", [
+        # even: only [S_0, S_2] has a term of count <= 1
+        ("bs1 + bs2*b1*b2", 0),
+        # not even: [S_0, S_2] and [S_2, S_0] cancel at count 1
+        ("bs1 + xs*ys*b1*b2", 4),
+    ])
+    def test_antifield_in_the_count_zero_part(self, monkeypatch, text, achieved):
+        # off ghost 0, S_0 can hold an antifield, and then [S_0, S_2]
+        # reaches count 1
+        res = circle(5)
+        S = parse_graded(text, res.table)
+        rep, caps = self.square_caps(monkeypatch, MasterSolution(res, S, 4), 4)
+        assert len(caps) == 1 and rep.achieved == achieved
 
 
 class TestGaugeWord:

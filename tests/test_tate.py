@@ -13,7 +13,7 @@ from bvkit.graded_algebra import (
     parse_graded,
     transport,
 )
-from bvkit import polynomial_engine
+from bvkit import polynomial_engine, tate
 from bvkit.polynomial_engine import BasePolynomial
 from bvkit.tate import (
     AcyclicityReport,
@@ -127,6 +127,23 @@ class TestBasisReuse:
         monkeypatch.setattr(polynomial_engine._Engine, "__init__", spy)
         assert check_acyclic(res, 5).ok
         assert sum(tracked) <= 5
+
+    def test_check_acyclic_builds_each_layer_once(self, monkeypatch):
+        # the layer that gives the boundaries at degree d is the map whose
+        # syzygies give the cycles at d + 1
+        res = circle(5)
+        built = []
+        real = tate._DeltaLayer.__init__
+
+        def spy(self, table, delta, d, order):
+            built.append(d)
+            real(self, table, delta, d, order)
+
+        monkeypatch.setattr(tate._DeltaLayer, "__init__", spy)
+        for through in (1, 3, 5):
+            built.clear()
+            assert check_acyclic(res, through).ok
+            assert built == list(range(through + 1))
 
 
 class TestAcyclicityWitness:
