@@ -348,9 +348,9 @@ def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
       of its two factors added, less one when a ghost is paired with its
       antifield; the closed-one-form term keeps the count of v.  So with
       S_k the count-k part of S, the terms of count <= 1 are those of
-      [T, T] + [S_0, S_2] + [S_2, S_0], T = S_0 + S_1, and for an even S
-      the last two are equal.  A term of count <= 1 has weight at most
-      the largest generator degree, which caps these brackets.
+      [T, T] + [S_0, S_2] + [S_2, S_0], T = S_0 + S_1.  A term of count
+      <= 1 has weight at most the largest generator degree, which caps
+      these brackets.
     - The square, capped.  When the count part is empty, [S,S] capped at
       p + 1 holds every term of weight <= p + 1: its minimum weight is w,
       and when it is empty too, achieved = p.  When the count part is
@@ -368,11 +368,10 @@ def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
             parts[k][m] = c
     S0, S1, S2 = (GradedPolynomial(t, d) for d in parts)
     top = max((t.degrees[i] for i in t._positive_idx), default=0)
-    even = _is_even(S)
-    low = (_residual_bracket(res, S0 + S1, S0 + S1, top)
-           + _residual_bracket(res, S0 * 2 if even else S0, S2, top))
-    if not even:
-        low = low + _bracket_pair(_bracket_factors(S2), S0, top)
+    T = S0 + S1
+    low = (_residual_bracket(res, T, T, top)
+           + _residual_bracket(res, S0, S2, top)
+           + _bracket_pair(_bracket_factors(S2), S0, top))
     low = [m for m in low.terms if t.count_of(m) <= 1]
     cap = min(map(t.weight_of, low)) if low else p + 1
     r = _residual_bracket(res, S, S, cap)

@@ -499,7 +499,7 @@ class TestVerifyBranches:
         assert rep.achieved == 0 and rep.residual_class.min_weight() == 4
 
     @pytest.mark.parametrize("text,achieved", [
-        # even: only [S_0, S_2] has a term of count <= 1
+        # even: [S_0, S_2] and [S_2, S_0] are equal and reach count 1
         ("bs1 + bs2*b1*b2", 0),
         # not even: [S_0, S_2] and [S_2, S_0] cancel at count 1
         ("bs1 + xs*ys*b1*b2", 4),
