@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rational = Fraction
@@ -38,19 +39,19 @@ def monomial_key(order: str):
 
 
 def _monomial_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _monomial_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _monomial_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class BasePolynomial:
@@ -137,12 +138,12 @@ class BasePolynomial:
                     t[e] = s
                 else:
                     del t[e]
-        return BasePolynomial(self.vars, t)
+        return _from_terms(self.vars, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BasePolynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return _from_terms(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,8 +157,8 @@ class BasePolynomial:
         if isinstance(other, (int, Fraction)):
             c = other if type(other) is Fraction else Fraction(other)
             if not c:
-                return BasePolynomial(self.vars)
-            return BasePolynomial(self.vars, {e: k * c for e, k in self.terms.items()})
+                return _from_terms(self.vars, {})
+            return _from_terms(self.vars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         t: dict = {}
         for e1, c1 in self.terms.items():
@@ -173,7 +174,7 @@ class BasePolynomial:
                         t[e] = s
                     else:
                         del t[e]
-        return BasePolynomial(self.vars, t)
+        return _from_terms(self.vars, t)
 
     __rmul__ = __mul__
 
@@ -197,7 +198,7 @@ class BasePolynomial:
                 e2 = list(e)
                 e2[i] -= 1
                 t[tuple(e2)] = c * e[i]
-        return BasePolynomial(self.vars, t)
+        return _from_terms(self.vars, t)
 
     def extend(self, vars: Sequence[str]) -> "BasePolynomial":
         """Reinterpret over a superset variable list (same names kept)."""
@@ -235,6 +236,13 @@ class BasePolynomial:
 
     def __repr__(self) -> str:
         return f"BasePolynomial({poly_to_str(self)!r})"
+
+
+def _from_terms(vars: tuple, terms: dict) -> BasePolynomial:
+    """BasePolynomial(vars, terms) unchecked: keys are tuples, values nonzero Fractions."""
+    p = object.__new__(BasePolynomial)
+    p.vars, p.terms, p._hash = vars, terms, None
+    return p
 
 
 def _coeff_str(c: Fraction) -> str:
@@ -456,18 +464,39 @@ class ModuleVector:
 
 
 def _combination(coeffs: Iterable, gens: Sequence):
-    """sum(c_i * gens_i) by the public * and + of the generators' type.
+    """sum(c_i * gens_i), added term by term into one dict per component.
 
-    Zero coefficients are skipped; gens must not be empty (a combination
-    with no nonzero coefficient is gens[0] * 0).  This is the one
-    certificate check: it never calls the engine, so a check does not
-    depend on the code whose result it checks.
+    gens are BasePolynomials or ModuleVectors of one rank, the coefficients
+    BasePolynomials, all over one variable list, or ValueError.  Zero
+    coefficients are skipped; gens must not be empty (a combination with
+    no nonzero coefficient is gens[0] * 0).  This is the one certificate
+    check: it never calls the engine, so a check does not depend on the
+    code whose result it checks.
     """
     acc = None
     for c, g in zip(coeffs, gens, strict=True):
-        if c:
-            acc = g * c if acc is None else acc + g * c
-    return gens[0] * 0 if acc is None else acc
+        if not c:
+            continue
+        comps = g.components if isinstance(g, ModuleVector) else (g,)
+        if acc is None:
+            vars, acc = g.vars, [{} for _ in comps]
+        if c.vars != vars or g.vars != vars or len(comps) != len(acc):
+            raise ValueError("combination over mixed variable lists or ranks")
+        cterms = c.terms.items()
+        for t, p in zip(acc, comps):
+            for e1, c1 in p.terms.items():
+                for e2, c2 in cterms:
+                    e = tuple(map(add, e1, e2))
+                    s = t.get(e)
+                    s = c1 * c2 if s is None else s + c1 * c2
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
+    if acc is None:
+        return gens[0] * 0
+    out = [_from_terms(vars, t) for t in acc]
+    return out[0] if isinstance(gens[0], BasePolynomial) else ModuleVector(out)
 
 
 # -- internal sparse vectors for the Buchberger engine -----------------
@@ -895,7 +924,7 @@ def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
                     out[e] = s
                 else:
                     del out[e]
-    return BasePolynomial(vars, out)
+    return _from_terms(vars, out)
 
 
 def _as_vectors(items: Sequence) -> list:

@@ -31,7 +31,6 @@ from bvkit.tate import _graded_monomials, build_resolution, negative_monomials
 from bvkit.bv_solver import solve_master, trivial_solution
 from bvkit import brst
 from bvkit.brst import (
-    CohomologyReport,
     SymmetryPresentation,
     apply_vector_field,
     e2_page,

@@ -9,10 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvkit import polynomial_engine
 from bvkit.polynomial_engine import (
     BasePolynomial,
     _Engine,
     _combination,
+    _monomial_div,
+    _monomial_divides,
+    _monomial_lcm,
+    _monomial_mul,
     _mvec_add_into,
     ModuleBasis,
     ModuleVector,
@@ -415,6 +420,121 @@ def test_combination_matches_the_accumulation_loop(rank, data):
     got = _combination(coeffs, gens)
     assert type(got) is type(gens[0])
     assert got == _reference_combination(coeffs, gens)
+
+
+class TestCombination:
+    """Edge cases of the one-dict accumulation in _combination."""
+
+    def test_products_that_cancel_leave_an_empty_polynomial(self):
+        x, y = mk(VARS2, "x", "y")
+        got = _combination([y, -x], [x, y])
+        assert type(got) is BasePolynomial
+        assert got.vars == VARS2 and got.terms == {}
+
+    def test_a_vector_component_that_cancels_is_empty(self):
+        x, y, one = mk(VARS2, "x", "y", "1")
+        gens = [ModuleVector([x, y]), ModuleVector([y, one])]
+        got = _combination([y, -x], gens)
+        assert type(got) is ModuleVector
+        assert got[0].terms == {} and got[1] == P("y^2 - x", VARS2)
+        assert got == _reference_combination([y, -x], gens)
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_all_zero_coefficients_give_gens0_times_zero(self, rank):
+        gens = mk(VARS2, "x + 1", "y")
+        if rank:
+            gens = [ModuleVector([g, g * g]) for g in gens]
+        zero = BasePolynomial.zero(VARS2)
+        got = _combination([zero, zero], gens)
+        assert type(got) is type(gens[0])
+        assert got == gens[0] * 0 and got.is_zero()
+
+    def test_a_coefficient_over_other_variables_raises(self):
+        with pytest.raises(ValueError):
+            _combination([P("1", VARS2), P("z", VARS3)], mk(VARS2, "x", "y"))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_a_generator_over_other_variables_raises(self, first):
+        gens = [P("x", VARS2), P("z", VARS3)]
+        if first:
+            gens.reverse()
+        with pytest.raises(ValueError):
+            _combination(mk(VARS2, "1", "x"), gens)
+        with pytest.raises(ValueError):
+            _combination(mk(VARS2, "1", "x"), [ModuleVector([g]) for g in gens])
+
+    def test_never_calls_the_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_combination called the engine")
+
+        for name in ("__init__", "_divide", "insert", "complete", "append"):
+            monkeypatch.setattr(_Engine, name, refuse)
+        for name in ("groebner_basis", "normal_form", "_monomial_nf", "lift_membership",
+                     "syzygy_basis", "rref", "nullspace", "reduce_row"):
+            monkeypatch.setattr(polynomial_engine, name, refuse)
+        coeffs = mk(VARS2, "x*y - 1", "0", "y^2 + 1/2")
+        gens = [ModuleVector(mk(VARS2, a, b))
+                for a, b in (("x", "y^2"), ("1", "x - y"), ("x*y", "3"))]
+        assert _combination(coeffs, gens) == _reference_combination(coeffs, gens)
+
+
+def _reference_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _reference_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reference_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _reference_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    *[st.tuples(*[st.integers(0, 6)] * n)] * 2)))
+def test_monomial_helpers_match_the_generator_bodies(pair):
+    # the generator-expression bodies the map-based helpers replaced
+    a, b = pair
+    assert _monomial_mul(a, b) == _reference_mul(a, b)
+    assert _monomial_divides(a, b) is _reference_divides(a, b)
+    assert _monomial_divides(a, a) is True
+    assert _monomial_div(a, b) == _reference_div(a, b)
+    assert _monomial_lcm(a, b) == _reference_lcm(a, b)
+    assert all(type(f(a, b)) is tuple for f in (_monomial_mul, _monomial_div, _monomial_lcm))
+
+
+def _assert_checked_form(p):
+    """p is what the checking constructor makes of its own vars and terms."""
+    assert type(p) is BasePolynomial and type(p.vars) is tuple
+    assert p == BasePolynomial(p.vars, p.terms)
+    assert hash(p) == hash(BasePolynomial(p.vars, p.terms))
+    assert all(type(e) is tuple for e in p.terms)
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(VARS2, max_deg=3), poly_strategy(VARS2, max_deg=3),
+       st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)),
+       st.lists(poly_strategy(VARS2, max_deg=2, max_terms=3), min_size=1, max_size=3))
+def test_unchecked_results_have_the_checked_form(f, g, c, ideal):
+    # + - * and the rest build their results without the constructor's
+    # checks; each must still be a polynomial the checks would accept
+    results = [f + g, f - g, f - f, -f, f + c, c - f, f * g, f * c, c * f, f * 0,
+               f.derivative("x"), f.derivative("y"), f ** 2,
+               _combination([f, g], [g, f]), _combination([g, -f], [f, g])]
+    results += _combination([f, g], [ModuleVector([g, f]), ModuleVector([f, c * g])])
+    ideal = [h for h in ideal if not h.is_zero()]
+    if ideal:
+        with _time_limit(ideal):
+            gb = groebner_basis(ideal)
+        results += [normal_form(f, gb), normal_form(f * g, gb)]
+    for p in results:
+        _assert_checked_form(p)
 
 
 def _s_vector(a, b, order):

@@ -22,8 +22,9 @@ def test_no_assert_statements_in_the_package():
 def test_no_unused_imports_in_the_package():
     # a name imported and never read is dead code, often left behind when
     # its last caller was deleted; an import line marked "# noqa: F401"
-    # re-exports on purpose
-    paths = sorted(Path(bvkit.__file__).parent.glob("*.py"))
+    # re-exports on purpose.  The test modules are walked too.
+    paths = (sorted(Path(bvkit.__file__).parent.glob("*.py"))
+             + sorted(Path(__file__).parent.glob("*.py")))
     found = []
     for path in paths:
         text = path.read_text()
@@ -42,7 +43,7 @@ def test_no_unused_imports_in_the_package():
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
-                    found.append(f"{path.name}:{alias.lineno} {name}")
+                    found.append(f"{path.parent.name}/{path.name}:{alias.lineno} {name}")
     assert found == []
 
 

@@ -9,15 +9,12 @@ from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     graded_to_str,
-    multiply,
     parse_graded,
     transport,
 )
 from bvkit import polynomial_engine, tate
 from bvkit.polynomial_engine import BasePolynomial
 from bvkit.tate import (
-    AcyclicityReport,
-    ResolutionMorphism,
     TateGenerator,
     TateResolution,
     build_resolution,
