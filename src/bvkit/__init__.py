@@ -3,14 +3,14 @@
 Submodules:
   polynomial_engine  rationals, Groebner bases, certificates, syzygies
   graded_algebra     the free graded-commutative algebra, filtration, truncation
-  antibracket        the odd Poisson bracket, d_S, exp(ad_u)
+  antibracket        the odd Poisson bracket, exp(ad_u)
   tate               depth-bounded Koszul-Tate resolutions and stabilization
   bv_solver          master-equation solver, gauge words, closed-form solutions
   brst               BRST cohomology in low degrees and E2-page slices
   cli                problem files, JSON persistence, example registry
 """
 
-from .antibracket import antifield_lift, bracket, d_S, exp_ad
+from .antibracket import antifield_lift, bracket, exp_ad
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
@@ -35,10 +35,8 @@ from .tate import (
 from .polynomial_engine import (
     BasePolynomial,
     GroebnerBasis,
-    MembershipCertificate,
     ModuleBasis,
     ModuleVector,
-    Rational,
     groebner_basis,
     lift_membership,
     normal_form,
@@ -116,13 +114,10 @@ __all__ = [
     "GeneratorTable",
     "GradedPolynomial",
     "GroebnerBasis",
-    "MembershipCertificate",
     "ModuleBasis",
     "ModuleVector",
-    "Rational",
     "antifield_lift",
     "bracket",
-    "d_S",
     "exp_ad",
     "gr_project",
     "graded_to_str",

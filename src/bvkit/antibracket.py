@@ -92,15 +92,6 @@ def _bracket_pair(factors: list, b: GradedPolynomial,
     return GradedPolynomial(b.table, out)
 
 
-def d_S(S: GradedPolynomial, a: GradedPolynomial) -> GradedPolynomial:
-    """The twisted differential [S, -].
-
-    The E2 page applies it to many cochains and so takes the derivatives
-    of S once per page column (``_bracket_factors``) instead of calling this.
-    """
-    return bracket(S, a)
-
-
 def exp_ad(u: GradedPolynomial, a: GradedPolynomial, P: int) -> GradedPolynomial:
     """exp([u, -]) applied to a in the weight <= P quotient.
 

@@ -129,19 +129,10 @@ def _vec_sort_key(v: ModuleVector, order: str):
 
 
 def _prune(vectors: list, spanned: ModuleBasis, order: str) -> list:
-    """The vectors, in _vec_sort_key order, that spanned does not reach.
-
-    Each kept vector is made monic and joins spanned before the next one
-    is tried; the prunes ask yes/no questions only, so spanned grows in
-    place.
-    """
-    kept = []
-    for v in sorted(vectors, key=lambda v: _vec_sort_key(v, order)):
-        if v.is_zero() or spanned.lift(v) is not None:
-            continue
-        kept.append(_monic(v, order))
-        spanned.add(kept[-1])
-    return kept
+    """The vectors, in _vec_sort_key order, that spanned does not reach,
+    made monic; each joins spanned before the next one is tried."""
+    ordered = sorted(vectors, key=lambda v: _vec_sort_key(v, order))
+    return [_monic(v, order) for v in spanned.absorb(ordered)]
 
 
 def _bivector(v: ModuleVector, r: int, kpairs: list) -> dict:
@@ -284,12 +275,11 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
         lifts = ModuleBasis(tau + kosz, order)
         for i in range(r):
             for j in range(i + 1, r):
-                cert = lifts.lift(_commutator(tau[i], tau[j]))
-                if cert is None:
+                co = lifts.lift(_commutator(tau[i], tau[j]))
+                if co is None:
                     raise AssertionError(
                         f"presentation certificate failed: commutator ({i},{j}) "
                         "has no expression over the generators")
-                co = cert.coefficients
                 for k in range(r):
                     structure[i][j][k] = co[k]
                     structure[j][i][k] = -co[k]
@@ -603,12 +593,12 @@ def _hamiltonian_lift(pres: SymmetryPresentation, partials: ModuleBasis,
     """
     lifts = []
     for i, t in enumerate(pres.tau):
-        cert = partials.lift(apply_vector_field(t, f))
-        if cert is None:
+        xi = partials.lift(apply_vector_field(t, f))
+        if xi is None:
             raise ValueError(
                 f"h0_bracket input is not an exact invariant: generator {i} "
                 "moves it off the ideal of the partials")
-        lifts.append(cert.coefficients)
+        lifts.append(xi)
     return lifts
 
 
@@ -696,7 +686,7 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
             f"order at least {p + 1}")
     res = sol.resolution
     table = res.table
-    gb = groebner_basis(list(res.partials), res.order)
+    gb = jacobian_ring(res.partials, res.order)
     dS = _bracket_factors(sol.S)
     std = standard_monomials(gb, D + 2)
 

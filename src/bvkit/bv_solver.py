@@ -32,7 +32,6 @@ from .antibracket import (
     _bracket_pair,
     _is_even,
     antifield_lift,
-    bracket,
     exp_ad,
 )
 from .tate import TateGenerator, TateResolution, _DeltaLayer
@@ -194,14 +193,10 @@ def _residual_bracket(res: TateResolution, a: GradedPolynomial,
 
     The added one-form term is linear in v, so (a, v) = (S, S) gives the
     residual of S and (a, v) = (2S + v, v) its change from S to S + v.
-    With a cap, only the terms of weight <= cap are computed; a capped
-    square of an even a is built from the half factors, as ``bracket``
-    builds the uncapped one.
+    With a cap, only the terms of weight <= cap are computed.  A square
+    of an even a is built from the half factors, as in ``bracket``.
     """
-    if cap is None:
-        r = bracket(a, v)
-    else:
-        r = _bracket_pair(_bracket_factors(a, a is v and _is_even(a)), v, cap)
+    r = _bracket_pair(_bracket_factors(a, a is v and _is_even(a)), v, cap)
     if res.s0 is None:
         out = dict(r.terms)
         for c, p in zip(res.table.coordinates, res.partials):

@@ -107,6 +107,15 @@ def _linecol(text: str, pos: int):
     return line, pos - nl
 
 
+def _pieces(text: str, sep: str) -> list:
+    """(piece, offset in text) of each sep-separated piece, the last too."""
+    out, at = [], 0
+    for piece in text.split(sep):
+        out.append((piece, at))
+        at += len(piece) + len(sep)
+    return out
+
+
 _IDENT = re.compile(r"[A-Za-z_]\w*\Z")
 _OPTION_KEYS = ("depth", "pmax", "bound", "order")
 
@@ -119,14 +128,9 @@ def parse_problem(text: str) -> ProblemSpec:
     closed 1-form: mixed derivatives are compared pairwise and the
     first mismatch is reported.
     """
-    statements = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == ";":
-            statements.append((text[start:i], start))
-            start = i + 1
-    if text[start:].strip():
-        pos = start + len(text[start:]) - len(text[start:].lstrip())
+    *statements, (tail, start) = _pieces(text, ";")
+    if tail.strip():
+        pos = start + len(tail) - len(tail.lstrip())
         raise ProblemError("statement is missing its ';'", *_linecol(text, pos))
 
     coords: Optional[tuple] = None
@@ -177,19 +181,8 @@ def parse_problem(text: str) -> ProblemSpec:
         if m:
             if s0 is not None or partials is not None:
                 err("the action is already declared", pos)
-            src = m.group(1)
-            pieces, offs, at = [], [], 0
-            while True:
-                cut = src.find(",", at)
-                if cut < 0:
-                    pieces.append(src[at:])
-                    offs.append(at)
-                    break
-                pieces.append(src[at:cut])
-                offs.append(at)
-                at = cut + 1
             partials = [parse_poly(piece, lead + m.start(1) + o)
-                        for piece, o in zip(pieces, offs)]
+                        for piece, o in _pieces(m.group(1), ",")]
             continue
         m = re.match(r"option\s+([A-Za-z_]\w*)\s*=\s*(\S+)\Z", body)
         if m:
@@ -316,10 +309,7 @@ def _resolve_options(spec: ProblemSpec, args, *keys) -> dict:
 
 
 def _build_from_spec(spec: ProblemSpec, depth: int, order: str) -> TateResolution:
-    if spec.s0 is not None:
-        return build_resolution(spec.coordinates, s0=spec.s0, depth=depth,
-                                order=order)
-    return build_resolution(spec.coordinates, partials=spec.partials,
+    return build_resolution(spec.coordinates, s0=spec.s0, partials=spec.partials,
                             depth=depth, order=order)
 
 
@@ -832,9 +822,6 @@ def run_command(argv: Sequence[str]) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ProblemError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

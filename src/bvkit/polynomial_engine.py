@@ -20,8 +20,6 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-Rational = Fraction
-
 ORDER_GREVLEX = "grevlex"
 ORDER_LEX = "lex"
 _ORDERS = (ORDER_GREVLEX, ORDER_LEX)
@@ -790,32 +788,17 @@ class GroebnerBasis:
         return f"GroebnerBasis[{self.order}]({body})"
 
 
-class MembershipCertificate:
-    """Witness c with sum(c_i * g_i) = f, verified by ModuleBasis.lift.
-
-    coefficients is a ModuleVector with one entry per generator, or the
-    empty tuple when the generator list is empty (then f = 0).
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        self.coefficients = coefficients
-
-    def __repr__(self):
-        return f"MembershipCertificate({self.coefficients!r})"
-
-
 class ModuleBasis:
     """Tracked Groebner basis of the module a generator list spans.
 
     Built once per generator list, then asked many membership questions:
-    lift(f) returns a MembershipCertificate over the generators, verified
-    exactly, or None.  add(v) appends a generator and runs Buchberger on
-    the new S-pairs only.  Certificates depend on the basis, so two
-    bases grown from the same generators in different steps agree on
-    membership but may hand out different certificates.  Generators may
-    be BasePolynomial (rank 1) or ModuleVector of a common rank; an
+    lift(f) returns the coefficient vector c with sum(c_i * gens_i) = f,
+    verified exactly, or None.  add(v) appends a generator and runs
+    Buchberger on the new S-pairs only; absorb(vectors) adds each vector
+    the span does not reach yet.  Coefficients depend on the basis, so
+    two bases grown from the same generators in different steps agree
+    on membership but may hand out different coefficients.  Generators
+    may be BasePolynomial (rank 1) or ModuleVector of a common rank; an
     empty list spans only the zero vector.
     """
 
@@ -835,20 +818,29 @@ class ModuleBasis:
     def add(self, v) -> None:
         """Append generator v; the basis grows by the new S-pairs only."""
         vec = _as_vectors(self.gens[:1] + [v])[-1]   # checked against gens[0]
-        mvec = _mvec_from_vector(vec)
         if self._engine is None:
-            self._engine = _Engine([mvec], rank=vec.rank, nvars=len(vec.vars),
+            self._engine = _Engine([], rank=vec.rank, nvars=len(vec.vars),
                                    order=self.order, track=True)
-        else:
-            self._engine.insert(mvec, len(self.gens))
-            self._engine.complete()
+        self._engine.insert(_mvec_from_vector(vec), len(self.gens))
+        self._engine.complete()
         self.gens.append(vec)
 
-    def lift(self, f) -> Optional[MembershipCertificate]:
-        """Certificate c with sum(c_i * gens_i) = f, or None."""
+    def absorb(self, vectors: Iterable) -> list:
+        """Add, in order, each vector the span does not reach yet; the
+        vectors added.  A zero vector is always reached."""
+        added = []
+        for v in vectors:
+            if self.lift(v) is None:
+                self.add(v)
+                added.append(v)
+        return added
+
+    def lift(self, f):
+        """The coefficient vector c with sum(c_i * gens_i) = f, or None;
+        () for an empty generator list and f = 0."""
         fv = ModuleVector([f]) if isinstance(f, BasePolynomial) else f
         if not self.gens:
-            return MembershipCertificate(()) if fv.is_zero() else None
+            return () if fv.is_zero() else None
         vars = self.gens[0].vars
         if fv.rank != self.gens[0].rank or fv.vars != vars:
             raise ValueError("target incompatible with generators")
@@ -859,7 +851,7 @@ class ModuleBasis:
         coeffs = _mvec_to_vector(_mvec_scale(comb, Fraction(-1)), len(self.gens), vars)
         if _combination(coeffs, self.gens) != fv:
             raise AssertionError("membership certificate failed verification")
-        return MembershipCertificate(coeffs)
+        return coeffs
 
 
 # -- public operations -------------------------------------------------
@@ -945,11 +937,12 @@ def _as_vectors(items: Sequence) -> list:
 
 
 def lift_membership(f, gens: Sequence, order: str = ORDER_GREVLEX):
-    """Certificate c with sum(c_i * gens_i) = f, or None.
+    """The coefficient vector c with sum(c_i * gens_i) = f, or None.
 
     f and gens may be BasePolynomial (rank 1) or ModuleVector of a
-    common rank.  The certificate is verified exactly before return;
-    a caller asking several questions of one list builds a ModuleBasis.
+    common rank.  c is verified exactly before return (() when gens is
+    empty and f = 0); a caller asking several questions of one list
+    builds a ModuleBasis.
     """
     return ModuleBasis(gens, order).lift(f)
 

@@ -250,21 +250,16 @@ class _DeltaLayer:
         return ModuleVector(comps)
 
     def lift(self, a: GradedPolynomial) -> Optional[GradedPolynomial]:
-        cert = self.bounds.lift(self.vector(a))
-        if cert is None:
+        c = self.bounds.lift(self.vector(a))
+        if c is None:
             return None
-        return GradedPolynomial(self.table, dict(zip(self._reach, cert.coefficients)))
+        return GradedPolynomial(self.table, dict(zip(self._reach, c)))
 
     def unreached(self, cycles: Sequence[ModuleVector]) -> list:
         """The cycles, as chains, that neither the boundaries nor an earlier
-        kept cycle reach.  Each kept cycle joins ``bounds``; only membership
-        is asked of it, so it may grow one cycle at a time."""
-        kept = []
-        for z in cycles:
-            if self.bounds.lift(z) is None:
-                kept.append(GradedPolynomial(self.table, dict(zip(self.here, z))))
-                self.bounds.add(z)
-        return kept
+        kept cycle reach; each kept cycle joins ``bounds``."""
+        return [GradedPolynomial(self.table, dict(zip(self.here, z)))
+                for z in self.bounds.absorb(cycles)]
 
 
 def _delta_images(table: GeneratorTable, partials: Sequence[BasePolynomial],

@@ -10,7 +10,6 @@ from bvkit.antibracket import (
     _bracket_pair,
     antifield_lift,
     bracket,
-    d_S,
     exp_ad,
 )
 from bvkit.graded_algebra import (
@@ -74,12 +73,6 @@ class TestGeneratorValues:
     def test_table_mismatch(self):
         with pytest.raises(ValueError):
             bracket(sc(table_xy(), "x"), sc(table_mixed(), "x"))
-
-    def test_d_s_alias(self):
-        t = table_xy()
-        S = multiply(gen(t, "xs"), gen(t, "b1"))
-        a = sc(t, "x")
-        assert d_S(S, a) == bracket(S, a)
 
 
 class TestVectorFieldLift:
@@ -257,7 +250,6 @@ def test_once_computed_d_s_matches_bracket(S, a, b):
     for x in (a, b, a):
         out = _bracket_pair(factors, x)
         assert out.terms == bracket(S, x).terms
-        assert out.terms == d_S(S, x).terms
 
 
 @st.composite

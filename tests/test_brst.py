@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bvkit import polynomial_engine
 from bvkit.polynomial_engine import (
     BasePolynomial,
+    ModuleBasis,
     ModuleVector,
     groebner_basis,
     lift_membership,
@@ -24,6 +25,7 @@ from bvkit.polynomial_engine import (
     poly_to_str,
     reduce_row,
     rref,
+    syzygy_basis,
 )
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
 from bvkit.antibracket import _bracket_factors, bracket
@@ -396,6 +398,39 @@ def cubic_surface():
     return parts, pres, gb, reports
 
 
+def _reference_prune(vectors, spanned, order):
+    """_prune's loop before ModuleBasis.absorb: each kept vector is made
+    monic and joins spanned before the next one is tried."""
+    kept = []
+    for v in sorted(vectors, key=lambda v: brst._vec_sort_key(v, order)):
+        if v.is_zero() or spanned.lift(v) is not None:
+            continue
+        kept.append(brst._monic(v, order))
+        spanned.add(kept[-1])
+    return kept
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("action", ["circle", "cubic"])
+def test_prune_matches_the_reference_loop(action, order, cubic_surface):
+    # both prunes of symmetry_presentation: the syzygies of the partials
+    # against the Koszul span, then the relation candidates against the
+    # pure Koszul relations
+    parts = circle_partials() if action == "circle" else cubic_surface[0]
+    kosz = koszul_syzygies(parts)
+    syz = syzygy_basis(parts, order)
+    tau = brst._prune(syz, ModuleBasis(kosz, order), order)
+    assert tau and tau == _reference_prune(syz, ModuleBasis(kosz, order), order)
+    second = syzygy_basis(tau + kosz, order)
+    pure = [v for v in second if all(c.is_zero() for c in v.components[:len(tau)])]
+    cands = [v for v in second if v not in pure]
+    kept = brst._prune(cands, ModuleBasis(pure, order), order)
+    assert kept == _reference_prune(cands, ModuleBasis(pure, order), order)
+    if action == "cubic":
+        # 19 syzygies keep 6 generators and 18 candidates keep 12 relations
+        assert (len(tau), len(kept)) == (6, 12) and (len(syz), len(cands)) == (19, 18)
+
+
 class TestCubicSurfaceH0:
     def test_dimensions_grow_with_the_bound(self, cubic_surface):
         _parts, _pres, _gb, reports = cubic_surface
@@ -542,8 +577,8 @@ class TestBracket:
         h = poly("x^2 + y^2 - 1")
         f = poly("x^2 + y^2") + poly("x") * h
         g = poly("x^2 + y^2") + poly("y") * h
-        xi = lift_membership(apply_vector_field(pres.tau[0], f), parts).coefficients
-        eta = lift_membership(apply_vector_field(pres.tau[0], g), parts).coefficients
+        xi = lift_membership(apply_vector_field(pres.tau[0], f), parts)
+        eta = lift_membership(apply_vector_field(pres.tau[0], g), parts)
         assert vec_strs(xi) == ["0", "1"]
         assert vec_strs(eta) == ["-1", "0"]
 
@@ -613,6 +648,16 @@ class TestE2Page:
         rep = e2_page(sol, 0, 4)
         assert rep.dim == 1
         assert graded_to_str(rep.basis[0]) == "(1)"
+
+    def test_no_coordinates_rejected_as_by_h0(self):
+        # the page reads its ring through jacobian_ring, which h0 and h1
+        # share: an action on no coordinates has no partials to present
+        sol = solve_master(build_resolution([], partials=[], depth=3), 2)
+        with pytest.raises(ValueError, match="at least one partial") as page:
+            e2_page(sol, 1, 2)
+        with pytest.raises(ValueError) as direct:
+            h0([], 2)
+        assert str(page.value) == str(direct.value)
 
 
 class TestDegenerateAction:

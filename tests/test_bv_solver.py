@@ -147,19 +147,19 @@ class TestSolveMaster:
         # associated solution gets a full [S, S]
         full, squares = [], []
         real_residual = bv_solver.master_residual
-        real_bracket = bv_solver.bracket
+        real_pair = bv_solver._bracket_pair
 
         def residual_spy(res, S):
             full.append(len(S.terms))
             return real_residual(res, S)
 
-        def bracket_spy(a, b):
-            if a is b:
-                squares.append(len(a.terms))
-            return real_bracket(a, b)
+        def pair_spy(factors, b, cap=None):
+            if cap is None:
+                squares.append(len(b.terms))
+            return real_pair(factors, b, cap)
 
         monkeypatch.setattr(bv_solver, "master_residual", residual_spy)
-        monkeypatch.setattr(bv_solver, "bracket", bracket_spy)
+        monkeypatch.setattr(bv_solver, "_bracket_pair", pair_spy)
         sol = solve_master(circle(5), 4)
         assert full == [len(s_lin(sol.resolution).terms)]
         assert squares == full

@@ -92,6 +92,20 @@ class TestParseProblem:
             parse_problem("vars x;\nS0 = x + q;")
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("vars x y;\ndS0 = x, y, x*;", 2, 15),
+        ("vars x y;\ndS0 = 2*x,\n  2*y^;", 3, 7),
+        ("vars x y;\ndS0 = ,2*y;", 2, 7),
+        ("vars x y;\nS0 = x^2;\n  option depth=3", 3, 3),
+    ])
+    def test_error_positions_in_later_pieces(self, text, line, col):
+        # an error inside a later dS0 piece, or in a statement left without
+        # its ';', is located in the whole text
+        with pytest.raises(ProblemError) as e:
+            parse_problem(text)
+        assert (e.value.line, e.value.col) == (line, col)
+        assert str(e.value).startswith(f"line {line}, column {col}: ")
+
     def test_repr_shows_mode(self):
         spec = parse_problem("vars x; S0 = x^2;")
         assert "s0" in repr(spec)

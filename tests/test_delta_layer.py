@@ -4,6 +4,7 @@ _extend_layer's lift and _solve_layer's lift.  Each reference writes
 delta on the chains as a module map by hand; outputs must agree term for
 term and in dict order."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,16 @@ def _reference_check_acyclic(res, through):
     return entries
 
 
+def _reference_unreached(layer, cycles):
+    """_DeltaLayer.unreached's loop before ModuleBasis.absorb."""
+    kept = []
+    for z in cycles:
+        if layer.bounds.lift(z) is None:
+            kept.append(GradedPolynomial(layer.table, dict(zip(layer.here, z))))
+            layer.bounds.add(z)
+    return kept
+
+
 def _reference_extend_layer(src, dst, imap, d):
     """_extend_layer's lift: columns, basis and certificate by hand."""
     layer = [g for g in src.generators
@@ -171,13 +182,13 @@ def _reference_extend_layer(src, dst, imap, d):
         if rhs.is_zero():
             imap[g.name] = GradedPolynomial.zero(dst.table)
             continue
-        cert = lifts.lift(_vectorize(rhs, basis, vars))
-        if cert is None:
+        coeffs = lifts.lift(_vectorize(rhs, basis, vars))
+        if coeffs is None:
             raise ValueError(
                 f"no lift for generator {g.name!r} at degree {-d}; "
                 f"target depth insufficient")
         img = GradedPolynomial.zero(dst.table)
-        for coeff, (m, _c) in zip(cert.coefficients, keep):
+        for coeff, (m, _c) in zip(coeffs, keep):
             if not coeff.is_zero():
                 img = img + GradedPolynomial.monomial(dst.table, m, coeff)
         imap[g.name] = img
@@ -197,13 +208,13 @@ def _reference_solve_layer(res, blocks, p, cache):
     for pos in sorted(blocks):
         rhs = GradedPolynomial(t, dict(blocks[pos]))
         vec = _vectorize(rhs, basis, t.coordinates)
-        cert = lifts.lift(vec)
-        if cert is None:
+        coeffs = lifts.lift(vec)
+        if coeffs is None:
             raise RuntimeError(
                 f"no lift for an obstruction block at weight {p + 1}; "
                 "resolution depth insufficient")
         vbar = GradedPolynomial(
-            t, {m: c for m, c in zip(chains, cert.coefficients) if not c.is_zero()})
+            t, {m: c for m, c in zip(chains, coeffs) if not c.is_zero()})
         term = multiply(vbar, GradedPolynomial.monomial(t, pos, 1))
         _add_into(out, term.terms.items())
     return GradedPolynomial(t, out)
@@ -315,3 +326,28 @@ def test_solutions_and_gauge_words_match_the_solver_lift(case, monkeypatch):
     got = run()
     monkeypatch.setattr(bv_solver, "_solve_layer", _reference_solve_layer)
     assert got == run()
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("s0", ["(x^2+y^2-1)^2/4", "x^2*y^2"])
+def test_unreached_matches_the_reference_loop(s0, order, monkeypatch):
+    # every cycle list the builder and check_acyclic hand to unreached, at
+    # depth 5, is also run through the reference on a twin layer whose
+    # bounds are built afresh
+    real = tate._DeltaLayer.unreached
+    counts = []
+
+    def spy(layer, cycles):
+        twin = copy.copy(layer)
+        twin.__dict__.pop("bounds", None)
+        want = _reference_unreached(twin, cycles)
+        got = real(layer, cycles)
+        assert [terms(a) for a in got] == [terms(a) for a in want]
+        counts.append((len(cycles), len(got)))
+        return got
+
+    monkeypatch.setattr(tate._DeltaLayer, "unreached", spy)
+    res = build_resolution(("x", "y"), s0=s0, depth=5, order=order)
+    assert check_acyclic(res, 5).ok
+    assert sum(kept for _n, kept in counts) == len(res.generators) > 0
+    assert sum(n for n, _kept in counts) > len(res.generators)

@@ -73,3 +73,11 @@ def test_no_unnamed_private_definitions_in_the_package():
                         and node.name not in named):
                     found.append(f"{fname}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_every_export_is_defined_in_the_package():
+    # a name in __all__ bound to an object from elsewhere (an alias such as
+    # Fraction under a second name) is a second way to reach one thing
+    foreign = [name for name in bvkit.__all__
+               if not getattr(getattr(bvkit, name), "__module__", "").startswith("bvkit.")]
+    assert foreign == []
