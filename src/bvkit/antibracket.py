@@ -15,13 +15,13 @@ from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     _add_into,
+    _derivatives,
+    _graded,
     _products,
     _weight_rows,
     coordinate_derivative,
     dual_name,
-    left_derivative,
     multiply,
-    right_derivative,
     truncate,
 )
 from .polynomial_engine import BasePolynomial
@@ -51,28 +51,31 @@ def _is_even(a: GradedPolynomial) -> bool:
 def _bracket_factors(a: GradedPolynomial, half: bool = False) -> list:
     """The nonzero derivatives of a that enter [a, -].
 
-    Each entry is (signed derivative of a as weight rows, derivative to
-    take of b, the name to take it by), in bracket order; a subtracted
-    product has its sign folded into the derivative of a, and its terms
-    are sorted by weight, here, once.  With half, only the first product
-    of each pair enters, with its derivative of a doubled.
+    Each entry is (signed derivative of a as weight rows, i, x): it is
+    paired with the left derivative of b by generator i or, when i is
+    None, with the derivative of b by coordinate x.  Entries come in
+    bracket order; a subtracted product has its sign folded into the
+    derivative of a, and its terms are sorted by weight, here, once.
+    With half, only the first product of each pair enters, with its
+    derivative of a doubled.  Every generator derivative of a is a right
+    one, so one scan of a takes them all.
     """
     table = a.table
-    pairs = [(c, dual_name(c), coordinate_derivative, coordinate_derivative)
+    index = table.index
+    right = _derivatives(a, right=True)
+    pairs = [(coordinate_derivative(a, c), index[dual_name(c)], None, c)
              for c in table.coordinates]
-    pairs += [(g, aname, right_derivative, left_derivative)
+    pairs += [(right.get(index[g]), index[aname], index[g], None)
               for aname, _deg, g in table.pairs]
     out = []
-    for x, xs, da_dx, db_dx in pairs:
-        da = da_dx(a, x)
+    for da, xs, x, coord in pairs:
         if da:
-            out.append((_weight_rows(da * 2 if half else da),
-                        left_derivative, xs))
+            out.append((_weight_rows(da * 2 if half else da), xs, None))
         if half:
             continue
-        ra = right_derivative(a, xs)
+        ra = right.get(xs)
         if ra:
-            out.append((_weight_rows(-ra), db_dx, x))
+            out.append((_weight_rows(-ra), x, coord))
     return out
 
 
@@ -80,16 +83,18 @@ def _bracket_pair(factors: list, b: GradedPolynomial,
                   cap: Optional[int] = None) -> GradedPolynomial:
     """[a, b] from the derivatives of a collected by ``_bracket_factors``.
 
-    With a cap, only the terms of weight <= cap are computed: the result
-    is truncate([a, b], cap).
+    The left derivatives of b come from one scan of b.  With a cap, only
+    the terms of weight <= cap are computed: the result is
+    truncate([a, b], cap).
     """
+    left = _derivatives(b)
     out: dict = {}
-    for rows, derivative, name in factors:
-        db = derivative(b, name)
+    for rows, i, coord in factors:
+        db = left.get(i) if coord is None else coordinate_derivative(b, coord)
         if db:
             _add_into(out, _products(b.table, rows,
                                      _weight_rows(db, cap is not None), cap))
-    return GradedPolynomial(b.table, out)
+    return _graded(b.table, out)
 
 
 def exp_ad(u: GradedPolynomial, a: GradedPolynomial, P: int) -> GradedPolynomial:

@@ -18,10 +18,10 @@ from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     _add_into,
+    _derivatives,
     dual_name,
     graded_to_str,
     gr_project,
-    left_derivative,
     multiply,
     parse_graded,
     transport,
@@ -198,14 +198,16 @@ def _residual_bracket(res: TateResolution, a: GradedPolynomial,
     """
     r = _bracket_pair(_bracket_factors(a, a is v and _is_even(a)), v, cap)
     if res.s0 is None:
+        t = res.table
+        dv = _derivatives(v)
         out = dict(r.terms)
-        for c, p in zip(res.table.coordinates, res.partials):
-            if p.is_zero():
+        for c, p in zip(t.coordinates, res.partials):
+            d = dv.get(t.index[dual_name(c)])
+            if p.is_zero() or d is None:
                 continue
-            term = multiply(GradedPolynomial.from_scalar(res.table, p * 2),
-                            left_derivative(v, dual_name(c)), cap)
+            term = multiply(GradedPolynomial.from_scalar(t, p * 2), d, cap)
             _add_into(out, term.terms.items())
-        r = GradedPolynomial(res.table, out)
+        r = GradedPolynomial(t, out)
     return r
 
 

@@ -232,12 +232,12 @@ class GradedPolynomial:
         self._check(other)
         t = dict(self.terms)
         _add_into(t, other.terms.items())
-        return GradedPolynomial(self.table, t)
+        return _graded(self.table, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPolynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return _graded(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, BasePolynomial)):
@@ -245,7 +245,7 @@ class GradedPolynomial:
         self._check(other)
         t = dict(self.terms)
         _add_into(t, other.terms.items(), negate=True)
-        return GradedPolynomial(self.table, t)
+        return _graded(self.table, t)
 
     def __pow__(self, k: int):
         """Repeated multiply, so a power of an odd generator above 1 is 0."""
@@ -288,6 +288,14 @@ class GradedPolynomial:
         return f"GradedPolynomial({graded_to_str(self)!r})"
 
 
+def _graded(table: GeneratorTable, terms: dict) -> GradedPolynomial:
+    """GradedPolynomial(table, terms) unchecked: keys are tuples of table
+    width with no odd exponent above 1, values nonzero BasePolynomials."""
+    a = object.__new__(GradedPolynomial)
+    a.table, a.terms, a._hash = table, terms, None
+    return a
+
+
 def _add_into(out: dict, terms, negate: bool = False) -> None:
     """Add (monomial, coeff) pairs, negated if asked, into out; drop zeros."""
     for m, c in terms:
@@ -326,7 +334,7 @@ def multiply(a: GradedPolynomial, b: GradedPolynomial,
     out: dict = {}
     _add_into(out, _products(a.table, _weight_rows(a, split),
                              _weight_rows(b, split), cap))
-    return GradedPolynomial(a.table, out)
+    return _graded(a.table, out)
 
 
 def _weight_rows(a: GradedPolynomial, split: bool = True) -> list:
@@ -369,7 +377,7 @@ def _products(table: GeneratorTable, rows_a, rows_b, cap: Optional[int]):
 def gr_project(a: GradedPolynomial, p: int) -> GradedPolynomial:
     """Terms of filtration weight exactly p (canonical monomial lift)."""
     t = {m: c for m, c in a.terms.items() if a.table.weight_of(m) == p}
-    return GradedPolynomial(a.table, t)
+    return _graded(a.table, t)
 
 
 def truncate(a: GradedPolynomial, P: int) -> GradedPolynomial:
@@ -377,7 +385,7 @@ def truncate(a: GradedPolynomial, P: int) -> GradedPolynomial:
     if P < 0:
         raise ValueError("truncation weight must be >= 0")
     t = {m: c for m, c in a.terms.items() if a.table.weight_of(m) <= P}
-    return GradedPolynomial(a.table, t)
+    return _graded(a.table, t)
 
 
 def transport(a: GradedPolynomial, new_table: GeneratorTable) -> GradedPolynomial:
@@ -420,48 +428,65 @@ def transport(a: GradedPolynomial, new_table: GeneratorTable) -> GradedPolynomia
 # -- derivations -------------------------------------------------------
 
 
-def _derivative(a: GradedPolynomial, name: str, right: bool) -> GradedPolynomial:
-    """Graded partial derivative; an odd generator picks up the sign of
-    the odd factors it passes on its way to the left or right end."""
+def _generator_index(table: GeneratorTable, name: str) -> int:
+    """The position of a generator in table; a missing one is named."""
+    i = table.index.get(name)
+    if i is None:
+        raise ValueError(f"{name!r} is not a generator of the table; "
+                         f"its generators are {list(table.names)}")
+    return i
+
+
+def _derivatives(a: GradedPolynomial, right: bool = False) -> dict:
+    """Every nonzero left (or right) graded derivative of a, by generator
+    index, from one scan of its terms.
+
+    A term adds to the derivative by each generator it contains; an odd
+    generator picks up the sign of the odd factors it passes on its way
+    to the left or right end.  For a fixed index i, m -> m - e_i is
+    injective, so no two terms of a meet in one derivative and nothing
+    cancels.
+    """
     table = a.table
-    i = table.index[name]
-    passed = ()
-    if table.parities[i]:
-        passed = [j for j in table._odd_idx if (j > i if right else j < i)]
-
-    def terms():
-        for m, c in a.terms.items():
-            e = m[i]
+    parities = table.parities
+    odd = table._odd_idx
+    derivs: dict = {}
+    for m, c in a.terms.items():
+        total = sum(m[j] for j in odd) if right else 0
+        before = 0
+        for i, e in enumerate(m):
             if e:
-                m2 = list(m)
-                m2[i] -= 1
-                c = c * e
-                if sum(m[j] for j in passed) % 2:
-                    c = -c
-                yield tuple(m2), c
-
-    out: dict = {}
-    _add_into(out, terms())
-    return GradedPolynomial(table, out)
+                d = c if e == 1 else c * e
+                if parities[i]:
+                    if (total - before - 1 if right else before) % 2:
+                        d = -d
+                    before += 1
+                derivs.setdefault(i, {})[m[:i] + (e - 1,) + m[i + 1:]] = d
+    return {i: _graded(table, t) for i, t in derivs.items()}
 
 
 def left_derivative(a: GradedPolynomial, name: str) -> GradedPolynomial:
     """Graded left partial derivative by a table generator."""
-    return _derivative(a, name, right=False)
+    i = _generator_index(a.table, name)
+    return _derivatives(a).get(i) or GradedPolynomial.zero(a.table)
 
 
 def right_derivative(a: GradedPolynomial, name: str) -> GradedPolynomial:
     """Graded right partial derivative by a table generator."""
-    return _derivative(a, name, right=True)
+    i = _generator_index(a.table, name)
+    return _derivatives(a, right=True).get(i) or GradedPolynomial.zero(a.table)
 
 
 def coordinate_derivative(a: GradedPolynomial, coord: str) -> GradedPolynomial:
+    if coord not in a.table.coordinates:
+        raise ValueError(f"{coord!r} is not a coordinate of the table; "
+                         f"its coordinates are {list(a.table.coordinates)}")
     out = {}
     for m, c in a.terms.items():
         d = c.derivative(coord)
         if not d.is_zero():
             out[m] = d
-    return GradedPolynomial(a.table, out)
+    return _graded(a.table, out)
 
 
 def odd_derivation(table: GeneratorTable, images: dict):
@@ -469,18 +494,23 @@ def odd_derivation(table: GeneratorTable, images: dict):
 
     images maps generator names to GradedPolynomial values; unmapped
     generators and all coordinates are sent to zero.  D(a) = sum over g
-    of images[g] * left_derivative(a, g).
+    of images[g] * left_derivative(a, g).  A name that is not a
+    generator of table raises here.
     """
-    items = [(name, img) for name, img in images.items() if not img.is_zero()]
+    items = []
+    for name, img in images.items():
+        i = _generator_index(table, name)
+        if img:
+            items.append((i, img))
 
     def apply(a: GradedPolynomial) -> GradedPolynomial:
+        derivs = _derivatives(a)
         out: dict = {}
-        for name, img in items:
-            d = left_derivative(a, name)
-            if d.is_zero():
-                continue
-            _add_into(out, multiply(img, d).terms.items())
-        return GradedPolynomial(table, out)
+        for i, img in items:
+            d = derivs.get(i)
+            if d:
+                _add_into(out, multiply(img, d).terms.items())
+        return _graded(table, out)
 
     return apply
 

@@ -1,14 +1,21 @@
 """Graded algebra: tables, signs, grading triples, projections, strings."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvkit.antibracket import _bracket_factors, _bracket_pair
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
+    _add_into,
+    _derivatives,
+    _products,
+    _weight_rows,
     coordinate_derivative,
+    dual_name,
     graded_to_str,
     grading_data,
     gr_project,
@@ -239,6 +246,31 @@ class TestDerivatives:
         # derivation kills anything without the named generators
         assert D(gen(t, "b1")).is_zero()
 
+    def test_unknown_generator_is_named(self):
+        t = table_xy()
+        a = multiply(sc(t, "x"), gen(t, "b1"))
+        msg = ("'x' is not a generator of the table; "
+               "its generators are ['xs', 'ys', 'bs1', 'b1']")
+        for derivative in (left_derivative, right_derivative):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                derivative(a, "x")
+
+    def test_unknown_coordinate_is_named(self):
+        t = table_xy()
+        msg = "'zz' is not a coordinate of the table; its coordinates are ['x', 'y']"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            coordinate_derivative(sc(t, "x*y"), "zz")
+
+    def test_odd_derivation_names_an_unknown_generator_when_built(self):
+        t = table_xy()
+        msg = ("'bogus' is not a generator of the table; "
+               "its generators are ['xs', 'ys', 'bs1', 'b1']")
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            odd_derivation(t, {"xs": sc(t, "x"), "bogus": sc(t, "y")})
+        # a zero image does not excuse the name
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            odd_derivation(t, {"bogus": GradedPolynomial.zero(t)})
+
 
 class TestStrings:
     def test_frozen_form(self):
@@ -380,6 +412,129 @@ def test_truncate_multiplicative(a, b, P):
 @given(graded_polys(TM))
 def test_string_round_trip(a):
     assert parse_graded(graded_to_str(a), TM) == a
+
+
+# -- one-pass derivatives against the per-name kernels they replaced ---
+
+
+def _reference_derivative(a, name, right):
+    """The per-name body that scanned every term of a once per generator."""
+    table = a.table
+    i = table.index[name]
+    passed = ()
+    if table.parities[i]:
+        passed = [j for j in table._odd_idx if (j > i if right else j < i)]
+
+    def terms():
+        for m, c in a.terms.items():
+            e = m[i]
+            if e:
+                m2 = list(m)
+                m2[i] -= 1
+                c = c * e
+                if sum(m[j] for j in passed) % 2:
+                    c = -c
+                yield tuple(m2), c
+
+    out: dict = {}
+    _add_into(out, terms())
+    return GradedPolynomial(table, out)
+
+
+def _reference_bracket_factors(a, half=False):
+    """The body that took two per-name derivatives of a for each pair;
+    an entry names the derivative of b to pair with."""
+    table = a.table
+
+    def left(x, name):
+        return _reference_derivative(x, name, False)
+
+    def right(x, name):
+        return _reference_derivative(x, name, True)
+
+    pairs = [(c, dual_name(c), coordinate_derivative, coordinate_derivative)
+             for c in table.coordinates]
+    pairs += [(g, aname, right, left) for aname, _deg, g in table.pairs]
+    out = []
+    for x, xs, da_dx, db_dx in pairs:
+        da = da_dx(a, x)
+        if da:
+            out.append((_weight_rows(da * 2 if half else da), left, xs))
+        if half:
+            continue
+        ra = right(a, xs)
+        if ra:
+            out.append((_weight_rows(-ra), db_dx, x))
+    return out
+
+
+def _reference_bracket_pair(factors, b, cap=None):
+    """The pairing that took one per-name derivative of b per entry."""
+    out: dict = {}
+    for rows, derivative, name in factors:
+        db = derivative(b, name)
+        if db:
+            _add_into(out, _products(b.table, rows,
+                                     _weight_rows(db, cap is not None), cap))
+    return GradedPolynomial(b.table, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_polys(TM))
+def test_one_pass_derivatives_match_the_per_name_kernel(a):
+    for right in (False, True):
+        derivs = _derivatives(a, right)
+        for i, name in enumerate(TM.names):
+            ref = _reference_derivative(a, name, right)
+            got = derivs.get(i, GradedPolynomial.zero(TM))
+            # equal term for term, in the same order
+            assert list(got.terms.items()) == list(ref.terms.items())
+            assert (i in derivs) == bool(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_polys(TM), graded_polys(TM), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_bracket_factors_match_the_per_name_kernel(a, b, half, cap):
+    got = _bracket_pair(_bracket_factors(a, half), b, cap)
+    ref = _reference_bracket_pair(_reference_bracket_factors(a, half), b, cap)
+    assert list(got.terms.items()) == list(ref.terms.items())
+
+
+def _assert_checked_form(r):
+    rebuilt = GradedPolynomial(r.table, r.terms)
+    assert r == rebuilt
+    assert hash(r) == hash(rebuilt)
+    width = len(r.table.names)
+    for m, c in r.terms.items():
+        assert type(m) is tuple and len(m) == width
+        assert all(m[i] <= 1 for i in r.table._odd_idx)
+        assert isinstance(c, BasePolynomial) and not c.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_polys(TM), graded_polys(TM), st.integers(0, 4))
+def test_unchecked_results_are_in_checked_form(a, b, P):
+    # internal results skip the constructor's checks; each must be what
+    # the checked constructor would build from its terms
+    D = odd_derivation(TM, {"xs": sc(TM, "x"), "ys": sc(TM, "y^2 - 1"),
+                            "gs1": b})
+    K = odd_derivation(TM, {"xs": sc(TM, "x"), "ys": sc(TM, "y")})
+    cancelled = [a - a, a + (-a), K(K(a)),
+                 multiply(gen(TM, "b1"), gen(TM, "b1")),
+                 left_derivative(gen(TM, "b1"), "xs")]
+    assert all(r.is_zero() for r in cancelled)
+    results = cancelled + [
+        a + b, a - b, -a, multiply(a, b), multiply(a, b, P), truncate(a, P),
+        gr_project(a, P), left_derivative(a, "gs1"), right_derivative(a, "b1"),
+        coordinate_derivative(a, "x"), D(a), K(a),
+        _bracket_pair(_bracket_factors(a), b),
+        _bracket_pair(_bracket_factors(a, True), a, P),
+        _bracket_pair(_bracket_factors(a), a)]
+    results += list(_derivatives(a).values())
+    results += list(_derivatives(a, right=True).values())
+    for r in results:
+        _assert_checked_form(r)
 
 
 # -- one grammar: parse_graded against its former private parser ------

@@ -81,3 +81,19 @@ def test_every_export_is_defined_in_the_package():
     foreign = [name for name in bvkit.__all__
                if not getattr(getattr(bvkit, name), "__module__", "").startswith("bvkit.")]
     assert foreign == []
+
+
+def test_unchecked_graded_constructor_stays_in_the_kernel():
+    # _graded skips the per-term checks of GradedPolynomial.__init__, so
+    # only the graded kernel and the bracket, whose results are built
+    # from terms already in checked form, may name it; anything that
+    # builds from outside input keeps the checked constructor
+    allowed = {"graded_algebra.py", "antibracket.py"}
+    found = []
+    for path in sorted(Path(bvkit.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a Name, an Attribute or an import alias
+            named = {getattr(n, key, None) for key in ("id", "attr", "name")}
+            if "_graded" in named and path.name not in allowed:
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == []
