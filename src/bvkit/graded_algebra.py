@@ -17,7 +17,7 @@ surrogate for the completed algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
@@ -41,7 +41,7 @@ class GeneratorTable:
     """
 
     __slots__ = ("coordinates", "pairs", "names", "degrees", "parities",
-                 "index", "_positive_idx", "_odd_idx")
+                 "index", "_positive_idx", "_positive_of", "_positive_degrees", "_odd_idx")
 
     def __init__(self, coordinates: Sequence[str], pairs: Sequence[tuple] = ()):
         self.coordinates = tuple(coordinates)
@@ -71,7 +71,12 @@ class GeneratorTable:
         self.degrees = tuple(degrees)
         self.parities = tuple(d % 2 for d in degrees)
         self.index = {n: i for i, n in enumerate(names)}
-        self._positive_idx = tuple(i for i, d in enumerate(degrees) if d > 0)
+        pos = self._positive_idx = tuple(i for i, d in enumerate(degrees) if d > 0)
+        # the exponents of the positive generators, as a tuple: itemgetter
+        # of one index returns the item itself, and of none raises
+        self._positive_of = (itemgetter(*pos) if len(pos) > 1
+                             else lambda m: tuple(m[i] for i in pos))
+        self._positive_degrees = tuple(degrees[i] for i in pos)
         self._odd_idx = tuple(i for i, par in enumerate(self.parities) if par)
 
     @property
@@ -106,10 +111,10 @@ class GeneratorTable:
         return sum(map(mul, m, self.degrees))
 
     def weight_of(self, m: tuple) -> int:
-        return sum(m[i] * self.degrees[i] for i in self._positive_idx)
+        return sum(map(mul, self._positive_of(m), self._positive_degrees))
 
     def count_of(self, m: tuple) -> int:
-        return sum(m[i] for i in self._positive_idx)
+        return sum(self._positive_of(m))
 
     def unit_monomial(self) -> tuple:
         return (0,) * len(self.names)

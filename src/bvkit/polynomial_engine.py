@@ -9,14 +9,18 @@ form for normal forms and the normal form of every monomial it has
 reduced, and a ModuleBasis answers many membership
 questions against one generator list and can grow by one generator at a
 time.  Cohomology slices use the one sparse eliminator at the end (rref,
-nullspace, reduce_row on dict rows).  Coefficients are
-`fractions.Fraction` throughout; no floats, no modular shortcuts.
+nullspace, reduce_row on dict rows).  Every result and every
+certificate check is in `fractions.Fraction`; the Groebner engine works
+inside over the integers, with each vector's content removed, and
+divides by leading coefficients at its boundary.  No floats, no modular
+shortcuts.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -499,26 +503,30 @@ def _combination(coeffs: Iterable, gens: Sequence):
 
 # -- internal sparse vectors for the Buchberger engine -----------------
 #
-# An MVec is a dict {(position, exponent-tuple): Fraction}.  Rank and the
-# block split (for elimination orders) travel separately.
+# An MVec is a dict {(position, exponent-tuple): coefficient}; inside the
+# engine every coefficient is an int.  Rank and the block split (for
+# elimination orders) travel separately.
 
 
 def _mvec_from_vector(v: ModuleVector) -> dict:
-    out = {}
-    for i, p in enumerate(v.components):
-        for e, c in p.terms.items():
-            out[(i, e)] = c
-    return out
+    return {(i, e): c for i, p in enumerate(v.components) for e, c in p.terms.items()}
 
 
-def _mvec_to_vector(m: dict, rank: int, vars: tuple) -> ModuleVector:
-    comps = [dict() for _ in range(rank)]
+def _mvec_to_vector(m: dict, rank: int, vars: tuple, d: int) -> ModuleVector:
+    """The integer MVec m divided by d, as a vector of polynomials."""
+    comps = [{} for _ in range(rank)]
     for (i, e), c in m.items():
-        comps[i][e] = c
-    return ModuleVector([BasePolynomial(vars, t) for t in comps])
+        comps[i][e] = Fraction(c, d)
+    return ModuleVector([_from_terms(vars, t) for t in comps])
 
 
-def _mvec_add_into(out: dict, b: dict, factor: Fraction, shift: tuple) -> None:
+def _cleared(m: dict) -> tuple:
+    """(k * m, k) for the least k > 0 that makes every coefficient an int."""
+    k = lcm(*[c.denominator for c in m.values()])
+    return {t: c.numerator * (k // c.denominator) for t, c in m.items()}, k
+
+
+def _mvec_add_into(out: dict, b: dict, factor: int, shift: tuple) -> None:
     """out += factor * x^shift * b, in place."""
     for (i, e), c in b.items():
         key = (i, _monomial_mul(e, shift))
@@ -527,12 +535,6 @@ def _mvec_add_into(out: dict, b: dict, factor: Fraction, shift: tuple) -> None:
             out[key] = s
         else:
             del out[key]
-
-
-def _mvec_scale(a: dict, factor: Fraction) -> dict:
-    if factor == 1:
-        return a
-    return {k: c * factor for k, c in a.items()}
 
 
 def _term_key(order: str, split: int):
@@ -553,19 +555,22 @@ def _term_key(order: str, split: int):
     return lambda t: (t[0] >= split, ring(t[1]), t[0])
 
 
-def _mvec_leading(m: dict, key) -> tuple:
-    k = min(m, key=key)
-    return k, m[k]
-
-
 class _Engine:
-    """Buchberger over k[x]^rank with tracked transformations.
+    """Buchberger over k[x]^rank with tracked transformations, over the ints.
 
     basis[i] is an MVec and lts[i] its leading ((pos, exp), coeff).
     Tracking expresses basis[i] as transforms[i], an MVec of
     combinations of the inputs (position = input index), enough to hand
     out membership certificates.  Inputs may arrive after the build:
     insert() queues the new S-pairs and complete() works them off.
+
+    Every coefficient is an int.  insert clears an input of its
+    denominators, and basis[i] = transforms[i] . inputs holds exactly;
+    each stored pair is divided by its joint content and signed so that
+    the leading coefficient is positive.  No step chooses by a
+    coefficient, so every element, transform and remainder is a nonzero
+    rational multiple of what the same steps give over Q; callers divide
+    by the leading coefficient, or by the d that _divide returns.
 
     Division (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
     sec. 2.3) keeps the pending terms in a heap on the term key, so each
@@ -592,16 +597,21 @@ class _Engine:
             self.insert(v, idx)
         self.complete()
 
-    # division of vec by current basis (skipping element skip); returns
-    # (remainder, combination) where combination is an MVec over the
-    # inputs (None if not tracking).  The largest pending term is reduced
-    # by the first leading term dividing it; a step adds only terms below
-    # the one it cancels, so a popped term that is gone from vec is stale.
+    # division of the int MVec vec by the current basis (skipping element
+    # skip); returns (remainder, combination, d) with the combination an
+    # MVec over the inputs (None if not tracking) and d the product of
+    # the factors c2 / gcd(c, c2) by which steps scaled the pending
+    # vector, remainder and combination together, so that
+    # rem - comb . inputs = d * (vec - comb . inputs) for the arguments.
+    # The largest pending term is reduced by the first leading term
+    # dividing it; a step adds only terms below the one it cancels, so a
+    # popped term that is gone from vec is stale.
     def _divide(self, vec: dict, comb: Optional[dict], skip: int = -1) -> tuple:
         rem: dict = {}
         vec = dict(vec)
         if comb is not None:
             comb = dict(comb)
+        d = 1
         key = self.key
         lts = self.lts
         memo = self.divisor if skip < 0 else None
@@ -629,7 +639,14 @@ class _Engine:
                 continue
             (_p, e2), c2 = lts[i]
             shift = _monomial_div(t[1], e2)
-            factor = -c / c2
+            g = gcd(c, c2)
+            if g != c2:
+                a = c2 // g
+                d *= a
+                for m in (vec, rem, comb or {}):
+                    for k in m:
+                        m[k] *= a
+            factor = -c // g
             for (p, eb), cb in self.basis[i].items():
                 k = (p, _monomial_mul(eb, shift))
                 s = vec.get(k)
@@ -644,13 +661,14 @@ class _Engine:
                         del vec[k]
             if comb is not None:
                 _mvec_add_into(comb, self.transforms[i], factor, shift)
-        return rem, comb
+        return rem, comb, d
 
     def insert(self, vec: dict, idx: int) -> None:
-        """Reduce input number idx into the basis and queue its S-pairs."""
+        """Clear input number idx of denominators, reduce it into the basis
+        and queue its S-pairs."""
         if vec:
-            tr = {(idx, (0,) * self.nvars): Fraction(1)} if self.track else None
-            self._add(vec, tr)
+            vec, k = _cleared(vec)
+            self._add(vec, {(idx, (0,) * self.nvars): k} if self.track else None)
 
     def complete(self) -> None:
         """Reduce every queued S-pair: the basis is then a Groebner basis."""
@@ -660,24 +678,22 @@ class _Engine:
             _, i, j = heapq.heappop(pairs)
             (_pi, ei), ci = self.lts[i]
             (_pj, ej), cj = self.lts[j]
-            lcm = _monomial_lcm(ei, ej)
+            lcm_e = _monomial_lcm(ei, ej)
             # product criterion (rank-1 ring case only; not valid in modules)
-            if self.rank == 1 and lcm == _monomial_mul(ei, ej):
+            if self.rank == 1 and lcm_e == _monomial_mul(ei, ej):
                 continue
-            si = _monomial_div(lcm, ei)
-            sj = _monomial_div(lcm, ej)
+            g = gcd(ci, cj)
             s: dict = {}
-            _mvec_add_into(s, self.basis[i], Fraction(1) / ci, si)
-            _mvec_add_into(s, self.basis[j], Fraction(-1) / cj, sj)
-            tr = None
-            if self.track:
-                tr = {}
-                _mvec_add_into(tr, self.transforms[i], Fraction(1) / ci, si)
-                _mvec_add_into(tr, self.transforms[j], Fraction(-1) / cj, sj)
+            tr = {} if self.track else None
+            for k, f, e in ((i, cj // g, ei), (j, -ci // g, ej)):
+                shift = _monomial_div(lcm_e, e)
+                _mvec_add_into(s, self.basis[k], f, shift)
+                if self.track:
+                    _mvec_add_into(tr, self.transforms[k], f, shift)
             self._add(s, tr)
 
     def _add(self, vec: dict, tr: Optional[dict]) -> None:
-        rem, tr = self._divide(vec, tr)
+        rem, tr, _d = self._divide(vec, tr)
         if not rem:
             return
         new = self.append(rem, tr)
@@ -687,56 +703,47 @@ class _Engine:
             if pi == pn:
                 heapq.heappush(self.pairs, (sum(_monomial_lcm(ei, en)), i, new))
 
+    def _primitive(self, vec: dict, tr: Optional[dict]) -> tuple:
+        """(vec, leading (term, coeff), tr), vec and tr divided by their
+        joint content and signed so the leading coefficient is positive."""
+        t = min(vec, key=self.key)
+        g = gcd(*vec.values(), *(tr or {}).values())
+        if vec[t] < 0:
+            g = -g
+        vec = {k: c // g for k, c in vec.items()}
+        return vec, (t, vec[t]), tr and {k: c // g for k, c in tr.items()}
+
     def append(self, vec: dict, tr: Optional[dict]) -> int:
-        """Store vec as the next basis element, without pairs; its index."""
+        """Store the int MVec vec, made primitive, as the next basis
+        element, without pairs; its index."""
+        vec, lt, tr = self._primitive(vec, tr)
         self.basis.append(vec)
-        self.lts.append(_mvec_leading(vec, self.key))
+        self.lts.append(lt)
         self.divisor.clear()
         self.transforms.append(tr)
         return len(self.basis) - 1
 
     def reduce_canonical(self) -> None:
-        """Minimalize, inter-reduce, normalize monic, sort by leading term."""
+        """Minimalize, inter-reduce, sort by leading term."""
         # minimalize: drop elements whose LT is divisible by another LT
-        items = range(len(self.basis))
-        keep = []
-        for i in items:
-            pi, ei = self.lts[i][0]
-            dominated = False
-            for j in items:
-                if i == j:
-                    continue
-                pj, ej = self.lts[j][0]
-                if pj == pi and _monomial_divides(ej, ei):
-                    if ej != ei or j < i:
-                        dominated = True
-                        break
-            if not dominated:
-                keep.append(i)
-        self._select(keep)
+        # (of equal LTs, all but the first)
+        lts = [t for t, _c in self.lts]
+        self._select([i for i, (pi, ei) in enumerate(lts)
+                      if not any(pj == pi and _monomial_divides(ej, ei) and (ej != ei or j < i)
+                                 for j, (pj, ej) in enumerate(lts) if j != i)])
         # inter-reduce tails to fixpoint
         changed = True
         while changed:
             changed = False
             for i in range(len(self.basis)):
-                rem, tr = self._divide(
-                    self.basis[i], self.transforms[i] if self.track else None, skip=i)
+                rem, tr, _d = self._divide(self.basis[i], self.transforms[i], skip=i)
                 if rem != self.basis[i]:
                     changed = True
                     if not rem:
                         self._select([j for j in range(len(self.basis)) if j != i])
                         break
-                    self.basis[i] = rem
-                    self.lts[i] = _mvec_leading(rem, self.key)
+                    self.basis[i], self.lts[i], self.transforms[i] = self._primitive(rem, tr)
                     self.divisor.clear()
-                    self.transforms[i] = tr
-        # monic + canonical sort
-        for i, g in enumerate(self.basis):
-            inv = Fraction(1) / self.lts[i][1]
-            self.basis[i] = _mvec_scale(g, inv)
-            self.lts[i] = (self.lts[i][0], Fraction(1))
-            if self.track:
-                self.transforms[i] = _mvec_scale(self.transforms[i], inv)
         self._select(sorted(range(len(self.basis)),
                             key=lambda i: self.key(self.lts[i][0]), reverse=True))
 
@@ -754,10 +761,11 @@ class GroebnerBasis:
     """Reduced Groebner basis of an ideal, with provenance.
 
     The basis keeps the engine that groebner_basis built and reduced
-    (sparse vectors with their leading terms), which every normal_form
-    divides against; elements are its vectors as polynomials.
-    provenance holds the original generators and the transformation
-    matrix read off the engine's tracked transforms:
+    (sparse int vectors with their leading terms), which every
+    normal_form divides against; elements are its vectors over their
+    leading coefficients, as polynomials.  provenance holds the original
+    generators and the transformation matrix read off the engine's
+    tracked transforms, over the same leading coefficients:
     elements[i] = sum_k matrix[i][k] * generators[k].  groebner_basis
     verifies that by plain arithmetic, apart from the engine, so every
     element is certified to lie in the ideal of the generators.
@@ -773,9 +781,10 @@ class GroebnerBasis:
         self.vars = vars
         self._engine = engine
         self._nf: dict = {}   # exponent -> flat (exponent, coeff, ...) of its normal form
-        self.elements = tuple(_mvec_to_vector(g, 1, vars)[0] for g in engine.basis)
-        self.matrix = tuple(_mvec_to_vector(tr, len(generators), vars).components
-                            for tr in engine.transforms)
+        self.elements = tuple(_mvec_to_vector(g, 1, vars, c)[0]
+                              for g, (_t, c) in zip(engine.basis, engine.lts))
+        self.matrix = tuple(_mvec_to_vector(tr, len(generators), vars, c).components
+                            for tr, (_t, c) in zip(engine.transforms, engine.lts))
 
     def __iter__(self):
         return iter(self.elements)
@@ -844,11 +853,12 @@ class ModuleBasis:
         vars = self.gens[0].vars
         if fv.rank != self.gens[0].rank or fv.vars != vars:
             raise ValueError("target incompatible with generators")
-        rem, comb = self._engine._divide(_mvec_from_vector(fv), {})
+        vec, k = _cleared(_mvec_from_vector(fv))
+        rem, comb, d = self._engine._divide(vec, {})
         if rem:
             return None
-        # f reduced to zero: f = -sum(comb) over inputs
-        coeffs = _mvec_to_vector(_mvec_scale(comb, Fraction(-1)), len(self.gens), vars)
+        # k * f reduced to zero: d * k * f + comb . inputs = 0
+        coeffs = _mvec_to_vector(comb, len(self.gens), vars, -d * k)
         if _combination(coeffs, self.gens) != fv:
             raise AssertionError("membership certificate failed verification")
         return coeffs
@@ -884,9 +894,9 @@ def _monomial_nf(gb: GroebnerBasis, a: tuple) -> tuple:
     """
     nf = gb._nf.get(a)
     if nf is None:
-        rem, _ = gb._engine._divide({(0, a): Fraction(1)}, None)
+        rem, _, d = gb._engine._divide({(0, a): 1}, None)
         gb._engine.divisor.clear()
-        nf = gb._nf[a] = tuple(x for (_p, e), r in rem.items() for x in (e, r))
+        nf = gb._nf[a] = tuple(x for (_p, e), r in rem.items() for x in (e, Fraction(r, d)))
     return nf
 
 
@@ -959,21 +969,16 @@ def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
         raise ValueError("empty generator list")
     rank, vars = vecs[0].rank, vecs[0].vars
     s = len(vecs)
-    zero = BasePolynomial.zero(vars)
-    aug = []
-    for i, v in enumerate(vecs):
-        tail = [zero] * s
-        tail[i] = BasePolynomial.const(vars, 1)
-        aug.append(ModuleVector(list(v.components) + tail))
-    mvecs = [_mvec_from_vector(v) for v in aug]
-    eng = _Engine(mvecs, rank=rank + s, nvars=len(vars), order=order, split=rank)
+    one = (0,) * len(vars)
+    graph = [{**_mvec_from_vector(v), (rank + i, one): 1} for i, v in enumerate(vecs)]
+    eng = _Engine(graph, rank=rank + s, nvars=len(vars), order=order, split=rank)
     eng.reduce_canonical()
     out = []
-    for g in eng.basis:
+    for g, (_t, lc) in zip(eng.basis, eng.lts):
         if any(pos < rank for (pos, _e) in g):
             continue
         shifted = {(pos - rank, e): c for (pos, e), c in g.items()}
-        syz = _mvec_to_vector(shifted, s, vars)
+        syz = _mvec_to_vector(shifted, s, vars, lc)
         if not _combination(syz, vecs).is_zero():
             raise AssertionError("syzygy failed verification")
         out.append(syz)

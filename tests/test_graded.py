@@ -1,5 +1,6 @@
 """Graded algebra: tables, signs, grading triples, projections, strings."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -113,6 +114,19 @@ class TestGradingData:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             grading_data((0, 0), table_xy())
+
+
+@pytest.mark.parametrize("pairs", [(), (("bs1", -2, "b1"),),
+                                   (("bs1", -2, "b1"), ("gs1", -3, "g1"), ("hs1", -4, "h1"))])
+def test_weight_and_count_match_the_generator_sums(pairs):
+    # the per-index generator sums that the itemgetter forms replaced, on
+    # tables with no, one and several positive generators
+    t = GeneratorTable(("x", "y"), pairs)
+    pos = [i for i, d in enumerate(t.degrees) if d > 0]
+    assert len(pos) == len(pairs)
+    for m in itertools.product(range(3), repeat=len(t.names)):
+        assert t.weight_of(m) == sum(m[i] * t.degrees[i] for i in pos)
+        assert t.count_of(m) == sum(m[i] for i in pos)
 
 
 class TestMultiply:

@@ -1,10 +1,13 @@
 """Engine tests: frozen oracle values first, then property suites."""
 
 import contextlib
+import heapq
 import signal
 import threading
 import time
 from fractions import Fraction
+from math import gcd
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +16,14 @@ from bvkit import polynomial_engine
 from bvkit.polynomial_engine import (
     BasePolynomial,
     _Engine,
+    _cleared,
     _combination,
     _monomial_div,
     _monomial_divides,
     _monomial_lcm,
     _monomial_mul,
     _mvec_add_into,
+    _term_key,
     ModuleBasis,
     ModuleVector,
     groebner_basis,
@@ -258,6 +263,32 @@ class TestCertificateChecks:
             syzygy_basis(mk(VARS2, "x", "y"))
 
 
+def test_engine_coefficients_are_ints(monkeypatch):
+    # every build clears its inputs of denominators and keeps each
+    # element with its transform primitive, leading coefficient positive
+    engines = []
+    real = _Engine.__init__
+
+    def spy(self, *args, **kwargs):
+        engines.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Engine, "__init__", spy)
+    gens = mk(VARS2, "x/2 - y/3", "2/3*x*y + 5/7", "-y^2/4")
+    basis = ModuleBasis(gens[:2])
+    basis.add(gens[2])
+    assert [str(c) for c in basis.lift(P("x^2/6 - x*y/9", VARS2))] == ["1/3*x", "0", "0"]
+    groebner_basis(gens)
+    syzygy_basis(gens)
+    assert [eng.track for eng in engines] == [True, True, False]
+    for eng in engines:
+        assert eng.basis
+        for vec, tr, (_t, lc) in zip(eng.basis, eng.transforms, eng.lts):
+            values = list(vec.values()) + list((tr or {}).values())
+            assert all(type(c) is int for c in values)
+            assert gcd(*values) == 1 and type(lc) is int and lc > 0
+
+
 class TestDivisorMemo:
     def test_add_clears_the_memo(self):
         # the lift before add records y as unreducible; after add(y) that
@@ -280,7 +311,7 @@ class TestDivisorMemo:
         gens = mk(vars, "x^2 + 1", "y + 1")
         eng = _Engine([{(0, e): c for e, c in g.terms.items()} for g in gens],
                       rank=1, nvars=2, order="grevlex")
-        x2 = {(0, (2, 0)): Fraction(1)}
+        x2 = {(0, (2, 0)): 1}
         assert eng._divide(x2, None)[0] == {(0, (0, 0)): -1}
         eng.reduce_canonical()
         assert [lt for lt, _c in eng.lts] == [(0, (0, 1)), (0, (2, 0))]
@@ -391,9 +422,11 @@ def test_normal_form_idempotent_linear(gens, f, g, c):
 
 
 def _direct_normal_form(f, gb):
-    """normal_form before the monomial memo: one division of all of f."""
-    rem, _ = gb._engine._divide({(0, e): c for e, c in f.terms.items()}, None)
-    return {e: c for (_p, e), c in rem.items()}
+    """normal_form before the monomial memo: one division of all of f,
+    cleared of denominators, over the scale the division reports."""
+    vec, k = _cleared({(0, e): c for e, c in f.terms.items()})
+    rem, _, d = gb._engine._divide(vec, None)
+    return {e: Fraction(c, d * k) for (_p, e), c in rem.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,10 +538,11 @@ class TestCombination:
         def refuse(*args, **kwargs):
             raise AssertionError("_combination called the engine")
 
-        for name in ("__init__", "_divide", "insert", "complete", "append"):
+        for name in ("__init__", "_divide", "insert", "complete", "append", "_primitive"):
             monkeypatch.setattr(_Engine, name, refuse)
         for name in ("groebner_basis", "normal_form", "_monomial_nf", "lift_membership",
-                     "syzygy_basis", "rref", "nullspace", "reduce_row"):
+                     "syzygy_basis", "rref", "nullspace", "reduce_row", "_cleared",
+                     "_mvec_to_vector"):
             monkeypatch.setattr(polynomial_engine, name, refuse)
         coeffs = mk(VARS2, "x*y - 1", "0", "y^2 + 1/2")
         gens = [ModuleVector(mk(VARS2, a, b))
@@ -666,6 +700,11 @@ def _mvec(vector):
     return {(i, e): c for i, p in enumerate(vector) for e, c in p.terms.items()}
 
 
+def _over(m, d):
+    """The MVec m divided by d, as Fractions; None stays None."""
+    return None if m is None else {k: Fraction(c, d) for k, c in m.items()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
        st.booleans(), st.data())
@@ -685,13 +724,274 @@ def test_heap_division_matches_the_scan_reference(order, rank, track, build, dat
         eng = _Engine([], rank, 2, order, split=split, track=track)
         for i, g in enumerate(gens):
             if g:
-                eng.append(g, {(i, (0, 0)): Fraction(1)} if track else None)
+                g, k = _cleared(g)
+                eng.append(g, {(i, (0, 0)): k} if track else None)
     key = _scan_key(order, split)
     for f in data.draw(st.lists(vec, min_size=1, max_size=4)):
-        comb = data.draw(vec) if track else None
+        # the engine divides ints; the reference divides the same ints as
+        # Fractions, so the two agree once the engine's scale d is divided out
+        f = _cleared(f)[0]
+        comb = _cleared(data.draw(vec))[0] if track else None
         skips = [-1] + list(range(len(eng.lts)))
         for skip in (-1, data.draw(st.sampled_from(skips))):
-            assert eng._divide(f, comb, skip) == _scan_divide(eng, key, f, comb, skip)
+            rem, got, d = eng._divide(f, comb, skip)
+            assert all(type(c) is int for m in (rem, got or {}) for c in m.values())
+            want = _scan_divide(eng, key, _over(f, 1), _over(comb, 1), skip)
+            assert (_over(rem, d), _over(got, d)) == want
+
+
+def _mvec_scale(a, factor):
+    if factor == 1:
+        return a
+    return {k: c * factor for k, c in a.items()}
+
+
+def _mvec_leading(m, key):
+    k = min(m, key=key)
+    return k, m[k]
+
+
+class _FractionEngine:
+    """The Buchberger engine before it worked over the ints: every
+    coefficient a Fraction, every stored element as division leaves it,
+    the reduced basis made monic.  Reference for _Engine.
+
+    Buchberger over k[x]^rank with tracked transformations.
+
+    basis[i] is an MVec and lts[i] its leading ((pos, exp), coeff).
+    Tracking expresses basis[i] as transforms[i], an MVec of
+    combinations of the inputs (position = input index), enough to hand
+    out membership certificates.  Inputs may arrive after the build:
+    insert() queues the new S-pairs and complete() works them off.
+
+    Division (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    sec. 2.3) keeps the pending terms in a heap on the term key, so each
+    term is keyed once.  divisor memoizes, per term (pos, exp), the index
+    of the first leading term that divides it, or -1; the reductions of
+    one build or of one ModuleBasis share it.  It is cleared whenever
+    lts changes (append, _select, the inter-reduction in
+    reduce_canonical); a division that skips an element neither reads
+    nor writes it.
+    """
+
+    def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
+                 order: str, split: int = 0, track: bool = False):
+        self.rank = rank
+        self.nvars = nvars
+        self.key = _term_key(order, split)
+        self.track = track
+        self.basis: list = []        # list of MVec
+        self.lts: list = []          # parallel list of leading (term, coeff)
+        self.transforms: list = []   # parallel list of MVec over inputs
+        self.pairs: list = []        # heap of (lcm degree, i, j)
+        self.divisor: dict = {}      # term -> first lts index dividing it, or -1
+        for idx, v in enumerate(vectors):
+            self.insert(v, idx)
+        self.complete()
+
+    # division of vec by current basis (skipping element skip); returns
+    # (remainder, combination) where combination is an MVec over the
+    # inputs (None if not tracking).  The largest pending term is reduced
+    # by the first leading term dividing it; a step adds only terms below
+    # the one it cancels, so a popped term that is gone from vec is stale.
+    def _divide(self, vec: dict, comb: Optional[dict], skip: int = -1) -> tuple:
+        rem: dict = {}
+        vec = dict(vec)
+        if comb is not None:
+            comb = dict(comb)
+        key = self.key
+        lts = self.lts
+        memo = self.divisor if skip < 0 else None
+        heap = [(key(t), t) for t in vec]
+        heapq.heapify(heap)
+        push, pop = heapq.heappush, heapq.heappop
+        while heap:
+            t = pop(heap)[1]
+            c = vec.get(t)
+            if c is None:
+                continue
+            i = None if memo is None else memo.get(t)
+            if i is None:
+                pos, e = t
+                for i, ((p2, e2), _c2) in enumerate(lts):
+                    if p2 == pos and i != skip and _monomial_divides(e2, e):
+                        break
+                else:
+                    i = -1
+                if memo is not None:
+                    memo[t] = i
+            if i < 0:
+                rem[t] = c
+                del vec[t]
+                continue
+            (_p, e2), c2 = lts[i]
+            shift = _monomial_div(t[1], e2)
+            factor = -c / c2
+            for (p, eb), cb in self.basis[i].items():
+                k = (p, _monomial_mul(eb, shift))
+                s = vec.get(k)
+                if s is None:
+                    vec[k] = factor * cb
+                    push(heap, (key(k), k))
+                else:
+                    s += factor * cb
+                    if s:
+                        vec[k] = s
+                    else:
+                        del vec[k]
+            if comb is not None:
+                _mvec_add_into(comb, self.transforms[i], factor, shift)
+        return rem, comb
+
+    def insert(self, vec: dict, idx: int) -> None:
+        """Reduce input number idx into the basis and queue its S-pairs."""
+        if vec:
+            tr = {(idx, (0,) * self.nvars): Fraction(1)} if self.track else None
+            self._add(vec, tr)
+
+    def complete(self) -> None:
+        """Reduce every queued S-pair: the basis is then a Groebner basis."""
+        pairs = self.pairs
+        while pairs:
+            # normal selection: minimal lcm degree, then discovery order
+            _, i, j = heapq.heappop(pairs)
+            (_pi, ei), ci = self.lts[i]
+            (_pj, ej), cj = self.lts[j]
+            lcm = _monomial_lcm(ei, ej)
+            # product criterion (rank-1 ring case only; not valid in modules)
+            if self.rank == 1 and lcm == _monomial_mul(ei, ej):
+                continue
+            si = _monomial_div(lcm, ei)
+            sj = _monomial_div(lcm, ej)
+            s: dict = {}
+            _mvec_add_into(s, self.basis[i], Fraction(1) / ci, si)
+            _mvec_add_into(s, self.basis[j], Fraction(-1) / cj, sj)
+            tr = None
+            if self.track:
+                tr = {}
+                _mvec_add_into(tr, self.transforms[i], Fraction(1) / ci, si)
+                _mvec_add_into(tr, self.transforms[j], Fraction(-1) / cj, sj)
+            self._add(s, tr)
+
+    def _add(self, vec: dict, tr: Optional[dict]) -> None:
+        rem, tr = self._divide(vec, tr)
+        if not rem:
+            return
+        new = self.append(rem, tr)
+        pn, en = self.lts[new][0]
+        for i in range(new):
+            pi, ei = self.lts[i][0]
+            if pi == pn:
+                heapq.heappush(self.pairs, (sum(_monomial_lcm(ei, en)), i, new))
+
+    def append(self, vec: dict, tr: Optional[dict]) -> int:
+        """Store vec as the next basis element, without pairs; its index."""
+        self.basis.append(vec)
+        self.lts.append(_mvec_leading(vec, self.key))
+        self.divisor.clear()
+        self.transforms.append(tr)
+        return len(self.basis) - 1
+
+    def reduce_canonical(self) -> None:
+        """Minimalize, inter-reduce, normalize monic, sort by leading term."""
+        # minimalize: drop elements whose LT is divisible by another LT
+        items = range(len(self.basis))
+        keep = []
+        for i in items:
+            pi, ei = self.lts[i][0]
+            dominated = False
+            for j in items:
+                if i == j:
+                    continue
+                pj, ej = self.lts[j][0]
+                if pj == pi and _monomial_divides(ej, ei):
+                    if ej != ei or j < i:
+                        dominated = True
+                        break
+            if not dominated:
+                keep.append(i)
+        self._select(keep)
+        # inter-reduce tails to fixpoint
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(self.basis)):
+                rem, tr = self._divide(
+                    self.basis[i], self.transforms[i] if self.track else None, skip=i)
+                if rem != self.basis[i]:
+                    changed = True
+                    if not rem:
+                        self._select([j for j in range(len(self.basis)) if j != i])
+                        break
+                    self.basis[i] = rem
+                    self.lts[i] = _mvec_leading(rem, self.key)
+                    self.divisor.clear()
+                    self.transforms[i] = tr
+        # monic + canonical sort
+        for i, g in enumerate(self.basis):
+            inv = Fraction(1) / self.lts[i][1]
+            self.basis[i] = _mvec_scale(g, inv)
+            self.lts[i] = (self.lts[i][0], Fraction(1))
+            if self.track:
+                self.transforms[i] = _mvec_scale(self.transforms[i], inv)
+        self._select(sorted(range(len(self.basis)),
+                            key=lambda i: self.key(self.lts[i][0]), reverse=True))
+
+    def _select(self, idx: list) -> None:
+        self.basis = [self.basis[i] for i in idx]
+        self.lts = [self.lts[i] for i in idx]
+        self.transforms = [self.transforms[i] for i in idx]
+        self.divisor.clear()
+
+
+def _monic(eng, i, tr=False):
+    """Element i of eng (or its transform) over its leading coefficient."""
+    return _over(eng.transforms[i] if tr else eng.basis[i], eng.lts[i][1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
+       st.booleans(), st.data())
+def test_integer_engine_matches_the_fraction_reference(order, rank, track, graph, data):
+    poly = poly_strategy(VARS2, max_deg=2, max_terms=3)
+    gens = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank),
+                              min_size=1, max_size=3))
+    split = 0
+    if graph:
+        # the graph vectors (g_i ; e_i) of syzygy_basis, under its block
+        # order: the reduced elements in the tail block are the syzygies
+        one = P("1", VARS2)
+        zero = one * 0
+        gens = [g + [one if j == i else zero for j in range(len(gens))]
+                for i, g in enumerate(gens)]
+        split, rank = rank, rank + len(gens)
+    vectors = [ModuleVector(g) for g in gens]
+    mults = data.draw(st.lists(poly_strategy(VARS2, max_deg=1, max_terms=2),
+                               min_size=len(gens), max_size=len(gens)))
+    member = _mvec(_reference_combination(mults, vectors))
+    others = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank), max_size=2))
+    mvecs = [_mvec(g) for g in gens]
+    with _time_limit(vectors):
+        ref = _FractionEngine(mvecs, rank, 2, order, split=split, track=track)
+        eng = _Engine(mvecs, rank, 2, order, split=split, track=track)
+    for reduced in (False, True):
+        if reduced:
+            with _time_limit(vectors):
+                ref.reduce_canonical()
+                eng.reduce_canonical()
+        assert [t for t, _c in eng.lts] == [t for t, _c in ref.lts]
+        for i in range(len(ref.basis)):
+            assert _monic(eng, i) == _monic(ref, i)
+            if track:
+                assert _monic(eng, i, tr=True) == _monic(ref, i, tr=True)
+        for f in [member] + [_mvec(g) for g in others]:
+            # normal form and, when tracked, lift coefficients
+            vec, k = _cleared(f)
+            rem, comb, d = eng._divide(vec, {} if track else None)
+            want = ref._divide(f, {} if track else None)
+            assert (_over(rem, d * k), _over(comb, d * k)) == want
+            if f is member:
+                assert rem == {}
 
 
 @settings(max_examples=60, deadline=None)

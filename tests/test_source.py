@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 import bvkit
@@ -97,3 +98,26 @@ def test_unchecked_graded_constructor_stays_in_the_kernel():
             if "_graded" in named and path.name not in allowed:
                 found.append(f"{path.name}:{n.lineno}")
     assert found == []
+
+
+# CPython 3.11's parser holds a module's tokens in one array that starts
+# at one slot and doubles when full, allocating a token for every new
+# slot; comments and blank lines are not tokens to it.
+PARSER_TOKEN_STEP = 8192
+
+
+def test_no_module_reaches_the_parser_token_step():
+    # perfbench imports the package from source with no bytecode cache, so
+    # a module of 8,192 tokens or more doubles the array to 16,384 slots
+    # while it compiles: the import peak grows by about 0.3 MB and with it
+    # the benchmark's peak_rss_mb, with no change in what the code does
+    counts = {}
+    for path in sorted(Path(bvkit.__file__).parent.glob("*.py")):
+        with tokenize.open(path) as f:
+            counts[path.name] = sum(1 for t in tokenize.generate_tokens(f.readline)
+                                    if t.type not in (tokenize.COMMENT, tokenize.NL))
+    over = {name: n for name, n in counts.items() if n >= PARSER_TOKEN_STEP}
+    assert over == {}, (
+        f"{over} reach {PARSER_TOKEN_STEP} tokens, where CPython 3.11's parser "
+        "doubles its token buffer: compiled from source, as perfbench imports "
+        "the package, such a module raises peak_rss_mb; split or shorten it")
