@@ -17,7 +17,8 @@ surrogate for the completed algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from itertools import compress
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
@@ -41,7 +42,7 @@ class GeneratorTable:
     """
 
     __slots__ = ("coordinates", "pairs", "names", "degrees", "parities",
-                 "index", "_positive_idx", "_positive_of", "_positive_degrees", "_odd_idx")
+                 "index", "_positive_idx", "_positive_mask", "_positive_degrees", "_odd_idx")
 
     def __init__(self, coordinates: Sequence[str], pairs: Sequence[tuple] = ()):
         self.coordinates = tuple(coordinates)
@@ -71,12 +72,12 @@ class GeneratorTable:
         self.degrees = tuple(degrees)
         self.parities = tuple(d % 2 for d in degrees)
         self.index = {n: i for i, n in enumerate(names)}
-        pos = self._positive_idx = tuple(i for i, d in enumerate(degrees) if d > 0)
-        # the exponents of the positive generators, as a tuple: itemgetter
-        # of one index returns the item itself, and of none raises
-        self._positive_of = (itemgetter(*pos) if len(pos) > 1
-                             else lambda m: tuple(m[i] for i in pos))
-        self._positive_degrees = tuple(degrees[i] for i in pos)
+        self._positive_idx = tuple(i for i, d in enumerate(degrees) if d > 0)
+        # weight_of and count_of read the positive exponents through
+        # compress, not a tuple: CPython 3.11 puts every freed 20-item tuple
+        # on a free list that allocation never takes from (up to 368 KB)
+        self._positive_mask = tuple(d > 0 for d in degrees)
+        self._positive_degrees = tuple(d for d in degrees if d > 0)
         self._odd_idx = tuple(i for i, par in enumerate(self.parities) if par)
 
     @property
@@ -111,10 +112,10 @@ class GeneratorTable:
         return sum(map(mul, m, self.degrees))
 
     def weight_of(self, m: tuple) -> int:
-        return sum(map(mul, self._positive_of(m), self._positive_degrees))
+        return sum(map(mul, compress(m, self._positive_mask), self._positive_degrees))
 
     def count_of(self, m: tuple) -> int:
-        return sum(self._positive_of(m))
+        return sum(compress(m, self._positive_mask))
 
     def unit_monomial(self) -> tuple:
         return (0,) * len(self.names)

@@ -119,7 +119,7 @@ class TestGradingData:
 @pytest.mark.parametrize("pairs", [(), (("bs1", -2, "b1"),),
                                    (("bs1", -2, "b1"), ("gs1", -3, "g1"), ("hs1", -4, "h1"))])
 def test_weight_and_count_match_the_generator_sums(pairs):
-    # the per-index generator sums that the itemgetter forms replaced, on
+    # the per-index generator sums that the compress forms replaced, on
     # tables with no, one and several positive generators
     t = GeneratorTable(("x", "y"), pairs)
     pos = [i for i, d in enumerate(t.degrees) if d > 0]
