@@ -22,6 +22,7 @@ stabilization flag comparing the bound against the next one.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
@@ -30,8 +31,11 @@ from .polynomial_engine import (
     ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
+    _axpy,
+    _cleared,
     _combination,
     _monomial_mul,
+    _monomial_nf,
     groebner_basis,
     monomial_key,
     normal_form,
@@ -402,20 +406,33 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
 
     tau_i(x^m) = sum_k m_k t_ik x^(m - e_k) is written by shifting the
     exponents of the coefficients t_ik, with no polynomial multiply.
+    The coefficients are cleared of denominators once, by L, so each
+    image sums int multiples of the memoized NF(x^e) (_monomial_nf) over
+    one denominator q, the lcm of their d; its entries are divided by
+    L * q only where that is not 1.
     """
+    cleared, L = _cleared({(i, k, e): c for i, t in enumerate(pres.tau)
+                           for k, tk in enumerate(t) for e, c in tk.terms.items()})
+    tau = [[] for _ in pres.tau]
+    for (i, k, e), c in cleared.items():
+        tau[i].append((k, e, c))
     out = []
     for m in exps:
         img = {}
-        for i, t in enumerate(pres.tau):
-            terms: dict = {}
-            for k, tk in enumerate(t):
+        for i, terms in enumerate(tau):
+            acc: dict = {}
+            q = 1
+            for k, e, c in terms:
                 if m[k]:
-                    down = m[:k] + (m[k] - 1,) + m[k + 1:]
-                    for e, c in tk.terms.items():
-                        ee = _monomial_mul(e, down)
-                        terms[ee] = terms.get(ee, 0) + m[k] * c
-            for e, c in normal_form(BasePolynomial(pres.vars, terms), gb).terms.items():
-                img[(i, e)] = c
+                    it = iter(_monomial_nf(gb, _monomial_mul(e, m[:k] + (m[k] - 1,) + m[k + 1:])))
+                    d = next(it, 1)
+                    if q % d:
+                        scale = d // gcd(q, d)
+                        acc = {ee: x * scale for ee, x in acc.items()}
+                        q *= scale
+                    _axpy(acc, m[k] * c * (q // d), zip(it, it))
+            for e, x in acc.items():
+                img[(i, e)] = x if L * q == 1 else Fraction(x, L * q)
         out.append(img)
     return out
 
@@ -495,34 +512,47 @@ def _boundary_space(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
 
 
 def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: dict) -> list:
-    """The cocycle conditions of each cochain (k, e), as {(condition, e'): c}.
+    """The cocycle conditions of each cochain (k, e), as {n: c}.
 
-    Condition ("c", i, j) is tau_i(g_j) - tau_j(g_i) - f_ij^k g_k and
-    ("r", a) is sum_k r_ak g_k, both in normal form.  taus maps each
-    exponent to its _tau_images entry, whose tau_i(x^e) part enters
-    the conditions (i, k) and (k, i).
+    n numbers each pair (condition, e') in the order the pairs first
+    occur, so the images hold no key tuples.  Condition ("c", i, j) is
+    tau_i(g_j) - tau_j(g_i) - f_ij^k g_k and ("r", a) is sum_k r_ak g_k,
+    both in normal form.  taus maps each exponent to its _tau_images
+    entry, whose tau_i(x^e) part enters the conditions (i, k) and (k, i).
+    The f_ij^k and r_ak parts sum c * NF(x^(a + e)) over the terms c x^a,
+    read off the memoized monomial normal forms (_monomial_nf), so an
+    entry stays an int wherever those products are ints; an entry that
+    sums to zero is dropped.
     """
-    def add(img, cond, terms, sign):
-        for ee, c in terms:
-            img[(cond, ee)] = img.get((cond, ee), Fraction(0)) + sign * c
+    index: dict = {}
 
-    # one label tuple per condition, shared by all of its keys to keep the images small
+    def add(img, cond, ee, c):
+        n = index.setdefault((cond, ee), len(index))
+        s = img.get(n, 0) + c
+        if s:
+            img[n] = s
+        else:
+            del img[n]
+
+    # one label tuple per condition, shared by all of its pairs
     conds = {(i, j): ("c", i, j) for i, j in _pair_index(pres.r)}
-    rels = [("r", a) for a in range(pres.s)]
+    # (condition, sign, coefficient of g_k) of each cochain generator k
+    terms = [[(cond, -1, pres.structure_f[i][j][k]) for (i, j), cond in conds.items()]
+             + [(("r", a), 1, row[k]) for a, row in enumerate(pres.relations)]
+             for k in range(pres.r)]
     images = []
     for k, e in keys:
-        m = BasePolynomial(pres.vars, {e: Fraction(1)})
-        img = {}
+        img: dict = {}
         for (i, ee), c in taus[e].items():
             if i != k:
-                add(img, conds[min(i, k), max(i, k)], [(ee, c)], 1 if i < k else -1)
-        for (i, j), cond in conds.items():
-            fk = pres.structure_f[i][j][k]
-            if not fk.is_zero():
-                add(img, cond, normal_form(fk * m, gb).terms.items(), -1)
-        for rel, row in zip(rels, pres.relations):
-            if not row[k].is_zero():
-                add(img, rel, normal_form(row[k] * m, gb).terms.items(), 1)
+                add(img, conds[min(i, k), max(i, k)], ee, c if i < k else -c)
+        for cond, sign, p in terms[k]:
+            for a, cf in p.terms.items():
+                it = iter(_monomial_nf(gb, _monomial_mul(a, e)))
+                f = sign * cf / next(it, 1)
+                f = f.numerator if f.denominator == 1 else f
+                for ee, x in zip(it, it):
+                    add(img, cond, ee, f * x)
         images.append(img)
     return images
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .polynomial_engine import BasePolynomial, _combination, poly_to_str, rref
+from .polynomial_engine import BasePolynomial, _combination, _echelon, poly_to_str
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
@@ -564,7 +564,7 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
                             f"degree {deg}")
     # exactness by rank counts: at each degree, incoming rank plus
     # outgoing rank must exhaust the dimension
-    ranks = {deg: len(rref([dict(enumerate(row)) for row in m])[1])
+    ranks = {deg: len(_echelon(map(enumerate, m)))
              for deg, m in mats.items()}
     for deg in sorted(dims):
         rank_out = ranks.get(deg, 0)

@@ -6,13 +6,14 @@ free modules k[x]^r, membership certificates extracted from the tracked
 transformation matrix, and syzygy modules computed by block elimination.
 Each basis is built once and reused: a GroebnerBasis keeps its engine
 form for normal forms and the normal form of every monomial it has
-reduced, and a ModuleBasis answers many membership
-questions against one generator list and can grow by one generator at a
-time.  Cohomology slices use the one sparse eliminator at the end (rref,
-nullspace, reduce_row on dict rows).  Every result and every
-certificate check is in `fractions.Fraction`; the Groebner engine works
-inside over the integers, with each vector's content removed, and
-divides by leading coefficients at its boundary.  No floats, no modular
+reduced, as int numerators over one denominator, and a ModuleBasis
+answers many membership questions against one generator list and can
+grow by one generator at a time.  Cohomology slices use the one sparse
+eliminator at the end (_echelon, read by rref and nullspace, on dict
+rows).  Every result and every certificate check is in
+`fractions.Fraction`; the Groebner engine and the eliminator work inside
+over the integers, with each vector's content removed, and divide by
+leading coefficients or pivots at their boundary.  No floats, no modular
 shortcuts.
 """
 
@@ -769,7 +770,9 @@ class GroebnerBasis:
     elements[i] = sum_k matrix[i][k] * generators[k].  groebner_basis
     verifies that by plain arithmetic, apart from the engine, so every
     element is certified to lie in the ideal of the generators.
-    _nf holds the normal form of each monomial reduced (_monomial_nf).
+    _nf holds the normal form of each monomial reduced (_monomial_nf),
+    as int numerators over one denominator d, reduced so that d = 1
+    whenever the normal form is integral.
     """
 
     __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine", "_nf")
@@ -780,7 +783,7 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self.vars = vars
         self._engine = engine
-        self._nf: dict = {}   # exponent -> flat (exponent, coeff, ...) of its normal form
+        self._nf: dict = {}   # exponent -> flat (d, exponent, numerator, ...) of its normal form
         self.elements = tuple(_mvec_to_vector(g, 1, vars, c)[0]
                               for g, (_t, c) in zip(engine.basis, engine.lts))
         self.matrix = tuple(_mvec_to_vector(tr, len(generators), vars, c).components
@@ -886,17 +889,22 @@ def groebner_basis(gens: Iterable[BasePolynomial], order: str = ORDER_GREVLEX) -
 
 
 def _monomial_nf(gb: GroebnerBasis, a: tuple) -> tuple:
-    """NF(x^a) as a flat tuple (exponent, coeff, ...), kept on gb.
+    """NF(x^a) as a flat tuple (d, exponent, r, exponent, r, ...), kept
+    on gb: the sum of r / d * x^exponent.
 
-    Each monomial is divided once; every x^a that reduces to 0 holds the
-    one empty tuple.  The engine's divisor memo is emptied after the
+    Every r is an int and d > 0 shares no factor with all of them, so
+    d = 1 exactly when the normal form has int coefficients.  Each
+    monomial is divided once; every x^a that reduces to 0 holds the one
+    empty tuple.  The engine's divisor memo is emptied after the
     division, since gb._nf answers every later question about x^a.
     """
     nf = gb._nf.get(a)
     if nf is None:
         rem, _, d = gb._engine._divide({(0, a): 1}, None)
         gb._engine.divisor.clear()
-        nf = gb._nf[a] = tuple(x for (_p, e), r in rem.items() for x in (e, Fraction(r, d)))
+        g = gcd(d, *rem.values())
+        terms = [x for (_p, e), r in rem.items() for x in (e, r // g)]
+        nf = gb._nf[a] = (d // g, *terms) if terms else ()
     return nf
 
 
@@ -907,6 +915,7 @@ def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
     2.6), so the normal form is sum c * NF(x^a) over the terms of f;
     each NF(x^a) is computed once per basis, and the leading terms of a
     built GroebnerBasis never change, so no kept remainder goes stale.
+    c is divided by the d of NF(x^a) only where d is not 1.
     """
     if not gb.elements:
         return f
@@ -916,16 +925,8 @@ def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
     out: dict = {}
     for a, c in f.terms.items():
         it = iter(_monomial_nf(gb, a))
-        for e, r in zip(it, it):
-            s = out.get(e)
-            if s is None:
-                out[e] = c * r
-            else:
-                s += c * r
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        d = next(it, 1)
+        _axpy(out, c if d == 1 else c / d, zip(it, it))
     return _from_terms(vars, out)
 
 
@@ -985,7 +986,19 @@ def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
     return out
 
 
-# -- sparse exact linear algebra: a row is {column: Fraction}, no zeros -
+# -- sparse exact linear algebra: a row is {column: coefficient} -------
+
+
+def _axpy(out: dict, f, items: Iterable) -> None:
+    """out[k] += f * c for each (k, c) of items, in place; f and every c
+    are nonzero, and entries that reach zero are dropped."""
+    for k, c in items:
+        x = out.get(k)
+        x = f * c if x is None else x + f * c
+        if x:
+            out[k] = x
+        else:
+            del out[k]
 
 
 def reduce_row(v: dict, red: Sequence[dict], pivots: Sequence[int]) -> dict:
@@ -995,61 +1008,76 @@ def reduce_row(v: dict, red: Sequence[dict], pivots: Sequence[int]) -> dict:
     """
     out = {k: c for k, c in v.items() if c}
     for row, pc in zip(red, pivots):
-        f = out.get(pc)
-        if f:
-            for k, c in row.items():
-                x = out.get(k, 0) - f * c
-                if x:
-                    out[k] = x
-                else:
-                    del out[k]
+        if pc in out:
+            _axpy(out, -out[pc], row.items())
     return out
 
 
-def rref(rows: Sequence[dict]) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot columns), by pivot.
+def _primitive_row(v: dict, sign: int = 1) -> dict:
+    """v over the content of its entries, times sign."""
+    g = gcd(*v.values()) * sign
+    return {k: c // g for k, c in v.items()}
 
-    Each row is reduced against the pivots found so far, takes its
-    smallest column as its pivot and clears that column from the
-    earlier rows.  A row space has one such form, so the input order
-    does not change the result.
+
+def _eliminate(v: dict, row: dict, pc) -> dict:
+    """(p * v - f * row) / gcd(f, p) for f = v[pc] and p = row[pc] > 0,
+    made primitive: v with column pc cleared, and with the sign of v
+    wherever row vanishes."""
+    p, f = row[pc], v[pc]
+    g = gcd(p, f)
+    out = {k: c * (p // g) for k, c in v.items()}
+    _axpy(out, -f // g, row.items())
+    return _primitive_row(out)
+
+
+def _echelon(rows: Iterable) -> list:
+    """Gauss-Jordan over the ints: the (pivot column, row) pairs of the
+    row space, by pivot.
+
+    Each input row, an iterable of (column, value) pairs with distinct
+    columns, is cleared of denominators and explicit zeros, then
+    reduced against the rows kept so far by cross-multiplication
+    (fraction-free elimination: Bareiss, Math. Comp. 22, 1968).  What is
+    left takes its smallest column as pivot and clears that column from
+    the earlier rows.  Every kept row is primitive with a positive pivot
+    coefficient, so it is its row of the reduced echelon form times that
+    coefficient; a row space has one such form, so the input order does
+    not change the result.
     """
-    red, pivots = [], []
+    red: dict = {}
     for r in rows:
-        v = reduce_row(r, red, pivots)
-        if not v:
-            continue
-        pc = min(v)
-        inv = Fraction(1) / v[pc]
-        v = {k: c * inv for k, c in v.items()}
-        for i, row in enumerate(red):
-            if pc in row:
-                red[i] = reduce_row(row, (v,), (pc,))
-        red.append(v)
-        pivots.append(pc)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [red[i] for i in order], [pivots[i] for i in order]
+        v = _cleared({k: c for k, c in r if c})[0]
+        for pc in [pc for pc in v if pc in red]:
+            v = _eliminate(v, red[pc], pc)
+        if v:
+            pc = min(v)
+            v = _primitive_row(v, -1 if v[pc] < 0 else 1)
+            for q, row in red.items():
+                if pc in row:
+                    red[q] = _eliminate(row, v, pc)
+            red[pc] = v
+    return sorted(red.items())
+
+
+def rref(rows: Sequence[dict]) -> tuple:
+    """Reduced row echelon form, in Fractions; returns (rows, pivot
+    columns), by pivot: the rows of _echelon over their pivots."""
+    red = _echelon(r.items() for r in rows)
+    return ([{k: Fraction(c, row[pc]) for k, c in row.items()} for pc, row in red],
+            [pc for pc, _row in red])
 
 
 def nullspace(vectors: Sequence[dict]) -> list:
     """Basis {j: c} of the combinations sum_j c_j vectors[j] that vanish.
 
-    One basis vector per free index j, in increasing order of j; the
-    vectors may be keyed by any hashable.
+    One basis vector per free index j, in increasing order of j, read
+    off the rows of _echelon; the vectors may be keyed by any hashable.
     """
-    rows = {}
+    rows = {}   # key -> flat [j, c, j, c, ...], a third of the memory of a dict
     for j, vec in enumerate(vectors):
         for k, c in vec.items():
-            rows.setdefault(k, {})[j] = c
-    red, pivots = rref(list(rows.values()))
-    bound = set(pivots)
-    basis = []
-    for fc in range(len(vectors)):
-        if fc in bound:
-            continue
-        v = {fc: Fraction(1)}
-        for row, pc in zip(red, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+            rows.setdefault(k, []).extend((j, c))
+    red = _echelon(zip(it, it) for it in map(iter, rows.values()))
+    bound = dict(red)
+    return [{fc: Fraction(1), **{pc: Fraction(-row[fc], row[pc]) for pc, row in red if fc in row}}
+            for fc in range(len(vectors)) if fc not in bound]

@@ -183,35 +183,35 @@ def negative_monomials(table: GeneratorTable, d: int) -> list:
 def _graded_monomials(table: GeneratorTable, d: int, sign: int) -> list:
     """Monomials of ghost degree sign * d in the generators whose degree
     has that sign (sign = -1: duals and antifields, 1: ghosts), ascending
-    as the recursion emits them; an odd generator appears at most once."""
+    as the walk emits them; an odd generator appears at most once."""
     if d < 0:
         return []
     gens = [(i, sign * table.degrees[i], table.parities[i])
             for i in range(len(table.names)) if sign * table.degrees[i] > 0]
-    width = len(table.names)
-    out = []
-
-    def rec(k: int, budget: int, acc: list) -> None:
-        if budget == 0:
-            m = [0] * width
-            for i, e in acc:
-                m[i] = e
-            out.append(tuple(m))
-            return
-        if k == len(gens):
-            return
-        idx, size, parity = gens[k]
-        top = 1 if parity else budget // size
-        for e in range(top + 1):
-            if e * size > budget:
-                break
-            if e:
-                rec(k + 1, budget - e * size, acc + [(idx, e)])
-            else:
-                rec(k + 1, budget, acc)
-
-    rec(0, d, [])
+    # least[k]: the smallest degree among gens[k:], so a walk stops as soon
+    # as its budget is positive and below it
+    least = [min([g[1] for g in gens[k:]], default=d + 1) for k in range(len(gens) + 1)]
+    out: list = []
+    _graded_walk(gens, least, 0, d, [0] * len(table.names), out)
     return out
+
+
+def _graded_walk(gens: list, least: list, k: int, budget: int, m: list, out: list) -> None:
+    """Append to out each monomial that completes m with exponents of
+    gens[k:] summing to budget in degree, depth first with each exponent
+    ascending; m is restored before return.  A module-level function, so
+    a call leaves no reference cycle, as a closure that calls itself
+    would."""
+    if budget == 0:
+        out.append(tuple(m))
+        return
+    if budget < least[k]:
+        return
+    idx, size, parity = gens[k]
+    for e in range(min(1 if parity else budget, budget // size) + 1):
+        m[idx] = e
+        _graded_walk(gens, least, k + 1, budget - e * size, m, out)
+    m[idx] = 0
 
 
 class _DeltaLayer:

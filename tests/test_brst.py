@@ -865,6 +865,8 @@ _REFERENCE_ACTIONS = {
     "circle": (XY, "(x^2+y^2-1)^2/4"),
     "x2y2": (XY, "x^2*y^2"),
     "sphere": (("x", "y", "z"), "(x^2+y^2+z^2-1)^2"),
+    # normal forms with denominators up to 54 and tau coefficients over 3
+    "twisted": (XY, "(3*x^2*y - 2*y^2 + x)^2"),
 }
 
 
@@ -972,18 +974,34 @@ class TestSharedJacobianRing:
     normal forms memoized on it serve every slice computed from it."""
 
     @pytest.mark.parametrize("order", ["grevlex", "lex"])
-    @pytest.mark.parametrize("action", ["circle", "cubic"])
+    @pytest.mark.parametrize("action", ["circle", "cubic", "ellipse", "twisted"])
     def test_tau_images_match_the_reference(self, action, order, cubic_surface):
+        # the ellipse and the twisted square have tau coefficients with
+        # denominator 3 and normal forms NF(x^a) with denominators up to 54,
+        # so their images are summed over a denominator that is not 1
         if action == "circle":
             parts, D = circle_partials(), 8
-        else:
+        elif action == "cubic":
             parts, D = cubic_surface[0], 7
+        else:
+            text = {"ellipse": "(2*x^2 + 3*y^2 - 1)^2/4",
+                    "twisted": "(3*x^2*y - 2*y^2 + x)^2"}[action]
+            s0 = BasePolynomial.parse(text, XY)
+            parts, D = [s0.derivative(v) for v in XY], 6
         pres = symmetry_presentation(parts, order)
         exps = standard_monomials(jacobian_ring(parts, order),
                                   D + brst._degree_allowance(pres))
         got = brst._tau_images(pres, pres._ring(order), exps)
         # a fresh basis for the reference, so no memo entry is shared
         assert got == _reference_tau_images(pres, jacobian_ring(parts, order), exps)
+
+    def test_cubic_normal_forms_are_integral(self, cubic_surface):
+        # every memoized NF(x^a) of the cubic cone's ring has int
+        # coefficients, so each entry's denominator d is 1
+        _parts, pres, _gb, _reports = cubic_surface
+        memo = pres._ring(pres.order)._nf
+        assert len(memo) > 100
+        assert all(nf == () or nf[0] == 1 for nf in memo.values())
 
     def test_shared_presentation_matches_a_fresh_one_per_bound(self):
         coords = ("x", "w", "y", "z")

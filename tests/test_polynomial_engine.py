@@ -18,6 +18,7 @@ from bvkit.polynomial_engine import (
     _Engine,
     _cleared,
     _combination,
+    _echelon,
     _monomial_div,
     _monomial_divides,
     _monomial_lcm,
@@ -443,6 +444,30 @@ def test_memoized_normal_form_matches_direct_division(order, gens, fs):
         assert nf.terms == _direct_normal_form(f, gb)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]),
+       st.lists(poly_strategy(VARS3, max_deg=2, max_terms=3), min_size=1, max_size=3),
+       st.lists(poly_strategy(VARS3, max_deg=4), min_size=1, max_size=4))
+def test_normal_form_memo_holds_int_numerators_over_one_reduced_denominator(order, gens, fs):
+    # each entry is (d, e, r, e, r, ...) with int r and d > 0 sharing no
+    # factor with all of them, so d = 1 exactly when NF(x^a) is integral
+    with _time_limit(gens):
+        gb = groebner_basis(gens, order)
+    for f in fs:
+        normal_form(f, gb)
+    for a, nf in gb._nf.items():
+        if not nf:
+            assert _direct_normal_form(BasePolynomial(VARS3, {a: 1}), gb) == {}
+            continue
+        d, numerators = nf[0], nf[2::2]
+        assert type(d) is int and d > 0
+        assert numerators and all(type(r) is int and r for r in numerators)
+        assert gcd(d, *numerators) == 1
+        integral = all(c.denominator == 1 for c in
+                       _direct_normal_form(BasePolynomial(VARS3, {a: 1}), gb).values())
+        assert integral == (d == 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(range(3)),
        st.lists(poly_strategy(VARS2, max_deg=3, max_terms=3), min_size=3, max_size=3))
@@ -542,7 +567,7 @@ class TestCombination:
             monkeypatch.setattr(_Engine, name, refuse)
         for name in ("groebner_basis", "normal_form", "_monomial_nf", "lift_membership",
                      "syzygy_basis", "rref", "nullspace", "reduce_row", "_cleared",
-                     "_mvec_to_vector"):
+                     "_mvec_to_vector", "_echelon"):
             monkeypatch.setattr(polynomial_engine, name, refuse)
         coeffs = mk(VARS2, "x*y - 1", "0", "y^2 + 1/2")
         gens = [ModuleVector(mk(VARS2, a, b))
@@ -1073,6 +1098,146 @@ def test_sparse_eliminator_matches_dense_reference(matrix_and_v, keep_zeros):
     assert all(not w.get(pc) for pc in piv)
     diff = [a - w.get(k, 0) for k, a in enumerate(dense_v)]
     assert len(_dense_rref(matrix + [diff])[1]) == len(piv)
+
+
+# -- the Fraction eliminator that _echelon replaced, kept as the reference
+
+
+def _reference_reduce_row(v: dict, red: Sequence[dict], pivots: Sequence[int]) -> dict:
+    """v minus its components along the rows of a reduced echelon form.
+
+    The result vanishes on every pivot column; v itself is not changed.
+    """
+    out = {k: c for k, c in v.items() if c}
+    for row, pc in zip(red, pivots):
+        f = out.get(pc)
+        if f:
+            for k, c in row.items():
+                x = out.get(k, 0) - f * c
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+    return out
+
+
+def _reference_rref(rows: Sequence[dict]) -> tuple:
+    """Reduced row echelon form; returns (rows, pivot columns), by pivot.
+
+    Each row is reduced against the pivots found so far, takes its
+    smallest column as its pivot and clears that column from the
+    earlier rows.  A row space has one such form, so the input order
+    does not change the result.
+    """
+    red, pivots = [], []
+    for r in rows:
+        v = _reference_reduce_row(r, red, pivots)
+        if not v:
+            continue
+        pc = min(v)
+        inv = Fraction(1) / v[pc]
+        v = {k: c * inv for k, c in v.items()}
+        for i, row in enumerate(red):
+            if pc in row:
+                red[i] = _reference_reduce_row(row, (v,), (pc,))
+        red.append(v)
+        pivots.append(pc)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [red[i] for i in order], [pivots[i] for i in order]
+
+
+def _reference_nullspace(vectors: Sequence[dict]) -> list:
+    """Basis {j: c} of the combinations sum_j c_j vectors[j] that vanish.
+
+    One basis vector per free index j, in increasing order of j; the
+    vectors may be keyed by any hashable.
+    """
+    rows = {}
+    for j, vec in enumerate(vectors):
+        for k, c in vec.items():
+            rows.setdefault(k, {})[j] = c
+    red, pivots = _reference_rref(list(rows.values()))
+    bound = set(pivots)
+    basis = []
+    for fc in range(len(vectors)):
+        if fc in bound:
+            continue
+        v = {fc: Fraction(1)}
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def _typed(vectors):
+    """The vectors with each value paired with its type, so equality
+    also compares types."""
+    return [{k: (type(c), c) for k, c in v.items()} for v in vectors]
+
+
+# (label, exponent) keys in the shape brst uses, ordered as tuples
+_TUPLE_KEYS = [(label, (a, b)) for label in ("c", "r") for a in range(2) for b in range(2)]
+
+
+@st.composite
+def _eliminator_rows(draw):
+    """Rows of Fraction entries with explicit zeros, rows that are
+    combinations of earlier ones and duplicates, keyed by ints or by
+    (label, exponent) tuples."""
+    n = draw(st.integers(1, 6))
+    keys = draw(st.sampled_from([list(range(n)), _TUPLE_KEYS[:n]]))
+    entry = st.just(Fraction(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    dense = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "combination", "duplicate"]) if dense
+                    else st.just("free"))
+        if kind == "free":
+            row = draw(st.lists(entry, min_size=n, max_size=n))
+        elif kind == "duplicate":
+            row = list(draw(st.sampled_from(dense)))
+        else:
+            a, b = draw(st.sampled_from(dense)), draw(st.sampled_from(dense))
+            s, t = draw(entry), draw(entry)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        dense.append(row)
+    keep_zeros = draw(st.booleans())
+    return [{k: c for k, c in zip(keys, row) if keep_zeros or c} for row in dense]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eliminator_rows(), st.data())
+def test_eliminator_matches_the_fraction_reference(rows, data):
+    red, piv = rref(rows)
+    ref_red, ref_piv = _reference_rref(rows)
+    assert piv == ref_piv
+    assert _typed(red) == _typed(ref_red)
+
+    # kernel of the rows read as vectors, keyed by their columns
+    assert _typed(nullspace(rows)) == _typed(_reference_nullspace(rows))
+
+    keys = sorted({k for r in rows for k in r})
+    if keys:
+        v = {k: data.draw(st.fractions(-3, 3, max_denominator=4)) for k in keys}
+        assert (_typed([reduce_row(v, red, piv)])
+                == _typed([_reference_reduce_row(v, ref_red, ref_piv)]))
+
+    ints = _echelon(r.items() for r in rows)
+    assert [pc for pc, _row in ints] == piv
+    for (pc, row), frac in zip(ints, red):
+        assert all(type(c) is int and c for c in row.values())
+        assert gcd(*row.values()) == 1 and row[pc] > 0
+        assert {k: Fraction(c, row[pc]) for k, c in row.items()} == frac
+
+
+def test_eliminator_drops_explicit_zeros_and_repeated_rows():
+    rows = [{0: Fraction(0), 1: Fraction(2, 3), 2: Fraction(0)},
+            {0: Fraction(0), 1: Fraction(2, 3), 2: Fraction(0)},
+            {0: 0, 1: 0, 2: 0},
+            {0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(-1, 4)}]
+    assert _echelon(r.items() for r in rows) == [(0, {0: 2, 2: -1}), (1, {1: 1})]
+    assert rref(rows) == _reference_rref(rows)
+    assert _typed(nullspace(rows)) == _typed(_reference_nullspace(rows))
 
 
 # -- parser / printer --------------------------------------------------

@@ -1,5 +1,6 @@
 """Resolution builder, acyclicity checker, morphism lifts, stabilization."""
 
+import gc
 import json
 import time
 
@@ -20,6 +21,7 @@ from bvkit.tate import (
     build_resolution,
     check_acyclic,
     extend_morphism,
+    _graded_monomials,
     negative_monomials,
     stabilize,
 )
@@ -249,6 +251,60 @@ class TestNegativeMonomials:
         table = GeneratorTable(("x", "y"), ())
         monos = negative_monomials(table, 1)
         assert len(monos) == 2
+
+
+def _reference_graded_monomials(table, d, sign):
+    """_graded_monomials as a recursive closure, before the explicit stack."""
+    if d < 0:
+        return []
+    gens = [(i, sign * table.degrees[i], table.parities[i])
+            for i in range(len(table.names)) if sign * table.degrees[i] > 0]
+    width = len(table.names)
+    out = []
+
+    def rec(k: int, budget: int, acc: list) -> None:
+        if budget == 0:
+            m = [0] * width
+            for i, e in acc:
+                m[i] = e
+            out.append(tuple(m))
+            return
+        if k == len(gens):
+            return
+        idx, size, parity = gens[k]
+        top = 1 if parity else budget // size
+        for e in range(top + 1):
+            if e * size > budget:
+                break
+            if e:
+                rec(k + 1, budget - e * size, acc + [(idx, e)])
+            else:
+                rec(k + 1, budget, acc)
+
+    rec(0, d, [])
+    return out
+
+
+class TestGradedMonomials:
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_matches_the_recursive_reference(self, sign):
+        # same monomials in the same order, for both signs, on a table
+        # with even and odd generators of several degrees
+        table = circle(7).table
+        for d in range(-1, 12):
+            assert _graded_monomials(table, d, sign) == \
+                _reference_graded_monomials(table, d, sign)
+
+    def test_a_call_leaves_no_reference_cycle(self):
+        table = circle(5).table
+        gc.collect()
+        gc.disable()
+        try:
+            monos = _graded_monomials(table, 6, -1)
+            assert monos
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExtendMorphism:
