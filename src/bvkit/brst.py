@@ -22,7 +22,6 @@ stabilization flag comparing the bound against the next one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
@@ -31,11 +30,10 @@ from .polynomial_engine import (
     ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
-    _axpy,
     _cleared,
     _combination,
     _monomial_mul,
-    _monomial_nf,
+    _nf_sum,
     groebner_basis,
     monomial_key,
     normal_form,
@@ -407,9 +405,9 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
     tau_i(x^m) = sum_k m_k t_ik x^(m - e_k) is written by shifting the
     exponents of the coefficients t_ik, with no polynomial multiply.
     The coefficients are cleared of denominators once, by L, so each
-    image sums int multiples of the memoized NF(x^e) (_monomial_nf) over
-    one denominator q, the lcm of their d; its entries are divided by
-    L * q only where that is not 1.
+    image is one int sum over the memoized monomial normal forms
+    (_nf_sum), over one denominator q; its entries are divided by L * q
+    only where that is not 1.
     """
     cleared, L = _cleared({(i, k, e): c for i, t in enumerate(pres.tau)
                            for k, tk in enumerate(t) for e, c in tk.terms.items()})
@@ -420,19 +418,11 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
     for m in exps:
         img = {}
         for i, terms in enumerate(tau):
-            acc: dict = {}
-            q = 1
-            for k, e, c in terms:
-                if m[k]:
-                    it = iter(_monomial_nf(gb, _monomial_mul(e, m[:k] + (m[k] - 1,) + m[k + 1:])))
-                    d = next(it, 1)
-                    if q % d:
-                        scale = d // gcd(q, d)
-                        acc = {ee: x * scale for ee, x in acc.items()}
-                        q *= scale
-                    _axpy(acc, m[k] * c * (q // d), zip(it, it))
+            acc, q = _nf_sum(gb, ((_monomial_mul(e, m[:k] + (m[k] - 1,) + m[k + 1:]), m[k] * c)
+                                  for k, e, c in terms if m[k]))
+            q *= L
             for e, x in acc.items():
-                img[(i, e)] = x if L * q == 1 else Fraction(x, L * q)
+                img[(i, e)] = x if q == 1 else Fraction(x, q)
         out.append(img)
     return out
 
@@ -519,9 +509,9 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
     tau_i(g_j) - tau_j(g_i) - f_ij^k g_k and ("r", a) is sum_k r_ak g_k,
     both in normal form.  taus maps each exponent to its _tau_images
     entry, whose tau_i(x^e) part enters the conditions (i, k) and (k, i).
-    The f_ij^k and r_ak parts sum c * NF(x^(a + e)) over the terms c x^a,
-    read off the memoized monomial normal forms (_monomial_nf), so an
-    entry stays an int wherever those products are ints; an entry that
+    Each f_ij^k and r_ak is cleared of denominators once, by L, and its
+    part is one int sum of NF(x^(a + e)) over its terms (_nf_sum), over
+    one q, that stays an int wherever L * q divides it; an entry that
     sums to zero is dropped.
     """
     index: dict = {}
@@ -536,9 +526,10 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
 
     # one label tuple per condition, shared by all of its pairs
     conds = {(i, j): ("c", i, j) for i, j in _pair_index(pres.r)}
-    # (condition, sign, coefficient of g_k) of each cochain generator k
-    terms = [[(cond, -1, pres.structure_f[i][j][k]) for (i, j), cond in conds.items()]
-             + [(("r", a), 1, row[k]) for a, row in enumerate(pres.relations)]
+    # (condition, sign, cleared coefficient of g_k, L) of each cochain generator k
+    terms = [[(cond, -1, *_cleared(pres.structure_f[i][j][k].terms))
+              for (i, j), cond in conds.items()]
+             + [(("r", a), 1, *_cleared(row[k].terms)) for a, row in enumerate(pres.relations)]
              for k in range(pres.r)]
     images = []
     for k, e in keys:
@@ -546,13 +537,11 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
         for (i, ee), c in taus[e].items():
             if i != k:
                 add(img, conds[min(i, k), max(i, k)], ee, c if i < k else -c)
-        for cond, sign, p in terms[k]:
-            for a, cf in p.terms.items():
-                it = iter(_monomial_nf(gb, _monomial_mul(a, e)))
-                f = sign * cf / next(it, 1)
-                f = f.numerator if f.denominator == 1 else f
-                for ee, x in zip(it, it):
-                    add(img, cond, ee, f * x)
+        for cond, sign, p, L in terms[k]:
+            acc, q = _nf_sum(gb, ((_monomial_mul(a, e), sign * c) for a, c in p.items()))
+            q *= L
+            for ee, x in acc.items():
+                add(img, cond, ee, x // q if x % q == 0 else Fraction(x, q))
         images.append(img)
     return images
 

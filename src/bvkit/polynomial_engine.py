@@ -6,11 +6,12 @@ free modules k[x]^r, membership certificates extracted from the tracked
 transformation matrix, and syzygy modules computed by block elimination.
 Each basis is built once and reused: a GroebnerBasis keeps its engine
 form for normal forms and the normal form of every monomial it has
-reduced, as int numerators over one denominator, and a ModuleBasis
-answers many membership questions against one generator list and can
-grow by one generator at a time.  Cohomology slices use the one sparse
-eliminator at the end (_echelon, read by rref and nullspace, on dict
-rows).  Every result and every certificate check is in
+reduced, as int numerators over one denominator; one int sum
+(_nf_sum) reads those for normal_form and for every cohomology slice.
+A ModuleBasis answers many membership questions against one generator
+list and can grow by one generator at a time.  Cohomology slices use
+the one sparse eliminator at the end (_echelon, read by rref and
+nullspace, on dict rows).  Every result and every certificate check is in
 `fractions.Fraction`; the Groebner engine and the eliminator work inside
 over the integers, with each vector's content removed, and divide by
 leading coefficients or pivots at their boundary.  No floats, no modular
@@ -578,9 +579,9 @@ class _Engine:
     term is keyed once.  divisor memoizes, per term (pos, exp), the index
     of the first leading term that divides it, or -1; the reductions of
     one build or of one ModuleBasis share it.  It is cleared whenever
-    lts changes (append, _select, the inter-reduction in
-    reduce_canonical); a division that skips an element neither reads
-    nor writes it.
+    the leading terms change (append, _select; the inter-reduction in
+    reduce_canonical keeps them); a division that skips an element
+    neither reads nor writes it.
     """
 
     def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
@@ -732,19 +733,12 @@ class _Engine:
         self._select([i for i, (pi, ei) in enumerate(lts)
                       if not any(pj == pi and _monomial_divides(ej, ei) and (ej != ei or j < i)
                                  for j, (pj, ej) in enumerate(lts) if j != i)])
-        # inter-reduce tails to fixpoint
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self.basis)):
-                rem, tr, _d = self._divide(self.basis[i], self.transforms[i], skip=i)
-                if rem != self.basis[i]:
-                    changed = True
-                    if not rem:
-                        self._select([j for j in range(len(self.basis)) if j != i])
-                        break
-                    self.basis[i], self.lts[i], self.transforms[i] = self._primitive(rem, tr)
-                    self.divisor.clear()
+        # inter-reduce tails: no leading term divides another, so each
+        # keeps its term and a reduced tail stays reduced; one pass is enough
+        for i in range(len(self.basis)):
+            rem, tr, _d = self._divide(self.basis[i], self.transforms[i], skip=i)
+            if rem != self.basis[i]:
+                self.basis[i], self.lts[i], self.transforms[i] = self._primitive(rem, tr)
         self._select(sorted(range(len(self.basis)),
                             key=lambda i: self.key(self.lts[i][0]), reverse=True))
 
@@ -772,7 +766,7 @@ class GroebnerBasis:
     element is certified to lie in the ideal of the generators.
     _nf holds the normal form of each monomial reduced (_monomial_nf),
     as int numerators over one denominator d, reduced so that d = 1
-    whenever the normal form is integral.
+    whenever the normal form is integral; _nf_sum is its one reader.
     """
 
     __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine", "_nf")
@@ -908,6 +902,23 @@ def _monomial_nf(gb: GroebnerBasis, a: tuple) -> tuple:
     return nf
 
 
+def _nf_sum(gb: GroebnerBasis, terms: Iterable) -> tuple:
+    """(acc, q): sum c * NF(x^a) over the (a, c) pairs of terms, each c a
+    nonzero int, as int numerators {exponent: r} over q > 0, the lcm of
+    the d read; acc is rescaled when q grows.  The one reader of the
+    _monomial_nf layout."""
+    acc, q = {}, 1
+    for a, c in terms:
+        it = iter(_monomial_nf(gb, a))
+        d = next(it, 1)
+        if q % d:
+            scale = d // gcd(q, d)
+            acc = {e: x * scale for e, x in acc.items()}
+            q *= scale
+        _axpy(acc, c * (q // d), zip(it, it))
+    return acc, q
+
+
 def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
     """Remainder of f on division by the basis.
 
@@ -915,19 +926,13 @@ def normal_form(f: BasePolynomial, gb: GroebnerBasis) -> BasePolynomial:
     2.6), so the normal form is sum c * NF(x^a) over the terms of f;
     each NF(x^a) is computed once per basis, and the leading terms of a
     built GroebnerBasis never change, so no kept remainder goes stale.
-    c is divided by the d of NF(x^a) only where d is not 1.
+    f is cleared once, summed in ints (_nf_sum) and divided at the end.
     """
-    if not gb.elements:
-        return f
-    vars = gb.vars
-    if f.vars != vars:
+    if f.vars != gb.vars:
         raise ValueError("variable mismatch with basis")
-    out: dict = {}
-    for a, c in f.terms.items():
-        it = iter(_monomial_nf(gb, a))
-        d = next(it, 1)
-        _axpy(out, c if d == 1 else c / d, zip(it, it))
-    return _from_terms(vars, out)
+    cleared, k = _cleared(f.terms)
+    acc, q = _nf_sum(gb, cleared.items())
+    return _from_terms(f.vars, {e: Fraction(x, k * q) for e, x in acc.items()})
 
 
 def _as_vectors(items: Sequence) -> list:
@@ -973,11 +978,11 @@ def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
     one = (0,) * len(vars)
     graph = [{**_mvec_from_vector(v), (rank + i, one): 1} for i, v in enumerate(vecs)]
     eng = _Engine(graph, rank=rank + s, nvars=len(vars), order=order, split=rank)
+    # an element led by the tail lies wholly in it, and only such elements reduce it
+    eng._select([i for i, ((pos, _e), _c) in enumerate(eng.lts) if pos >= rank])
     eng.reduce_canonical()
     out = []
     for g, (_t, lc) in zip(eng.basis, eng.lts):
-        if any(pos < rank for (pos, _e) in g):
-            continue
         shifted = {(pos - rank, e): c for (pos, e), c in g.items()}
         syz = _mvec_to_vector(shifted, s, vars, lc)
         if not _combination(syz, vecs).is_zero():

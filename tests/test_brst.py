@@ -8,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,10 @@ from bvkit.polynomial_engine import (
     BasePolynomial,
     ModuleBasis,
     ModuleVector,
+    _axpy,
+    _cleared,
+    _monomial_mul,
+    _monomial_nf,
     groebner_basis,
     lift_membership,
     monomial_key,
@@ -952,6 +958,151 @@ def _reference_tau_images(pres, gb, exps):
     return out
 
 
+def _reference_summed_tau_images(pres, gb, exps) -> list:
+    """_tau_images before _nf_sum: each image read the memoized NF(x^e)
+    itself and rescaled its sum whenever the denominator q grew."""
+    cleared, L = _cleared({(i, k, e): c for i, t in enumerate(pres.tau)
+                           for k, tk in enumerate(t) for e, c in tk.terms.items()})
+    tau = [[] for _ in pres.tau]
+    for (i, k, e), c in cleared.items():
+        tau[i].append((k, e, c))
+    out = []
+    for m in exps:
+        img = {}
+        for i, terms in enumerate(tau):
+            acc: dict = {}
+            q = 1
+            for k, e, c in terms:
+                if m[k]:
+                    it = iter(_monomial_nf(gb, _monomial_mul(e, m[:k] + (m[k] - 1,) + m[k + 1:])))
+                    d = next(it, 1)
+                    if q % d:
+                        scale = d // gcd(q, d)
+                        acc = {ee: x * scale for ee, x in acc.items()}
+                        q *= scale
+                    _axpy(acc, m[k] * c * (q // d), zip(it, it))
+            for e, x in acc.items():
+                img[(i, e)] = x if L * q == 1 else Fraction(x, L * q)
+        out.append(img)
+    return out
+
+
+def _reference_cocycle_images(pres, gb, keys, taus: dict) -> list:
+    """_cocycle_images before _nf_sum: each term c x^a of a structure
+    function or relation entered as sign * c / d times each numerator of
+    the memoized NF(x^(a + e))."""
+    index: dict = {}
+
+    def add(img, cond, ee, c):
+        n = index.setdefault((cond, ee), len(index))
+        s = img.get(n, 0) + c
+        if s:
+            img[n] = s
+        else:
+            del img[n]
+
+    # one label tuple per condition, shared by all of its pairs
+    conds = {(i, j): ("c", i, j) for i, j in brst._pair_index(pres.r)}
+    # (condition, sign, coefficient of g_k) of each cochain generator k
+    terms = [[(cond, -1, pres.structure_f[i][j][k]) for (i, j), cond in conds.items()]
+             + [(("r", a), 1, row[k]) for a, row in enumerate(pres.relations)]
+             for k in range(pres.r)]
+    images = []
+    for k, e in keys:
+        img: dict = {}
+        for (i, ee), c in taus[e].items():
+            if i != k:
+                add(img, conds[min(i, k), max(i, k)], ee, c if i < k else -c)
+        for cond, sign, p in terms[k]:
+            for a, cf in p.terms.items():
+                it = iter(_monomial_nf(gb, _monomial_mul(a, e)))
+                f = sign * cf / next(it, 1)
+                f = f.numerator if f.denominator == 1 else f
+                for ee, x in zip(it, it):
+                    add(img, cond, ee, f * x)
+        images.append(img)
+    return images
+
+
+def _assert_images_match(got, want):
+    """got and want hold equal values, and got an int wherever want does.
+
+    Each image numbers its (condition, exponent) pairs in the order they
+    first occur, and the reference numbered a pair whose terms cancel
+    too, so the two are compared as multisets of columns: for each
+    label, its (cochain, value) pairs.
+    """
+    def columns(images):
+        cols = {}
+        for j, img in enumerate(images):
+            for n, c in img.items():
+                cols.setdefault(n, []).append((j, c))
+        groups = {}
+        for col in cols.values():
+            groups.setdefault(tuple(col), []).append([type(c) is int for _j, c in col])
+        return groups
+
+    have, need = columns(got), columns(want)
+    assert have.keys() == need.keys()
+    for col, wanted in need.items():
+        pool = sorted(have[col], key=sum)
+        assert len(pool) == len(wanted)
+        # pair each reference column, most ints first, with the first
+        # column of equal values that is an int wherever it is
+        for flags in sorted(wanted, key=sum, reverse=True):
+            match = next((h for h in pool if all(a or not b for a, b in zip(h, flags))), None)
+            assert match is not None, (col, flags, pool)
+            pool.remove(match)
+
+
+def _typed_images(images):
+    return [{k: (type(c) is int, c) for k, c in img.items()} for img in images]
+
+
+def _check_summed_images(pres, gb, fresh, exps):
+    """_tau_images and _cocycle_images on gb against the references on
+    fresh, a second basis of the same ideal that shares no memo entry."""
+    taus = brst._tau_images(pres, gb, exps)
+    want = _reference_summed_tau_images(pres, fresh, exps)
+    assert _typed_images(taus) == _typed_images(want)
+    keys = [(k, e) for k in range(pres.r) for e in exps]
+    _assert_images_match(brst._cocycle_images(pres, gb, keys, dict(zip(exps, taus))),
+                         _reference_cocycle_images(pres, fresh, keys, dict(zip(exps, want))))
+
+
+_FRACTION_POLY2 = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    max_size=3).map(lambda t: BasePolynomial(XY, t))
+
+
+@st.composite
+def _summed_image_inputs(draw):
+    """A random ideal of the plane, fields tau, structure functions,
+    relations and exponents: the sums read only these, so no action or
+    certificate is needed behind them."""
+    gens = draw(st.lists(_FRACTION_POLY2, min_size=1, max_size=3))
+    r = draw(st.integers(1, 3))
+    tau = [ModuleVector(draw(st.lists(_FRACTION_POLY2, min_size=2, max_size=2)))
+           for _ in range(r)]
+    f = [[[draw(_FRACTION_POLY2) if i < j else None for _k in range(r)]
+          for j in range(r)] for i in range(r)]
+    relations = [draw(st.lists(_FRACTION_POLY2, min_size=r, max_size=r))
+                 for _ in range(draw(st.integers(0, 2)))]
+    exps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=6, unique=True))
+    pres = SimpleNamespace(tau=tau, r=r, structure_f=f, relations=relations)
+    return gens, pres, exps
+
+
+@settings(deadline=None, max_examples=80)
+@given(_summed_image_inputs(), st.sampled_from(["grevlex", "lex"]))
+def test_summed_images_match_the_reference_sums(inputs, order):
+    gens, pres, exps = inputs
+    _check_summed_images(pres, groebner_basis(gens, order),
+                         groebner_basis(gens, order), exps)
+
+
 def _reference_exponents_upto(n, D):
     """_exponents_upto as a recursive closure."""
     out = []
@@ -994,6 +1145,9 @@ class TestSharedJacobianRing:
         got = brst._tau_images(pres, pres._ring(order), exps)
         # a fresh basis for the reference, so no memo entry is shared
         assert got == _reference_tau_images(pres, jacobian_ring(parts, order), exps)
+        # the images and cocycle conditions summed by _nf_sum, against the
+        # bodies that read the memo themselves
+        _check_summed_images(pres, pres._ring(order), jacobian_ring(parts, order), exps)
 
     def test_cubic_normal_forms_are_integral(self, cubic_surface):
         # every memoized NF(x^a) of the cubic cone's ring has int

@@ -16,14 +16,20 @@ from bvkit import polynomial_engine
 from bvkit.polynomial_engine import (
     BasePolynomial,
     _Engine,
+    _as_vectors,
+    _axpy,
     _cleared,
     _combination,
     _echelon,
+    _from_terms,
     _monomial_div,
     _monomial_divides,
     _monomial_lcm,
     _monomial_mul,
+    _monomial_nf,
     _mvec_add_into,
+    _mvec_from_vector,
+    _mvec_to_vector,
     _term_key,
     ModuleBasis,
     ModuleVector,
@@ -133,6 +139,12 @@ class TestNormalForm:
         gb = groebner_basis([BasePolynomial.zero(vars)])
         f = P("x^3 - 2", vars)
         assert normal_form(f, gb) == f
+
+    def test_variables_are_checked_against_an_empty_basis(self):
+        # the zero ideal has no elements, and its variables are still checked
+        gb = groebner_basis([BasePolynomial.zero(("y",))])
+        with pytest.raises(ValueError, match="variable mismatch with basis"):
+            normal_form(P("x^2", ("x",)), gb)
 
 
 class TestLift:
@@ -567,7 +579,7 @@ class TestCombination:
             monkeypatch.setattr(_Engine, name, refuse)
         for name in ("groebner_basis", "normal_form", "_monomial_nf", "lift_membership",
                      "syzygy_basis", "rref", "nullspace", "reduce_row", "_cleared",
-                     "_mvec_to_vector", "_echelon"):
+                     "_mvec_to_vector", "_echelon", "_nf_sum"):
             monkeypatch.setattr(polynomial_engine, name, refuse)
         coeffs = mk(VARS2, "x*y - 1", "0", "y^2 + 1/2")
         gens = [ModuleVector(mk(VARS2, a, b))
@@ -632,6 +644,37 @@ def test_unchecked_results_have_the_checked_form(f, g, c, ideal):
         results += [normal_form(f, gb), normal_form(f * g, gb)]
     for p in results:
         _assert_checked_form(p)
+
+
+def _reference_normal_form(f: BasePolynomial, gb) -> BasePolynomial:
+    """normal_form before _nf_sum: each Fraction c of f over the d of
+    NF(x^a), added term by term."""
+    if not gb.elements:
+        return f
+    vars = gb.vars
+    if f.vars != vars:
+        raise ValueError("variable mismatch with basis")
+    out: dict = {}
+    for a, c in f.terms.items():
+        it = iter(_monomial_nf(gb, a))
+        d = next(it, 1)
+        _axpy(out, c if d == 1 else c / d, zip(it, it))
+    return _from_terms(vars, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]),
+       st.lists(poly_strategy(VARS3, max_deg=2, max_terms=3), min_size=1, max_size=3),
+       st.lists(poly_strategy(VARS3, max_deg=4), min_size=1, max_size=4))
+def test_normal_form_matches_the_term_by_term_reference(order, gens, fs):
+    # Fraction generators give normal forms NF(x^a) whose d is not 1
+    with _time_limit(gens):
+        gb = groebner_basis(gens, order)
+        fresh = groebner_basis(gens, order)   # the reference shares no memo entry
+    for f in fs + fs:
+        nf, want = normal_form(f, gb), _reference_normal_form(f, fresh)
+        assert nf.vars == want.vars
+        assert _typed([nf.terms]) == _typed([want.terms])
 
 
 def _s_vector(a, b, order):
@@ -1017,6 +1060,87 @@ def test_integer_engine_matches_the_fraction_reference(order, rank, track, graph
             assert (_over(rem, d * k), _over(comb, d * k)) == want
             if f is member:
                 assert rem == {}
+
+
+def _reference_reduce_canonical(self) -> None:
+    """_Engine.reduce_canonical before one inter-reduction pass: the
+    tails are reduced again until no element changes, and an element
+    that reduces to zero is dropped."""
+    # minimalize: drop elements whose LT is divisible by another LT
+    # (of equal LTs, all but the first)
+    lts = [t for t, _c in self.lts]
+    self._select([i for i, (pi, ei) in enumerate(lts)
+                  if not any(pj == pi and _monomial_divides(ej, ei) and (ej != ei or j < i)
+                             for j, (pj, ej) in enumerate(lts) if j != i)])
+    # inter-reduce tails to fixpoint
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(self.basis)):
+            rem, tr, _d = self._divide(self.basis[i], self.transforms[i], skip=i)
+            if rem != self.basis[i]:
+                changed = True
+                if not rem:
+                    self._select([j for j in range(len(self.basis)) if j != i])
+                    break
+                self.basis[i], self.lts[i], self.transforms[i] = self._primitive(rem, tr)
+                self.divisor.clear()
+    self._select(sorted(range(len(self.basis)),
+                        key=lambda i: self.key(self.lts[i][0]), reverse=True))
+
+
+def _reference_syzygy_basis(gens: Sequence, order: str = "grevlex") -> list:
+    """syzygy_basis before it kept only the tail block: the whole basis
+    is reduced, to a fixpoint, and the elements with a term in the first
+    block are skipped afterwards."""
+    vecs = _as_vectors(list(gens))
+    if not vecs:
+        raise ValueError("empty generator list")
+    rank, vars = vecs[0].rank, vecs[0].vars
+    s = len(vecs)
+    one = (0,) * len(vars)
+    graph = [{**_mvec_from_vector(v), (rank + i, one): 1} for i, v in enumerate(vecs)]
+    eng = _Engine(graph, rank=rank + s, nvars=len(vars), order=order, split=rank)
+    _reference_reduce_canonical(eng)
+    out = []
+    for g, (_t, lc) in zip(eng.basis, eng.lts):
+        if any(pos < rank for (pos, _e) in g):
+            continue
+        shifted = {(pos - rank, e): c for (pos, e), c in g.items()}
+        syz = _mvec_to_vector(shifted, s, vars, lc)
+        if not _combination(syz, vecs).is_zero():
+            raise AssertionError("syzygy failed verification")
+        out.append(syz)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
+       st.booleans(), st.data())
+def test_one_inter_reduction_pass_matches_the_fixpoint_reference(order, rank, track, graph,
+                                                                  data):
+    poly = poly_strategy(VARS2, max_deg=2, max_terms=3)
+    gens = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank),
+                              min_size=1, max_size=3))
+    vectors = [ModuleVector(g) for g in gens]
+    split, width = 0, rank
+    if graph:
+        # the graph vectors of syzygy_basis under its block order
+        one = P("1", VARS2)
+        gens = [g + [one if j == i else one * 0 for j in range(len(gens))]
+                for i, g in enumerate(gens)]
+        split, width = rank, rank + len(gens)
+    mvecs = [_mvec(g) for g in gens]
+    with _time_limit(vectors):
+        eng = _Engine(mvecs, width, 2, order, split=split, track=track)
+        ref = _Engine(mvecs, width, 2, order, split=split, track=track)
+        eng.reduce_canonical()
+        _reference_reduce_canonical(ref)
+    assert eng.basis == ref.basis
+    assert eng.lts == ref.lts
+    assert eng.transforms == ref.transforms
+    with _time_limit(vectors):
+        assert syzygy_basis(vectors, order) == _reference_syzygy_basis(vectors, order)
 
 
 @settings(max_examples=60, deadline=None)

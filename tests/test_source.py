@@ -100,6 +100,30 @@ def test_unchecked_graded_constructor_stays_in_the_kernel():
     assert found == []
 
 
+def test_normal_form_memo_is_read_in_the_engine_only():
+    # GroebnerBasis._nf keeps each monomial's normal form in a flat layout
+    # that _monomial_nf writes and _nf_sum alone reads; every other module
+    # sums normal forms through _nf_sum or normal_form, so the layout can
+    # change in one place
+    memo = {"_monomial_nf", "_nf"}
+    found = []
+    for path in sorted(Path(bvkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "polynomial_engine.py":
+            readers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                       and any(isinstance(n, ast.Name) and n.id == "_monomial_nf"
+                               for n in ast.walk(f))}
+            if readers != {"_nf_sum"}:
+                found.append(f"{path.name}: _monomial_nf called by {sorted(readers)}")
+            continue
+        for n in ast.walk(tree):
+            # a Name, an Attribute or an import alias
+            named = {getattr(n, key, None) for key in ("id", "attr", "name")}
+            if named & memo:
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == []
+
+
 # CPython 3.11's parser holds a module's tokens in one array that starts
 # at one slot and doubles when full, allocating a token for every new
 # slot; comments and blank lines are not tokens to it.
