@@ -22,6 +22,7 @@ stabilization flag comparing the bound against the next one.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
@@ -32,15 +33,14 @@ from .polynomial_engine import (
     ORDER_GREVLEX,
     _cleared,
     _combination,
+    _echelon,
     _monomial_mul,
     _nf_sum,
     groebner_basis,
     monomial_key,
     normal_form,
-    nullspace,
     poly_to_str,
     reduce_row,
-    rref,
     syzygy_basis,
 )
 from .graded_algebra import GradedPolynomial, gr_project, graded_to_str
@@ -357,23 +357,21 @@ class CohomologyReport:
                 f"dim={self.dim}, stable={self.stable})")
 
 
-def _slice_image(images: list, low: dict) -> tuple:
-    """RREF of the span of the images intersected with the slice.
+def _slice_image(images: list, low: dict) -> list:
+    """_echelon rows spanning the images' span intersected with the slice.
 
-    low maps the slice's keys to coordinates.  Combinations whose
-    entries off the slice cancel are written in those coordinates, so
-    the span is every image that lands inside the slice.
+    low maps the slice's keys to columns 0, 1, ...; every other key
+    gets a negative column, below all of them.  An _echelon row takes
+    its smallest column as pivot, so a row with a slice pivot vanishes
+    off the slice.  A vector of the row space is fixed by its pivot
+    entries, the sum of v[pc] / row[pc] * row, so one that vanishes off
+    the slice is a combination of those rows alone: they span exactly
+    the images that land inside the slice.
     """
-    high = [{k: c for k, c in img.items() if k not in low} for img in images]
-    inslice = []
-    for co in nullspace(high):
-        w = {}
-        for j, a in co.items():
-            for k, c in images[j].items():
-                if k in low:
-                    w[low[k]] = w.get(low[k], 0) + a * c
-        inslice.append(w)
-    return rref(inslice)
+    neg: dict = {}
+    red = _echelon([(low[k] if k in low else neg.setdefault(k, ~len(neg)), c)
+                    for k, c in img.items()] for img in images)
+    return [(pc, row) for pc, row in red if pc >= 0]
 
 
 def _slice_cohomology(keys: list, images: list, prev: list, D: int) -> tuple:
@@ -382,21 +380,38 @@ def _slice_cohomology(keys: list, images: list, prev: list, D: int) -> tuple:
     keys[j] = (label, exponent) names cochain j, up to degree D + 1, and
     images[j] is its differential; prev holds the images of the previous
     column, keyed like the cochains, over inputs far enough beyond D + 1
-    to reach every image landing inside that slice.  Each bound keeps
-    the cochains of its degrees, takes their kernel and reduces it
-    against the in-slice part of prev.  Returns the RREF
-    representatives at bound D as {key: c} and the dimension at D + 1.
+    to reach every image landing inside that slice.  Each bound numbers
+    its cochains n = 0, 1, ... and makes one _echelon call on the
+    boundary rows (_slice_image of prev) and, per cochain, e_n with its
+    image in negative columns.  As in _slice_image, the rows with a
+    slice pivot span the cocycles plus the boundaries; those whose pivot
+    no boundary row holds vanish on the boundary pivots, so they are the
+    reduced echelon form of the cocycles modulo boundaries, which is
+    unique.  Returns those representatives at bound D as {key: c}, each
+    row over its pivot, and their number at D + 1.
     """
 
     def reduced(bound):
         cols = [j for j, (_label, e) in enumerate(keys) if sum(e) <= bound]
-        kernel = nullspace([images[j] for j in cols])
-        bred, bpiv = _slice_image(prev, {keys[j]: n for n, j in enumerate(cols)})
-        return cols, rref([reduce_row(z, bred, bpiv) for z in kernel])[0]
+        bred = _slice_image(prev, {keys[j]: n for n, j in enumerate(cols)})
+        neg: dict = {}
+        red = _echelon(chain((row.items() for _pc, row in bred),
+                             ([(n, 1), *((neg.setdefault(k, ~len(neg)), c)
+                                         for k, c in images[j].items())]
+                              for n, j in enumerate(cols))))
+        held = {pc for pc, _row in bred}
+        return cols, [(pc, row) for pc, row in red if pc >= 0 and pc not in held]
 
     cols, red = reduced(D)
     # each pass frees its matrices on return; the D + 1 pass keeps only its rank
-    return [{keys[cols[n]]: c for n, c in v.items()} for v in red], len(reduced(D + 1)[1])
+    return ([{keys[cols[n]]: Fraction(c, row[pc]) for n, c in row.items()} for pc, row in red],
+            len(reduced(D + 1)[1]))
+
+
+def _nf_values(acc: dict, q: int):
+    """The (exponent, x / q) pairs of an _nf_sum result over q > 0, each
+    value an int exactly when it is integral."""
+    return ((e, x // q if x % q == 0 else Fraction(x, q)) for e, x in acc.items())
 
 
 def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
@@ -406,8 +421,8 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
     exponents of the coefficients t_ik, with no polynomial multiply.
     The coefficients are cleared of denominators once, by L, so each
     image is one int sum over the memoized monomial normal forms
-    (_nf_sum), over one denominator q; its entries are divided by L * q
-    only where that is not 1.
+    (_nf_sum), over one denominator q, whose entries _nf_values divides
+    by L * q.
     """
     cleared, L = _cleared({(i, k, e): c for i, t in enumerate(pres.tau)
                            for k, tk in enumerate(t) for e, c in tk.terms.items()})
@@ -420,9 +435,8 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
         for i, terms in enumerate(tau):
             acc, q = _nf_sum(gb, ((_monomial_mul(e, m[:k] + (m[k] - 1,) + m[k + 1:]), m[k] * c)
                                   for k, e, c in terms if m[k]))
-            q *= L
-            for e, x in acc.items():
-                img[(i, e)] = x if q == 1 else Fraction(x, q)
+            for e, x in _nf_values(acc, L * q):
+                img[(i, e)] = x
         out.append(img)
     return out
 
@@ -487,18 +501,18 @@ def _degree_allowance(pres: SymmetryPresentation) -> int:
 
 
 def _boundary_space(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
-    """RREF of the boundaries tau_i(f) that lie inside the slice.
+    """The boundaries tau_i(f) that lie inside the slice, as _echelon rows.
 
     Inputs f range over the standard monomials up to D + 1 plus the
-    allowance, the range h1 uses; combinations whose images stick out
-    of the slice are eliminated, so the span is the full boundary space
-    intersected with the slice over that input range.  Returns the
-    slice's (i, e) keys, in coordinate order, with the RREF and pivots.
+    allowance, the range h1 uses.  _slice_image gives the slice keys
+    columns above every other key, so its rows with a slice pivot span
+    the full boundary space intersected with the slice over that input
+    range.  Returns the slice's (i, e) keys, in column order, with the
+    (pivot, row) pairs.
     """
     ext = standard_monomials(gb, D + 1 + _degree_allowance(pres))
     keys = [(i, e) for i in range(pres.r) for e in ext if sum(e) <= D]
-    red, piv = _slice_image(_tau_images(pres, gb, ext), {k: n for n, k in enumerate(keys)})
-    return keys, red, piv
+    return keys, _slice_image(_tau_images(pres, gb, ext), {k: n for n, k in enumerate(keys)})
 
 
 def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: dict) -> list:
@@ -511,8 +525,8 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
     entry, whose tau_i(x^e) part enters the conditions (i, k) and (k, i).
     Each f_ij^k and r_ak is cleared of denominators once, by L, and its
     part is one int sum of NF(x^(a + e)) over its terms (_nf_sum), over
-    one q, that stays an int wherever L * q divides it; an entry that
-    sums to zero is dropped.
+    one q, divided by L * q in _nf_values.  Every entry is an int exactly
+    when it is integral, and one that sums to zero is dropped.
     """
     index: dict = {}
 
@@ -520,7 +534,7 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
         n = index.setdefault((cond, ee), len(index))
         s = img.get(n, 0) + c
         if s:
-            img[n] = s
+            img[n] = s if s.denominator > 1 else s.numerator
         else:
             del img[n]
 
@@ -539,9 +553,8 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
                 add(img, conds[min(i, k), max(i, k)], ee, c if i < k else -c)
         for cond, sign, p, L in terms[k]:
             acc, q = _nf_sum(gb, ((_monomial_mul(a, e), sign * c) for a, c in p.items()))
-            q *= L
-            for ee, x in acc.items():
-                add(img, cond, ee, x // q if x % q == 0 else Fraction(x, q))
+            for ee, x in _nf_values(acc, L * q):
+                add(img, cond, ee, x)
         images.append(img)
     return images
 
@@ -623,10 +636,10 @@ def _hamiltonian_lift(pres: SymmetryPresentation, partials: ModuleBasis,
 
 def _class_reduce(pres: SymmetryPresentation, boundary, gs):
     """Reduce a cocycle tuple against a slice's _boundary_space."""
-    keys, bred, bpiv = boundary
+    keys, rows = boundary
     col = {k: n for n, k in enumerate(keys)}
     v = {col[(i, ee)]: c for i, g in enumerate(gs) for ee, c in g.terms.items()}
-    return _split_tuple(pres, {keys[n]: c for n, c in reduce_row(v, bred, bpiv).items()})
+    return _split_tuple(pres, {keys[n]: c for n, c in reduce_row(v, rows).items()})
 
 
 def _raw_bracket(pres: SymmetryPresentation, gb: GroebnerBasis,

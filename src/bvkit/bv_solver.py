@@ -657,8 +657,8 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
     reported: its part free of antifields is the closure defect, the part
     linear in them the Jacobi defect.
     """
-    if isinstance(s0, str) and coords is None:
-        raise ValueError("coords are required when s0 is a string")
+    if coords is None and not isinstance(s0, BasePolynomial):
+        raise ValueError("coords are required when s0 is not a polynomial")
     coords = tuple(coords) if coords is not None else s0.vars
     s0 = _poly(s0, coords)
     nsym = len(action)

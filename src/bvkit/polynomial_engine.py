@@ -10,12 +10,14 @@ reduced, as int numerators over one denominator; one int sum
 (_nf_sum) reads those for normal_form and for every cohomology slice.
 A ModuleBasis answers many membership questions against one generator
 list and can grow by one generator at a time.  Cohomology slices use
-the one sparse eliminator at the end (_echelon, read by rref and
-nullspace, on dict rows).  Every result and every certificate check is in
-`fractions.Fraction`; the Groebner engine and the eliminator work inside
-over the integers, with each vector's content removed, and divide by
-leading coefficients or pivots at their boundary.  No floats, no modular
-shortcuts.
+the one sparse eliminator at the end: _echelon returns the rows of the
+reduced echelon form of dict rows, each times its pivot coefficient, as
+(pivot, row) pairs, and reduce_row reduces a vector against those
+pairs.  Every result and every certificate check is in
+`fractions.Fraction`; the Groebner engine and the eliminator work
+inside over the integers, with each vector's content removed, and
+divide by leading coefficients or pivots at their boundary.  No floats,
+no modular shortcuts.
 """
 
 from __future__ import annotations
@@ -1006,15 +1008,16 @@ def _axpy(out: dict, f, items: Iterable) -> None:
             del out[k]
 
 
-def reduce_row(v: dict, red: Sequence[dict], pivots: Sequence[int]) -> dict:
-    """v minus its components along the rows of a reduced echelon form.
+def reduce_row(v: dict, rows: Sequence[tuple]) -> dict:
+    """v minus its components along the (pivot, row) pairs of _echelon.
 
-    The result vanishes on every pivot column; v itself is not changed.
+    Each row is divided by its pivot coefficient as it is used, so the
+    result vanishes on every pivot column; v itself is not changed.
     """
     out = {k: c for k, c in v.items() if c}
-    for row, pc in zip(red, pivots):
+    for pc, row in rows:
         if pc in out:
-            _axpy(out, -out[pc], row.items())
+            _axpy(out, -Fraction(out[pc], row[pc]), row.items())
     return out
 
 
@@ -1062,27 +1065,3 @@ def _echelon(rows: Iterable) -> list:
                     red[q] = _eliminate(row, v, pc)
             red[pc] = v
     return sorted(red.items())
-
-
-def rref(rows: Sequence[dict]) -> tuple:
-    """Reduced row echelon form, in Fractions; returns (rows, pivot
-    columns), by pivot: the rows of _echelon over their pivots."""
-    red = _echelon(r.items() for r in rows)
-    return ([{k: Fraction(c, row[pc]) for k, c in row.items()} for pc, row in red],
-            [pc for pc, _row in red])
-
-
-def nullspace(vectors: Sequence[dict]) -> list:
-    """Basis {j: c} of the combinations sum_j c_j vectors[j] that vanish.
-
-    One basis vector per free index j, in increasing order of j, read
-    off the rows of _echelon; the vectors may be keyed by any hashable.
-    """
-    rows = {}   # key -> flat [j, c, j, c, ...], a third of the memory of a dict
-    for j, vec in enumerate(vectors):
-        for k, c in vec.items():
-            rows.setdefault(k, []).extend((j, c))
-    red = _echelon(zip(it, it) for it in map(iter, rows.values()))
-    bound = dict(red)
-    return [{fc: Fraction(1), **{pc: Fraction(-row[fc], row[pc]) for pc, row in red if fc in row}}
-            for fc in range(len(vectors)) if fc not in bound]

@@ -17,7 +17,6 @@ import pytest
 from bvkit.polynomial_engine import (
     BasePolynomial,
     normal_form,
-    rref,
 )
 from bvkit.graded_algebra import (
     GeneratorTable,
@@ -51,6 +50,7 @@ from bvkit.brst import (
     jacobian_ring,
     symmetry_presentation,
 )
+from reference_elimination import _reference_rref
 
 CIRCLE = "(x^2+y^2-1)^2/4"
 
@@ -68,7 +68,7 @@ def _in_span(f, basis, gb):
             cols.setdefault(e, len(cols))
     for e in nf.terms:
         cols.setdefault(e, len(cols))
-    red, piv = rref([{cols[e]: c for e, c in b.terms.items()} for b in basis])
+    red, piv = _reference_rref([{cols[e]: c for e, c in b.terms.items()} for b in basis])
     t = {cols[e]: c for e, c in nf.terms.items()}
     for row, pc in zip(red, piv):
         if t.get(pc):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -27,10 +28,8 @@ from bvkit.polynomial_engine import (
     lift_membership,
     monomial_key,
     normal_form,
-    nullspace,
     poly_to_str,
     reduce_row,
-    rref,
     syzygy_basis,
 )
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
@@ -50,6 +49,14 @@ from bvkit.brst import (
     standard_monomials,
     symmetry_presentation,
     _slice_image,
+)
+from reference_elimination import (
+    _dense_rref,
+    _reference_nullspace,
+    _reference_reduce_row,
+    _reference_rref,
+    _rref_of,
+    _typed,
 )
 
 XY = ("x", "y")
@@ -491,7 +498,7 @@ def _in_span(f, basis, gb):
         rows.append(b)
     for e in nf.terms:
         cols.setdefault(e, len(cols))
-    red, piv = rref([{cols[e]: c for e, c in b.terms.items()} for b in rows])
+    red, piv = _reference_rref([{cols[e]: c for e, c in b.terms.items()} for b in rows])
     t = {cols[e]: c for e, c in nf.terms.items()}
     for row, pc in zip(red, piv):
         if t.get(pc):
@@ -704,7 +711,8 @@ def test_bracket_bilinear_shifts(a, b, c):
 
 def _dense_slice_image(images, low):
     """Reference for _slice_image: dense columns, the keys of low first,
-    high columns eliminated by one nullspace."""
+    high columns eliminated by one nullspace, the in-slice combinations
+    row-reduced densely."""
     cols = dict(low)
     for img in images:
         for k in img:
@@ -717,12 +725,13 @@ def _dense_slice_image(images, low):
             v[cols[k]] = c
         dense.append(v)
     if len(cols) > nlow:
-        combos = nullspace([dict(enumerate(v[nlow:])) for v in dense])
+        combos = _reference_nullspace([dict(enumerate(v[nlow:])) for v in dense])
         inslice = [[sum(co.get(k, 0) * dense[k][i] for k in range(len(dense)))
                     for i in range(nlow)] for co in combos]
     else:
         inslice = [v[:nlow] for v in dense]
-    return rref([dict(enumerate(w)) for w in inslice])
+    red, piv = _dense_rref(inslice)
+    return [{j: c for j, c in enumerate(r) if c} for r in red], piv
 
 
 _KEYS = st.integers(min_value=0, max_value=7)
@@ -734,7 +743,7 @@ _IMAGE = st.dictionaries(_KEYS, st.integers(min_value=-3, max_value=3)
 @given(st.lists(_IMAGE, max_size=7), st.lists(_KEYS, unique=True))
 def test_slice_image_matches_dense_elimination(images, slice_keys):
     low = {k: i for i, k in enumerate(slice_keys)}
-    assert _slice_image(images, low) == _dense_slice_image(images, low)
+    assert _rref_of(_slice_image(images, low)) == _dense_slice_image(images, low)
 
 
 def _reference_ghost_monomials(table, p):
@@ -785,6 +794,85 @@ def test_ghost_monomials_match_the_reference():
 # h1 from inputs up to D plus the degree allowance, E2 from inputs up to D + 1.
 
 
+def _reference_slice_image(images: list, low: dict) -> tuple:
+    """_slice_image before it made one _echelon call: the RREF of the
+    span of the images intersected with the slice, as (rows, pivots).
+
+    low maps the slice's keys to coordinates.  Combinations whose
+    entries off the slice cancel are written in those coordinates, so
+    the span is every image that lands inside the slice.
+    """
+    high = [{k: c for k, c in img.items() if k not in low} for img in images]
+    inslice = []
+    for co in _reference_nullspace(high):
+        w = {}
+        for j, a in co.items():
+            for k, c in images[j].items():
+                if k in low:
+                    w[low[k]] = w.get(low[k], 0) + a * c
+        inslice.append(w)
+    return _reference_rref(inslice)
+
+
+def _reference_slice_cohomology(keys: list, images: list, prev: list, D: int) -> tuple:
+    """_slice_cohomology before it made one _echelon call per bound: the
+    kernel of the images, reduced against the in-slice part of prev, then
+    row-reduced."""
+
+    def reduced(bound):
+        cols = [j for j, (_label, e) in enumerate(keys) if sum(e) <= bound]
+        kernel = _reference_nullspace([images[j] for j in cols])
+        bred, bpiv = _reference_slice_image(prev, {keys[j]: n for n, j in enumerate(cols)})
+        return cols, _reference_rref([_reference_reduce_row(z, bred, bpiv) for z in kernel])[0]
+
+    cols, red = reduced(D)
+    return [{keys[cols[n]]: c for n, c in v.items()} for v in red], len(reduced(D + 1)[1])
+
+
+# image keys in both shapes brst uses: ints (cocycle conditions) and
+# (label, exponent) tuples (tau images, page differentials)
+_IMAGE_KEYS = st.sampled_from([0, 1, 2, ("c", (0, 1)), ("r", (1, 0)), ("r", (2, 0))])
+_SLICE_ENTRY = st.just(Fraction(0)) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _slice_inputs(draw):
+    """Cochain keys up to degree D + 1 with sparse images, and previous-
+    column images keyed by cochain keys and by keys of no cochain; the
+    images of prev need not be cocycles, and any list may be empty."""
+    D = draw(st.integers(0, 2))
+    pool = [(label, (a, d - a)) for label in ("f", "g") for d in range(D + 2)
+            for a in range(d + 1)]
+    keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=8))
+    image = st.dictionaries(_IMAGE_KEYS, _SLICE_ENTRY, max_size=4)
+    images = [draw(image) for _ in keys]
+    # some cochains are combinations of others, so kernels are not all trivial
+    for j in range(len(images)):
+        if j >= 2 and draw(st.booleans()):
+            a, b = draw(_SLICE_ENTRY), draw(_SLICE_ENTRY)
+            images[j] = {k: a * images[0].get(k, 0) + b * images[1].get(k, 0)
+                         for k in images[0].keys() | images[1].keys()}
+    prev_keys = st.sampled_from(keys + [("h", (0, 0)), ("h", (3, 0))])
+    prev = draw(st.lists(st.dictionaries(prev_keys, _SLICE_ENTRY, max_size=4), max_size=5))
+    return keys, images, prev, D
+
+
+@settings(deadline=None, max_examples=300)
+@given(_slice_inputs(), st.data())
+def test_slice_cohomology_matches_the_parent_path(inputs, data):
+    keys, images, prev, D = inputs
+    vecs, dim1 = brst._slice_cohomology(keys, images, prev, D)
+    want, want1 = _reference_slice_cohomology(keys, images, prev, D)
+    assert _typed(vecs) == _typed(want)
+    assert dim1 == want1
+    # reduce_row on the _echelon rows of the slice image against the
+    # reference reduction on its RREF
+    low = {k: n for n, k in enumerate(keys)}
+    v = {n: data.draw(_SLICE_ENTRY) for n in range(len(keys))}
+    assert (_typed([reduce_row(v, _slice_image(prev, low))])
+            == _typed([_reference_reduce_row(v, *_reference_slice_image(prev, low))]))
+
+
 def _reference_cocycle_vectors(pres, gb, std, colmap):
     r = pres.r
     images = [{} for _ in colmap]
@@ -818,7 +906,7 @@ def _reference_cocycle_vectors(pres, gb, std, colmap):
                 out = normal_form(rk * m, gb)
                 for ee, c in out.terms.items():
                     add(("r", a), ee, colmap[(k, e)], c)
-    return nullspace(images)
+    return _reference_nullspace(images)
 
 
 def _reference_h1_slice(pres, gb, D):
@@ -828,9 +916,9 @@ def _reference_h1_slice(pres, gb, D):
         for e in std:
             colmap[(i, e)] = len(colmap)
     ext = standard_monomials(gb, D + brst._degree_allowance(pres))
-    bred, bpiv = _slice_image(brst._tau_images(pres, gb, ext), colmap)
+    bred, bpiv = _reference_slice_image(brst._tau_images(pres, gb, ext), colmap)
     Z = _reference_cocycle_vectors(pres, gb, std, colmap)
-    red, _piv = rref([reduce_row(z, bred, bpiv) for z in Z])
+    red, _piv = _reference_rref([_reference_reduce_row(z, bred, bpiv) for z in Z])
     reps = []
     for v in red:
         terms = [{} for _ in range(pres.r)]
@@ -847,14 +935,14 @@ def _reference_e2_slice(sol, gb, p, D, dS):
     dom = [(gm, e) for gm in _graded_monomials(table, p, 1) for e in std]
     if not dom:
         return []
-    ker = nullspace([brst._d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
+    ker = _reference_nullspace([brst._d1_decompose(dS, table, gb, gm, e, p) for gm, e in dom])
     # image of the previous column, restricted to the slice
     ext = standard_monomials(gb, D + 1)
     prev = [(gm, e) for gm in _graded_monomials(table, p - 1, 1) for e in ext]
     dmap = {pair: idx for idx, pair in enumerate(dom)}
-    bred, bpiv = _slice_image(
+    bred, bpiv = _reference_slice_image(
         [brst._d1_decompose(dS, table, gb, gm, e, p - 1) for gm, e in prev], dmap)
-    red, _piv = rref([reduce_row(z, bred, bpiv) for z in ker])
+    red, _piv = _reference_rref([_reference_reduce_row(z, bred, bpiv) for z in ker])
     reps = []
     for v in red:
         terms = {}
@@ -1024,8 +1112,15 @@ def _reference_cocycle_images(pres, gb, keys, taus: dict) -> list:
     return images
 
 
+def _assert_integral_rule(images):
+    """Every value is an int exactly when it is integral."""
+    for img in images:
+        for c in img.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
 def _assert_images_match(got, want):
-    """got and want hold equal values, and got an int wherever want does.
+    """got and want hold equal values.
 
     Each image numbers its (condition, exponent) pairs in the order they
     first occur, and the reference numbered a pair whose terms cancel
@@ -1037,37 +1132,24 @@ def _assert_images_match(got, want):
         for j, img in enumerate(images):
             for n, c in img.items():
                 cols.setdefault(n, []).append((j, c))
-        groups = {}
-        for col in cols.values():
-            groups.setdefault(tuple(col), []).append([type(c) is int for _j, c in col])
-        return groups
+        return Counter(map(tuple, cols.values()))
 
-    have, need = columns(got), columns(want)
-    assert have.keys() == need.keys()
-    for col, wanted in need.items():
-        pool = sorted(have[col], key=sum)
-        assert len(pool) == len(wanted)
-        # pair each reference column, most ints first, with the first
-        # column of equal values that is an int wherever it is
-        for flags in sorted(wanted, key=sum, reverse=True):
-            match = next((h for h in pool if all(a or not b for a, b in zip(h, flags))), None)
-            assert match is not None, (col, flags, pool)
-            pool.remove(match)
-
-
-def _typed_images(images):
-    return [{k: (type(c) is int, c) for k, c in img.items()} for img in images]
+    assert columns(got) == columns(want)
 
 
 def _check_summed_images(pres, gb, fresh, exps):
     """_tau_images and _cocycle_images on gb against the references on
-    fresh, a second basis of the same ideal that shares no memo entry."""
+    fresh, a second basis of the same ideal that shares no memo entry:
+    equal values, each an int exactly when it is integral."""
     taus = brst._tau_images(pres, gb, exps)
     want = _reference_summed_tau_images(pres, fresh, exps)
-    assert _typed_images(taus) == _typed_images(want)
+    assert taus == want
     keys = [(k, e) for k in range(pres.r) for e in exps]
-    _assert_images_match(brst._cocycle_images(pres, gb, keys, dict(zip(exps, taus))),
+    cocycles = brst._cocycle_images(pres, gb, keys, dict(zip(exps, taus)))
+    _assert_images_match(cocycles,
                          _reference_cocycle_images(pres, fresh, keys, dict(zip(exps, want))))
+    _assert_integral_rule(taus)
+    _assert_integral_rule(cocycles)
 
 
 _FRACTION_POLY2 = st.dictionaries(

@@ -845,6 +845,12 @@ class TestFaddeevPopov:
         with pytest.raises(ValueError, match="invariance failure"):
             faddeev_popov("x^2+y^2", [["y", "x"]], coords=["x", "y"])
 
+    @pytest.mark.parametrize("s0", ["0", 0, Fraction(1, 2)], ids=["str", "int", "Fraction"])
+    def test_coords_required_unless_s0_is_a_polynomial(self, s0):
+        # only a BasePolynomial names its own coordinates
+        with pytest.raises(ValueError, match="coords are required"):
+            faddeev_popov(s0, [["1"]])
+
     @pytest.mark.parametrize("coords", [["x", "y", "z"], ["y", "x"]])
     def test_polynomial_over_other_coordinates_rejected(self, coords):
         s0 = BasePolynomial.parse("x^2+y^2", ("x", "y"))

@@ -37,11 +37,17 @@ from bvkit.polynomial_engine import (
     lift_membership,
     monomial_key,
     normal_form,
-    nullspace,
     poly_to_str,
     reduce_row,
-    rref,
     syzygy_basis,
+)
+from reference_elimination import (
+    _dense_rref,
+    _reference_nullspace,
+    _reference_reduce_row,
+    _reference_rref,
+    _rref_of,
+    _typed,
 )
 
 P = BasePolynomial.parse
@@ -58,8 +64,7 @@ class TestOracles:
     def test_gaussian_elimination_oracle_linear_ideal(self):
         # oracle: row-reduce the coefficient matrix of {x+y, x-y} -> {x, y}
         rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
-        red, piv = rref(rows)
-        assert red == [{0: 1}, {1: 1}] and piv == [0, 1]
+        assert _echelon(r.items() for r in rows) == [(0, {0: 1}), (1, {1: 1})]
         gb = groebner_basis(mk(("x", "y"), "x + y", "x - y"))
         assert set(map(str, gb)) == {"x", "y"}
 
@@ -102,7 +107,7 @@ class TestOracles:
                 prod = BasePolynomial(vars, {m: Fraction(1)}) * g
                 cols.append(prod)
                 col_meta.append((gi, m))
-        kernel = nullspace([c.terms for c in cols])
+        kernel = _reference_nullspace([c.terms for c in cols])
         syz = syzygy_basis(gens)
         # every dense kernel vector is a module combination of the syzygies
         for v in kernel:
@@ -578,7 +583,7 @@ class TestCombination:
         for name in ("__init__", "_divide", "insert", "complete", "append", "_primitive"):
             monkeypatch.setattr(_Engine, name, refuse)
         for name in ("groebner_basis", "normal_form", "_monomial_nf", "lift_membership",
-                     "syzygy_basis", "rref", "nullspace", "reduce_row", "_cleared",
+                     "syzygy_basis", "reduce_row", "_cleared",
                      "_mvec_to_vector", "_echelon", "_nf_sum"):
             monkeypatch.setattr(polynomial_engine, name, refuse)
         coeffs = mk(VARS2, "x*y - 1", "0", "y^2 + 1/2")
@@ -1161,36 +1166,6 @@ def test_membership_does_not_depend_on_the_order(gens, data):
     assert (grevlex is None) == (lex is None)
 
 
-def _dense_rref(rows):
-    """Reference for rref: dense Gauss-Jordan, column by column."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
 _ENTRY = st.integers(-3, 3) | st.integers(-3, 3).map(Fraction)
 
 
@@ -1206,98 +1181,16 @@ def test_sparse_eliminator_matches_dense_reference(matrix_and_v, keep_zeros):
         return {j: c for j, c in enumerate(r) if keep_zeros or c}
 
     rows = [sparse(r) for r in matrix]
-    red, piv = rref(rows)
+    ints = _echelon(r.items() for r in rows)
+    red, piv = _rref_of(ints)
     dense_red, dense_piv = _dense_rref(matrix)
     assert piv == dense_piv
     assert red == [{j: c for j, c in enumerate(r) if c} for r in dense_red]
 
-    kernel = nullspace(rows)
-    assert all(type(c) is Fraction for v in red + kernel for c in v.values())
-    assert len(kernel) == len(rows) - len(piv)
-    for co in kernel:
-        for k in range(len(dense_v)):
-            assert sum(c * matrix[j][k] for j, c in co.items()) == 0
-
-    w = reduce_row(sparse(dense_v), red, piv)
+    w = reduce_row(sparse(dense_v), ints)
     assert all(not w.get(pc) for pc in piv)
     diff = [a - w.get(k, 0) for k, a in enumerate(dense_v)]
     assert len(_dense_rref(matrix + [diff])[1]) == len(piv)
-
-
-# -- the Fraction eliminator that _echelon replaced, kept as the reference
-
-
-def _reference_reduce_row(v: dict, red: Sequence[dict], pivots: Sequence[int]) -> dict:
-    """v minus its components along the rows of a reduced echelon form.
-
-    The result vanishes on every pivot column; v itself is not changed.
-    """
-    out = {k: c for k, c in v.items() if c}
-    for row, pc in zip(red, pivots):
-        f = out.get(pc)
-        if f:
-            for k, c in row.items():
-                x = out.get(k, 0) - f * c
-                if x:
-                    out[k] = x
-                else:
-                    del out[k]
-    return out
-
-
-def _reference_rref(rows: Sequence[dict]) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot columns), by pivot.
-
-    Each row is reduced against the pivots found so far, takes its
-    smallest column as its pivot and clears that column from the
-    earlier rows.  A row space has one such form, so the input order
-    does not change the result.
-    """
-    red, pivots = [], []
-    for r in rows:
-        v = _reference_reduce_row(r, red, pivots)
-        if not v:
-            continue
-        pc = min(v)
-        inv = Fraction(1) / v[pc]
-        v = {k: c * inv for k, c in v.items()}
-        for i, row in enumerate(red):
-            if pc in row:
-                red[i] = _reference_reduce_row(row, (v,), (pc,))
-        red.append(v)
-        pivots.append(pc)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [red[i] for i in order], [pivots[i] for i in order]
-
-
-def _reference_nullspace(vectors: Sequence[dict]) -> list:
-    """Basis {j: c} of the combinations sum_j c_j vectors[j] that vanish.
-
-    One basis vector per free index j, in increasing order of j; the
-    vectors may be keyed by any hashable.
-    """
-    rows = {}
-    for j, vec in enumerate(vectors):
-        for k, c in vec.items():
-            rows.setdefault(k, {})[j] = c
-    red, pivots = _reference_rref(list(rows.values()))
-    bound = set(pivots)
-    basis = []
-    for fc in range(len(vectors)):
-        if fc in bound:
-            continue
-        v = {fc: Fraction(1)}
-        for row, pc in zip(red, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
-def _typed(vectors):
-    """The vectors with each value paired with its type, so equality
-    also compares types."""
-    return [{k: (type(c), c) for k, c in v.items()} for v in vectors]
 
 
 # (label, exponent) keys in the shape brst uses, ordered as tuples
@@ -1332,26 +1225,21 @@ def _eliminator_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(_eliminator_rows(), st.data())
 def test_eliminator_matches_the_fraction_reference(rows, data):
-    red, piv = rref(rows)
+    ints = _echelon(r.items() for r in rows)
+    red, piv = _rref_of(ints)
     ref_red, ref_piv = _reference_rref(rows)
     assert piv == ref_piv
     assert _typed(red) == _typed(ref_red)
+    for pc, row in ints:
+        assert all(type(c) is int and c for c in row.values())
+        assert gcd(*row.values()) == 1 and row[pc] > 0
 
-    # kernel of the rows read as vectors, keyed by their columns
-    assert _typed(nullspace(rows)) == _typed(_reference_nullspace(rows))
-
+    # reduce_row divides each _echelon row by its pivot as it goes
     keys = sorted({k for r in rows for k in r})
     if keys:
         v = {k: data.draw(st.fractions(-3, 3, max_denominator=4)) for k in keys}
-        assert (_typed([reduce_row(v, red, piv)])
+        assert (_typed([reduce_row(v, ints)])
                 == _typed([_reference_reduce_row(v, ref_red, ref_piv)]))
-
-    ints = _echelon(r.items() for r in rows)
-    assert [pc for pc, _row in ints] == piv
-    for (pc, row), frac in zip(ints, red):
-        assert all(type(c) is int and c for c in row.values())
-        assert gcd(*row.values()) == 1 and row[pc] > 0
-        assert {k: Fraction(c, row[pc]) for k, c in row.items()} == frac
 
 
 def test_eliminator_drops_explicit_zeros_and_repeated_rows():
@@ -1359,9 +1247,9 @@ def test_eliminator_drops_explicit_zeros_and_repeated_rows():
             {0: Fraction(0), 1: Fraction(2, 3), 2: Fraction(0)},
             {0: 0, 1: 0, 2: 0},
             {0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(-1, 4)}]
-    assert _echelon(r.items() for r in rows) == [(0, {0: 2, 2: -1}), (1, {1: 1})]
-    assert rref(rows) == _reference_rref(rows)
-    assert _typed(nullspace(rows)) == _typed(_reference_nullspace(rows))
+    ints = _echelon(r.items() for r in rows)
+    assert ints == [(0, {0: 2, 2: -1}), (1, {1: 1})]
+    assert _rref_of(ints) == _reference_rref(rows)
 
 
 # -- parser / printer --------------------------------------------------
