@@ -24,7 +24,7 @@ from .graded_algebra import (
     multiply,
     truncate,
 )
-from .polynomial_engine import BasePolynomial
+from .polynomial_engine import _poly
 
 
 def bracket(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
@@ -139,8 +139,7 @@ def antifield_lift(table: GeneratorTable, components) -> GradedPolynomial:
         raise ValueError("one component per coordinate required")
     out: dict = {}
     for c, comp in zip(coords, components):
-        if isinstance(comp, (int, Fraction)):
-            comp = BasePolynomial.const(coords, comp)
+        comp = _poly(comp, coords)
         if comp.is_zero():
             continue
         term = multiply(GradedPolynomial.from_scalar(table, comp),

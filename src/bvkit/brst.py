@@ -22,7 +22,7 @@ stabilization flag comparing the bound against the next one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
@@ -90,16 +90,12 @@ def _check_partials(partials: Sequence[BasePolynomial]) -> tuple:
     return parts, vars
 
 
-def _pair_index(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def koszul_syzygies(partials: Sequence[BasePolynomial]) -> list:
     """The trivial syzygies p_j e_i - p_i e_j, ordered by (i, j), i < j."""
     parts, vars = _check_partials(partials)
     n = len(vars)
     out = []
-    for i, j in _pair_index(n):
+    for i, j in combinations(range(n), 2):
         comps = [BasePolynomial.zero(vars) for _ in range(n)]
         comps[i] = parts[j]
         comps[j] = -parts[i]
@@ -255,7 +251,7 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
     parts, vars = _check_partials(partials)
     n = len(vars)
     kosz = koszul_syzygies(parts)
-    kpairs = _pair_index(n)
+    kpairs = list(combinations(range(n), 2))
 
     tau = _prune(syzygy_basis(parts, order), ModuleBasis(kosz, order), order)
     r = len(tau)
@@ -539,7 +535,7 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
             del img[n]
 
     # one label tuple per condition, shared by all of its pairs
-    conds = {(i, j): ("c", i, j) for i, j in _pair_index(pres.r)}
+    conds = {(i, j): ("c", i, j) for i, j in combinations(range(pres.r), 2)}
     # (condition, sign, cleared coefficient of g_k, L) of each cochain generator k
     terms = [[(cond, -1, *_cleared(pres.structure_f[i][j][k].terms))
               for (i, j), cond in conds.items()]

@@ -13,12 +13,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .polynomial_engine import BasePolynomial, _combination, _echelon, poly_to_str
+from .polynomial_engine import BasePolynomial, _combination, _echelon, _poly, poly_to_str
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     _add_into,
-    _derivatives,
+    _weight_rows,
     dual_name,
     graded_to_str,
     gr_project,
@@ -193,22 +193,18 @@ def _residual_bracket(res: TateResolution, a: GradedPolynomial,
 
     The added one-form term is linear in v, so (a, v) = (S, S) gives the
     residual of S and (a, v) = (2S + v, v) its change from S to S + v.
-    With a cap, only the terms of weight <= cap are computed.  A square
-    of an even a is built from the half factors, as in ``bracket``.
+    It enters the one bracket call as one more factor per partial, the
+    scalar 2 dS0/dx_i paired with the derivative by xs_i.  With a cap,
+    only the terms of weight <= cap are computed.  A square of an even a
+    is built from the half factors, as in ``bracket``.
     """
-    r = _bracket_pair(_bracket_factors(a, a is v and _is_even(a)), v, cap)
+    factors = _bracket_factors(a, a is v and _is_even(a))
     if res.s0 is None:
         t = res.table
-        dv = _derivatives(v)
-        out = dict(r.terms)
-        for c, p in zip(t.coordinates, res.partials):
-            d = dv.get(t.index[dual_name(c)])
-            if p.is_zero() or d is None:
-                continue
-            term = multiply(GradedPolynomial.from_scalar(t, p * 2), d, cap)
-            _add_into(out, term.terms.items())
-        r = GradedPolynomial(t, out)
-    return r
+        factors += [(_weight_rows(GradedPolynomial.from_scalar(t, p * 2)),
+                     t.index[dual_name(c)], None)
+                    for c, p in zip(t.coordinates, res.partials) if not p.is_zero()]
+    return _bracket_pair(factors, v, cap)
 
 
 def _split_blocks(a: GradedPolynomial) -> dict:
@@ -364,7 +360,7 @@ def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
         if k <= 2:
             parts[k][m] = c
     S0, S1, S2 = (GradedPolynomial(t, d) for d in parts)
-    top = max((t.degrees[i] for i in t._positive_idx), default=0)
+    top = max(t._positive_degrees, default=0)
     T = S0 + S1
     low = (_residual_bracket(res, T, T, top)
            + _residual_bracket(res, S0, S2, top)
@@ -444,17 +440,6 @@ def _matrix(rows, nrows: int, ncols: int, what: str, entry) -> list:
     if len(rows) != nrows or any(len(row) != ncols for row in rows):
         raise ValueError(f"{what} must be {nrows} x {ncols}")
     return [[entry(x) for x in row] for row in rows]
-
-
-def _poly(x, coords: Sequence[str]) -> BasePolynomial:
-    """x as it is if it is a BasePolynomial over coords, else read from
-    its text; a BasePolynomial over other variables raises ValueError."""
-    if isinstance(x, BasePolynomial):
-        if x.vars != tuple(coords):
-            raise ValueError(f"polynomial over {x.vars} does not match the "
-                             f"coordinates {tuple(coords)}")
-        return x
-    return BasePolynomial.parse(str(x), coords)
 
 
 def _word(table: GeneratorTable, coeff, names: Sequence[str]) -> GradedPolynomial:
@@ -704,14 +689,14 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
     return _exact(res, S, f"group action with {nsym} symmetries", defect)
 
 
-def bundle_solution(g, A, F, base: Optional[Sequence[str]] = None,
-                    fiber: Optional[Sequence[str]] = None) -> MasterSolution:
+def bundle_solution(g, A, F) -> MasterSolution:
     """Exact solution for a pairing on a trivial bundle with connection.
 
     ``g[i][j]`` is the pairing, ``A[mu][i][j]`` the connection coefficient
     of dy^mu acting on the fiber, ``F[mu][nu][i][j]`` the curvature-like
     coefficient (antisymmetric in both index pairs); entries are
-    polynomials in the base coordinates.  Three identities are required:
+    polynomials in the base coordinates y1..ym; the fiber coordinates
+    are v1..vr.  Three identities are required:
 
       (a)  d_mu g_ij - sum_l (A^l_i,mu g_lj + A^l_j,mu g_li) = 0
       (b)  d_mu A^i_j,nu - d_nu A^i_j,mu
@@ -726,12 +711,8 @@ def bundle_solution(g, A, F, base: Optional[Sequence[str]] = None,
     """
     r = len(g)
     m = len(A)
-    base = tuple(base) if base is not None else tuple(
-        f"y{k + 1}" for k in range(m))
-    fiber = tuple(fiber) if fiber is not None else tuple(
-        f"v{k + 1}" for k in range(r))
-    if len(base) != m or len(fiber) != r:
-        raise ValueError("coordinate names do not match the data shape")
+    base = tuple(f"y{k + 1}" for k in range(m))
+    fiber = tuple(f"v{k + 1}" for k in range(r))
     coords = base + fiber
 
     def poly(x):

@@ -283,28 +283,24 @@ def display_str(s: str, mapping: dict) -> str:
 # -- shared command plumbing -------------------------------------------
 
 
-def _emit(lines_or_obj, args) -> None:
-    if args.json:
-        payload = json.dumps(lines_or_obj, indent=2) + "\n"
-    else:
-        payload = "\n".join(lines_or_obj) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 def _load_problem(path: str) -> ProblemSpec:
     with open(path) as fh:
         return parse_problem(fh.read())
 
 
-def _resolve_options(spec: ProblemSpec, args, *keys) -> dict:
-    out = {}
+def _resolve_options(spec: ProblemSpec, args, *keys) -> list:
+    """Each key's value from its flag, else from the problem file.
+
+    The order defaults to grevlex, and a bound has no default.
+    """
+    out = []
     for key in keys:
-        flag = getattr(args, key, None)
-        out[key] = flag if flag is not None else spec.options.get(key)
+        value = getattr(args, key)
+        if value is None:
+            value = spec.options.get(key, ORDER_GREVLEX if key == "order" else None)
+        if value is None and key == "bound":
+            raise ValueError("a degree bound is required (--bound)")
+        out.append(value)
     return out
 
 
@@ -314,41 +310,38 @@ def _build_from_spec(spec: ProblemSpec, depth: int, order: str) -> TateResolutio
 
 
 # -- subcommands -------------------------------------------------------
+#
+# Each returns (result, text, failure): the JSON-ready result, a function
+# that renders it as text lines, and what went wrong, or None.
 
 
-def _cmd_tate(args) -> int:
+def _cmd_tate(args):
     spec = _load_problem(args.problem)
-    opts = _resolve_options(spec, args, "depth", "order")
-    depth = opts["depth"] if opts["depth"] is not None else 2
-    order = opts["order"] or ORDER_GREVLEX
+    depth, order = _resolve_options(spec, args, "depth", "order")
+    depth = 2 if depth is None else depth
     res = _build_from_spec(spec, depth, order)
     report = check_acyclic(res, depth)
-    if args.json:
-        _emit(res.to_json_obj(), args)
-    else:
+
+    def text():
         names = display_names(res.table)
-        lines = [f"resolution to depth {depth} ({order})",
-                 f"coordinates: {', '.join(res.coordinates)}"]
+        yield f"resolution to depth {depth} ({order})"
+        yield f"coordinates: {', '.join(res.coordinates)}"
         for gen in res.generators:
-            shown = display_str(gen.name, names)
-            lines.append(f"  {shown} (degree {gen.degree}): delta = "
-                         + display_str(graded_to_str(gen.delta), names))
+            yield (f"  {display_str(gen.name, names)} (degree {gen.degree}): "
+                   f"delta = {display_str(graded_to_str(gen.delta), names)}")
         if not res.generators:
-            lines.append("  no generators beyond the duals: "
-                         "the partials form a regular sequence")
-        lines.append("acyclic through degree "
-                     f"-{depth}: {'yes' if report.ok else 'NO'}")
-        _emit(lines, args)
-    if not report.ok:
-        bad = [e[0] for e in report.entries if not e[1]]
-        print(f"error: homology survives at degree -{bad[0]}", file=sys.stderr)
-        return 1
-    return 0
+            yield ("  no generators beyond the duals: "
+                   "the partials form a regular sequence")
+        yield f"acyclic through degree -{depth}: {'yes' if report.ok else 'NO'}"
+
+    bad = [e[0] for e in report.entries if not e[1]]
+    return (res.to_json_obj(), text,
+            f"homology survives at degree -{bad[0]}" if bad else None)
 
 
-def _solve_plan(spec: ProblemSpec, args):
-    opts = _resolve_options(spec, args, "depth", "pmax", "order")
-    depth, pmax = opts["depth"], opts["pmax"]
+def _cmd_solve(args):
+    spec = _load_problem(args.problem)
+    depth, pmax, order = _resolve_options(spec, args, "depth", "pmax", "order")
     if pmax is None:
         pmax = depth - 1 if depth is not None else 2
     if depth is None:
@@ -357,145 +350,118 @@ def _solve_plan(spec: ProblemSpec, args):
         raise ValueError(
             f"order {pmax} needs resolution depth at least {pmax + 1}, "
             f"got {depth}")
-    return depth, pmax, opts["order"] or ORDER_GREVLEX
-
-
-def _cmd_solve(args) -> int:
-    spec = _load_problem(args.problem)
-    depth, pmax, order = _solve_plan(spec, args)
     res = _build_from_spec(spec, depth, order)
     sol = solve_master(res, pmax)
     report = verify_master(sol, pmax)
-    if args.json:
-        _emit(sol.to_json_obj(), args)
-    else:
+
+    def text():
         names = display_names(res.table)
-        lines = [f"S = {display_str(graded_to_str(sol.S), names)}",
-                 f"certified order: {sol.order}  ([S,S] in F^{sol.order + 1})",
-                 f"verify: achieved {report.achieved} of {report.requested}, "
-                 f"S0 {'ok' if report.s0_ok else 'WRONG'}, "
-                 f"associated solution "
-                 f"{'ok' if report.associated_ok else 'WRONG'}"]
-        _emit(lines, args)
-    if not report.ok:
-        print("error: verification failed "
-              f"(achieved order {report.achieved} < {report.requested})",
-              file=sys.stderr)
-        return 1
-    return 0
+        return [f"S = {display_str(graded_to_str(sol.S), names)}",
+                f"certified order: {sol.order}  ([S,S] in F^{sol.order + 1})",
+                f"verify: achieved {report.achieved} of {report.requested}, "
+                f"S0 {'ok' if report.s0_ok else 'WRONG'}, "
+                f"associated solution {'ok' if report.associated_ok else 'WRONG'}"]
+
+    return (sol.to_json_obj(), text, None if report.ok else
+            f"verification failed (achieved order {report.achieved} "
+            f"< {report.requested})")
 
 
-def _cmd_verify(args) -> int:
-    with open(args.solution) as fh:
-        sol = MasterSolution.from_json(fh.read())
-    p = args.pmax if args.pmax is not None else sol.order
-    report = verify_master(sol, p)
+def _load_solution(path: str) -> MasterSolution:
+    with open(path) as fh:
+        return MasterSolution.from_json(fh.read())
+
+
+def _cmd_verify(args):
+    sol = _load_solution(args.solution)
+    report = verify_master(sol, sol.order if args.pmax is None else args.pmax)
     obj = {"requested": report.requested, "achieved": report.achieved,
            "s0_ok": report.s0_ok, "associated_ok": report.associated_ok,
            "ok": report.ok}
-    if args.json:
-        _emit(obj, args)
-    else:
-        _emit([f"requested order {p}: achieved {report.achieved}",
-               f"weight-0 layer matches the action: {report.s0_ok}",
-               f"associated solution intact: {report.associated_ok}",
-               f"verdict: {'ok' if report.ok else 'FAILED'}"], args)
-    if not report.ok:
-        name = ("residual weight" if report.achieved < p
-                else "weight-0 layer" if not report.s0_ok
-                else "associated solution")
-        print(f"error: verification failed ({name})", file=sys.stderr)
-        return 1
-    return 0
+
+    def text():
+        return [f"requested order {report.requested}: achieved {report.achieved}",
+                f"weight-0 layer matches the action: {report.s0_ok}",
+                f"associated solution intact: {report.associated_ok}",
+                f"verdict: {'ok' if report.ok else 'FAILED'}"]
+
+    name = ("residual weight" if report.achieved < report.requested
+            else "weight-0 layer" if not report.s0_ok
+            else "associated solution")
+    return obj, text, None if report.ok else f"verification failed ({name})"
 
 
-def _cmd_gauge(args) -> int:
-    with open(args.first) as fh:
-        a = MasterSolution.from_json(fh.read())
-    with open(args.second) as fh:
-        b = MasterSolution.from_json(fh.read())
-    p = args.pmax if args.pmax is not None else min(a.order, b.order)
+def _cmd_gauge(args):
+    a, b = _load_solution(args.first), _load_solution(args.second)
+    p = min(a.order, b.order) if args.pmax is None else args.pmax
     word = gauge_relate(a, b, p)
-    transported = word.apply(a.S)
-    match = truncate(transported - b.S, p).is_zero()
+    match = truncate(word.apply(a.S) - b.S, p).is_zero()
     elements = [graded_to_str(u) for u in word.elements]
-    if args.json:
-        _emit({"p_max": p, "elements": elements, "match": match}, args)
-    else:
+
+    def text():
         names = display_names(a.resolution.table)
-        lines = [f"gauge word with {len(elements)} generator(s), order {p}:"]
+        yield f"gauge word with {len(elements)} generator(s), order {p}:"
         for el in elements:
-            lines.append("  exp(ad " + display_str(el, names) + ")")
-        lines.append(f"transported solution matches mod F^{p + 1}: "
-                     + ("yes" if match else "NO"))
-        _emit(lines, args)
-    if not match:
-        print("error: transported solution differs inside the certified range",
-              file=sys.stderr)
-        return 1
-    return 0
+            yield "  exp(ad " + display_str(el, names) + ")"
+        yield (f"transported solution matches mod F^{p + 1}: "
+               + ("yes" if match else "NO"))
+
+    return ({"p_max": p, "elements": elements, "match": match}, text,
+            None if match else "transported solution differs inside the certified range")
 
 
-def _cmd_brst(args) -> int:
+def _cmd_cohomology(args):
     spec = _load_problem(args.problem)
-    opts = _resolve_options(spec, args, "bound", "order")
-    order = opts["order"] or ORDER_GREVLEX
-    parts = spec.action_partials()
+    bound, order = _resolve_options(spec, args, "bound", "order")
+    report = args.cohomology(spec.action_partials(), bound, order)
 
-    if args.op in ("h0", "h1"):
-        bound = opts["bound"]
-        if bound is None:
-            raise ValueError("a degree bound is required (--bound)")
-        report = (h0 if args.op == "h0" else h1)(parts, bound, order)
-        if args.json:
-            _emit(report.to_json_obj(), args)
-        else:
-            lines = [f"H^{report.p} at bound {report.bound}: dim {report.dim}"
-                     f" ({'stable' if report.stable else 'not stable'})"]
-            for b in report.basis:
-                if isinstance(b, BasePolynomial):
-                    lines.append("  " + poly_to_str(b, order))
-                else:
-                    lines.append("  (" + ", ".join(poly_to_str(c, order)
-                                                   for c in b) + ")")
-            _emit(lines, args)
-        return 0
+    def text():
+        yield (f"H^{report.p} at bound {report.bound}: dim {report.dim}"
+               f" ({'stable' if report.stable else 'not stable'})")
+        for b in report.basis:
+            if isinstance(b, BasePolynomial):
+                yield "  " + poly_to_str(b, order)
+            else:
+                yield "  (" + ", ".join(poly_to_str(c, order) for c in b) + ")"
 
-    if args.op == "bracket":
-        pres = symmetry_presentation(parts, order)
-        f = BasePolynomial.parse(args.f, spec.coordinates)
-        g = BasePolynomial.parse(args.g, spec.coordinates)
-        value = h0_bracket(f, g, pres)
-        strs = [poly_to_str(c, order) for c in value]
-        if args.json:
-            _emit({"value": strs}, args)
-        else:
-            shown = "(" + ", ".join(strs) + ")" if strs else "(no symmetries)"
-            _emit([f"[{args.f}, {args.g}] -> {shown}"], args)
-        return 0
+    return report.to_json_obj(), text, None
 
-    # e2: columns 0..pmax of the first page at the requested bound
-    bound = opts["bound"]
-    if bound is None:
-        raise ValueError("a degree bound is required (--bound)")
-    pcols = args.pmax if args.pmax is not None else spec.options.get("pmax", 1)
-    depth = args.depth if args.depth is not None else \
-        spec.options.get("depth", pcols + 2)
+
+def _cmd_bracket(args):
+    spec = _load_problem(args.problem)
+    order, = _resolve_options(spec, args, "order")
+    pres = symmetry_presentation(spec.action_partials(), order)
+    f = BasePolynomial.parse(args.f, spec.coordinates)
+    g = BasePolynomial.parse(args.g, spec.coordinates)
+    value = [poly_to_str(c, order) for c in h0_bracket(f, g, pres)]
+
+    def text():
+        shown = "(" + ", ".join(value) + ")" if value else "(no symmetries)"
+        return [f"[{args.f}, {args.g}] -> {shown}"]
+
+    return {"value": value}, text, None
+
+
+def _cmd_e2(args):
+    """Columns 0..pmax of the first page at the requested bound."""
+    spec = _load_problem(args.problem)
+    bound, pcols, depth, order = _resolve_options(
+        spec, args, "bound", "pmax", "depth", "order")
+    pcols = 1 if pcols is None else pcols
+    depth = pcols + 2 if depth is None else depth
     res = _build_from_spec(spec, depth, order)
     sol = solve_master(res, pcols + 1)
-    reports = [e2_page(sol, p, bound) for p in range(pcols + 1)]
-    if args.json:
-        _emit([r.to_json_obj() for r in reports], args)
-    else:
+    columns = [e2_page(sol, p, bound).to_json_obj() for p in range(pcols + 1)]
+
+    def text():
         names = display_names(res.table)
-        lines = []
-        for r in reports:
-            lines.append(f"E2 column {r.p} at bound {r.bound}: dim {r.dim}"
-                         f" ({'stable' if r.stable else 'not stable'})")
-            for b in r.basis:
-                lines.append("  " + display_str(graded_to_str(b), names))
-        _emit(lines, args)
-    return 0
+        for c in columns:
+            yield (f"E2 column {c['p']} at bound {c['bound']}: dim {c['dim']}"
+                   f" ({'stable' if c['stable'] else 'not stable'})")
+            for b in c["basis"]:
+                yield "  " + display_str(b, names)
+
+    return columns, text, None
 
 
 # -- the example registry ----------------------------------------------
@@ -692,61 +658,50 @@ EXAMPLES = {
 }
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args):
     ids = list(EXAMPLES) if args.id in ("*", "all") else [args.id]
     for i in ids:
         if i not in EXAMPLES:
             raise ValueError(f"unknown example {i!r}; known: "
                              + ", ".join(EXAMPLES))
-    if not args.check:
-        lines = [f"{i}: {EXAMPLES[i][0]}" for i in ids]
-        if args.json:
-            _emit([{"id": i, "title": EXAMPLES[i][0]} for i in ids], args)
-        else:
-            _emit(lines, args)
-        return 0
+    payload = []
+    for i in ids:
+        title, check = EXAMPLES[i]
+        entry = {"id": i, "title": title}
+        if args.check:
+            entry["checks"] = [{"name": n, "ok": ok, "detail": detail}
+                               for n, ok, detail in check()]
+            entry["ok"] = all(c["ok"] for c in entry["checks"])
+        payload.append(entry)
 
-    results = {i: EXAMPLES[i][1]() for i in ids}
+    def text():
+        for entry in payload:
+            yield f"{entry['id']}: {entry['title']}"
+            for c in entry.get("checks", ()):
+                extra = f"  [{c['detail']}]" if c["detail"] and not c["ok"] else ""
+                yield f"  {'ok  ' if c['ok'] else 'FAIL'} {c['name']}{extra}"
 
-    failed = False
-    if args.json:
-        payload = []
-        for i in ids:
-            checks = [{"name": n, "ok": ok, "detail": detail}
-                      for n, ok, detail in results[i]]
-            ok_all = all(c["ok"] for c in checks)
-            failed = failed or not ok_all
-            payload.append({"id": i, "title": EXAMPLES[i][0],
-                            "checks": checks, "ok": ok_all})
-        _emit(payload, args)
-    else:
-        lines = []
-        for i in ids:
-            lines.append(f"{i}: {EXAMPLES[i][0]}")
-            for name, ok, detail in results[i]:
-                mark = "ok  " if ok else "FAIL"
-                extra = f"  [{detail}]" if detail and not ok else ""
-                lines.append(f"  {mark} {name}{extra}")
-                failed = failed or not ok
-        _emit(lines, args)
-    if failed:
-        bad = [n for i in ids for n, ok, _d in results[i] if not ok]
-        print(f"error: failed check: {bad[0]}", file=sys.stderr)
-        return 1
-    return 0
+    bad = [c["name"] for e in payload for c in e.get("checks", ()) if not c["ok"]]
+    return payload, text, f"failed check: {bad[0]}" if bad else None
 
 
 # -- argument parsing --------------------------------------------------
 
 
-def _add_common(sp, *, out=True):
-    sp.add_argument("--order", choices=(ORDER_GREVLEX, ORDER_LEX),
-                    default=None, help="monomial order")
+def _command(sub, name, func, *, problem=True, **kw):
+    """The parser of one command: --json and --out, and for a command that
+    reads a problem file --order and the file."""
+    sp = sub.add_parser(name, **kw)
+    sp.set_defaults(func=func)
     sp.add_argument("--json", action="store_true",
                     help="emit machine-readable JSON")
-    if out:
-        sp.add_argument("--out", default=None, metavar="PATH",
-                        help="write the output to a file instead of stdout")
+    sp.add_argument("--out", default=None, metavar="PATH",
+                    help="write the output to a file instead of stdout")
+    if problem:
+        sp.add_argument("--order", choices=(ORDER_GREVLEX, ORDER_LEX),
+                        default=None, help="monomial order")
+        sp.add_argument("problem")
+    return sp
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -755,76 +710,74 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="Exact Batalin-Vilkovisky data for polynomial actions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("tate", help="build a resolution and check it")
+    sp = _command(sub, "tate", _cmd_tate, help="build a resolution and check it")
     sp.add_argument("--depth", type=int, default=None)
-    _add_common(sp)
-    sp.add_argument("problem")
-    sp.set_defaults(func=_cmd_tate)
 
-    sp = sub.add_parser("solve", help="solve the master equation")
+    sp = _command(sub, "solve", _cmd_solve, help="solve the master equation")
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--pmax", type=int, default=None)
-    _add_common(sp)
-    sp.add_argument("problem")
-    sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("verify", help="re-verify a saved solution")
+    sp = _command(sub, "verify", _cmd_verify, problem=False,
+                  help="re-verify a saved solution")
     sp.add_argument("--pmax", type=int, default=None)
-    _add_common(sp)
     sp.add_argument("solution")
-    sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("gauge", help="relate two saved solutions")
+    sp = _command(sub, "gauge", _cmd_gauge, problem=False,
+                  help="relate two saved solutions")
     sp.add_argument("--pmax", type=int, default=None)
-    _add_common(sp)
     sp.add_argument("first")
     sp.add_argument("second")
-    sp.set_defaults(func=_cmd_gauge)
 
     sp = sub.add_parser("brst", help="cohomology of the critical locus")
     bsub = sp.add_subparsers(dest="op", required=True)
-    for op in ("h0", "h1"):
-        bp = bsub.add_parser(op)
+    for op, cohomology in (("h0", h0), ("h1", h1)):
+        bp = _command(bsub, op, _cmd_cohomology)
         bp.add_argument("--bound", type=int, default=None)
-        _add_common(bp)
-        bp.add_argument("problem")
-        bp.set_defaults(func=_cmd_brst, op=op)
-    bp = bsub.add_parser("bracket")
-    _add_common(bp)
-    bp.add_argument("problem")
+        bp.set_defaults(cohomology=cohomology)
+    bp = _command(bsub, "bracket", _cmd_bracket)
     bp.add_argument("f")
     bp.add_argument("g")
-    bp.set_defaults(func=_cmd_brst, op="bracket")
-    bp = bsub.add_parser("e2")
+    bp = _command(bsub, "e2", _cmd_e2)
     bp.add_argument("--bound", type=int, default=None)
     bp.add_argument("--pmax", type=int, default=None,
                     help="highest column to report")
     bp.add_argument("--depth", type=int, default=None)
-    _add_common(bp)
-    bp.add_argument("problem")
-    bp.set_defaults(func=_cmd_brst, op="e2")
 
-    sp = sub.add_parser("example", help="replay a worked example")
+    sp = _command(sub, "example", _cmd_example, problem=False,
+                  help="replay a worked example")
     sp.add_argument("id", help="example id, or * for the whole registry")
     sp.add_argument("--check", action="store_true",
                     help="run the example's verification suite")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_example)
 
     return ap
 
 
 def run_command(argv: Sequence[str]) -> int:
+    """Run one command; return 0, 1 if its result failed, 2 on bad input.
+
+    The one writer of every command result: JSON under --json, else the
+    text lines, to --out or stdout.
+    """
     ap = _build_argparser()
     try:
         args = ap.parse_args(list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        result, text, failure = args.func(args)
+        payload = (json.dumps(result, indent=2) if args.json
+                   else "\n".join(text())) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        code = 1 if failure else 0
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        failure, code = e, 2
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .polynomial_engine import (
     BasePolynomial,
     _Parser,
+    _poly,
     _tokenize,
     poly_to_str,
 )
@@ -42,7 +43,7 @@ class GeneratorTable:
     """
 
     __slots__ = ("coordinates", "pairs", "names", "degrees", "parities",
-                 "index", "_positive_idx", "_positive_mask", "_positive_degrees", "_odd_idx")
+                 "index", "_positive_mask", "_positive_degrees", "_odd_idx")
 
     def __init__(self, coordinates: Sequence[str], pairs: Sequence[tuple] = ()):
         self.coordinates = tuple(coordinates)
@@ -72,7 +73,6 @@ class GeneratorTable:
         self.degrees = tuple(degrees)
         self.parities = tuple(d % 2 for d in degrees)
         self.index = {n: i for i, n in enumerate(names)}
-        self._positive_idx = tuple(i for i, d in enumerate(degrees) if d > 0)
         # weight_of and count_of read the positive exponents through
         # compress, not a tuple: CPython 3.11 puts every freed 20-item tuple
         # on a free list that allocation never takes from (up to 368 KB)
@@ -139,9 +139,13 @@ class GradedPolynomial:
         if terms:
             width = len(table.names)
             odd = table._odd_idx
+            coords = table.coordinates
             for m, c in terms.items():
                 if not isinstance(c, BasePolynomial):
                     raise TypeError("coefficients must be BasePolynomial")
+                if c.vars != coords:
+                    raise ValueError(f"coefficient over {c.vars} does not match "
+                                     f"the coordinates {coords}")
                 m = tuple(m)
                 if len(m) != width:
                     raise ValueError("monomial incompatible with table")
@@ -161,10 +165,7 @@ class GradedPolynomial:
 
     @classmethod
     def from_scalar(cls, table: GeneratorTable, p) -> "GradedPolynomial":
-        if isinstance(p, (int, Fraction)):
-            p = BasePolynomial.const(table.coordinates, p)
-        if p.vars != table.coordinates:
-            raise ValueError("scalar has wrong variable list")
+        p = _poly(p, table.coordinates)
         if p.is_zero():
             return cls(table)
         return cls(table, {table.unit_monomial(): p})
@@ -183,9 +184,7 @@ class GradedPolynomial:
 
     @classmethod
     def monomial(cls, table: GeneratorTable, m: tuple, coeff) -> "GradedPolynomial":
-        if isinstance(coeff, (int, Fraction)):
-            coeff = BasePolynomial.const(table.coordinates, coeff)
-        return cls(table, {tuple(m): coeff})
+        return cls(table, {tuple(m): _poly(coeff, table.coordinates)})
 
     # -- queries -------------------------------------------------------
 

@@ -1,23 +1,14 @@
 """Exact rational multivariate polynomials, Groebner bases, and syzygies.
 
-Everything downstream (resolutions, master-equation solving, cohomology)
-reduces to three primitives implemented here: reduced Groebner bases over
-free modules k[x]^r, membership certificates extracted from the tracked
-transformation matrix, and syzygy modules computed by block elimination.
-Each basis is built once and reused: a GroebnerBasis keeps its engine
-form for normal forms and the normal form of every monomial it has
-reduced, as int numerators over one denominator; one int sum
-(_nf_sum) reads those for normal_form and for every cohomology slice.
-A ModuleBasis answers many membership questions against one generator
-list and can grow by one generator at a time.  Cohomology slices use
-the one sparse eliminator at the end: _echelon returns the rows of the
-reduced echelon form of dict rows, each times its pivot coefficient, as
-(pivot, row) pairs, and reduce_row reduces a vector against those
-pairs.  Every result and every certificate check is in
-`fractions.Fraction`; the Groebner engine and the eliminator work
-inside over the integers, with each vector's content removed, and
-divide by leading coefficients or pivots at their boundary.  No floats,
-no modular shortcuts.
+Everything downstream reduces to the primitives here: polynomials over Q
+and the one rule that reads a polynomial input (_poly); reduced Groebner
+bases over free modules k[x]^r, each built once and keeping the normal
+form of every monomial it has reduced, which one int sum (_nf_sum)
+reads; ModuleBasis, which lifts many vectors against one generator list
+and grows by one generator at a time; syzygies; and the one sparse
+eliminator (_echelon, reduce_row).  Results and certificate checks are
+in `fractions.Fraction`; the engine and the eliminator work over the
+integers inside.  No floats, no modular shortcuts.
 """
 
 from __future__ import annotations
@@ -249,6 +240,24 @@ def _from_terms(vars: tuple, terms: dict) -> BasePolynomial:
     p = object.__new__(BasePolynomial)
     p.vars, p.terms, p._hash = vars, terms, None
     return p
+
+
+def _poly(x, coords: Sequence[str]) -> BasePolynomial:
+    """A polynomial input read over coords: a BasePolynomial over exactly
+    coords as given, a number as a constant, text parsed; anything else,
+    a BasePolynomial over other variables too, raises ValueError."""
+    coords = tuple(coords)
+    if isinstance(x, BasePolynomial) and x.vars == coords:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return BasePolynomial.const(coords, x)
+    if isinstance(x, str):
+        return BasePolynomial.parse(x, coords)
+    if isinstance(x, BasePolynomial):
+        raise ValueError(f"polynomial over {x.vars} does not match the "
+                         f"coordinates {coords}")
+    raise ValueError(f"cannot read {type(x).__name__} {x!r} as a polynomial "
+                     f"over the coordinates {coords}")
 
 
 def _coeff_str(c: Fraction) -> str:

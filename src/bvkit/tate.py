@@ -32,6 +32,7 @@ from .polynomial_engine import (
     ModuleVector,
     ORDER_GREVLEX,
     ORDER_LEX,
+    _poly,
     lift_membership,  # noqa: F401  (bound here: the perfbench self-tests read tate.lift_membership)
     poly_to_str,
     syzygy_basis,
@@ -301,12 +302,11 @@ def build_resolution(coords: Sequence[str], s0=None, partials=None,
         raise ValueError("depth must be >= 1")
     if (s0 is None) == (partials is None):
         raise ValueError("provide exactly one of s0 and partials")
-    if isinstance(s0, str):
-        s0 = BasePolynomial.parse(s0, coords)
     if s0 is not None:
+        s0 = _poly(s0, coords)
         partials = [s0.derivative(c) for c in coords]
-    partials = [BasePolynomial.parse(p, coords) if isinstance(p, str) else p
-                for p in partials]
+    else:
+        partials = [_poly(p, coords) for p in partials]
     if len(partials) != len(coords):
         raise ValueError("one partial per coordinate required")
     bad = _open_pair(partials, coords)

@@ -101,6 +101,13 @@ class TestVectorFieldLift:
         with pytest.raises(ValueError):
             antifield_lift(table_xy(), [1])
 
+    def test_components_are_read_like_any_polynomial_input(self):
+        # text is parsed and a number is a constant
+        t = table_xy()
+        assert antifield_lift(t, ["y", 0]) == antifield_lift(
+            t, [BasePolynomial.parse("y", t.coordinates),
+                BasePolynomial.zero(t.coordinates)])
+
 
 class TestExpAd:
     def u_and_table(self):

@@ -9,6 +9,7 @@ import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
 
@@ -1090,7 +1091,7 @@ def _reference_cocycle_images(pres, gb, keys, taus: dict) -> list:
             del img[n]
 
     # one label tuple per condition, shared by all of its pairs
-    conds = {(i, j): ("c", i, j) for i, j in brst._pair_index(pres.r)}
+    conds = {(i, j): ("c", i, j) for i, j in combinations(range(pres.r), 2)}
     # (condition, sign, coefficient of g_k) of each cochain generator k
     terms = [[(cond, -1, pres.structure_f[i][j][k]) for (i, j), cond in conds.items()]
              + [(("r", a), 1, row[k]) for a, row in enumerate(pres.relations)]

@@ -365,7 +365,7 @@ def _reference_verify(sol, p):
         achieved = p
         residual_class = None
     else:
-        pos = res.table._positive_idx
+        pos = [i for i, d in enumerate(res.table.degrees) if d > 0]
         degs = [res.table.degrees[i] for i in pos]
         mw = mc = None
         for m in r.terms:

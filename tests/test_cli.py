@@ -1,5 +1,6 @@
 """Tests for problem parsing, command dispatch, and the example registry."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -264,6 +265,98 @@ class TestCommands:
 
     def test_usage_error(self, capsys):
         assert run_command([]) == 2
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    """The circle problem and its solutions of order 1 and 2, as files."""
+    d = tmp_path_factory.mktemp("golden")
+    files = {"C": d / "circle.bv", "S1": d / "sol1.json", "S2": d / "sol2.json"}
+    files["C"].write_text(CIRCLE_TEXT)
+    for p in ("1", "2"):
+        assert run_command(["solve", "--pmax", p, "--json", "--out",
+                            str(files["S" + p]), str(files["C"])]) == 0
+    return {key: str(path) for key, path in files.items()}
+
+
+VERIFY_FAILED = "error: verification failed (residual weight)\n"
+
+
+class TestGoldenOutputs:
+    """sha256 of stdout, then stderr and the exit code, of each command on
+    the circle; C is the problem file, S1 and S2 its saved solutions of
+    order 1 and 2.  Each command appears in text mode and under --json."""
+
+    CASES = [
+        (["tate", "--depth", "3", "C"],
+         "cef37d90cfa9dc88e8b6c222d798ec7e479e612de606065cb548388b80b6cc51",
+         "ac6f1378e91b177cf03a7f58a984b6ab6d72bc2355ccdec213775a9467646a11",
+         "", 0),
+        (["solve", "--pmax", "2", "C"],
+         "fc863a7ae5de3f06462c18051179e54a33014948fe98cf4bfe17ab8510c3ca2f",
+         "22806bd774d0d4ee2660a9a706977677807edf1f64baa94adab6c92fcd24fbd9",
+         "", 0),
+        (["verify", "S2"],
+         "2121e0c9cfdff052a0cb1f9d22b0bd5b29fb347dc3d460b83075738cefdcbd5f",
+         "b2db192336fdfc32b3b6ce06019f277d549272eb0ba10a790c15345d19174534",
+         "", 0),
+        (["gauge", "S2", "S2"],
+         "c934f3893ec4f353dff8dbef86f69a2a1f4dd95a2ccdecc67efcaee1a936d386",
+         "90faddf45915ad82aab0b49240470e6a5d935893b66f0097329b3e2b0bc1abf4",
+         "", 0),
+        (["brst", "h0", "--bound", "6", "C"],
+         "2226686bc7121154304d3d87ce3b8133a88abcd2b81362ba3d7b25c188039440",
+         "49e36416909673d6400b08fa602c87c90a433ccb6031dda8af12848312120b41",
+         "", 0),
+        (["brst", "h1", "--bound", "6", "C"],
+         "0e7e4ab14204751ca3899bbc2483b458704df3fef0e6dc6dacb078326310da79",
+         "291508a49abfb2fb897d78e95e88e9cbeccce2ae83cb1fc7f1000c7ee12e3361",
+         "", 0),
+        (["brst", "bracket", "C", "x^2 + y^2", "x^2 + y^2"],
+         "48efc8d0f98b6bbcaace84e598a70557b64910915f600df88fcd0dffb1f95858",
+         "5ae3bc640caa1d3d96414c93dfcdb8a5557459643ec0e7da5243574c68b9fe97",
+         "", 0),
+        (["brst", "e2", "--bound", "6", "--pmax", "1", "C"],
+         "2c821c9112a9ecd066d16e45b08fa160ec9458c877fe898f9a8b657f72f359de",
+         "f8f46579633a3583c0fa94edece201846cb84a93e02fe22341c4e6c71d4a0ced",
+         "", 0),
+        (["example", "exa7"],
+         "e7d353598cf5106a1b95394b9389020bb169551af7da58eec2dd43baaa48b9f1",
+         "0f27bd7211299d3397ace8b53cdf9bc038d7fc0297a475ee18b65cca2e359f48",
+         "", 0),
+        (["example", "exa7", "--check"],
+         "cf00b927a1554ffaed9fb8e11572ed208a1f69d3165f83af48ae04bebe36de1f",
+         "fd4bc9a25e98673e5f650f01667340aaa3fab6e5fcb60cab55ef5565e80ac44d",
+         "", 0),
+        # an order-1 solution checked to order 5 fails, after its report
+        (["verify", "--pmax", "5", "S1"],
+         "f43d241fdeb9798b17ae4bc2fb8ed68a35cf7fba3d6c8c8b1e37a43728a693f0",
+         "e7a00124c7ff89e5ea364f6ebe5f44ed210678e3ca5eead6c64dc5b1d21affd8",
+         VERIFY_FAILED, 1),
+    ]
+
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, text_sha, json_sha, err, code", CASES,
+                             ids=[" ".join(c[0]) for c in CASES])
+    def test_output(self, golden_files, capsys, argv, text_sha, json_sha,
+                    err, code, json_mode):
+        argv = [golden_files.get(a, a) for a in argv]
+        got = run_command(argv + ["--json"] if json_mode else argv)
+        out = capsys.readouterr()
+        assert (hashlib.sha256(out.out.encode()).hexdigest(), out.err, got) \
+            == (json_sha if json_mode else text_sha, err, code)
+
+
+@pytest.mark.parametrize("argv", [["verify", "S2"], ["gauge", "S2", "S2"],
+                                  ["example", "exa1"]],
+                         ids=["verify", "gauge", "example"])
+def test_order_is_refused_where_no_order_is_read(golden_files, capsys, argv):
+    # these commands compute nothing in a monomial order: a saved solution
+    # carries its own, and each example fixes its own
+    argv = [golden_files.get(a, a) for a in argv]
+    assert run_command(argv[:1] + ["--order", "lex"] + argv[1:]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--order" in out.err
 
 
 class TestExampleRegistry:

@@ -359,6 +359,28 @@ class TestOddExponentCheck:
         assert parse_graded(f"(3)*{name}^2", t) == a
 
 
+class TestCoefficientCoordinates:
+    """A coefficient must be a polynomial in the table's coordinates."""
+
+    Z = BasePolynomial.parse("z", ("z",))
+
+    def test_constructors_reject_foreign_coefficients(self):
+        t = table_xy()
+        unit = t.unit_monomial()
+        with pytest.raises(ValueError, match=r"\('z',\).*\('x', 'y'\)"):
+            GradedPolynomial(t, {unit: self.Z})
+        with pytest.raises(ValueError, match=r"\('z',\).*\('x', 'y'\)"):
+            GradedPolynomial.monomial(t, unit, self.Z)
+        with pytest.raises(ValueError, match=r"\('z',\).*\('x', 'y'\)"):
+            GradedPolynomial.from_scalar(t, self.Z)
+
+    def test_scalars_are_read_from_text_and_numbers(self):
+        t = table_xy()
+        assert GradedPolynomial.from_scalar(t, "x + y") == sc(t, "x + y")
+        assert GradedPolynomial.monomial(t, t.unit_monomial(), "x") == sc(t, "x")
+        assert GradedPolynomial.from_scalar(t, Fraction(1, 2)) == sc(t, "1/2")
+
+
 # -- randomized properties --------------------------------------------
 
 

@@ -30,6 +30,7 @@ from bvkit.polynomial_engine import (
     _mvec_add_into,
     _mvec_from_vector,
     _mvec_to_vector,
+    _poly,
     _term_key,
     ModuleBasis,
     ModuleVector,
@@ -343,6 +344,31 @@ class TestCoefficients:
         assert p.terms == {(1, 0): Fraction(3), (0, 1): Fraction(-1, 2),
                            (1, 1): Fraction(2)}
         assert all(type(c) is Fraction for c in p.terms.values())
+
+
+class TestPolynomialInput:
+    """The one rule by which every entry point reads a polynomial input."""
+
+    def test_a_polynomial_over_the_coordinates_is_taken_as_given(self):
+        p = P("x*y - 1", VARS2)
+        assert _poly(p, ["x", "y"]) is p
+
+    def test_numbers_and_text(self):
+        assert _poly(3, VARS2) == BasePolynomial.const(VARS2, 3)
+        assert _poly(Fraction(-1, 2), VARS2) == P("-1/2", VARS2)
+        assert _poly(0, VARS2).is_zero()
+        assert _poly("x^2 - y", VARS2) == P("x^2 - y", VARS2)
+
+    @pytest.mark.parametrize("x", [P("x", ("y", "x")), P("x", ("x",))])
+    def test_other_coordinates_are_refused_naming_both_lists(self, x):
+        with pytest.raises(ValueError) as e:
+            _poly(x, VARS2)
+        assert str(x.vars) in str(e.value) and str(VARS2) in str(e.value)
+
+    @pytest.mark.parametrize("x", [None, 0.5, ["x"]])
+    def test_anything_else_is_refused(self, x):
+        with pytest.raises(ValueError, match=r"\('x', 'y'\)"):
+            _poly(x, VARS2)
 
 
 # -- property suites ---------------------------------------------------

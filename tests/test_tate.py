@@ -202,6 +202,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_resolution(["x"], s0="0", partials=["0"], depth=1)
 
+    def test_numbers_are_read_as_constants(self):
+        # a number, as s0 or as a partial, is the constant polynomial
+        assert (build_resolution(["x"], s0=3, depth=1).to_json_obj()
+                == build_resolution(["x"], s0="3", depth=1).to_json_obj())
+        assert (build_resolution(["x", "y"], partials=["2*x", 0],
+                                 depth=1).to_json_obj()
+                == build_resolution(["x", "y"], partials=["2*x", "0"],
+                                    depth=1).to_json_obj())
+
+    def test_action_over_other_coordinates_rejected(self):
+        # the same names in another order are another coordinate list: the
+        # action is refused on entry, naming both lists
+        s0 = BasePolynomial.parse("x^2 + y", ("x", "y"))
+        with pytest.raises(ValueError, match=r"\('x', 'y'\).*\('y', 'x'\)"):
+            build_resolution(["y", "x"], s0=s0, depth=1)
+
 
 class TestSerialization:
     def test_round_trip(self):
