@@ -5,13 +5,15 @@ The Jacobian ring is presented by a Groebner basis, so its elements have
 canonical normal forms and a degree-d slice has the standard monomials
 as a basis.  A symmetry presentation keeps that basis, one per monomial
 order, so every slice computed from it shares the normal forms memoized
-on the basis.  Symmetries of the action enter through a finite
-presentation: generators tau_i of the vector fields annihilating S0
-modulo the trivial ones, relations among them with bivector
-certificates, and structure functions for their commutators.  H^0 is
-the algebra of invariants, H^1 is computed from the associated
-one-cochain complex, and both are cross-checkable against the first
-page of the weight spectral sequence of a master solution.
+on the basis, and the normal forms of the tau images of the monomials,
+so a ladder of bounds computes each image once.  Symmetries of the
+action enter through a finite presentation: generators tau_i of the
+vector fields annihilating S0 modulo the trivial ones, relations among
+them with bivector certificates, and structure functions for their
+commutators.  H^0 is the algebra of invariants, H^1 is computed from
+the associated one-cochain complex, and both are cross-checkable
+against the first page of the weight spectral sequence of a master
+solution.
 
 All reports are exact statements about a degree slice: membership
 conditions hold on the nose, never merely up to the degree bound.
@@ -31,6 +33,7 @@ from .polynomial_engine import (
     ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
+    _axpy,
     _cleared,
     _combination,
     _echelon,
@@ -65,16 +68,24 @@ __all__ = [
 # -- small polynomial utilities ----------------------------------------
 
 
+def _gradient(f: BasePolynomial) -> list:
+    """The partial derivatives of f, one per coordinate.  A field t
+    applied to f is _combination(_gradient(f), t), so f is
+    differentiated once however many fields are applied to it."""
+    return [f.derivative(name) for name in f.vars]
+
+
 def apply_vector_field(field: ModuleVector, f: BasePolynomial) -> BasePolynomial:
     """Apply sum_k field[k] * d/dx_k to f."""
     if field.vars != f.vars or field.rank != len(f.vars):
         raise ValueError("vector field does not match the polynomial's coordinates")
-    return _combination([f.derivative(name) for name in f.vars], field)
+    return _combination(_gradient(f), field)
 
 
-def _commutator(a: ModuleVector, b: ModuleVector) -> ModuleVector:
-    return ModuleVector([apply_vector_field(a, bk) - apply_vector_field(b, ak)
-                         for ak, bk in zip(a, b)])
+def _commutator(a: ModuleVector, b: ModuleVector, da: list, db: list) -> ModuleVector:
+    """[a, b], with da and db the gradients of the components of a and b."""
+    return ModuleVector([_combination(dbk, a) - _combination(dak, b)
+                         for dak, dbk in zip(da, db)])
 
 
 def _check_partials(partials: Sequence[BasePolynomial]) -> tuple:
@@ -155,7 +166,7 @@ class SymmetryPresentation:
     """
 
     __slots__ = ("vars", "order", "partials", "tau", "relations",
-                 "bivectors_v", "structure_f", "correction_g", "_rings")
+                 "bivectors_v", "structure_f", "correction_g", "_rings", "_images")
 
     def __init__(self, vars, order, partials, tau, relations, bivectors_v,
                  structure_f, correction_g):
@@ -170,6 +181,7 @@ class SymmetryPresentation:
         self.correction_g = tuple(tuple(dict(b) for b in row)
                                   for row in correction_g)
         self._rings: dict = {}   # monomial order -> Jacobian ring, built on first use
+        self._images: dict = {}  # monomial order -> {exponent: flat tau image}, see _tau_images
         self._verify()
 
     @property
@@ -199,9 +211,10 @@ class SymmetryPresentation:
                     if not (self.structure_f[i][j][k] + self.structure_f[j][i][k]).is_zero():
                         raise AssertionError(
                             "presentation certificate failed: structure functions not antisymmetric")
+        grads = [[_gradient(c) for c in t] for t in self.tau]
         for i in range(r):
             for j in range(i + 1, r):
-                acc = (_commutator(self.tau[i], self.tau[j])
+                acc = (_commutator(self.tau[i], self.tau[j], grads[i], grads[j])
                        - _combination(self.structure_f[i][j], self.tau)
                        - _contract(self.partials, self.correction_g[i][j]))
                 if not acc.is_zero():
@@ -271,16 +284,18 @@ def symmetry_presentation(partials: Sequence[BasePolynomial],
     correction = [[{} for _ in range(r)] for _ in range(r)]
     if r:
         lifts = ModuleBasis(tau + kosz, order)
+        grads = [[_gradient(c) for c in t] for t in tau]
         for i in range(r):
             for j in range(i + 1, r):
-                co = lifts.lift(_commutator(tau[i], tau[j]))
+                co = lifts.lift(_commutator(tau[i], tau[j], grads[i], grads[j]))
                 if co is None:
                     raise AssertionError(
                         f"presentation certificate failed: commutator ({i},{j}) "
                         "has no expression over the generators")
                 for k in range(r):
-                    structure[i][j][k] = co[k]
-                    structure[j][i][k] = -co[k]
+                    if co[k]:   # a zero entry stays the one shared zero
+                        structure[i][j][k] = co[k]
+                        structure[j][i][k] = -co[k]
                 bv = _bivector(co, r, kpairs)
                 correction[i][j] = bv
                 correction[j][i] = {k: -c for k, c in bv.items()}
@@ -296,22 +311,23 @@ def standard_monomials(gb: GroebnerBasis, D: int) -> list:
     """Exponents of the monomials of degree <= D in normal form.
 
     A monomial is its own normal form exactly when no leading term of
-    the basis divides it.  Every divisor of such a monomial is one too,
-    so those of degree k + 1 are found among the degree-k ones times a
-    variable, and no other exponent is tried.  Sorted descending in the
-    basis order, so linear algebra over slices eliminates against high
-    monomials first and representatives come out reduced toward low
-    degree.
+    the basis divides it, so the standard exponents are closed under
+    taking divisors.  One of degree k + 1 is standard exactly when it
+    is no leading exponent and each of its degree-k divisors e - e_j
+    is standard: a leading term that divides it properly divides one of
+    those.  So each degree is grown from the one below by set lookups,
+    with no divisibility test.  Sorted descending in the basis order,
+    so linear algebra over slices eliminates against high monomials
+    first and representatives come out reduced toward low degree.
     """
-    leads = [g.leading(gb.order)[0] for g in gb.elements]
+    leads = {g.leading(gb.order)[0] for g in gb.elements}
     n = len(gb.vars)
-    std: list = []
-    layer = [(0,) * n]
-    for k in range(D + 1):
-        if k:
-            layer = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(n)}
-        layer = [e for e in layer
-                 if not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)]
+    layer = {(0,) * n} - leads if D >= 0 else set()
+    std = list(layer)
+    for _k in range(D):
+        up = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(n)} - leads
+        layer = {e for e in up
+                 if all(e[:j] + (e[j] - 1,) + e[j + 1:] in layer for j in range(n) if e[j])}
         std += layer
     std.sort(key=monomial_key(gb.order), reverse=True)
     return std
@@ -376,32 +392,68 @@ def _slice_cohomology(keys: list, images: list, prev: list, D: int) -> tuple:
     keys[j] = (label, exponent) names cochain j, up to degree D + 1, and
     images[j] is its differential; prev holds the images of the previous
     column, keyed like the cochains, over inputs far enough beyond D + 1
-    to reach every image landing inside that slice.  Each bound numbers
-    its cochains n = 0, 1, ... and makes one _echelon call on the
-    boundary rows (_slice_image of prev) and, per cochain, e_n with its
-    image in negative columns.  As in _slice_image, the rows with a
-    slice pivot span the cocycles plus the boundaries; those whose pivot
-    no boundary row holds vanish on the boundary pivots, so they are the
+    to reach every image landing inside that slice.  Bound D numbers its
+    cochains n = 0, 1, ... and makes one _echelon call on the boundary
+    rows (_slice_image of prev) and, per cochain, e_n with its image in
+    negative columns.  As in _slice_image, the rows with a slice pivot
+    span the cocycles Z plus the boundaries B; those whose pivot no
+    boundary row holds vanish on the boundary pivots, so they are the
     reduced echelon form of the cocycles modulo boundaries, which is
     unique.  Returns those representatives at bound D as {key: c}, each
     row over its pivot, and their number at D + 1.
+
+    That number is dim(B + Z) - dim B = dim Z - dim B + rank d(B), with
+    no d^2 = 0 assumption, and no second elimination of the slice.  The
+    bound-D rows with a negative pivot, cut to their negative columns,
+    are an echelon basis of the images up to D, so one _echelon call on
+    them and the images of degree D + 1, numbered through the same neg,
+    gives the rank r of the images up to D + 1, and dim Z = n(D + 1) - r.
+    B at D + 1 is _slice_image of prev there, and d(B) is one _echelon
+    call on the images of its rows.
+
+    Image keys are numbered by neg as they first appear, below the
+    slice columns, unless every key is a negative int already, as the
+    cocycle conditions of h1 are: then each key is its own column.
     """
+    neg: dict = {}
+    numbered = all(type(k) is int and k < 0 for img in images for k in img)
 
-    def reduced(bound):
+    def imaged(img):
+        if numbered:
+            return iter(img.items())
+        return ((neg.setdefault(k, ~len(neg)), c) for k, c in img.items())
+
+    def boundaries(bound):
         cols = [j for j, (_label, e) in enumerate(keys) if sum(e) <= bound]
-        bred = _slice_image(prev, {keys[j]: n for n, j in enumerate(cols)})
-        neg: dict = {}
-        red = _echelon(chain((row.items() for _pc, row in bred),
-                             ([(n, 1), *((neg.setdefault(k, ~len(neg)), c)
-                                         for k, c in images[j].items())]
-                              for n, j in enumerate(cols))))
-        held = {pc for pc, _row in bred}
-        return cols, [(pc, row) for pc, row in red if pc >= 0 and pc not in held]
+        return cols, _slice_image(prev, {keys[j]: n for n, j in enumerate(cols)})
 
-    cols, red = reduced(D)
-    # each pass frees its matrices on return; the D + 1 pass keeps only its rank
-    return ([{keys[cols[n]]: Fraction(c, row[pc]) for n, c in row.items()} for pc, row in red],
-            len(reduced(D + 1)[1]))
+    cols, bred = boundaries(D)
+    red = _echelon(chain((row.items() for _pc, row in bred),
+                         ([(n, 1), *imaged(images[j])] for n, j in enumerate(cols))))
+    held = {pc for pc, _row in bred}
+    vecs = [{keys[cols[n]]: Fraction(c, row[pc]) for n, c in row.items()}
+            for pc, row in red if pc >= 0 and pc not in held]
+    spans = [row for pc, row in red if pc < 0]
+    del red
+
+    def drained():
+        # each row is dropped as the rank pass reads it, so the two
+        # eliminations never hold the images up to D twice
+        while spans:
+            yield ((k, c) for k, c in spans.pop().items() if k < 0)
+
+    top = [images[j] for j, (_label, e) in enumerate(keys) if sum(e) == D + 1]
+    rank = len(_echelon(chain(drained(), map(imaged, top))))
+    cols, bred = boundaries(D + 1)
+
+    def image_of(row):
+        v: dict = {}
+        for n, c in row.items():
+            _axpy(v, c, ((k, x) for k, x in images[cols[n]].items() if x))
+        return imaged(v)
+
+    moved = len(_echelon(image_of(row) for _pc, row in bred))
+    return vecs, len(cols) - rank - len(bred) + moved
 
 
 def _nf_values(acc: dict, q: int):
@@ -413,6 +465,14 @@ def _nf_values(acc: dict, q: int):
 def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
     """{(i, e): c} of normal_form(tau_i(x^m)) for each exponent m.
 
+    Each image is computed once per presentation and monomial order:
+    pres._images[gb.order] keeps it for m as a flat tuple (i, e, c, i,
+    e, c, ...), a third of the size of the dict, so a ladder of bounds,
+    h1 and the boundary spaces of h0_bracket on one presentation read
+    the images already made, and each call builds the dicts it returns.
+    This function alone reads and writes that memo, and gb is
+    pres._ring(gb.order).
+
     tau_i(x^m) = sum_k m_k t_ik x^(m - e_k) is written by shifting the
     exponents of the coefficients t_ik, with no polynomial multiply.
     The coefficients are cleared of denominators once, by L, so each
@@ -420,21 +480,22 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
     (_nf_sum), over one denominator q, whose entries _nf_values divides
     by L * q.
     """
-    cleared, L = _cleared({(i, k, e): c for i, t in enumerate(pres.tau)
-                           for k, tk in enumerate(t) for e, c in tk.terms.items()})
-    tau = [[] for _ in pres.tau]
-    for (i, k, e), c in cleared.items():
-        tau[i].append((k, e, c))
-    out = []
-    for m in exps:
-        img = {}
-        for i, terms in enumerate(tau):
-            acc, q = _nf_sum(gb, ((_monomial_mul(e, m[:k] + (m[k] - 1,) + m[k + 1:]), m[k] * c)
-                                  for k, e, c in terms if m[k]))
-            for e, x in _nf_values(acc, L * q):
-                img[(i, e)] = x
-        out.append(img)
-    return out
+    memo = pres._images.setdefault(gb.order, {})
+    todo = [m for m in exps if m not in memo]
+    if todo:
+        cleared, L = _cleared({(i, k, e): c for i, t in enumerate(pres.tau)
+                               for k, tk in enumerate(t) for e, c in tk.terms.items()})
+        tau = [[] for _ in pres.tau]
+        for (i, k, e), c in cleared.items():
+            tau[i].append((k, e, c))
+        for m in todo:
+            img = []
+            for i, terms in enumerate(tau):
+                acc, q = _nf_sum(gb, ((_monomial_mul(e, m[:k] + (m[k] - 1,) + m[k + 1:]), m[k] * c)
+                                      for k, e, c in terms if m[k]))
+                img += (z for e, x in _nf_values(acc, L * q) for z in (i, e, x))
+            memo[m] = tuple(img)
+    return [{(i, e): x for i, e, x in zip(*[iter(memo[m])] * 3)} for m in exps]
 
 
 def _presentation(parts: list, order: str,
@@ -459,8 +520,12 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     follows because the Koszul fields move everything into the ideal.
     One image set, of the standard monomials up to D + 1, serves both
     bounds in _slice_cohomology, with no previous column: its
-    degree-<=D part, in the same order, is the D slice, and the whole
-    set gives the kernel at D + 1 that sets stable.
+    degree-<=D part, in the same order, is the D slice, and the D
+    elimination plus the degree-(D + 1) images give the kernel at D + 1
+    that sets stable.  The images are kept on the presentation, so a
+    ladder of bounds on one presentation computes each image once.
+    Each basis element is checked against every generator from one
+    gradient, with neither the images nor the eliminator.
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
@@ -472,8 +537,9 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     vecs, dim1 = _slice_cohomology(keys, _tau_images(pres, gb, std1), [], D)
     basis = [BasePolynomial(vars, {m: c for (_none, m), c in v.items()}) for v in vecs]
     for b in basis:
+        grad = _gradient(b)
         for t in pres.tau:
-            if not normal_form(apply_vector_field(t, b), gb).is_zero():
+            if not normal_form(_combination(grad, t), gb).is_zero():
                 raise AssertionError("invariant candidate fails its defining condition")
     return CohomologyReport(0, D, len(basis), basis, len(basis) == dim1)
 
@@ -514,10 +580,11 @@ def _boundary_space(pres: SymmetryPresentation, gb: GroebnerBasis, D: int):
 def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: dict) -> list:
     """The cocycle conditions of each cochain (k, e), as {n: c}.
 
-    n numbers each pair (condition, e') in the order the pairs first
-    occur, so the images hold no key tuples.  Condition ("c", i, j) is
-    tau_i(g_j) - tau_j(g_i) - f_ij^k g_k and ("r", a) is sum_k r_ak g_k,
-    both in normal form.  taus maps each exponent to its _tau_images
+    n numbers each pair (condition, e') ~0, ~1, ... in the order the
+    pairs first occur, so the images hold no key tuples and
+    _slice_cohomology takes each n as its column.  Condition
+    ("c", i, j) is tau_i(g_j) - tau_j(g_i) - f_ij^k g_k and ("r", a) is
+    sum_k r_ak g_k, both in normal form.  taus maps each exponent to its _tau_images
     entry, whose tau_i(x^e) part enters the conditions (i, k) and (k, i).
     Each f_ij^k and r_ak is cleared of denominators once, by L, and its
     part is one int sum of NF(x^(a + e)) over its terms (_nf_sum), over
@@ -527,7 +594,7 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
     index: dict = {}
 
     def add(img, cond, ee, c):
-        n = index.setdefault((cond, ee), len(index))
+        n = index.setdefault((cond, ee), ~len(index))
         s = img.get(n, 0) + c
         if s:
             img[n] = s if s.denominator > 1 else s.numerator
@@ -557,10 +624,11 @@ def _cocycle_images(pres: SymmetryPresentation, gb: GroebnerBasis, keys, taus: d
 
 def _h1_check_exact(pres: SymmetryPresentation, gb: GroebnerBasis, gs) -> None:
     r = pres.r
+    grads = [_gradient(g) for g in gs]
     for i in range(r):
         for j in range(i + 1, r):
-            acc = (apply_vector_field(pres.tau[i], gs[j])
-                   - apply_vector_field(pres.tau[j], gs[i])
+            acc = (_combination(grads[j], pres.tau[i])
+                   - _combination(grads[i], pres.tau[j])
                    - _combination(pres.structure_f[i][j], gs))
             if not normal_form(acc, gb).is_zero():
                 raise AssertionError("one-cocycle fails its commutator condition")

@@ -760,7 +760,12 @@ def run_command(argv: Sequence[str]) -> int:
     """
     ap = _build_argparser()
     try:
-        args = ap.parse_args(list(argv))
+        args, extra = ap.parse_known_args(list(argv))
+        if extra:
+            # an unknown option can be followed by its value, which then
+            # fills a positional, so name the first unknown option alone
+            options = [a for a in extra if a.startswith("-")]
+            ap.error("unrecognized arguments: " + " ".join(options[:1] or extra))
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -141,6 +141,24 @@ def _reference_standard_monomials(gb, D):
     return std
 
 
+def _layered_standard_monomials(gb, D):
+    """standard_monomials before it grew each degree by divisor closure:
+    the degree-(k + 1) candidates are the standard degree-k exponents
+    times a variable, each tested against every leading term."""
+    leads = [g.leading(gb.order)[0] for g in gb.elements]
+    n = len(gb.vars)
+    std: list = []
+    layer = [(0,) * n]
+    for k in range(D + 1):
+        if k:
+            layer = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(n)}
+        layer = [e for e in layer
+                 if not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)]
+        std += layer
+    std.sort(key=monomial_key(gb.order), reverse=True)
+    return std
+
+
 def _nf_standard_monomials(gb, D):
     """Reference for standard_monomials: monomials equal to their normal form."""
     std = []
@@ -180,6 +198,27 @@ def test_standard_monomials_match_the_enumerating_reference(action, order):
     gb = jacobian_ring(parts, order)
     for D in bounds:
         assert standard_monomials(gb, D) == _reference_standard_monomials(gb, D)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_POLY3, min_size=1, max_size=3), st.sampled_from(["grevlex", "lex"]),
+       st.integers(-1, 6))
+def test_standard_monomials_match_the_layered_reference(gens, order, D):
+    gb = groebner_basis(gens, order)
+    assert standard_monomials(gb, D) == _layered_standard_monomials(gb, D)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("action", ["circle", "cubic"])
+def test_divisor_closure_matches_the_layered_reference(action, order):
+    if action == "circle":
+        parts = circle_partials()
+    else:
+        s0 = BasePolynomial.parse("x^3 + y^3 + z^3 - 3*w*x*y*z", WXYZ)
+        parts = [s0.derivative(v) for v in WXYZ]
+    gb = jacobian_ring(parts, order)
+    for D in range(16):
+        assert standard_monomials(gb, D) == _layered_standard_monomials(gb, D)
 
 
 class TestSymmetryPresentation:
@@ -874,6 +913,21 @@ def test_slice_cohomology_matches_the_parent_path(inputs, data):
             == _typed([_reference_reduce_row(v, *_reference_slice_image(prev, low))]))
 
 
+@settings(deadline=None, max_examples=150)
+@given(_slice_inputs())
+def test_images_numbered_below_the_slice_serve_as_their_own_columns(inputs):
+    # h1 hands over its cocycle conditions numbered ~0, ~1, ...; numbering
+    # the labels of any image set that way changes neither the classes nor
+    # the count at D + 1
+    keys, images, prev, D = inputs
+    labels: dict = {}
+    numbered = [{labels.setdefault(k, ~len(labels)): c for k, c in img.items()}
+                for img in images]
+    vecs, dim1 = brst._slice_cohomology(keys, numbered, prev, D)
+    want, want1 = brst._slice_cohomology(keys, images, prev, D)
+    assert _typed(vecs) == _typed(want) and dim1 == want1
+
+
 def _reference_cocycle_vectors(pres, gb, std, colmap):
     r = pres.r
     images = [{} for _ in colmap]
@@ -1174,7 +1228,8 @@ def _summed_image_inputs(draw):
                  for _ in range(draw(st.integers(0, 2)))]
     exps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                          min_size=1, max_size=6, unique=True))
-    pres = SimpleNamespace(tau=tau, r=r, structure_f=f, relations=relations)
+    # _images is the presentation's memo of tau images, which _tau_images fills
+    pres = SimpleNamespace(tau=tau, r=r, structure_f=f, relations=relations, _images={})
     return gens, pres, exps
 
 
@@ -1287,6 +1342,88 @@ class TestSharedJacobianRing:
         rep = {"h0": h0, "h1": h1}[group](parts, D, "lex", pres)
         text = json.dumps(rep.to_json_obj(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.LEX_OF_GREVLEX[case]
+
+
+class TestImageMemo:
+    """A presentation keeps each tau image once per monomial order, and an
+    h0 ladder on it gives the reports of a fresh presentation per call."""
+
+    @pytest.mark.parametrize("action", ["circle", "cubic"])
+    def test_warm_presentation_matches_a_fresh_one_per_call(self, action, cubic_surface):
+        parts, h1_bound = (circle_partials(), 6) if action == "circle" else (cubic_surface[0], 2)
+        pres = symmetry_presentation(parts)
+        for order in ("grevlex", "lex"):
+            # out of order, so a call can find its images made by a higher bound
+            for D in (14, 11, 13, 12):
+                warm = h0(parts, D, order, pres)
+                fresh = h0(parts, D, order, symmetry_presentation(parts))
+                assert warm.to_json_obj() == fresh.to_json_obj()
+            warm = h1(parts, h1_bound, order, pres)
+            fresh = h1(parts, h1_bound, order, symmetry_presentation(parts))
+            assert warm.to_json_obj() == fresh.to_json_obj()
+            # every image was made once: the memo holds the inputs of h0 at 14
+            # and of h1, and nothing else
+            gb = pres._ring(order)
+            ext = h1_bound + 1 + brst._degree_allowance(pres)
+            assert (sorted(pres._images[order])
+                    == sorted(standard_monomials(gb, max(15, ext))))
+        assert sorted(pres._images) == ["grevlex", "lex"]
+
+    def test_tampered_slice_step_is_caught(self, monkeypatch):
+        # x moves off the ideal under the rotation of the circle, so the
+        # check after the slice step must refuse it
+        real = brst._slice_cohomology
+
+        def tampered(keys, images, prev, D):
+            vecs, dim1 = real(keys, images, prev, D)
+            return vecs + [{(None, (1, 0)): Fraction(1)}], dim1
+
+        monkeypatch.setattr(brst, "_slice_cohomology", tampered)
+        with pytest.raises(AssertionError,
+                           match="invariant candidate fails its defining condition"):
+            h0(circle_partials(), 4)
+
+    def test_invariance_check_uses_neither_images_nor_eliminator(self, cubic_surface,
+                                                                 monkeypatch):
+        # the check reads the tau fields and normal forms only, so it does
+        # not depend on the code whose result it checks
+        parts, pres, _gb, _reports = cubic_surface
+        want = h0(parts, 8, presentation=pres).to_json_obj()
+        real = brst._slice_cohomology
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the invariance check called the slice computation")
+
+        def then_refuse(keys, images, prev, D):
+            out = real(keys, images, prev, D)
+            for name in ("_tau_images", "_echelon", "_slice_image"):
+                monkeypatch.setattr(brst, name, refuse)
+            monkeypatch.setattr(polynomial_engine, "_echelon", refuse)
+            return out
+
+        monkeypatch.setattr(brst, "_slice_cohomology", then_refuse)
+        assert h0(parts, 8, presentation=pres).to_json_obj() == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(_FRACTION_POLY2, _FRACTION_POLY2, st.sampled_from(["grevlex", "lex"]),
+       st.integers(0, 4))
+def test_h0_next_bound_count_matches_the_reference_slices(f, g, order, D):
+    # the D + 1 count from the D elimination against the two full
+    # eliminations of the reference, on h0's own inputs; S0 = f g, so
+    # products of two small factors give actions with symmetries
+    s0 = f * g
+    parts = [s0.derivative(v) for v in XY]
+    pres = symmetry_presentation(parts, order)
+    gb = pres._ring(order)
+    std1 = standard_monomials(gb, D + 1)
+    keys = [(None, m) for m in std1]
+    images = brst._tau_images(pres, gb, std1)
+    want, want1 = _reference_slice_cohomology(keys, images, [], D)
+    vecs, dim1 = brst._slice_cohomology(keys, images, [], D)
+    assert _typed(vecs) == _typed(want) and dim1 == want1
+    rep = h0(parts, D, order, pres)
+    assert (rep.dim, rep.stable) == (len(want), len(want) == want1)
 
 
 @pytest.mark.parametrize("n", range(5))

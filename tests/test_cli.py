@@ -359,6 +359,19 @@ def test_order_is_refused_where_no_order_is_read(golden_files, capsys, argv):
     assert out.out == "" and "--order" in out.err
 
 
+@pytest.mark.parametrize("argv", [["verify", "S2"], ["gauge", "S2", "S2"],
+                                  ["example", "exa1"]],
+                         ids=["verify", "gauge", "example"])
+def test_refused_order_is_named_alone(golden_files, capsys, argv):
+    # the refused flag's value fills the first positional, which pushes a
+    # file or example id into the unrecognized arguments; the error names
+    # the flag and nothing else
+    argv = [golden_files.get(a, a) for a in argv]
+    assert run_command(argv[:1] + ["--order", "lex"] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "bvkit: error: unrecognized arguments: --order"
+
+
 class TestExampleRegistry:
     def test_registry_ids(self):
         assert list(EXAMPLES) == [

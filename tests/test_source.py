@@ -145,3 +145,27 @@ def test_no_module_reaches_the_parser_token_step():
         f"{over} reach {PARSER_TOKEN_STEP} tokens, where CPython 3.11's parser "
         "doubles its token buffer: compiled from source, as perfbench imports "
         "the package, such a module raises peak_rss_mb; split or shorten it")
+
+
+def test_tau_image_memo_is_kept_by_tau_images_only():
+    # SymmetryPresentation._images keeps each tau image once per monomial
+    # order, and callers share the image dicts; only _tau_images reads or
+    # fills the memo, so what it holds and when an entry is made are
+    # decided in one place.  The class names it in __slots__ and __init__.
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            # an attribute, a name, an import alias or a string such as a slot
+            named = {getattr(child, key, None) for key in ("id", "attr", "name", "value")}
+            if "_images" in named:
+                found.add(f"{path.name}:{scope}")
+            visit(child, inner)
+
+    for path in sorted(Path(bvkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "")
+    assert found == {"brst.py:SymmetryPresentation", "brst.py:SymmetryPresentation.__init__",
+                     "brst.py:_tau_images"}
