@@ -45,7 +45,6 @@ from .polynomial_engine import (
 from .brst import (
     CohomologyReport,
     SymmetryPresentation,
-    apply_vector_field,
     e2_page,
     h0,
     h0_bracket,
@@ -79,7 +78,6 @@ __all__ = [
     "run_command",
     "CohomologyReport",
     "SymmetryPresentation",
-    "apply_vector_field",
     "e2_page",
     "h0",
     "h0_bracket",

@@ -39,6 +39,7 @@ from .polynomial_engine import (
     _echelon,
     _monomial_mul,
     _nf_sum,
+    _poly,
     groebner_basis,
     monomial_key,
     normal_form,
@@ -53,7 +54,6 @@ from .tate import _graded_monomials
 __all__ = [
     "CohomologyReport",
     "SymmetryPresentation",
-    "apply_vector_field",
     "e2_page",
     "h0",
     "h0_bracket",
@@ -75,13 +75,6 @@ def _gradient(f: BasePolynomial) -> list:
     return [f.derivative(name) for name in f.vars]
 
 
-def apply_vector_field(field: ModuleVector, f: BasePolynomial) -> BasePolynomial:
-    """Apply sum_k field[k] * d/dx_k to f."""
-    if field.vars != f.vars or field.rank != len(f.vars):
-        raise ValueError("vector field does not match the polynomial's coordinates")
-    return _combination(_gradient(f), field)
-
-
 def _commutator(a: ModuleVector, b: ModuleVector, da: list, db: list) -> ModuleVector:
     """[a, b], with da and db the gradients of the components of a and b."""
     return ModuleVector([_combination(dbk, a) - _combination(dak, b)
@@ -92,10 +85,12 @@ def _check_partials(partials: Sequence[BasePolynomial]) -> tuple:
     parts = list(partials)
     if not parts:
         raise ValueError("at least one partial derivative is required")
-    vars = parts[0].vars
-    for p in parts:
-        if p.vars != vars:
+    for i, p in enumerate(parts):
+        if not isinstance(p, BasePolynomial):
+            raise ValueError(f"partial {i} is {type(p).__name__} {p!r}, not a BasePolynomial")
+        if p.vars != parts[0].vars:
             raise ValueError("partials use inconsistent coordinate lists")
+    vars = parts[0].vars
     if len(parts) != len(vars):
         raise ValueError(f"expected {len(vars)} partials for coordinates {vars}")
     return parts, vars
@@ -226,7 +221,7 @@ class SymmetryPresentation:
 
         Built on first use and kept: every slice computed from this
         presentation divides against one basis and shares the normal
-        forms memoized on it.
+        forms memoized on it, and the lifts of h0_bracket divide by it too.
         """
         gb = self._rings.get(order)
         if gb is None:
@@ -498,6 +493,13 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
     return [{(i, e): x for i, e, x in zip(*[iter(memo[m])] * 3)} for m in exps]
 
 
+def _is_invariant(pres: SymmetryPresentation, gb: GroebnerBasis, f: BasePolynomial) -> bool:
+    """Whether normal_form(tau_i(f)) = 0 for every generator, from one
+    gradient of f; gb is pres._ring(gb.order)."""
+    grad = _gradient(f)
+    return all(normal_form(_combination(grad, t), gb).is_zero() for t in pres.tau)
+
+
 def _presentation(parts: list, order: str,
                   presentation: Optional[SymmetryPresentation]) -> SymmetryPresentation:
     if presentation is None:
@@ -537,10 +539,8 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     vecs, dim1 = _slice_cohomology(keys, _tau_images(pres, gb, std1), [], D)
     basis = [BasePolynomial(vars, {m: c for (_none, m), c in v.items()}) for v in vecs]
     for b in basis:
-        grad = _gradient(b)
-        for t in pres.tau:
-            if not normal_form(_combination(grad, t), gb).is_zero():
-                raise AssertionError("invariant candidate fails its defining condition")
+        if not _is_invariant(pres, gb, b):
+            raise AssertionError("invariant candidate fails its defining condition")
     return CohomologyReport(0, D, len(basis), basis, len(basis) == dim1)
 
 
@@ -679,17 +679,14 @@ def h1(partials: Sequence[BasePolynomial], D: int,
 # -- the induced bracket H^0 x H^0 -> H^1 ------------------------------
 
 
-def _hamiltonian_lift(pres: SymmetryPresentation, partials: ModuleBasis,
-                      f: BasePolynomial):
-    """For each tau_i, a field xi_i with tau_i(f) = xi_i(S0).
-
-    ``partials`` is the ModuleBasis of pres.partials.  Membership of
-    tau_i(f) in the ideal of the partials is exactly invariance of f,
-    so failure is reported as a bad input rather than an internal error.
-    """
+def _hamiltonian_lift(pres: SymmetryPresentation, gb: GroebnerBasis, grad: list) -> list:
+    """For each tau_i, a field xi_i with tau_i(f) = xi_i(S0), from the
+    gradient of f, lifted against gb = pres._ring(pres.order) over the
+    partials.  Membership of tau_i(f) in their ideal is exactly
+    invariance of f, so failure is reported as a bad input."""
     lifts = []
     for i, t in enumerate(pres.tau):
-        xi = partials.lift(apply_vector_field(t, f))
+        xi = gb.lift(_combination(grad, t))
         if xi is None:
             raise ValueError(
                 f"h0_bracket input is not an exact invariant: generator {i} "
@@ -706,33 +703,36 @@ def _class_reduce(pres: SymmetryPresentation, boundary, gs):
     return _split_tuple(pres, {keys[n]: c for n, c in reduce_row(v, rows).items()})
 
 
-def _raw_bracket(pres: SymmetryPresentation, gb: GroebnerBasis,
-                 partials: ModuleBasis, f: BasePolynomial, g: BasePolynomial):
-    xi = _hamiltonian_lift(pres, partials, f)
-    eta = _hamiltonian_lift(pres, partials, g)
-    return [normal_form(apply_vector_field(x, g) + apply_vector_field(e, f), gb)
+def _raw_bracket(gb: GroebnerBasis, df: list, xi: list, dg: list, eta: list) -> list:
+    """NF(xi_i(g) + eta_i(f)) for each i; df and dg are the gradients."""
+    return [normal_form(_combination(dg, x) + _combination(df, e), gb)
             for x, e in zip(xi, eta)]
 
 
-def h0_bracket(f: BasePolynomial, g: BasePolynomial,
-               presentation: SymmetryPresentation) -> list:
-    """Class of the induced bracket of two invariants.
+def h0_bracket(f, g, presentation: SymmetryPresentation) -> list:
+    """Class of the induced bracket of two invariants (polynomials, text
+    or numbers over the presentation's coordinates).
 
-    The value on tau_i is xi_i(g) + eta_i(f), where xi_i and eta_i are
-    membership certificates for tau_i(f) and tau_i(g) against the
-    partials.  The result is reduced against the boundary space, so
+    The value on tau_i is xi_i(g) + eta_i(f), where xi_i and eta_i lift
+    tau_i(f) and tau_i(g) over the partials in the presentation's
+    Jacobian ring; lifts differ by syzygies, which move invariants into
+    the ideal.  The result is reduced against the boundary space, so
     equal classes come out as equal tuples.  Well-definedness is spot
     checked on every call by redoing the computation with the lift
-    f + d_1 S0 and comparing reduced classes.
+    f + d_1 S0, reusing eta, and comparing reduced classes.
     """
     pres = presentation
+    f, g = _poly(f, pres.vars), _poly(g, pres.vars)
     if pres.r == 0:
         return []
     gb = pres._ring(pres.order)
-    partials = ModuleBasis(pres.partials, pres.order)
-    raw = _raw_bracket(pres, gb, partials, f, g)
+    df, dg = _gradient(f), _gradient(g)
+    xi = _hamiltonian_lift(pres, gb, df)
+    eta = _hamiltonian_lift(pres, gb, dg)
+    raw = _raw_bracket(gb, df, xi, dg, eta)
     bound = max(0, max(p.total_degree() for p in raw))
-    shifted = _raw_bracket(pres, gb, partials, f + pres.partials[0], g)
+    dh = _gradient(f + pres.partials[0])
+    shifted = _raw_bracket(gb, dh, _hamiltonian_lift(pres, gb, dh), dg, eta)
     common = max(bound, max((p.total_degree() for p in shifted), default=-1), 0)
     spaces = {b: _boundary_space(pres, gb, b) for b in {common, bound}}
     left = _class_reduce(pres, spaces[common], raw)

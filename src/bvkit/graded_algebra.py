@@ -470,18 +470,6 @@ def _derivatives(a: GradedPolynomial, right: bool = False) -> dict:
     return {i: _graded(table, t) for i, t in derivs.items()}
 
 
-def left_derivative(a: GradedPolynomial, name: str) -> GradedPolynomial:
-    """Graded left partial derivative by a table generator."""
-    i = _generator_index(a.table, name)
-    return _derivatives(a).get(i) or GradedPolynomial.zero(a.table)
-
-
-def right_derivative(a: GradedPolynomial, name: str) -> GradedPolynomial:
-    """Graded right partial derivative by a table generator."""
-    i = _generator_index(a.table, name)
-    return _derivatives(a, right=True).get(i) or GradedPolynomial.zero(a.table)
-
-
 def coordinate_derivative(a: GradedPolynomial, coord: str) -> GradedPolynomial:
     if coord not in a.table.coordinates:
         raise ValueError(f"{coord!r} is not a coordinate of the table; "
@@ -499,8 +487,8 @@ def odd_derivation(table: GeneratorTable, images: dict):
 
     images maps generator names to GradedPolynomial values; unmapped
     generators and all coordinates are sent to zero.  D(a) = sum over g
-    of images[g] * left_derivative(a, g).  A name that is not a
-    generator of table raises here.
+    of images[g] times the left derivative of a by g (_derivatives).  A
+    name that is not a generator of table raises here.
     """
     items = []
     for name, img in images.items():

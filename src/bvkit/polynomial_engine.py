@@ -5,7 +5,8 @@ and the one rule that reads a polynomial input (_poly); reduced Groebner
 bases over free modules k[x]^r, each built once and keeping the normal
 form of every monomial it has reduced, which one int sum (_nf_sum)
 reads; ModuleBasis, which lifts many vectors against one generator list
-and grows by one generator at a time; syzygies; and the one sparse
+and grows by one generator at a time, and whose one lift body serves a
+GroebnerBasis too, over its generators; syzygies; and the one sparse
 eliminator (_echelon, reduce_row).  Results and certificate checks are
 in `fractions.Fraction`; the engine and the eliminator work over the
 integers inside.  No floats, no modular shortcuts.
@@ -778,6 +779,8 @@ class GroebnerBasis:
     _nf holds the normal form of each monomial reduced (_monomial_nf),
     as int numerators over one denominator d, reduced so that d = 1
     whenever the normal form is integral; _nf_sum is its one reader.
+    The engine is tracked, so lift is ModuleBasis.lift over gens, the
+    generators as rank-1 vectors.
     """
 
     __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine", "_nf")
@@ -793,6 +796,10 @@ class GroebnerBasis:
                               for g, (_t, c) in zip(engine.basis, engine.lts))
         self.matrix = tuple(_mvec_to_vector(tr, len(generators), vars, c).components
                             for tr, (_t, c) in zip(engine.transforms, engine.lts))
+
+    @property
+    def gens(self) -> list:
+        return _as_vectors(self.generators)
 
     def __iter__(self):
         return iter(self.elements)
@@ -870,6 +877,9 @@ class ModuleBasis:
         if _combination(coeffs, self.gens) != fv:
             raise AssertionError("membership certificate failed verification")
         return coeffs
+
+
+GroebnerBasis.lift = ModuleBasis.lift
 
 
 # -- public operations -------------------------------------------------

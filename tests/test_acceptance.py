@@ -43,13 +43,13 @@ from bvkit.bv_solver import (
     verify_master,
 )
 from bvkit.brst import (
-    apply_vector_field,
     e2_page,
     h0,
     h1,
     jacobian_ring,
     symmetry_presentation,
 )
+from reference_derivatives import apply_vector_field
 from reference_elimination import _reference_rref
 
 CIRCLE = "(x^2+y^2-1)^2/4"

@@ -40,7 +40,6 @@ from bvkit.bv_solver import solve_master, trivial_solution
 from bvkit import brst
 from bvkit.brst import (
     SymmetryPresentation,
-    apply_vector_field,
     e2_page,
     h0,
     h0_bracket,
@@ -51,6 +50,7 @@ from bvkit.brst import (
     symmetry_presentation,
     _slice_image,
 )
+from reference_derivatives import apply_vector_field
 from reference_elimination import (
     _dense_rref,
     _reference_nullspace,
@@ -596,7 +596,7 @@ class TestBracket:
 
     def test_one_basis_of_the_partials_per_call(self, monkeypatch):
         # every lift of tau_i(f) and tau_i(g), for both lifts of f, divides
-        # against one tracked basis; the Jacobian ring is the other build
+        # against the Jacobian ring's own tracked basis, the one build
         pres = symmetry_presentation(circle_partials())
         h = poly("x^2 + y^2 - 1")
         f = poly("x^2 + y^2") + poly("x") * h
@@ -616,11 +616,51 @@ class TestBracket:
         monkeypatch.setattr(polynomial_engine._Engine, "__init__", spy_init)
         monkeypatch.setattr(brst, "groebner_basis", spy_gb)
         h0_bracket(f, g, pres)
-        assert sum(tracked) - len(reduced) == 1
+        assert sum(tracked) - len(reduced) == 0
 
     def test_no_symmetries_gives_empty_tuple(self):
         pres = symmetry_presentation([poly("2*x"), poly("2*y")])
         assert h0_bracket(poly("1"), poly("1"), pres) == []
+
+    def test_inputs_are_read_over_the_presentation_coordinates(self):
+        pres = symmetry_presentation(circle_partials())
+        assert (h0_bracket("x^2+y^2", 1, pres)
+                == h0_bracket(poly("x^2 + y^2"), poly("1"), pres))
+
+    def test_no_symmetries_still_reads_its_inputs(self):
+        # r = 0 returns no value, but an input over other coordinates is
+        # an error there as everywhere else
+        pres = symmetry_presentation([poly("2*x"), poly("2*y")])
+        other = BasePolynomial.parse("1", ("u", "v"))
+        with pytest.raises(ValueError, match="does not match the coordinates"):
+            h0_bracket(other, poly("1"), pres)
+        with pytest.raises(ValueError, match="cannot read list"):
+            h0_bracket(poly("1"), [], pres)
+
+
+class TestPartialsMustBePolynomials:
+    """Every entry point that takes the partials names an entry that is
+    not a BasePolynomial, instead of failing on its missing attributes."""
+
+    def test_h0(self):
+        with pytest.raises(ValueError, match=r"partial 0 is str '2\*x', not a BasePolynomial"):
+            h0(["2*x", "2*y"], 2)
+
+    def test_symmetry_presentation(self):
+        with pytest.raises(ValueError, match=r"partial 0 is str '2\*x'"):
+            symmetry_presentation(["2*x"])
+
+    def test_jacobian_ring(self):
+        with pytest.raises(ValueError, match="partial 0 is str 'x'"):
+            jacobian_ring(["x"])
+
+    def test_koszul_syzygies(self):
+        with pytest.raises(ValueError, match="partial 0 is int 2"):
+            koszul_syzygies([2])
+
+    def test_a_later_entry_is_named(self):
+        with pytest.raises(ValueError, match="partial 1 is Fraction"):
+            h1([poly("2*x"), Fraction(1, 2)], 2)
 
     def test_matches_the_antibracket_projection(self):
         # lift f to F = f - xi^k x*_k b, likewise g; the weight-one layer of
@@ -656,6 +696,116 @@ class TestBracket:
         expected = apply_vector_field(xi, g) + apply_vector_field(eta, f)
         assert coeff == -expected
         assert len(br.terms) == 1
+
+
+def _reference_hamiltonian_lift(pres, partials, f):
+    """brst._hamiltonian_lift before the Jacobian ring lifted: each
+    tau_i(f) applied field by field and lifted against a ModuleBasis of
+    the partials."""
+    lifts = []
+    for i, t in enumerate(pres.tau):
+        xi = partials.lift(apply_vector_field(t, f))
+        if xi is None:
+            raise ValueError(
+                f"h0_bracket input is not an exact invariant: generator {i} "
+                "moves it off the ideal of the partials")
+        lifts.append(xi)
+    return lifts
+
+
+def _reference_raw_bracket(pres, gb, partials, f, g):
+    xi = _reference_hamiltonian_lift(pres, partials, f)
+    eta = _reference_hamiltonian_lift(pres, partials, g)
+    return [normal_form(apply_vector_field(x, g) + apply_vector_field(e, f), gb)
+            for x, e in zip(xi, eta)]
+
+
+def _reference_h0_bracket(f, g, pres, raws=None):
+    """h0_bracket before one gradient per polynomial: a second tracked
+    basis, ModuleBasis(pres.partials), next to the ring, both lifts of
+    g made twice, and f and g differentiated once per field.  raws, if
+    given, collects the two unreduced values."""
+    if pres.r == 0:
+        return []
+    gb = pres._ring(pres.order)
+    partials = ModuleBasis(pres.partials, pres.order)
+    raw = _reference_raw_bracket(pres, gb, partials, f, g)
+    bound = max(0, max(p.total_degree() for p in raw))
+    shifted = _reference_raw_bracket(pres, gb, partials, f + pres.partials[0], g)
+    if raws is not None:
+        raws += [raw, shifted]
+    common = max(bound, max((p.total_degree() for p in shifted), default=-1), 0)
+    spaces = {b: brst._boundary_space(pres, gb, b) for b in {common, bound}}
+    left = brst._class_reduce(pres, spaces[common], raw)
+    right = brst._class_reduce(pres, spaces[common], shifted)
+    for a, b in zip(left, right):
+        if a != b:
+            raise AssertionError("bracket class depends on the chosen lift")
+    return brst._class_reduce(pres, spaces[bound], raw)
+
+
+class TestBracketMatchesTheReference:
+    """Lifts against the ring differ from those against a second basis by
+    syzygies of the partials, which move an invariant into the ideal, so
+    every normal form and class is the reference's, term for term."""
+
+    def test_cubic_pairs(self, cubic_surface):
+        # the first eight invariants at bound 6: all 36 classes are nonzero
+        parts, pres, _gb, _reports = cubic_surface
+        inv = h0(parts, 6, presentation=pres).basis[:8]
+        for i in range(8):
+            for j in range(i, 8):
+                got = h0_bracket(inv[i], inv[j], pres)
+                assert got == _reference_h0_bracket(inv[i], inv[j], pres)
+                assert not all(c.is_zero() for c in got)
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("s0", ["(x^2+y^2-1)^2/4", "x^2*y^2"])
+    def test_circle_and_square_pairs_both_ways(self, s0, order, monkeypatch):
+        # the unreduced values too, which h0_bracket makes through _raw_bracket
+        raws = []
+        real = brst._raw_bracket
+
+        def spy(*args):
+            raws.append(real(*args))
+            return raws[-1]
+
+        monkeypatch.setattr(brst, "_raw_bracket", spy)
+        parts = [poly(s0).derivative(v) for v in XY]
+        pres = symmetry_presentation(parts, order)
+        inv = h0(parts, 4, order, pres).basis
+        # representatives off the normal form give nonzero unreduced values
+        fs = inv + [inv[0] + poly("x") * parts[0], inv[0] + poly("x^2") * parts[1]]
+        expected = []
+        for f in fs:
+            for g in fs:
+                assert h0_bracket(f, g, pres) == _reference_h0_bracket(f, g, pres, expected)
+        assert raws == expected
+        assert any(not c.is_zero() for raw in raws for c in raw)
+
+    def test_one_gradient_per_polynomial_and_no_engine(self, cubic_surface, monkeypatch):
+        # warm presentation: the ring is built, so a call builds no engine
+        # and differentiates f, g and f + d_1 S0 once each
+        parts, pres, _gb, _reports = cubic_surface
+        f, g = h0(parts, 6, presentation=pres).basis[:2]
+        h0_bracket(f, g, pres)
+        grads, engines = [], []
+        real_gradient = brst._gradient
+        real_init = polynomial_engine._Engine.__init__
+
+        def spy_gradient(p):
+            grads.append(p)
+            return real_gradient(p)
+
+        def spy_init(self, *args, **kwargs):
+            engines.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(brst, "_gradient", spy_gradient)
+        monkeypatch.setattr(polynomial_engine._Engine, "__init__", spy_init)
+        h0_bracket(f, g, pres)
+        assert grads == [f, g, f + parts[0]]
+        assert engines == []
 
 
 @pytest.fixture(scope="module")

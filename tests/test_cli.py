@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import bvkit
+from bvkit import brst, cli
 
 from bvkit.polynomial_engine import poly_to_str
 from bvkit.tate import TateResolution, build_resolution
@@ -399,6 +400,26 @@ class TestExampleRegistry:
     def test_unknown_id(self, capsys):
         assert run_command(["example", "exa99", "--check"]) == 2
         assert "unknown example" in capsys.readouterr().err
+
+    def test_exa8_differentiates_each_candidate_once(self, monkeypatch):
+        # one gradient per candidate serves the invariance test against
+        # every tau, where a per-field check differentiated it once per tau
+        tested, grads = [], []
+        real_test, real_gradient = cli._is_invariant, brst._gradient
+
+        def spy_test(pres, gb, f):
+            tested.append(f)
+            return real_test(pres, gb, f)
+
+        def spy_gradient(f):
+            grads.append(f)
+            return real_gradient(f)
+
+        monkeypatch.setattr(cli, "_is_invariant", spy_test)
+        monkeypatch.setattr(brst, "_gradient", spy_gradient)
+        assert all(ok for _label, ok, _detail in EXAMPLES["exa8"][1]())
+        assert len(tested) == 6
+        assert [sum(g is f for g in grads) for f in tested] == [1] * 6
 
     def test_every_registered_check_passes(self, capsys):
         # the whole registry is the regression gate

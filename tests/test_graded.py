@@ -20,11 +20,9 @@ from bvkit.graded_algebra import (
     graded_to_str,
     grading_data,
     gr_project,
-    left_derivative,
     multiply,
     odd_derivation,
     parse_graded,
-    right_derivative,
     truncate,
 )
 from bvkit.polynomial_engine import (
@@ -34,6 +32,7 @@ from bvkit.polynomial_engine import (
     _tokenize,
     poly_to_str,
 )
+from reference_derivatives import left_derivative, right_derivative
 
 
 def table_xy():

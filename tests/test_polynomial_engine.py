@@ -536,6 +536,30 @@ def test_syzygies_annihilate(gens):
         assert acc.is_zero()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]),
+       st.lists(poly_strategy(VARS2, max_deg=2, max_terms=3), min_size=1, max_size=3),
+       st.lists(poly_strategy(VARS2, max_deg=2, max_terms=2), min_size=3, max_size=3),
+       poly_strategy(VARS2, max_deg=3))
+def test_ring_lift_certifies_exactly_the_members(order, gens, coeffs, f):
+    # GroebnerBasis.lift is ModuleBasis.lift over the tracked engine of the
+    # ring: a certificate exactly for the members, over the generators
+    with _time_limit(gens):
+        gb = groebner_basis(gens, order)
+    member = _combination(coeffs[:len(gens)], gens)
+    for target in (f, member, f - normal_form(f, gb)):
+        c = gb.lift(target)
+        assert (c is not None) == normal_form(target, gb).is_zero()
+        if c is not None:
+            assert _combination(c, gb.generators) == target
+    if not member.is_zero():
+        # a tampered transform fails the certificate check, as in ModuleBasis
+        eng = gb._engine
+        eng.transforms = [TestCertificateChecks.double(tr) for tr in eng.transforms]
+        with pytest.raises(AssertionError, match="membership certificate failed"):
+            gb.lift(member)
+
+
 def _reference_combination(coeffs, gens):
     """The accumulation loop every certificate check wrote out before
     polynomial_engine._combination: every product, zero or not."""

@@ -169,3 +169,25 @@ def test_tau_image_memo_is_kept_by_tau_images_only():
         visit(ast.parse(path.read_text(), str(path)), "")
     assert found == {"brst.py:SymmetryPresentation", "brst.py:SymmetryPresentation.__init__",
                      "brst.py:_tau_images"}
+
+
+def test_only_gradient_differentiates_in_brst():
+    # brst applies every vector field to a polynomial as
+    # _combination(_gradient(f), field), so each polynomial is
+    # differentiated once however many fields meet it; a derivative
+    # called anywhere else would bring back a per-field loop
+    path = Path(bvkit.__file__).parent / "brst.py"
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if (isinstance(child, ast.Attribute) and child.attr == "derivative"
+                    and scope != "_gradient"):
+                found.append(f"{scope}:{child.lineno}")
+            visit(child, inner)
+
+    tree = ast.parse(path.read_text(), str(path))
+    visit(tree, "")
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "derivative"]
+    assert len(calls) == 1 and found == []
