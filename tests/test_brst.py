@@ -637,31 +637,6 @@ class TestBracket:
         with pytest.raises(ValueError, match="cannot read list"):
             h0_bracket(poly("1"), [], pres)
 
-
-class TestPartialsMustBePolynomials:
-    """Every entry point that takes the partials names an entry that is
-    not a BasePolynomial, instead of failing on its missing attributes."""
-
-    def test_h0(self):
-        with pytest.raises(ValueError, match=r"partial 0 is str '2\*x', not a BasePolynomial"):
-            h0(["2*x", "2*y"], 2)
-
-    def test_symmetry_presentation(self):
-        with pytest.raises(ValueError, match=r"partial 0 is str '2\*x'"):
-            symmetry_presentation(["2*x"])
-
-    def test_jacobian_ring(self):
-        with pytest.raises(ValueError, match="partial 0 is str 'x'"):
-            jacobian_ring(["x"])
-
-    def test_koszul_syzygies(self):
-        with pytest.raises(ValueError, match="partial 0 is int 2"):
-            koszul_syzygies([2])
-
-    def test_a_later_entry_is_named(self):
-        with pytest.raises(ValueError, match="partial 1 is Fraction"):
-            h1([poly("2*x"), Fraction(1, 2)], 2)
-
     def test_matches_the_antibracket_projection(self):
         # lift f to F = f - xi^k x*_k b, likewise g; the weight-one layer of
         # [F, G] recovers -(xi(g) + eta(f)) b on the nose
@@ -696,6 +671,31 @@ class TestPartialsMustBePolynomials:
         expected = apply_vector_field(xi, g) + apply_vector_field(eta, f)
         assert coeff == -expected
         assert len(br.terms) == 1
+
+
+class TestPartialsMustBePolynomials:
+    """Every entry point that takes the partials names an entry that is
+    not a BasePolynomial, instead of failing on its missing attributes."""
+
+    def test_h0(self):
+        with pytest.raises(ValueError, match=r"partial 0 is str '2\*x', not a BasePolynomial"):
+            h0(["2*x", "2*y"], 2)
+
+    def test_symmetry_presentation(self):
+        with pytest.raises(ValueError, match=r"partial 0 is str '2\*x'"):
+            symmetry_presentation(["2*x"])
+
+    def test_jacobian_ring(self):
+        with pytest.raises(ValueError, match="partial 0 is str 'x'"):
+            jacobian_ring(["x"])
+
+    def test_koszul_syzygies(self):
+        with pytest.raises(ValueError, match="partial 0 is int 2"):
+            koszul_syzygies([2])
+
+    def test_a_later_entry_is_named(self):
+        with pytest.raises(ValueError, match="partial 1 is Fraction"):
+            h1([poly("2*x"), Fraction(1, 2)], 2)
 
 
 def _reference_hamiltonian_lift(pres, partials, f):
