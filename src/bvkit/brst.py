@@ -99,14 +99,8 @@ def _check_partials(partials: Sequence[BasePolynomial]) -> tuple:
 def koszul_syzygies(partials: Sequence[BasePolynomial]) -> list:
     """The trivial syzygies p_j e_i - p_i e_j, ordered by (i, j), i < j."""
     parts, vars = _check_partials(partials)
-    n = len(vars)
-    out = []
-    for i, j in combinations(range(n), 2):
-        comps = [BasePolynomial.zero(vars) for _ in range(n)]
-        comps[i] = parts[j]
-        comps[j] = -parts[i]
-        out.append(ModuleVector(comps))
-    return out
+    return [_contract(parts, {(i, j): -1})
+            for i, j in combinations(range(len(vars)), 2)]
 
 
 def _contract(partials: Sequence[BasePolynomial], bivector: dict) -> ModuleVector:

@@ -10,7 +10,7 @@ pairings on a bundle).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .polynomial_engine import BasePolynomial, _combination, _echelon, _poly, poly_to_str
@@ -34,7 +34,7 @@ from .antibracket import (
     antifield_lift,
     exp_ad,
 )
-from .tate import TateGenerator, TateResolution, _DeltaLayer
+from .tate import TateGenerator, TateResolution, _DeltaLayer, _json_fields, partner_name
 
 import json
 
@@ -84,9 +84,13 @@ class MasterSolution:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MasterSolution":
-        res = TateResolution.from_json_obj(obj["resolution"])
-        S = parse_graded(obj["S"], res.table)
-        return cls(res, S, int(obj["order"]), ["restored from JSON"])
+        """The solution written by to_json_obj; a missing or ill-typed
+        field raises ValueError naming it."""
+        res, S, order = _json_fields(obj, "solution", resolution=dict, S=str,
+                                     order=int)
+        res = TateResolution.from_json_obj(res)
+        return cls(res, parse_graded(S, res.table), order,
+                   ["restored from JSON"])
 
     @classmethod
     def from_json(cls, text: str) -> "MasterSolution":
@@ -511,11 +515,12 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
 
     ``W`` lists (degree, dimension) pairs with all degrees <= -1; ``d_W``
     maps a degree d to the matrix of the degree-raising differential
-    W_d -> W_(d+1), with rows indexed by the target basis.  The complex
-    must square to zero and be exact everywhere, which is checked by rank
-    counts.  Degree -1 basis vectors become duals of fresh coordinates;
-    deeper ones become antifield-ghost pairs, and S is the associated
-    solution over zero partials.
+    W_d -> W_(d+1), with rows indexed by the target basis; a degree whose
+    target is zero has no matrix.  Degree -1 basis vectors become duals
+    of fresh coordinates; deeper ones become antifield-ghost pairs, each
+    antifield bounding its column of d_W, and S is the associated
+    solution over zero partials.  TateResolution checks that the
+    differential squares to zero, then rank counts check exactness.
     """
     dims: dict = {}
     for deg, dim in W:
@@ -529,63 +534,32 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
             raise ValueError("dimensions must be nonnegative")
         if dim:
             dims[deg] = dim
-    mats: dict = {}
-    for deg in sorted(dims):
-        if deg + 1 in dims:
-            mats[deg] = _matrix(d_W.get(deg, []), dims[deg + 1], dims[deg],
-                                f"d_W[{deg}]", Fraction)
-    # d squared is zero
-    for deg in mats:
-        if deg + 1 in mats:
-            upper = mats[deg + 1]
-            lower = mats[deg]
-            for i in range(len(upper)):
-                for j in range(len(lower[0])):
-                    s = sum((upper[i][k] * lower[k][j]
-                             for k in range(len(lower))), Fraction(0))
-                    if s != 0:
-                        raise ValueError(
-                            f"differential does not square to zero at "
-                            f"degree {deg}")
-    # exactness by rank counts: at each degree, incoming rank plus
-    # outgoing rank must exhaust the dimension
-    ranks = {deg: len(_echelon(map(enumerate, m)))
-             for deg, m in mats.items()}
-    for deg in sorted(dims):
-        rank_out = ranks.get(deg, 0)
-        rank_in = ranks.get(deg - 1, 0)
-        if rank_in + rank_out != dims[deg]:
-            raise ValueError(f"complex is not acyclic at degree {deg}")
-    ntop = dims.get(-1, 0)
-    coords = tuple(f"w{i + 1}" for i in range(ntop))
-    names: dict = {}
-    for i in range(ntop):
-        names[(-1, i)] = dual_name(coords[i])
-    pairs = []
-    k = 0
+    coords = tuple(f"w{i + 1}" for i in range(dims.get(-1, 0)))
+    names = {-1: [dual_name(c) for c in coords]}
+    images, ranks = [], {}
     for deg in sorted(dims, reverse=True):
         if deg == -1:
             continue
-        for i in range(dims[deg]):
-            k += 1
-            names[(deg, i)] = f"cs{k}"
-            pairs.append((f"cs{k}", deg, f"c{k}"))
-    table = GeneratorTable(coords, tuple(pairs))
+        target = names.get(deg + 1, [])
+        mat = _matrix(d_W.get(deg, []), len(target), dims[deg],
+                      f"d_W[{deg}]", Fraction) if target else []
+        ranks[deg] = len(_echelon(map(enumerate, mat)))
+        names[deg] = [f"cs{len(images) + j + 1}" for j in range(dims[deg])]
+        images += [(name, deg, [(row[j], t) for row, t in zip(mat, target)
+                                if row[j]])
+                   for j, name in enumerate(names[deg])]
+    table = GeneratorTable(coords, tuple((name, deg, partner_name(name))
+                                         for name, deg, _ in images))
+    gens = [TateGenerator(name, deg, sum((_word(table, c, [t]) for c, t in image),
+                                         GradedPolynomial.zero(table)))
+            for name, deg, image in images]
     zero = BasePolynomial.zero(coords)
-    partials = [zero for _ in coords]
-    gens = []
-    for deg in sorted(dims, reverse=True):
-        if deg == -1:
-            continue
-        mat = mats[deg]
-        for j in range(dims[deg]):
-            img = GradedPolynomial.zero(table)
-            for i in range(dims[deg + 1]):
-                if mat[i][j] != 0:
-                    img = img + _word(table, mat[i][j], [names[(deg + 1, i)]])
-            gens.append(TateGenerator(names[(deg, j)], deg, img))
-    depth = max((-d - 1 for d in dims), default=0)
-    res = TateResolution(table, partials, gens, depth, s0=zero)
+    res = TateResolution(table, [zero] * len(coords), gens,
+                         max((-d - 1 for d in dims), default=0), s0=zero)
+    # exactness: at each degree, incoming plus outgoing rank exhaust it
+    for deg in sorted(dims):
+        if ranks.get(deg - 1, 0) + ranks.get(deg, 0) != dims[deg]:
+            raise ValueError(f"complex is not acyclic at degree {deg}")
     return _exact(res, s_lin(res), f"trivial solution on a complex of total "
                                    f"dimension {sum(dims.values())}")
 
@@ -689,6 +663,12 @@ def faddeev_popov(s0, action: Sequence[Sequence], structure=None,
     return _exact(res, S, f"group action with {nsym} symmetries", defect)
 
 
+def _product(x: list, y: list) -> list:
+    """The matrix product x y of polynomial matrices given by rows."""
+    columns = list(zip(*y))
+    return [[_combination(row, col) for col in columns] for row in x]
+
+
 def bundle_solution(g, A, F) -> MasterSolution:
     """Exact solution for a pairing on a trivial bundle with connection.
 
@@ -696,17 +676,16 @@ def bundle_solution(g, A, F) -> MasterSolution:
     of dy^mu acting on the fiber, ``F[mu][nu][i][j]`` the curvature-like
     coefficient (antisymmetric in both index pairs); entries are
     polynomials in the base coordinates y1..ym; the fiber coordinates
-    are v1..vr.  Three identities are required:
+    are v1..vr.  Three equations of r x r matrices are required, with
+    d_mu the derivative along y_mu:
 
-      (a)  d_mu g_ij - sum_l (A^l_i,mu g_lj + A^l_j,mu g_li) = 0
-      (b)  d_mu A^i_j,nu - d_nu A^i_j,mu
-             + sum_k (A^i_k,mu A^k_j,nu - A^i_k,nu A^k_j,mu)
-             = sum_k F^ik_mu,nu g_kj
-      (c)  the cyclic sum over mu,nu,rho of
-             d_mu F^ij_nu,rho + sum_l (A^i_l,mu F^lj_nu,rho
-                                        - A^j_l,mu F^li_nu,rho) = 0
+      (a)  d_mu g - P - P^T = 0,  P = A_mu^T g
+      (b)  d_mu A_nu - d_nu A_mu + A_mu A_nu - A_nu A_mu - F_mu,nu g = 0
+      (c)  the cyclic sum over (mu, nu, rho) of
+             d_mu F_nu,rho + Q - Q^T = 0,  Q = A_mu F_nu,rho
 
-    A violated identity is reported by its letter.  The result satisfies
+    A violated identity is reported by its letter, its base indices and
+    its first nonzero entry (i, j) in row order.  The result satisfies
     the master equation exactly.
     """
     r = len(g)
@@ -727,52 +706,33 @@ def bundle_solution(g, A, F) -> MasterSolution:
             raise ValueError("F must be antisymmetric in the base indices")
         if fmat[mu][nu][i][j] + fmat[mu][nu][j][i] != zero:
             raise ValueError("F must be antisymmetric in the fiber indices")
-    for mu in range(m):
-        for i in range(r):
-            for j in range(r):
-                lhs = gmat[i][j].derivative(base[mu])
-                for l in range(r):
-                    lhs = (lhs - amat[mu][l][i] * gmat[l][j]
-                           - amat[mu][l][j] * gmat[l][i])
-                if not lhs.is_zero():
-                    raise ValueError(
-                        f'identity "(a)" fails at mu={mu + 1}, i={i + 1}, '
-                        f"j={j + 1}: {poly_to_str(lhs)}")
-    for mu in range(m):
-        for nu in range(mu + 1, m):
-            for i in range(r):
-                for j in range(r):
-                    lhs = (amat[nu][i][j].derivative(base[mu])
-                           - amat[mu][i][j].derivative(base[nu]))
-                    for k in range(r):
-                        lhs = (lhs + amat[mu][i][k] * amat[nu][k][j]
-                               - amat[nu][i][k] * amat[mu][k][j])
-                    for k in range(r):
-                        lhs = lhs - fmat[mu][nu][i][k] * gmat[k][j]
-                    if not lhs.is_zero():
-                        raise ValueError(
-                            f'identity "(b)" fails at mu={mu + 1}, '
-                            f"nu={nu + 1}, i={i + 1}, j={j + 1}: "
-                            f"{poly_to_str(lhs)}")
-    for mu in range(m):
-        for nu in range(mu + 1, m):
-            for rho in range(nu + 1, m):
-                for i in range(r):
-                    for j in range(r):
-                        lhs = zero
-                        for (a1, b1, c1) in ((mu, nu, rho), (nu, rho, mu),
-                                             (rho, mu, nu)):
-                            lhs = lhs + fmat[b1][c1][i][j].derivative(
-                                base[a1])
-                            for l in range(r):
-                                lhs = (lhs
-                                       + amat[a1][i][l] * fmat[b1][c1][l][j]
-                                       - amat[a1][j][l] * fmat[b1][c1][l][i])
-                        if not lhs.is_zero():
-                            raise ValueError(
-                                f'identity "(c)" fails at mu={mu + 1}, '
-                                f"nu={nu + 1}, rho={rho + 1}, i={i + 1}, "
-                                f"j={j + 1}")
+
+    def require(name, at, lhs, shown=True):
+        # the identity holds where every entry lhs(i, j) vanishes
+        for i, j in product(range(r), repeat=2):
+            value = lhs(i, j)
+            if not value.is_zero():
+                raise ValueError(
+                    f'identity "({name})" fails at {at}, i={i + 1}, j={j + 1}'
+                    + (f": {poly_to_str(value)}" if shown else ""))
+
+    for mu, a in enumerate(amat):
+        p = _product(list(zip(*a)), gmat)
+        require("a", f"mu={mu + 1}", lambda i, j: (
+            gmat[i][j].derivative(base[mu]) - p[i][j] - p[j][i]))
+    for mu, nu in combinations(range(m), 2):
+        ab, ba = _product(amat[mu], amat[nu]), _product(amat[nu], amat[mu])
+        fg = _product(fmat[mu][nu], gmat)
+        require("b", f"mu={mu + 1}, nu={nu + 1}", lambda i, j: (
+            amat[nu][i][j].derivative(base[mu])
+            - amat[mu][i][j].derivative(base[nu])
+            + ab[i][j] - ba[i][j] - fg[i][j]))
+    for mu, nu, rho in combinations(range(m), 3):
+        cycle = [(base[a], fmat[b][c], _product(amat[a], fmat[b][c]))
+                 for a, b, c in ((mu, nu, rho), (nu, rho, mu), (rho, mu, nu))]
+        require("c", f"mu={mu + 1}, nu={nu + 1}, rho={rho + 1}", lambda i, j: sum(
+            (f[i][j].derivative(y) + q[i][j] - q[j][i] for y, f, q in cycle),
+            zero), shown=False)
     fvars = [BasePolynomial.var(coords, v) for v in fiber]
     s0 = zero
     for i in range(r):

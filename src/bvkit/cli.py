@@ -223,11 +223,8 @@ def parse_problem(text: str) -> ProblemSpec:
 # -- display names -----------------------------------------------------
 
 
-GREEK = {1: ("beta",), 2: ("gamma",), 3: ("xi", "eta"),
-         4: ("rho", "mu", "nu", "phi")}
-_GLYPH = {"beta": "β", "gamma": "γ", "xi": "ξ",
-          "eta": "η", "rho": "ρ", "mu": "μ",
-          "nu": "ν", "phi": "φ"}
+# the greek glyphs of the ghosts of each degree
+GREEK = {1: ("β",), 2: ("γ",), 3: ("ξ", "η"), 4: ("ρ", "μ", "ν", "φ")}
 
 
 def display_names(table: GeneratorTable) -> dict:
@@ -245,7 +242,7 @@ def display_names(table: GeneratorTable) -> dict:
         bydeg.setdefault(-adeg - 1, []).append((anti, ghost))
     for d in sorted(bydeg):
         items = bydeg[d]
-        pool = [_GLYPH[n] for n in GREEK.get(d, ())]
+        pool = GREEK.get(d, ())
         for k, (anti, ghost) in enumerate(items):
             if len(items) <= len(pool):
                 name = pool[k]

@@ -325,20 +325,13 @@ def _merge_sign(a: tuple, b: tuple, odd: tuple) -> int:
     return total % 2
 
 
-def multiply(a: GradedPolynomial, b: GradedPolynomial,
-             cap: Optional[int] = None) -> GradedPolynomial:
-    """Graded-commutative product with Koszul signs; odd squares vanish.
-
-    With a cap, a pair of terms whose weights add up to more than cap is
-    skipped.  Weight is additive over products, so the result is
-    truncate(a * b, cap) without the products that truncation drops.
-    """
+def multiply(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
+    """Graded-commutative product with Koszul signs; odd squares vanish."""
     if a.table != b.table:
         raise ValueError("generator table mismatch")
-    split = cap is not None
     out: dict = {}
-    _add_into(out, _products(a.table, _weight_rows(a, split),
-                             _weight_rows(b, split), cap))
+    _add_into(out, _products(a.table, _weight_rows(a, False),
+                             _weight_rows(b, False), None))
     return _graded(a.table, out)
 
 

@@ -39,6 +39,28 @@ from .polynomial_engine import (
 )
 
 
+_JSON_NOUNS = {dict: "object", list: "list", str: "string", int: "integer"}
+
+
+def _json_fields(obj, where: str, **kinds) -> list:
+    """The values of the named fields of the JSON object obj, each of its
+    JSON type ((list, t): a list of t's), else ValueError naming it."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where} must be a JSON object")
+    out = []
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise ValueError(f"{where} has no field {key!r}")
+        kind, item = kind if isinstance(kind, tuple) else (kind, None)
+        value = obj[key]
+        if type(value) is not kind or item and any(type(v) is not item
+                                                   for v in value):
+            noun = f"list of {_JSON_NOUNS[item]}s" if item else _JSON_NOUNS[kind]
+            raise ValueError(f"{where} field {key!r} must be a JSON {noun}")
+        out.append(value)
+    return out
+
+
 class TateGenerator:
     """One added generator: antifield name, degree <= -2, boundary."""
 
@@ -84,17 +106,23 @@ class TateResolution:
         self._validate()
 
     def _validate(self) -> None:
-        # delta must square to zero, raise degree by one, and send every
-        # degree -2 generator to an O_X-combination of the duals
+        """The one check of boundary data: delta must square to zero,
+        raise degree by one, and send every degree -2 generator to an
+        O_X-combination of the duals, else ValueError.
+
+        Boundaries enter here from callers, from JSON and from the exact
+        constructors, so a failure is bad input; the builder's boundaries
+        are syzygies that syzygy_basis has already certified.
+        """
         delta = self.gr_delta()
         nc = self.table.ncoords
         for g in self.generators:
             if not delta(g.delta).is_zero():
-                raise AssertionError(
+                raise ValueError(
                     f"boundary fails to square to zero on {g.name!r}")
             for m in g.delta.terms:
                 if self.table.ghost_of(m) != g.degree + 1:
-                    raise AssertionError(
+                    raise ValueError(
                         f"boundary of {g.name!r} is not homogeneous of "
                         f"degree {g.degree + 1}")
             if g.degree == -2:
@@ -103,7 +131,7 @@ class TateResolution:
                            if e and self.table.degrees[i] < 0]
                     if (self.table.count_of(m) != 0 or len(neg) != 1
                             or neg[0] >= nc or m[neg[0]] != 1):
-                        raise AssertionError(
+                        raise ValueError(
                             f"boundary of {g.name!r} must be linear in the duals")
 
     @property
@@ -148,19 +176,25 @@ class TateResolution:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TateResolution":
-        coords = tuple(obj["coords"])
-        partials = [BasePolynomial.parse(s, coords) for s in obj["partials"]]
-        pairs = tuple((g["name"], int(g["degree"]), partner_name(g["name"]))
-                      for g in obj["generators"])
-        table = GeneratorTable(coords, pairs)
-        gens = [TateGenerator(g["name"], int(g["degree"]),
-                              parse_graded(g["delta"], table))
-                for g in obj["generators"]]
+        """The resolution written by to_json_obj; a missing or ill-typed
+        field raises ValueError naming it."""
+        coords, partials, generators, depth = _json_fields(
+            obj, "resolution", coords=(list, str), partials=(list, str),
+            generators=(list, dict), depth=int)
+        coords = tuple(coords)
+        gens = [_json_fields(g, f"generator {k + 1}", name=str, degree=int,
+                             delta=str)
+                for k, g in enumerate(generators)]
+        table = GeneratorTable(coords, tuple((name, deg, partner_name(name))
+                                             for name, deg, _ in gens))
         s0 = None
         if "s0" in obj:
-            s0 = BasePolynomial.parse(obj["s0"], coords)
-        return cls(table, partials, gens, int(obj["depth"]), s0=s0,
-                   order=obj.get("order", ORDER_GREVLEX))
+            s0 = BasePolynomial.parse(*_json_fields(obj, "resolution", s0=str),
+                                      coords)
+        return cls(table, [BasePolynomial.parse(s, coords) for s in partials],
+                   [TateGenerator(name, deg, parse_graded(delta, table))
+                    for name, deg, delta in gens],
+                   depth, s0=s0, order=obj.get("order", ORDER_GREVLEX))
 
     @classmethod
     def from_json(cls, text: str) -> "TateResolution":

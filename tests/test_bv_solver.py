@@ -10,10 +10,11 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvkit.polynomial_engine import BasePolynomial
+from bvkit.polynomial_engine import BasePolynomial, _echelon, _poly, poly_to_str
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
+    dual_name,
     graded_to_str,
     gr_project,
     parse_graded,
@@ -23,11 +24,20 @@ from bvkit.graded_algebra import (
 from bvkit.antibracket import exp_ad
 from bvkit import antibracket, bv_solver
 from bvkit.brst import e2_page
-from bvkit.tate import _graded_monomials, build_resolution, negative_monomials
+from bvkit.tate import (
+    TateGenerator,
+    TateResolution,
+    _graded_monomials,
+    build_resolution,
+    negative_monomials,
+)
 from bvkit.bv_solver import (
+    _exact,
+    _matrix,
     _residual_bracket,
     _solve_layer,
     _split_blocks,
+    _word,
     GaugeWord,
     MasterSolution,
     add_square,
@@ -591,6 +601,19 @@ class TestTrivialSolution:
                                {-2: [[1, 0]], -3: [[0], [1]]})
         assert graded_to_str(sol.S) == "(1)*w1s*c1 + (1)*cs2*c3"
 
+    def test_zero_top_degree(self):
+        # W_-1 = 0: the degree -2 antifield bounds nothing
+        sol = trivial_solution([(-2, 1), (-3, 1)], {-3: [[1]]})
+        assert graded_to_str(sol.S) == "(1)*cs1*c2"
+
+    def test_zero_degree_between_two_steps(self):
+        # W_-3 = 0 splits the complex: the degree -4 antifield bounds
+        # nothing
+        sol = trivial_solution([(-1, 1), (-2, 1), (-3, 0), (-4, 1), (-5, 1)],
+                               {-2: [[1]], -5: [[1]]})
+        assert graded_to_str(sol.S) == "(1)*w1s*c1 + (1)*cs2*c3"
+        assert master_residual(sol.resolution, sol.S).is_zero()
+
     def test_rejects_nonacyclic(self):
         with pytest.raises(ValueError, match="acyclic"):
             trivial_solution([(-1, 1)], {})
@@ -620,6 +643,135 @@ class TestTrivialSolution:
         assert master_residual(sol.resolution, sol.S).is_zero()
         assert all(sol.resolution.table.count_of(m) == 1
                    for m in sol.S.terms)
+
+
+def _reference_trivial_solution(W, d_W):
+    """trivial_solution as it was before its one-pass rewrite: its own
+    d o d loop, and a KeyError where a degree's target is zero."""
+    dims: dict = {}
+    for deg, dim in W:
+        deg = int(deg)
+        dim = int(dim)
+        if deg > -1:
+            raise ValueError("all degrees must be <= -1")
+        if deg in dims:
+            raise ValueError(f"duplicate degree {deg}")
+        if dim < 0:
+            raise ValueError("dimensions must be nonnegative")
+        if dim:
+            dims[deg] = dim
+    mats: dict = {}
+    for deg in sorted(dims):
+        if deg + 1 in dims:
+            mats[deg] = _matrix(d_W.get(deg, []), dims[deg + 1], dims[deg],
+                                f"d_W[{deg}]", Fraction)
+    # d squared is zero
+    for deg in mats:
+        if deg + 1 in mats:
+            upper = mats[deg + 1]
+            lower = mats[deg]
+            for i in range(len(upper)):
+                for j in range(len(lower[0])):
+                    s = sum((upper[i][k] * lower[k][j]
+                             for k in range(len(lower))), Fraction(0))
+                    if s != 0:
+                        raise ValueError(
+                            f"differential does not square to zero at "
+                            f"degree {deg}")
+    # exactness by rank counts: at each degree, incoming rank plus
+    # outgoing rank must exhaust the dimension
+    ranks = {deg: len(_echelon(map(enumerate, m)))
+             for deg, m in mats.items()}
+    for deg in sorted(dims):
+        rank_out = ranks.get(deg, 0)
+        rank_in = ranks.get(deg - 1, 0)
+        if rank_in + rank_out != dims[deg]:
+            raise ValueError(f"complex is not acyclic at degree {deg}")
+    ntop = dims.get(-1, 0)
+    coords = tuple(f"w{i + 1}" for i in range(ntop))
+    names: dict = {}
+    for i in range(ntop):
+        names[(-1, i)] = dual_name(coords[i])
+    pairs = []
+    k = 0
+    for deg in sorted(dims, reverse=True):
+        if deg == -1:
+            continue
+        for i in range(dims[deg]):
+            k += 1
+            names[(deg, i)] = f"cs{k}"
+            pairs.append((f"cs{k}", deg, f"c{k}"))
+    table = GeneratorTable(coords, tuple(pairs))
+    zero = BasePolynomial.zero(coords)
+    partials = [zero for _ in coords]
+    gens = []
+    for deg in sorted(dims, reverse=True):
+        if deg == -1:
+            continue
+        mat = mats[deg]
+        for j in range(dims[deg]):
+            img = GradedPolynomial.zero(table)
+            for i in range(dims[deg + 1]):
+                if mat[i][j] != 0:
+                    img = img + _word(table, mat[i][j], [names[(deg + 1, i)]])
+            gens.append(TateGenerator(names[(deg, j)], deg, img))
+    depth = max((-d - 1 for d in dims), default=0)
+    res = TateResolution(table, partials, gens, depth, s0=zero)
+    return _exact(res, s_lin(res), f"trivial solution on a complex of total "
+                                   f"dimension {sum(dims.values())}")
+
+
+@st.composite
+def small_complexes(draw):
+    """A complex in degrees -1 to -4 of dimension at most 2 with matrices
+    of entries in -1..1, some drawn missing; or an exact one, a direct
+    sum of up to four isomorphisms W_d -> W_(d+1), d in -4..-2, each a
+    multiple of 1 by -1, 1 or 2.  Degrees are listed in any order, and
+    an empty one is sometimes left out."""
+    if draw(st.booleans()):
+        dims = dict(enumerate(draw(st.lists(st.integers(0, 2), max_size=4))))
+        dims = {-k - 1: d for k, d in dims.items()}
+        d_W = {deg: draw(st.lists(
+                   st.lists(st.integers(-1, 1), min_size=dims[deg],
+                            max_size=dims[deg]),
+                   min_size=dims[deg + 1], max_size=dims[deg + 1]))
+               for deg in dims if deg + 1 in dims and draw(st.integers(0, 4))}
+    else:
+        dims, cells = {}, []
+        for deg, c in draw(st.lists(st.tuples(st.integers(-4, -2),
+                                              st.sampled_from([-1, 1, 2])),
+                                    max_size=4)):
+            cells.append((deg, dims.get(deg + 1, 0), dims.get(deg, 0), c))
+            dims[deg] = dims.get(deg, 0) + 1
+            dims[deg + 1] = dims.get(deg + 1, 0) + 1
+        d_W = {deg: [[0] * dims[deg] for _ in range(dims[deg + 1])]
+               for deg in dims if deg + 1 in dims}
+        for deg, i, j, c in cells:
+            d_W[deg][i][j] = c
+    W = [(deg, d) for deg, d in dims.items() if d or draw(st.booleans())]
+    return draw(st.permutations(W)), d_W
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_trivial_solution_matches_the_reference(case):
+    # where the reference returns, the one-pass body returns the same
+    # solution; where it refuses the complex, so does the one-pass body;
+    # where it raised KeyError, the one-pass body returns a solution
+    W, d_W = case
+    try:
+        want = _reference_trivial_solution(W, d_W)
+    except ValueError:
+        with pytest.raises(ValueError):
+            trivial_solution(W, d_W)
+        return
+    except KeyError:
+        want = None
+    got = trivial_solution(W, d_W)
+    assert master_residual(got.resolution, got.S).is_zero()
+    if want is not None:
+        assert got.to_json() == want.to_json()
+        assert got.log == want.log
 
 
 class TestProductSolution:
@@ -951,6 +1103,138 @@ class TestBundleSolution:
                             [[bad]])
 
 
+def _reference_bundle_identities(g, A, F):
+    """The checks of bundle_solution as they were before the identities
+    became matrix equations: index loops, nested up to six deep."""
+    r = len(g)
+    m = len(A)
+    base = tuple(f"y{k + 1}" for k in range(m))
+    fiber = tuple(f"v{k + 1}" for k in range(r))
+    coords = base + fiber
+
+    def poly(x):
+        return _poly(x, coords)
+
+    gmat = _matrix(g, r, r, "g", poly)
+    amat = [_matrix(a, r, r, f"A[{mu}]", poly) for mu, a in enumerate(A)]
+    fmat = _matrix(F, m, m, "F", lambda f: _matrix(f, r, r, "F[mu][nu]", poly))
+    zero = BasePolynomial.zero(coords)
+    for mu, nu, i, j in itertools.product(range(m), range(m), range(r), range(r)):
+        if fmat[mu][nu][i][j] + fmat[nu][mu][i][j] != zero:
+            raise ValueError("F must be antisymmetric in the base indices")
+        if fmat[mu][nu][i][j] + fmat[mu][nu][j][i] != zero:
+            raise ValueError("F must be antisymmetric in the fiber indices")
+    for mu in range(m):
+        for i in range(r):
+            for j in range(r):
+                lhs = gmat[i][j].derivative(base[mu])
+                for l in range(r):
+                    lhs = (lhs - amat[mu][l][i] * gmat[l][j]
+                           - amat[mu][l][j] * gmat[l][i])
+                if not lhs.is_zero():
+                    raise ValueError(
+                        f'identity "(a)" fails at mu={mu + 1}, i={i + 1}, '
+                        f"j={j + 1}: {poly_to_str(lhs)}")
+    for mu in range(m):
+        for nu in range(mu + 1, m):
+            for i in range(r):
+                for j in range(r):
+                    lhs = (amat[nu][i][j].derivative(base[mu])
+                           - amat[mu][i][j].derivative(base[nu]))
+                    for k in range(r):
+                        lhs = (lhs + amat[mu][i][k] * amat[nu][k][j]
+                               - amat[nu][i][k] * amat[mu][k][j])
+                    for k in range(r):
+                        lhs = lhs - fmat[mu][nu][i][k] * gmat[k][j]
+                    if not lhs.is_zero():
+                        raise ValueError(
+                            f'identity "(b)" fails at mu={mu + 1}, '
+                            f"nu={nu + 1}, i={i + 1}, j={j + 1}: "
+                            f"{poly_to_str(lhs)}")
+    for mu in range(m):
+        for nu in range(mu + 1, m):
+            for rho in range(nu + 1, m):
+                for i in range(r):
+                    for j in range(r):
+                        lhs = zero
+                        for (a1, b1, c1) in ((mu, nu, rho), (nu, rho, mu),
+                                             (rho, mu, nu)):
+                            lhs = lhs + fmat[b1][c1][i][j].derivative(
+                                base[a1])
+                            for l in range(r):
+                                lhs = (lhs
+                                       + amat[a1][i][l] * fmat[b1][c1][l][j]
+                                       - amat[a1][j][l] * fmat[b1][c1][l][i])
+                        if not lhs.is_zero():
+                            raise ValueError(
+                                f'identity "(c)" fails at mu={mu + 1}, '
+                                f"nu={nu + 1}, rho={rho + 1}, i={i + 1}, "
+                                f"j={j + 1}")
+
+
+@st.composite
+def bundle_data(draw):
+    """A pairing, connection and curvature of rank r <= 2 over m <= 3
+    base directions.  Entries are 0, a small integer, or a small multiple
+    of a y or a v; whole matrices are often 0 (g also the identity), and
+    the connection is often a list of multiples of one matrix, whose
+    terms commute, so the identities after (a) are reached too.  The
+    curvature is antisymmetric unless it is drawn raw."""
+    r, m = draw(st.integers(1, 2)), draw(st.sampled_from([1, 2, 3, 3]))
+    names = [f"y{k + 1}" for k in range(m)] + [f"v{k + 1}" for k in range(r)]
+    entry = st.one_of(st.just("0"), st.integers(-2, 2).map(str),
+                      st.builds("{}*{}".format, st.integers(-2, 2),
+                                st.sampled_from(names)))
+    zero = [["0"] * r for _ in range(r)]
+    one = [["1" if i == j else "0" for j in range(r)] for i in range(r)]
+    square = st.lists(st.lists(entry, min_size=r, max_size=r),
+                      min_size=r, max_size=r)
+    g = draw(st.one_of(st.just(zero), st.just(zero), st.just(one), square))
+    if draw(st.booleans()):
+        A = [draw(st.one_of(st.just(zero), square)) for _ in range(m)]
+    else:
+        unit = draw(square)
+        A = [[[f"({e})*({x})" for x in row] for row in unit]
+             for e in draw(st.lists(entry, min_size=m, max_size=m))]
+    if draw(st.integers(0, 5)) == 5:
+        return g, A, [[draw(square) for _ in range(m)] for _ in range(m)]
+    F = [[zero] * m for _ in range(m)]
+    for mu, nu in itertools.combinations(range(m), 2):
+        f = [[draw(entry) if i < j else "0" for j in range(r)]
+             for i in range(r)]
+        f = [[f[i][j] if i < j else f"-({f[j][i]})" for j in range(r)]
+             for i in range(r)]
+        F[mu][nu] = f
+        F[nu][mu] = [[f"-({e})" for e in row] for row in f]
+    return g, A, F
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle_data())
+def test_bundle_identities_match_the_reference_loops(data):
+    # the matrix equations refuse exactly what the loops refused, with
+    # the same message; what both accept solves the master equation
+    g, A, F = data
+    try:
+        _reference_bundle_identities(g, A, F)
+        want = None
+    except ValueError as e:
+        want = str(e)
+    try:
+        sol = bundle_solution(g, A, F)
+    except ValueError as e:
+        assert str(e) == want
+        return
+    except AssertionError:
+        # the identities take the entries as functions on the base; an
+        # entry over the v's can pass them and still fail [S, S] = 0, as
+        # A = ([[v1]], [[1]]) with g = 0 and F = 0 does
+        assert want is None and "v" in repr(data)
+        return
+    assert want is None
+    assert master_residual(sol.resolution, sol.S).is_zero()
+
+
 class TestSerialization:
     def test_round_trip(self):
         sol = solve_master(circle(5), 4)
@@ -970,6 +1254,25 @@ class TestSerialization:
         # to depth 4 the circle's two orders give one presentation, so the
         # solutions live on the same resolution
         assert len(gauge_relate(solve_master(circle(4), 3), back, 3)) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "solution has no field 'resolution'"),
+        ('{"resolution": 5}',
+         "solution field 'resolution' must be a JSON object"),
+        ('{"resolution": {}}', "solution has no field 'S'"),
+        ('{"resolution": {}, "S": 0, "order": 1}',
+         "solution field 'S' must be a JSON string"),
+        ('{"resolution": {}, "S": "0", "order": "8"}',
+         "solution field 'order' must be a JSON integer"),
+        ('{"resolution": {}, "S": "0", "order": 8}',
+         "resolution has no field 'coords'"),
+        ("null", "solution must be a JSON object"),
+    ], ids=["empty", "resolution-int", "no-S", "S-int", "order-text",
+            "resolution-empty", "null"])
+    def test_malformed_field_named(self, text, message):
+        with pytest.raises(ValueError) as err:
+            MasterSolution.from_json(text)
+        assert str(err.value) == message
 
     def test_json_keys(self):
         sol = trivial_solution([(-1, 1), (-2, 1)], {-2: [[1]]})

@@ -270,23 +270,33 @@ class TestCommands:
 
 @pytest.fixture(scope="module")
 def golden_files(tmp_path_factory):
-    """The circle problem and its solutions of order 1 and 2, as files."""
+    """The circle problem and its solutions of order 1 and 2, as files;
+    then two malformed solution files and S2 with a boundary tampered."""
     d = tmp_path_factory.mktemp("golden")
-    files = {"C": d / "circle.bv", "S1": d / "sol1.json", "S2": d / "sol2.json"}
+    files = {key: d / f"{key}.json"
+             for key in ("S1", "S2", "NOKEY", "BADTYPE", "TAMPERED")}
+    files["C"] = d / "circle.bv"
     files["C"].write_text(CIRCLE_TEXT)
     for p in ("1", "2"):
         assert run_command(["solve", "--pmax", p, "--json", "--out",
                             str(files["S" + p]), str(files["C"])]) == 0
+    files["NOKEY"].write_text("{}")
+    files["BADTYPE"].write_text('{"resolution": 5}')
+    obj = json.loads(files["S2"].read_text())
+    obj["resolution"]["generators"][1]["delta"] = "(1)*xs*ys"
+    files["TAMPERED"].write_text(json.dumps(obj))
     return {key: str(path) for key, path in files.items()}
 
 
 VERIFY_FAILED = "error: verification failed (residual weight)\n"
+EMPTY = hashlib.sha256(b"").hexdigest()
 
 
 class TestGoldenOutputs:
     """sha256 of stdout, then stderr and the exit code, of each command on
     the circle; C is the problem file, S1 and S2 its saved solutions of
-    order 1 and 2.  Each command appears in text mode and under --json."""
+    order 1 and 2, and NOKEY, BADTYPE and TAMPERED the bad solution files
+    of golden_files.  Each command appears in text mode and under --json."""
 
     CASES = [
         (["tate", "--depth", "3", "C"],
@@ -334,6 +344,21 @@ class TestGoldenOutputs:
          "f43d241fdeb9798b17ae4bc2fb8ed68a35cf7fba3d6c8c8b1e37a43728a693f0",
          "e7a00124c7ff89e5ea364f6ebe5f44ed210678e3ca5eead6c64dc5b1d21affd8",
          VERIFY_FAILED, 1),
+        # the whole registry pins every worked example's output
+        (["example", "*", "--check"],
+         "e598d4316131af4ef76785265f6d650dbe1433756281819b5eff1af93ee25d87",
+         "514a9130d36f132d757fb4f9b2888da82c2a6b3fb4fe85369e13ae6e1381b2e4",
+         "", 0),
+        # a malformed or tampered saved file is bad input: nothing is
+        # written, and the field or generator at fault is named
+        (["verify", "NOKEY"], EMPTY, EMPTY,
+         "error: solution has no field 'resolution'\n", 2),
+        (["verify", "BADTYPE"], EMPTY, EMPTY,
+         "error: solution field 'resolution' must be a JSON object\n", 2),
+        (["gauge", "S2", "NOKEY"], EMPTY, EMPTY,
+         "error: solution has no field 'resolution'\n", 2),
+        (["verify", "TAMPERED"], EMPTY, EMPTY,
+         "error: boundary fails to square to zero on 'bs2'\n", 2),
     ]
 
     @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])

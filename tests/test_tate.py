@@ -181,7 +181,7 @@ class TestValidation:
     def test_delta_square_enforced(self):
         table = GeneratorTable(("x",), (("bs1", -2, "b1"),))
         bad = parse_graded("x*xs", table)
-        with pytest.raises(AssertionError, match="square"):
+        with pytest.raises(ValueError, match="square"):
             TateResolution(table, (BasePolynomial.parse("x^2", ("x",)),),
                            [TateGenerator("bs1", -2, bad)], 1)
 
@@ -190,7 +190,7 @@ class TestValidation:
         # b1*bs1 sits in ghost degree -1 and is closed for the zero
         # differential, but it is not an O_X-combination of duals
         bad = parse_graded("b1*bs1", table)
-        with pytest.raises(AssertionError, match="linear in the duals"):
+        with pytest.raises(ValueError, match="linear in the duals"):
             TateResolution(table, (BasePolynomial.parse("0", ("x",)),),
                            [TateGenerator("bs1", -2,
                                           GradedPolynomial.zero(table)),
@@ -246,10 +246,42 @@ class TestSerialization:
         with pytest.raises(ValueError, match="monomial order"):
             TateResolution.from_json_obj(obj)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o.pop("coords"), "resolution has no field 'coords'"),
+        (lambda o: o.update(partials="x"),
+         "resolution field 'partials' must be a JSON list of strings"),
+        (lambda o: o["partials"].append(0),
+         "resolution field 'partials' must be a JSON list of strings"),
+        (lambda o: o["generators"].append(5),
+         "resolution field 'generators' must be a JSON list of objects"),
+        (lambda o: o["generators"][1].pop("delta"),
+         "generator 2 has no field 'delta'"),
+        (lambda o: o["generators"][0].update(degree="-2"),
+         "generator 1 field 'degree' must be a JSON integer"),
+        (lambda o: o.update(depth=2.0),
+         "resolution field 'depth' must be a JSON integer"),
+        (lambda o: o.update(s0=None),
+         "resolution field 's0' must be a JSON string"),
+    ], ids=["missing", "not-a-list", "not-strings", "not-objects",
+            "generator-missing", "generator-type", "float", "null"])
+    def test_malformed_field_named(self, edit, message):
+        # a missing or ill-typed field is bad input, named, never a
+        # KeyError or TypeError
+        obj = circle(2).to_json_obj()
+        obj["s0"] = "x"
+        edit(obj)
+        with pytest.raises(ValueError) as err:
+            TateResolution.from_json_obj(obj)
+        assert str(err.value) == message
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="resolution must be a JSON object"):
+            TateResolution.from_json("[]")
+
     def test_tampered_delta_rejected(self):
         obj = circle(2).to_json_obj()
         obj["generators"][1]["delta"] = "(1)*xs*ys"
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             TateResolution.from_json_obj(obj)
 
 
