@@ -27,16 +27,14 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
+from .elimination import _axpy, _cleared, _echelon, reduce_row
 from .polynomial_engine import (
     BasePolynomial,
     GroebnerBasis,
     ModuleBasis,
     ModuleVector,
     ORDER_GREVLEX,
-    _axpy,
-    _cleared,
     _combination,
-    _echelon,
     _monomial_mul,
     _nf_sum,
     _poly,
@@ -44,7 +42,6 @@ from .polynomial_engine import (
     monomial_key,
     normal_form,
     poly_to_str,
-    reduce_row,
     syzygy_basis,
 )
 from .graded_algebra import GradedPolynomial, gr_project, graded_to_str

@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .polynomial_engine import BasePolynomial, _combination, _echelon, _poly, poly_to_str
+from .elimination import _echelon
+from .polynomial_engine import BasePolynomial, _combination, _poly, poly_to_str
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,

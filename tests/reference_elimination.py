@@ -1,6 +1,6 @@
 """Exact eliminators that share no code with bvkit, for the tests.
 
-The package runs one eliminator, polynomial_engine._echelon, and reduces
+The package runs one eliminator, elimination._echelon, and reduces
 against its rows with reduce_row.  The oracles of the tests row-reduce
 through these instead, so no oracle calls the code it checks:
 _reference_rref, _reference_nullspace and _reference_reduce_row are the

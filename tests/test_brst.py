@@ -16,13 +16,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvkit import polynomial_engine
+from bvkit import elimination, polynomial_engine
+from bvkit.elimination import _axpy, _cleared, reduce_row
 from bvkit.polynomial_engine import (
     BasePolynomial,
     ModuleBasis,
     ModuleVector,
-    _axpy,
-    _cleared,
     _monomial_mul,
     _monomial_nf,
     groebner_basis,
@@ -30,7 +29,6 @@ from bvkit.polynomial_engine import (
     monomial_key,
     normal_form,
     poly_to_str,
-    reduce_row,
     syzygy_basis,
 )
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
@@ -1548,7 +1546,7 @@ class TestImageMemo:
             out = real(keys, images, prev, D)
             for name in ("_tau_images", "_echelon", "_slice_image"):
                 monkeypatch.setattr(brst, name, refuse)
-            monkeypatch.setattr(polynomial_engine, "_echelon", refuse)
+            monkeypatch.setattr(elimination, "_echelon", refuse)
             return out
 
         monkeypatch.setattr(brst, "_slice_cohomology", then_refuse)

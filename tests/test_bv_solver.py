@@ -10,7 +10,8 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvkit.polynomial_engine import BasePolynomial, _echelon, _poly, poly_to_str
+from bvkit.elimination import _echelon
+from bvkit.polynomial_engine import BasePolynomial, _poly, poly_to_str
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,

@@ -12,15 +12,13 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvkit import polynomial_engine
+from bvkit import elimination, polynomial_engine
+from bvkit.elimination import _axpy, _cleared, _echelon, reduce_row
 from bvkit.polynomial_engine import (
     BasePolynomial,
     _Engine,
     _as_vectors,
-    _axpy,
-    _cleared,
     _combination,
-    _echelon,
     _from_terms,
     _monomial_div,
     _monomial_divides,
@@ -39,7 +37,6 @@ from bvkit.polynomial_engine import (
     monomial_key,
     normal_form,
     poly_to_str,
-    reduce_row,
     syzygy_basis,
 )
 from reference_elimination import (
@@ -633,9 +630,10 @@ class TestCombination:
         for name in ("__init__", "_divide", "insert", "complete", "append", "_primitive"):
             monkeypatch.setattr(_Engine, name, refuse)
         for name in ("groebner_basis", "normal_form", "_monomial_nf", "lift_membership",
-                     "syzygy_basis", "reduce_row", "_cleared",
-                     "_mvec_to_vector", "_echelon", "_nf_sum"):
+                     "syzygy_basis", "_cleared", "_mvec_to_vector", "_nf_sum"):
             monkeypatch.setattr(polynomial_engine, name, refuse)
+        for name in ("reduce_row", "_cleared", "_echelon"):
+            monkeypatch.setattr(elimination, name, refuse)
         coeffs = mk(VARS2, "x*y - 1", "0", "y^2 + 1/2")
         gens = [ModuleVector(mk(VARS2, a, b))
                 for a, b in (("x", "y^2"), ("1", "x - y"), ("x*y", "3"))]
