@@ -574,6 +574,21 @@ class _Engine:
     out membership certificates.  Inputs may arrive after the build:
     insert() queues the new S-pairs and complete() works them off.
 
+    Pairs form within one component only, and complete takes them by
+    normal selection: least lcm degree, then discovery order.  Each
+    append runs the Gebauer-Moller update (Gebauer & Moller, J. Symb.
+    Comput. 6, 1988; Cox, Little & O'Shea, sec. 2.10).  On the pending
+    pairs, criterion B_k drops a pair whose lcm the new leading term
+    divides without being part of either lcm with the new element: the
+    two pairs with the new element, of smaller lcm, cover it.  On the
+    new pairs, criterion M drops a pair whose lcm another new lcm
+    properly divides, and criterion F keeps one pair per lcm; in rank 1
+    the product criterion drops the whole class of an lcm that some
+    pair's coprime leading terms reach (it does not hold in modules).
+    Reduced bases and normal forms are unique, so the criteria leave
+    them as they are; which elements are appended on the way, and so
+    the tracked transforms, may differ.
+
     Every coefficient is an int.  insert clears an input of its
     denominators, and basis[i] = transforms[i] . inputs holds exactly;
     each stored pair is divided by its joint content and signed so that
@@ -601,7 +616,7 @@ class _Engine:
         self.basis: list = []        # list of MVec
         self.lts: list = []          # parallel list of leading (term, coeff)
         self.transforms: list = []   # parallel list of MVec over inputs
-        self.pairs: list = []        # heap of (lcm degree, i, j)
+        self.pairs: list = []        # heap of (lcm degree, i, j, lcm)
         self.divisor: dict = {}      # term -> first lts index dividing it, or -1
         for idx, v in enumerate(vectors):
             self.insert(v, idx)
@@ -685,13 +700,9 @@ class _Engine:
         pairs = self.pairs
         while pairs:
             # normal selection: minimal lcm degree, then discovery order
-            _, i, j = heapq.heappop(pairs)
+            _, i, j, lcm_e = heapq.heappop(pairs)
             (_pi, ei), ci = self.lts[i]
             (_pj, ej), cj = self.lts[j]
-            lcm_e = _monomial_lcm(ei, ej)
-            # product criterion (rank-1 ring case only; not valid in modules)
-            if self.rank == 1 and lcm_e == _monomial_mul(ei, ej):
-                continue
             g = gcd(ci, cj)
             s: dict = {}
             tr = {} if self.track else None
@@ -703,15 +714,32 @@ class _Engine:
             self._add(s, tr)
 
     def _add(self, vec: dict, tr: Optional[dict]) -> None:
+        """Reduce vec; append a nonzero remainder and update the pairs."""
         rem, tr, _d = self._divide(vec, tr)
         if not rem:
             return
         new = self.append(rem, tr)
-        pn, en = self.lts[new][0]
+        lts, pairs = self.lts, self.pairs
+        pn, en = lts[new][0]
+        # B_k, in place: complete pops from this list
+        pairs[:] = [p for p in pairs
+                    if lts[p[1]][0][0] != pn or not _monomial_divides(en, p[3])
+                    or _monomial_lcm(lts[p[1]][0][1], en) == p[3]
+                    or _monomial_lcm(lts[p[2]][0][1], en) == p[3]]
+        heapq.heapify(pairs)
+        # F: the first pair of each lcm, or -1 for a product class; then M
+        new_pairs: dict = {}
         for i in range(new):
-            pi, ei = self.lts[i][0]
+            (pi, ei), _c = lts[i]
             if pi == pn:
-                heapq.heappush(self.pairs, (sum(_monomial_lcm(ei, en)), i, new))
+                lcm_e = _monomial_lcm(ei, en)
+                if self.rank == 1 and lcm_e == _monomial_mul(ei, en):
+                    new_pairs[lcm_e] = -1
+                else:
+                    new_pairs.setdefault(lcm_e, i)
+        for lcm_e, i in new_pairs.items():
+            if i >= 0 and not any(m != lcm_e and _monomial_divides(m, lcm_e) for m in new_pairs):
+                heapq.heappush(pairs, (sum(lcm_e), i, new, lcm_e))
 
     def _primitive(self, vec: dict, tr: Optional[dict]) -> tuple:
         """(vec, leading (term, coeff), tr), vec and tr divided by their

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvkit import elimination, polynomial_engine
+from bvkit.brst import symmetry_presentation
 from bvkit.elimination import _axpy, _cleared, _echelon, reduce_row
 from bvkit.polynomial_engine import (
     BasePolynomial,
@@ -875,7 +876,11 @@ def _mvec_leading(m, key):
 class _FractionEngine:
     """The Buchberger engine before it worked over the ints: every
     coefficient a Fraction, every stored element as division leaves it,
-    the reduced basis made monic.  Reference for _Engine.
+    the reduced basis made monic.  Reference for _Engine.  Its pair
+    update is the Gebauer-Moller UPDATE as Becker and Weispfenning write
+    it (Groebner Bases, 1993, sec. 5.5), loop by loop, with the new
+    pairs visited from the last element down, so that of the pairs of
+    one lcm the one with the first element is kept, as in _Engine.
 
     Buchberger over k[x]^rank with tracked transformations.
 
@@ -972,16 +977,12 @@ class _FractionEngine:
 
     def complete(self) -> None:
         """Reduce every queued S-pair: the basis is then a Groebner basis."""
-        pairs = self.pairs
-        while pairs:
+        while self.pairs:
             # normal selection: minimal lcm degree, then discovery order
-            _, i, j = heapq.heappop(pairs)
+            _, i, j = heapq.heappop(self.pairs)
             (_pi, ei), ci = self.lts[i]
             (_pj, ej), cj = self.lts[j]
             lcm = _monomial_lcm(ei, ej)
-            # product criterion (rank-1 ring case only; not valid in modules)
-            if self.rank == 1 and lcm == _monomial_mul(ei, ej):
-                continue
             si = _monomial_div(lcm, ei)
             sj = _monomial_div(lcm, ej)
             s: dict = {}
@@ -994,16 +995,39 @@ class _FractionEngine:
                 _mvec_add_into(tr, self.transforms[j], Fraction(-1) / cj, sj)
             self._add(s, tr)
 
+    def _lcm(self, i, j):
+        return _monomial_lcm(self.lts[i][0][1], self.lts[j][0][1])
+
+    def _coprime(self, i, j):
+        # the product criterion, for the rank-1 ring case only
+        return self.rank == 1 and self._lcm(i, j) == _monomial_mul(self.lts[i][0][1],
+                                                                   self.lts[j][0][1])
+
     def _add(self, vec: dict, tr: Optional[dict]) -> None:
         rem, tr = self._divide(vec, tr)
         if not rem:
             return
-        new = self.append(rem, tr)
-        pn, en = self.lts[new][0]
-        for i in range(new):
-            pi, ei = self.lts[i][0]
-            if pi == pn:
-                heapq.heappush(self.pairs, (sum(_monomial_lcm(ei, en)), i, new))
+        h = self.append(rem, tr)
+        pn, en = self.lts[h][0]
+        # C: the new pairs, within h's component
+        C = [g for g in reversed(range(h)) if self.lts[g][0][0] == pn]
+        D = []
+        while C:
+            g1 = C.pop(0)
+            lcm1 = self._lcm(h, g1)
+            if self._coprime(h, g1) or not any(
+                    _monomial_divides(self._lcm(h, g2), lcm1) for g2 in C + D):
+                D.append(g1)
+        E = [g for g in D if not self._coprime(h, g)]
+        B = []
+        for p in self.pairs:
+            _, g1, g2 = p
+            lcm12 = self._lcm(g1, g2)
+            if (self.lts[g1][0][0] != pn or not _monomial_divides(en, lcm12)
+                    or self._lcm(g1, h) == lcm12 or self._lcm(h, g2) == lcm12):
+                B.append(p)
+        self.pairs = B + [(sum(self._lcm(g, h)), g, h) for g in E]
+        heapq.heapify(self.pairs)
 
     def append(self, vec: dict, tr: Optional[dict]) -> int:
         """Store vec as the next basis element, without pairs; its index."""
@@ -1070,6 +1094,20 @@ def _monic(eng, i, tr=False):
     return _over(eng.transforms[i] if tr else eng.basis[i], eng.lts[i][1])
 
 
+def _logging(cls):
+    """cls logging each reduction as (basis size, leading term of the
+    vector reduced), so that two engines compare step by step."""
+    class Logging(cls):
+        def __init__(self, *args, **kwargs):
+            self.log = []
+            super().__init__(*args, **kwargs)
+
+        def _add(self, vec, tr):
+            self.log.append((len(self.basis), min(vec, key=self.key, default=None)))
+            super()._add(vec, tr)
+    return Logging
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
        st.booleans(), st.data())
@@ -1093,8 +1131,10 @@ def test_integer_engine_matches_the_fraction_reference(order, rank, track, graph
     others = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank), max_size=2))
     mvecs = [_mvec(g) for g in gens]
     with _time_limit(vectors):
-        ref = _FractionEngine(mvecs, rank, 2, order, split=split, track=track)
-        eng = _Engine(mvecs, rank, 2, order, split=split, track=track)
+        ref = _logging(_FractionEngine)(mvecs, rank, 2, order, split=split, track=track)
+        eng = _logging(_Engine)(mvecs, rank, 2, order, split=split, track=track)
+    # the same pairs are reduced in the same order
+    assert eng.log == ref.log
     for reduced in (False, True):
         if reduced:
             with _time_limit(vectors):
@@ -1113,6 +1153,145 @@ def test_integer_engine_matches_the_fraction_reference(order, rank, track, graph
             assert (_over(rem, d * k), _over(comb, d * k)) == want
             if f is member:
                 assert rem == {}
+
+
+# inputs on which a criterion changes what the engine reduces: B_k drops
+# a pending pair (lex), and F keeps the first pair of an lcm (grevlex)
+CRITERIA_CASES = [("lex", ["-x*y", "-x^2 - y^2", "2*x + 2*x^2*y"]),
+                  ("grevlex", ["x^2 + x^2*y + x*y^2", "2*x^2*y", "x + 2*x*y^2 + 1"])]
+
+
+@pytest.mark.parametrize("order, gens", CRITERIA_CASES)
+def test_criteria_cases_match_the_fraction_reference(order, gens):
+    mvecs = [_mvec([P(g, VARS2)]) for g in gens]
+    ref = _logging(_FractionEngine)(mvecs, 1, 2, order, track=True)
+    eng = _logging(_Engine)(mvecs, 1, 2, order, track=True)
+    assert eng.log == ref.log
+    assert len(eng.log) < len(_logging(_PlainEngine)(mvecs, 1, 2, order, track=True).log)
+    assert [t for t, _c in eng.lts] == [t for t, _c in ref.lts]
+    for i in range(len(ref.basis)):
+        assert _monic(eng, i) == _monic(ref, i)
+        assert _monic(eng, i, tr=True) == _monic(ref, i, tr=True)
+
+
+class _PlainEngine(_Engine):
+    """_Engine before the Gebauer-Moller update: every pair of one
+    component is queued, and the product criterion, rank 1 only, is
+    checked as a pair is taken.  Reference for the criteria."""
+
+    def complete(self) -> None:
+        pairs = self.pairs
+        while pairs:
+            # normal selection: minimal lcm degree, then discovery order
+            _, i, j = heapq.heappop(pairs)
+            (_pi, ei), ci = self.lts[i]
+            (_pj, ej), cj = self.lts[j]
+            lcm_e = _monomial_lcm(ei, ej)
+            # product criterion (rank-1 ring case only; not valid in modules)
+            if self.rank == 1 and lcm_e == _monomial_mul(ei, ej):
+                continue
+            g = gcd(ci, cj)
+            s: dict = {}
+            tr = {} if self.track else None
+            for k, f, e in ((i, cj // g, ei), (j, -ci // g, ej)):
+                shift = _monomial_div(lcm_e, e)
+                _mvec_add_into(s, self.basis[k], f, shift)
+                if self.track:
+                    _mvec_add_into(tr, self.transforms[k], f, shift)
+            self._add(s, tr)
+
+    def _add(self, vec: dict, tr: Optional[dict]) -> None:
+        rem, tr, _d = self._divide(vec, tr)
+        if not rem:
+            return
+        new = self.append(rem, tr)
+        pn, en = self.lts[new][0]
+        for i in range(new):
+            pi, ei = self.lts[i][0]
+            if pi == pn:
+                heapq.heappush(self.pairs, (sum(_monomial_lcm(ei, en)), i, new))
+
+
+def _reductions(cls, run) -> tuple:
+    """(reductions, zero reductions) of the engines while run() runs, every
+    engine built as a cls."""
+    counts = [0, 0]
+    real = cls._add
+
+    def add(self, vec, tr):
+        n = len(self.basis)
+        real(self, vec, tr)
+        counts[0] += 1
+        counts[1] += len(self.basis) == n
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "_add", add)
+        mp.setattr(polynomial_engine, "_Engine", cls)
+        run()
+    return tuple(counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(), st.data())
+def test_criteria_change_no_reduced_basis_normal_form_syzygy_or_membership(order, rank,
+                                                                          graph, data):
+    poly = poly_strategy(VARS2, max_deg=2, max_terms=3)
+    gens = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank),
+                              min_size=1, max_size=3))
+    vectors = [ModuleVector(g) for g in gens]
+    split, width = 0, rank
+    if graph:
+        # the graph vectors of syzygy_basis under its block order
+        one = P("1", VARS2)
+        gens = [g + [one if j == i else one * 0 for j in range(len(gens))]
+                for i, g in enumerate(gens)]
+        split, width = rank, rank + len(gens)
+    mults = data.draw(st.lists(poly_strategy(VARS2, max_deg=1, max_terms=2),
+                               min_size=len(vectors), max_size=len(vectors)))
+    member = _reference_combination(mults, vectors)
+    targets = [member] + [ModuleVector(v) for v in data.draw(
+        st.lists(st.lists(poly, min_size=rank, max_size=rank), max_size=2))]
+    mvecs = [_mvec(g) for g in gens]
+    pad = [P("0", VARS2)] * (width - rank)
+    with _time_limit(vectors):
+        eng = _Engine(mvecs, width, 2, order, split=split, track=True)
+        plain = _PlainEngine(mvecs, width, 2, order, split=split, track=True)
+    for reduced in (False, True):
+        if reduced:
+            with _time_limit(vectors):
+                eng.reduce_canonical()
+                plain.reduce_canonical()
+            assert (eng.basis, eng.lts) == (plain.basis, plain.lts)
+        # a Groebner basis leaves one remainder, reduced or not
+        for f in mvecs + [_mvec(list(v) + pad) for v in targets]:
+            vec, k = _cleared(f)
+            rems = [e._divide(vec, None) for e in (eng, plain)]
+            assert len({tuple(sorted(_over(rem, d).items())) for rem, _c, d in rems}) == 1
+    with _time_limit(vectors):
+        syz = syzygy_basis(vectors, order)
+        bases = [ModuleBasis(vectors, order)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomial_engine, "_Engine", _PlainEngine)
+            assert syzygy_basis(vectors, order) == syz
+            bases.append(ModuleBasis(vectors, order))
+    for f in targets:
+        assert (bases[0].lift(f) is None) == (bases[1].lift(f) is None)
+    assert bases[0].lift(member) is not None
+
+
+def test_criteria_cut_the_reductions_of_the_cubic_presentation():
+    # the w-first cubic cone: 445 reductions (310 of them zero) without the
+    # criteria, 248 (112) with them, and the same presentation
+    wxyz = ("w", "x", "y", "z")
+    s0 = P("x^3 + y^3 + z^3 - 3*w*x*y*z", wxyz)
+    parts = [s0.derivative(v) for v in wxyz]
+    pres = []
+    assert _reductions(_Engine, lambda: pres.append(symmetry_presentation(parts))) == (248, 112)
+    assert (_reductions(_PlainEngine, lambda: pres.append(symmetry_presentation(parts)))
+            == (445, 310))
+    new, old = ([[poly_to_str(c) for c in row] for row in rows]
+                for rows in (p.tau + p.relations for p in pres))
+    assert new == old
 
 
 def _reference_reduce_canonical(self) -> None:
