@@ -152,7 +152,8 @@ class SymmetryPresentation:
     """
 
     __slots__ = ("vars", "order", "partials", "tau", "relations",
-                 "bivectors_v", "structure_f", "correction_g", "_rings", "_images")
+                 "bivectors_v", "structure_f", "correction_g", "_rings", "_images",
+                 "_invariants")
 
     def __init__(self, vars, order, partials, tau, relations, bivectors_v,
                  structure_f, correction_g):
@@ -168,6 +169,7 @@ class SymmetryPresentation:
                                   for row in correction_g)
         self._rings: dict = {}   # monomial order -> Jacobian ring, built on first use
         self._images: dict = {}  # monomial order -> {exponent: flat tau image}, see _tau_images
+        self._invariants: dict = {}  # monomial order -> polynomials checked invariant
         self._verify()
 
     @property
@@ -486,9 +488,16 @@ def _tau_images(pres: SymmetryPresentation, gb: GroebnerBasis, exps) -> list:
 
 def _is_invariant(pres: SymmetryPresentation, gb: GroebnerBasis, f: BasePolynomial) -> bool:
     """Whether normal_form(tau_i(f)) = 0 for every generator, from one
-    gradient of f; gb is pres._ring(gb.order)."""
-    grad = _gradient(f)
-    return all(normal_form(_combination(grad, t), gb).is_zero() for t in pres.tau)
+    gradient of f; gb is pres._ring(gb.order).  A polynomial that passes
+    is kept in pres._invariants[gb.order], so a ladder of bounds, whose
+    bases nest, checks each one once."""
+    passed = pres._invariants.setdefault(gb.order, set())
+    if f not in passed:
+        grad = _gradient(f)
+        if not all(normal_form(_combination(grad, t), gb).is_zero() for t in pres.tau):
+            return False
+        passed.add(f)
+    return True
 
 
 def _presentation(parts: list, order: str,
@@ -518,7 +527,8 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     that sets stable.  The images are kept on the presentation, so a
     ladder of bounds on one presentation computes each image once.
     Each basis element is checked against every generator from one
-    gradient, with neither the images nor the eliminator.
+    gradient, with neither the images nor the eliminator, once per
+    presentation and monomial order.
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")

@@ -1549,8 +1549,34 @@ class TestImageMemo:
             monkeypatch.setattr(elimination, "_echelon", refuse)
             return out
 
+        # a fresh presentation: pres already holds the invariants it checked
+        fresh = symmetry_presentation(parts)
         monkeypatch.setattr(brst, "_slice_cohomology", then_refuse)
-        assert h0(parts, 8, presentation=pres).to_json_obj() == want
+        assert h0(parts, 8, presentation=fresh).to_json_obj() == want
+
+    def test_a_ladder_checks_each_invariant_once(self, cubic_surface, monkeypatch):
+        # the cubic bases nest, 31 in 34 in 37 in 40, so the ladder
+        # differentiates 40 polynomials and not 142; each monomial order
+        # keeps its own checks
+        parts = cubic_surface[0]
+        pres = symmetry_presentation(parts)
+        real = brst._gradient
+        calls = []
+
+        def spy(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(brst, "_gradient", spy)
+        for order in ("grevlex", "lex"):
+            del calls[:]
+            reports = [h0(parts, D, order, pres) for D in (11, 12, 13, 14)]
+            assert [rep.dim for rep in reports] == [31, 34, 37, 40]
+            assert all(set(a.basis) <= set(b.basis) for a, b in zip(reports, reports[1:]))
+            assert len(calls) == 40 and set(calls) == set(reports[-1].basis)
+            for D in (14, 11):
+                h0(parts, D, order, pres)
+            assert len(calls) == 40
 
 
 @settings(deadline=None, max_examples=40)
