@@ -514,7 +514,7 @@ def _direct_sum(a: TateResolution, b: TateResolution) -> TateResolution:
 def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
     """The solution attached to an acyclic complex of vector spaces.
 
-    ``W`` lists (degree, dimension) pairs with all degrees <= -1; ``d_W``
+    ``W`` lists (degree, dimension) pairs of ints, all degrees <= -1; ``d_W``
     maps a degree d to the matrix of the degree-raising differential
     W_d -> W_(d+1), with rows indexed by the target basis; a degree whose
     target is zero has no matrix.  Degree -1 basis vectors become duals
@@ -525,8 +525,8 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
     """
     dims: dict = {}
     for deg, dim in W:
-        deg = int(deg)
-        dim = int(dim)
+        if not (isinstance(deg, int) and isinstance(dim, int)):
+            raise ValueError(f"degrees and dimensions must be integers, got {(deg, dim)!r}")
         if deg > -1:
             raise ValueError("all degrees must be <= -1")
         if deg in dims:
@@ -673,11 +673,11 @@ def _product(x: list, y: list) -> list:
 def bundle_solution(g, A, F) -> MasterSolution:
     """Exact solution for a pairing on a trivial bundle with connection.
 
-    ``g[i][j]`` is the pairing, ``A[mu][i][j]`` the connection coefficient
-    of dy^mu acting on the fiber, ``F[mu][nu][i][j]`` the curvature-like
-    coefficient (antisymmetric in both index pairs); entries are
-    polynomials in the base coordinates y1..ym; the fiber coordinates
-    are v1..vr.  Three equations of r x r matrices are required, with
+    ``g[i][j]`` is the pairing (symmetric), ``A[mu][i][j]`` the connection
+    coefficient of dy^mu acting on the fiber, ``F[mu][nu][i][j]`` the
+    curvature-like coefficient (antisymmetric in both index pairs);
+    entries are polynomials in the base coordinates y1..ym, and an entry
+    in the fiber coordinates v1..vr is refused.  Three equations of r x r matrices are required, with
     d_mu the derivative along y_mu:
 
       (a)  d_mu g - P - P^T = 0,  P = A_mu^T g
@@ -696,12 +696,19 @@ def bundle_solution(g, A, F) -> MasterSolution:
     coords = base + fiber
 
     def poly(x):
-        return _poly(x, coords)
+        p = _poly(x, coords)
+        for k, v in enumerate(fiber):
+            if any(e[m + k] for e in p.terms):
+                raise ValueError(f"entry {poly_to_str(p)} involves the fiber coordinate "
+                                 f"{v}; entries are polynomials in the base coordinates")
+        return p
 
     gmat = _matrix(g, r, r, "g", poly)
     amat = [_matrix(a, r, r, f"A[{mu}]", poly) for mu, a in enumerate(A)]
     fmat = _matrix(F, m, m, "F", lambda f: _matrix(f, r, r, "F[mu][nu]", poly))
     zero = BasePolynomial.zero(coords)
+    if any(gmat[i][j] != gmat[j][i] for i, j in combinations(range(r), 2)):
+        raise ValueError("g must be symmetric")
     for mu, nu, i, j in product(range(m), range(m), range(r), range(r)):
         if fmat[mu][nu][i][j] + fmat[nu][mu][i][j] != zero:
             raise ValueError("F must be antisymmetric in the base indices")
