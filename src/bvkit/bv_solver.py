@@ -677,8 +677,8 @@ def bundle_solution(g, A, F) -> MasterSolution:
     coefficient of dy^mu acting on the fiber, ``F[mu][nu][i][j]`` the
     curvature-like coefficient (antisymmetric in both index pairs);
     entries are polynomials in the base coordinates y1..ym, and an entry
-    in the fiber coordinates v1..vr is refused.  Three equations of r x r matrices are required, with
-    d_mu the derivative along y_mu:
+    in the fiber coordinates v1..vr is refused.  Three equations of r x r
+    matrices are required, with d_mu the derivative along y_mu:
 
       (a)  d_mu g - P - P^T = 0,  P = A_mu^T g
       (b)  d_mu A_nu - d_nu A_mu + A_mu A_nu - A_nu A_mu - F_mu,nu g = 0

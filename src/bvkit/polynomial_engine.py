@@ -576,18 +576,18 @@ class _Engine:
 
     Pairs form within one component only, and complete takes them by
     normal selection: least lcm degree, then discovery order.  Each
-    append runs the Gebauer-Moller update (Gebauer & Moller, J. Symb.
-    Comput. 6, 1988; Cox, Little & O'Shea, sec. 2.10).  On the pending
-    pairs, criterion B_k drops a pair whose lcm the new leading term
-    divides without being part of either lcm with the new element: the
-    two pairs with the new element, of smaller lcm, cover it.  On the
-    new pairs, criterion M drops a pair whose lcm another new lcm
-    properly divides, and criterion F keeps one pair per lcm; in rank 1
-    the product criterion drops the whole class of an lcm that some
-    pair's coprime leading terms reach (it does not hold in modules).
-    Reduced bases and normal forms are unique, so the criteria leave
-    them as they are; which elements are appended on the way, and so
-    the tracked transforms, may differ.
+    element that _add appends runs the Gebauer-Moller update (Gebauer &
+    Moller, J. Symb. Comput. 6, 1988; Cox, Little & O'Shea, sec. 2.10).
+    On the pending pairs, criterion B_k drops a pair whose lcm the new
+    leading term divides and differs from both lcms with the new
+    element: the two pairs with the new element, of smaller lcm, cover
+    it.  On the new pairs, criterion M drops a pair whose lcm another
+    new lcm properly divides, and criterion F keeps one pair per lcm,
+    the first; in rank 1 the product criterion drops the whole class of
+    an lcm that some pair's coprime leading terms reach (it does not
+    hold in modules).  Reduced bases and normal forms are unique, so the
+    criteria leave them as they are; which elements are appended on the
+    way, and so the tracked transforms, may differ.
 
     Every coefficient is an int.  insert clears an input of its
     denominators, and basis[i] = transforms[i] . inputs holds exactly;
