@@ -775,6 +775,8 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
     both bounds in _slice_cohomology; inputs one degree beyond a bound
     cover every combination landing inside its slice.
     """
+    if p < 0:
+        raise ValueError(f"column p must be >= 0, got {p}")
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     if sol.order < p + 1:

@@ -338,47 +338,21 @@ def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
 
     ``achieved`` is 0 when some term of [S,S] has fewer than two positive
     factors, and min(p, w - 1) otherwise, w the minimum weight of [S,S];
-    below p, ``residual_class`` is the slice of weight w.  The report
-    reads [S,S] through two capped brackets and equals the one the full
-    bracket gives:
-
-    - The count part.  A term of [a, b] has the positive-factor counts
-      of its two factors added, less one when a ghost is paired with its
-      antifield; the closed-one-form term keeps the count of v.  So with
-      S_k the count-k part of S, the terms of count <= 1 are those of
-      [T, T] + [S_0, S_2] + [S_2, S_0], T = S_0 + S_1.  A term of count
-      <= 1 has weight at most the largest generator degree, which caps
-      these brackets.
-    - The square, capped.  When the count part is empty, [S,S] capped at
-      p + 1 holds every term of weight <= p + 1: its minimum weight is w,
-      and when it is empty too, achieved = p.  When the count part is
-      not empty, achieved = 0 and w is at most the count part's minimum
-      weight, so the square is capped there instead and holds the slice.
-
-    The full bracket is never computed; ``master_residual`` computes it.
+    below p, ``residual_class`` is the slice of weight w.  A term of
+    count <= 1 has weight at most the largest generator degree, so [S,S]
+    capped at the larger of that degree and p + 1 holds every term the
+    report reads, and the report equals the one the full bracket gives;
+    ``master_residual`` computes the full bracket.
     """
+    if p < 0:
+        raise ValueError(f"order p must be >= 0, got {p}")
     res = sol.resolution
     t, S = res.table, sol.S
-    parts = ({}, {}, {})
-    for m, c in S.terms.items():
-        k = t.count_of(m)
-        if k <= 2:
-            parts[k][m] = c
-    S0, S1, S2 = (GradedPolynomial(t, d) for d in parts)
-    top = max(t._positive_degrees, default=0)
-    T = S0 + S1
-    low = (_residual_bracket(res, T, T, top)
-           + _residual_bracket(res, S0, S2, top)
-           + _bracket_pair(_bracket_factors(S2), S0, top))
-    low = [m for m in low.terms if t.count_of(m) <= 1]
-    cap = min(map(t.weight_of, low)) if low else p + 1
-    r = _residual_bracket(res, S, S, cap)
-    if low:
+    r = _residual_bracket(res, S, S, max((p + 1, *t._positive_degrees)))
+    if any(t.count_of(m) <= 1 for m in r.terms):
         achieved = 0
-    elif r:
-        achieved = r.min_weight() - 1
     else:
-        achieved = p
+        achieved = min(p, r.min_weight() - 1) if r else p
     residual_class = gr_project(r, r.min_weight()) if achieved < p else None
     if res.s0 is None:
         s0_ok = truncate(S, 0).is_zero()
@@ -400,6 +374,8 @@ def gauge_relate(a: MasterSolution, b: MasterSolution,
     order p_max.  The word is built by a double induction on the weight
     of the difference and the number of positive factors in it.
     """
+    if p_max < 0:
+        raise ValueError(f"order p_max must be >= 0, got {p_max}")
     # the monomial order is how lifts are computed, not part of the resolution
     if (dict(a.resolution.to_json_obj(), order=None)
             != dict(b.resolution.to_json_obj(), order=None)):
@@ -445,6 +421,14 @@ def _matrix(rows, nrows: int, ncols: int, what: str, entry) -> list:
     if len(rows) != nrows or any(len(row) != ncols for row in rows):
         raise ValueError(f"{what} must be {nrows} x {ncols}")
     return [[entry(x) for x in row] for row in rows]
+
+
+def _number(x) -> Fraction:
+    """x read exactly: an int, a Fraction or numeric text; a float, or
+    anything else, raises ValueError."""
+    if isinstance(x, (int, Fraction, str)):
+        return Fraction(x)
+    raise ValueError(f"cannot read {type(x).__name__} {x!r} as an exact number")
 
 
 def _word(table: GeneratorTable, coeff, names: Sequence[str]) -> GradedPolynomial:
@@ -516,9 +500,10 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
 
     ``W`` lists (degree, dimension) pairs of ints, all degrees <= -1; ``d_W``
     maps a degree d to the matrix of the degree-raising differential
-    W_d -> W_(d+1), with rows indexed by the target basis; a degree whose
-    target is zero has no matrix.  Degree -1 basis vectors become duals
-    of fresh coordinates; deeper ones become antifield-ghost pairs, each
+    W_d -> W_(d+1), with rows indexed by the target basis and entries
+    ints, Fractions or numeric text; a degree whose target is zero has
+    no matrix.  Degree -1 basis vectors become duals of fresh
+    coordinates; deeper ones become antifield-ghost pairs, each
     antifield bounding its column of d_W, and S is the associated
     solution over zero partials.  TateResolution checks that the
     differential squares to zero, then rank counts check exactness.
@@ -543,7 +528,7 @@ def trivial_solution(W: Sequence[tuple], d_W: dict) -> MasterSolution:
             continue
         target = names.get(deg + 1, [])
         mat = _matrix(d_W.get(deg, []), len(target), dims[deg],
-                      f"d_W[{deg}]", Fraction) if target else []
+                      f"d_W[{deg}]", _number) if target else []
         ranks[deg] = len(_echelon(map(enumerate, mat)))
         names[deg] = [f"cs{len(images) + j + 1}" for j in range(dims[deg])]
         images += [(name, deg, [(row[j], t) for row, t in zip(mat, target)
@@ -580,8 +565,9 @@ def product_solution(a: MasterSolution, b: MasterSolution) -> MasterSolution:
 
 
 def add_square(sol: MasterSolution, c) -> MasterSolution:
-    """Append a fresh coordinate t and the quadratic term c*t^2."""
-    c = Fraction(c)
+    """Append a fresh coordinate t and the quadratic term c*t^2, with c
+    an int, a Fraction or numeric text."""
+    c = _number(c)
     if c == 0:
         raise ValueError("coefficient must be nonzero")
     res = sol.resolution

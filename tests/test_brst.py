@@ -827,9 +827,10 @@ class TestE2Page:
         assert [graded_to_str(b) for b in rep.basis] == ["(y^2)*b1"]
         assert rep.stable
 
-    def test_negative_column_is_empty(self, solution):
-        rep = e2_page(solution, -1, 4)
-        assert rep.dim == 0 and rep.basis == []
+    def test_negative_column_rejected(self, solution):
+        # it returned a column -1 report, of dim 0 and stable
+        with pytest.raises(ValueError, match="column p must be >= 0"):
+            e2_page(solution, -1, 4)
 
     def test_insufficient_order_rejected(self, solution):
         with pytest.raises(ValueError):

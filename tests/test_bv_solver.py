@@ -329,6 +329,35 @@ class TestVerifyMaster:
         assert not rep.ok
         assert not rep.s0_ok
 
+    def test_negative_order_is_refused(self):
+        # it reported ok with achieved = -1
+        sol = solve_master(circle(3), 2)
+        with pytest.raises(ValueError, match="order p must be >= 0"):
+            verify_master(sol, -1)
+        assert verify_master(sol, 0).ok
+
+    @pytest.mark.parametrize("kind,tamper", [
+        ("s0", None), ("partials", None), ("s0", "(-2*x)*ys*b1"),
+        ("partials", "(1)*xs*bs1*b1*b2")])
+    @pytest.mark.parametrize("p", [0, 1, 4, 6])
+    def test_one_bracket_per_report(self, monkeypatch, kind, tamper, p):
+        res = circle(5) if kind == "s0" else circle_partials(5)
+        sol = solve_master(res, 4)
+        if tamper is not None:
+            sol = MasterSolution(res, sol.S + parse_graded(tamper, res.table), 4)
+        calls = []
+        real = bv_solver._bracket_pair
+
+        def spy(factors, v, cap=None):
+            calls.append(cap)
+            return real(factors, v, cap)
+
+        monkeypatch.setattr(bv_solver, "_bracket_pair", spy)
+        rep = verify_master(sol, p)
+        monkeypatch.undo()
+        assert calls == [max(p + 1, 5)]
+        assert_same_report(rep, _reference_verify(sol, p))
+
     def test_square_is_built_from_the_half_factors(self, monkeypatch):
         # every product the verify computes is capped, and S is even, so
         # its capped square takes the half factors of S: one product per
@@ -447,13 +476,14 @@ def perturbed(draw, kind):
 @given(data=st.data())
 def test_capped_verify_matches_the_full_bracket(kind, data):
     sol = data.draw(perturbed(kind), label="solution")
-    p = data.draw(st.integers(1, sol.order), label="p")
+    p = data.draw(st.integers(0, sol.order + 2), label="p")
     assert_same_report(verify_master(sol, p), _reference_verify(sol, p))
 
 
 class TestVerifyBranches:
-    """Each case pins the cap of the square the verify takes, and its
-    report against the full-bracket reference."""
+    """Each case pins the cap of the one square the verify takes,
+    max(p + 1, largest generator degree), and its report against the
+    full-bracket reference."""
 
     @staticmethod
     def square_caps(monkeypatch, sol, p):
@@ -487,26 +517,26 @@ class TestVerifyBranches:
 
     @pytest.mark.parametrize("kind", ["s0", "partials"])
     def test_count_one_residual_below_the_order(self, monkeypatch, kind):
-        # a count-1 tamper of weight 1: the square is capped at the count
-        # part's minimum weight, below p + 1
+        # a count-1 tamper of weight 1: the square is capped at p + 1 = 5,
+        # the largest generator degree too, and holds the slice of weight 1
         res = circle(5) if kind == "s0" else circle_partials(5)
         sol = solve_master(res, 4)
         bad = MasterSolution(res, sol.S + parse_graded("(-2*x)*ys*b1", res.table), 4)
         rep, caps = self.square_caps(monkeypatch, bad, 4)
-        assert caps == [1]
+        assert caps == [5]
         assert rep.achieved == 0 and rep.residual_class.min_weight() == 1
 
     @pytest.mark.parametrize("kind", ["s0", "partials"])
     def test_count_one_residual_above_the_order(self, monkeypatch, kind):
         # a count-1 tamper on a weight-4 ghost verified at p = 1: [S, S]
         # has no term of weight <= p + 1, so the square is capped at the
-        # count part's minimum weight, above p + 1
+        # largest generator degree, 5, above p + 1
         res = circle(5) if kind == "s0" else circle_partials(5)
         sol = solve_master(res, 4)
         bad = MasterSolution(res, sol.S + parse_graded("bs3*b5", res.table), 4)
         assert _residual_bracket(res, bad.S, bad.S, 2).is_zero()
         rep, caps = self.square_caps(monkeypatch, bad, 1)
-        assert caps == [4]
+        assert caps == [5]
         assert rep.achieved == 0 and rep.residual_class.min_weight() == 4
 
     @pytest.mark.parametrize("text,achieved", [
@@ -585,6 +615,13 @@ class TestGaugeRelate:
         with pytest.raises(ValueError, match="certified"):
             gauge_relate(a, b, 4)
 
+    def test_negative_order_is_refused(self):
+        # it failed inside truncate, on the truncation weight
+        a = solve_master(circle(3), 2)
+        with pytest.raises(ValueError, match="order p_max must be >= 0"):
+            gauge_relate(a, a, -1)
+        assert len(gauge_relate(a, a, 0)) == 0
+
 
 class TestTrivialSolution:
     def test_empty_complex(self):
@@ -638,6 +675,17 @@ class TestTrivialSolution:
         # int() read the first complex as degrees -1 and -2 and solved it
         with pytest.raises(ValueError, match="must be integers"):
             trivial_solution(W, {-2: [[1]]})
+
+    @pytest.mark.parametrize("entry", [0.5, 1.0])
+    def test_rejects_float_matrix_entries(self, entry):
+        # Fraction read the float 0.5 into the differential
+        with pytest.raises(ValueError, match="float .* exact number"):
+            trivial_solution([(-1, 1), (-2, 1)], {-2: [[entry]]})
+
+    @pytest.mark.parametrize("entry", [Fraction(3, 2), "3/2", "1.5"])
+    def test_exact_matrix_entries_kept(self, entry):
+        sol = trivial_solution([(-1, 1), (-2, 1)], {-2: [[entry]]})
+        assert graded_to_str(sol.S) == "(3/2)*w1s*c1"
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(min_value=-3, max_value=3),
@@ -887,6 +935,17 @@ class TestAddSquare:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             add_square(trivial_solution([], {}), 0)
+
+    @pytest.mark.parametrize("c", [0.1, 2.0, None, [1]])
+    def test_inexact_coefficient_rejected(self, c):
+        # Fraction read 0.1 as 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match="exact number"):
+            add_square(trivial_solution([], {}), c)
+
+    @pytest.mark.parametrize("c,want", [(3, "(3*t^2)"), (Fraction(2, 3), "(2/3*t^2)"),
+                                        ("1/10", "(1/10*t^2)"), ("0.1", "(1/10*t^2)")])
+    def test_exact_coefficients_kept(self, c, want):
+        assert graded_to_str(add_square(trivial_solution([], {}), c).S) == want
 
     def test_multivalued_action_stays_implicit(self):
         rm = build_resolution(["u"], partials=["u^3"], depth=2)

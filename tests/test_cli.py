@@ -194,6 +194,18 @@ class TestCommands:
         assert run_command(["verify", "--pmax", "5", str(out)]) == 1
         assert "residual weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["verify", "gauge"])
+    def test_negative_order_exits_2(self, circle_file, tmp_path, capsys, cmd):
+        # verify printed "verdict: ok" and exited 0; gauge failed inside
+        # truncate, on its truncation weight
+        out = tmp_path / "sol.json"
+        run_command(["solve", "--pmax", "1", "--json", "--out", str(out),
+                     circle_file])
+        files = [str(out)] * (2 if cmd == "gauge" else 1)
+        assert run_command([cmd, "--pmax", "-1", *files]) == 2
+        captured = capsys.readouterr()
+        assert "order p" in captured.err and "verdict" not in captured.out
+
     def test_gauge_relates_a_solution_to_itself(self, circle_file, tmp_path,
                                                 capsys):
         out = tmp_path / "sol.json"
