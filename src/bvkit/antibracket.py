@@ -9,15 +9,13 @@ ghost degree by +1 and is a graded biderivation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     _add_into,
+    _bracket_pair,
     _derivatives,
-    _graded,
-    _products,
     _weight_rows,
     coordinate_derivative,
     dual_name,
@@ -77,24 +75,6 @@ def _bracket_factors(a: GradedPolynomial, half: bool = False) -> list:
         if ra:
             out.append((_weight_rows(-ra), x, coord))
     return out
-
-
-def _bracket_pair(factors: list, b: GradedPolynomial,
-                  cap: Optional[int] = None) -> GradedPolynomial:
-    """[a, b] from the derivatives of a collected by ``_bracket_factors``.
-
-    The left derivatives of b come from one scan of b.  With a cap, only
-    the terms of weight <= cap are computed: the result is
-    truncate([a, b], cap).
-    """
-    left = _derivatives(b)
-    out: dict = {}
-    for rows, i, coord in factors:
-        db = left.get(i) if coord is None else coordinate_derivative(b, coord)
-        if db:
-            _add_into(out, _products(b.table, rows,
-                                     _weight_rows(db, cap is not None), cap))
-    return _graded(b.table, out)
 
 
 def exp_ad(u: GradedPolynomial, a: GradedPolynomial, P: int) -> GradedPolynomial:

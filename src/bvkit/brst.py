@@ -44,8 +44,8 @@ from .polynomial_engine import (
     poly_to_str,
     syzygy_basis,
 )
-from .graded_algebra import GradedPolynomial, gr_project, graded_to_str
-from .antibracket import _bracket_factors, _bracket_pair
+from .graded_algebra import GradedPolynomial, _bracket_pair, gr_project, graded_to_str
+from .antibracket import _bracket_factors
 from .tate import _graded_monomials
 
 __all__ = [
@@ -333,11 +333,11 @@ class CohomologyReport:
 
     __slots__ = ("p", "bound", "dim", "basis", "stable")
 
-    def __init__(self, p: int, bound: int, dim: int, basis, stable: bool):
+    def __init__(self, p: int, bound: int, basis, stable: bool):
         self.p = p
         self.bound = bound
-        self.dim = dim
         self.basis = list(basis)
+        self.dim = len(self.basis)
         self.stable = bool(stable)
 
     def to_json_obj(self) -> dict:
@@ -542,7 +542,7 @@ def h0(partials: Sequence[BasePolynomial], D: int,
     for b in basis:
         if not _is_invariant(pres, gb, b):
             raise AssertionError("invariant candidate fails its defining condition")
-    return CohomologyReport(0, D, len(basis), basis, len(basis) == dim1)
+    return CohomologyReport(0, D, basis, len(basis) == dim1)
 
 
 # -- H^1: the one-cochain complex --------------------------------------
@@ -674,7 +674,7 @@ def h1(partials: Sequence[BasePolynomial], D: int,
     reps = [tuple(_split_tuple(pres, v)) for v in vecs]
     for gs in reps:
         _h1_check_exact(pres, gb, gs)
-    return CohomologyReport(1, D, len(reps), reps, len(reps) == dim1)
+    return CohomologyReport(1, D, reps, len(reps) == dim1)
 
 
 # -- the induced bracket H^0 x H^0 -> H^1 ------------------------------
@@ -806,4 +806,4 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
         for c in gr_project(_bracket_pair(dS, rep, p + 1), p + 1).terms.values():
             if not normal_form(c, gb).is_zero():
                 raise AssertionError("page cocycle fails its defining condition")
-    return CohomologyReport(p, D, len(reps), reps, len(reps) == dim1)
+    return CohomologyReport(p, D, reps, len(reps) == dim1)

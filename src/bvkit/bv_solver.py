@@ -14,11 +14,12 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .elimination import _echelon
-from .polynomial_engine import BasePolynomial, _combination, _poly, poly_to_str
+from .polynomial_engine import BasePolynomial, _combination, _number, _poly, poly_to_str
 from .graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     _add_into,
+    _bracket_pair,
     _weight_rows,
     dual_name,
     graded_to_str,
@@ -30,7 +31,6 @@ from .graded_algebra import (
 )
 from .antibracket import (
     _bracket_factors,
-    _bracket_pair,
     _is_even,
     antifield_lift,
     exp_ad,
@@ -212,6 +212,14 @@ def _residual_bracket(res: TateResolution, a: GradedPolynomial,
     return _bracket_pair(factors, v, cap)
 
 
+def _capped_square(res: TateResolution, S: GradedPolynomial,
+                   p: int) -> GradedPolynomial:
+    """[S, S] capped at max(p + 1, largest generator degree): a term of
+    count <= 1 has weight at most that degree, so this holds every term
+    that the solver's checks and ``verify_master``'s report read."""
+    return _residual_bracket(res, S, S, max((p + 1, *res.table._positive_degrees)))
+
+
 def _split_blocks(a: GradedPolynomial) -> dict:
     """Group terms by their positive-generator factor.
 
@@ -264,23 +272,20 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     residual is a boundary in the acyclic range, and half its negative
     lift is subtracted from S.
 
-    The full residual [S,S] is computed once, for the associated
-    solution.  It is then truncated to weight P = p_max + 1, the highest
-    weight any order reads, and after each correction v it is updated as
-    r <- r + [2S + v, v], computing only the terms of weight <= P: S
-    and v have ghost degree 0, so the bracket is bilinear and symmetric
-    on them and [S+v, S+v] - [S,S] = 2[S,v] + [v,v].
+    The residual of the associated solution is ``_capped_square``, and
+    the full [S,S] only if that is zero, so that "residual vanished" is
+    exact.  After the first order it is truncated to weight P = p_max +
+    1, the highest any order reads, and after each correction v it is
+    updated as r <- r + [2S + v, v], computing only the terms of weight
+    <= P: S and v have ghost degree 0, so the bracket is bilinear and
+    symmetric on them and [S+v, S+v] - [S,S] = 2[S,v] + [v,v].
 
     Each order scans the residual once: every term must carry at least
     two positive factors, ghost degree 1 and weight at least p+1, and
     the terms of weight p+1 form the slice.  The checks see every term
-    the solver computes, which after the first order means the terms of
-    weight <= P.  ``verify_master`` is the independent check of the
-    result: it recomputes from S alone the terms of [S,S] of count <= 1
-    and of weight <= P, the two parts its verdict reads.  "residual
-    vanished" is logged only for the associated solution, the one time
-    the full residual is at hand; a truncated residual without terms of
-    weight p+1 is logged as already lying in F^(p+2).
+    the solver computes.  ``verify_master`` recomputes the capped square
+    from S alone.  A residual without terms of weight p+1 is logged as
+    already lying in F^(p+2).
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
@@ -294,7 +299,7 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     low = truncate(S, 1)
     log = [f"associated solution: {len(S.terms)} terms"]
     cache: dict = {}
-    r = master_residual(res, S)
+    r = _capped_square(res, S, p_max) or master_residual(res, S)
     if r.is_zero():
         log.append("order 1: residual vanished")
         return MasterSolution(res, S, p_max, log)
@@ -348,7 +353,7 @@ def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
         raise ValueError(f"order p must be >= 0, got {p}")
     res = sol.resolution
     t, S = res.table, sol.S
-    r = _residual_bracket(res, S, S, max((p + 1, *t._positive_degrees)))
+    r = _capped_square(res, S, p)
     if any(t.count_of(m) <= 1 for m in r.terms):
         achieved = 0
     else:
@@ -421,14 +426,6 @@ def _matrix(rows, nrows: int, ncols: int, what: str, entry) -> list:
     if len(rows) != nrows or any(len(row) != ncols for row in rows):
         raise ValueError(f"{what} must be {nrows} x {ncols}")
     return [[entry(x) for x in row] for row in rows]
-
-
-def _number(x) -> Fraction:
-    """x read exactly: an int, a Fraction or numeric text; a float, or
-    anything else, raises ValueError."""
-    if isinstance(x, (int, Fraction, str)):
-        return Fraction(x)
-    raise ValueError(f"cannot read {type(x).__name__} {x!r} as an exact number")
 
 
 def _word(table: GeneratorTable, coeff, names: Sequence[str]) -> GradedPolynomial:

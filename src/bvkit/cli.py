@@ -445,6 +445,8 @@ def _cmd_e2(args):
     bound, pcols, depth, order = _resolve_options(
         spec, args, "bound", "pmax", "depth", "order")
     pcols = 1 if pcols is None else pcols
+    if pcols < 0:
+        raise ValueError(f"--pmax must be >= 0, got {pcols}")
     depth = pcols + 2 if depth is None else depth
     res = _build_from_spec(spec, depth, order)
     sol = solve_master(res, pcols + 1)

@@ -245,12 +245,7 @@ class GradedPolynomial:
         return _graded(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, BasePolynomial)):
-            other = GradedPolynomial.from_scalar(self.table, other)
-        self._check(other)
-        t = dict(self.terms)
-        _add_into(t, other.terms.items(), negate=True)
-        return _graded(self.table, t)
+        return self + -other
 
     def __pow__(self, k: int):
         """Repeated multiply, so a power of an odd generator above 1 is 0."""
@@ -475,28 +470,47 @@ def coordinate_derivative(a: GradedPolynomial, coord: str) -> GradedPolynomial:
     return _graded(a.table, out)
 
 
+def _bracket_pair(factors: list, b: GradedPolynomial,
+                  cap: Optional[int] = None) -> GradedPolynomial:
+    """The sum of each factor (rows, i, coord) times the left derivative
+    of b by generator i, or by coordinate coord if given: [a, b] for the
+    factors of ``antibracket._bracket_factors``, and ``odd_derivation``.
+
+    The left derivatives of b come from one scan of b, unchecked against
+    the factors' table.  With a cap, only the terms of weight <= cap are
+    computed: the result is truncate(sum, cap).
+    """
+    left = _derivatives(b)
+    out: dict = {}
+    for rows, i, coord in factors:
+        db = left.get(i) if coord is None else coordinate_derivative(b, coord)
+        if db:
+            _add_into(out, _products(b.table, rows,
+                                     _weight_rows(db, cap is not None), cap))
+    return _graded(b.table, out)
+
+
 def odd_derivation(table: GeneratorTable, images: dict):
     """Extend generator images (odd total degree shift) to a derivation.
 
     images maps generator names to GradedPolynomial values; unmapped
     generators and all coordinates are sent to zero.  D(a) = sum over g
-    of images[g] times the left derivative of a by g (_derivatives).  A
-    name that is not a generator of table raises here.
+    of images[g] times the left derivative of a by g (_bracket_pair).  A
+    name that is not a generator of table, or an image or argument over
+    another table, raises ValueError.
     """
-    items = []
+    factors = []
     for name, img in images.items():
         i = _generator_index(table, name)
+        if img.table != table:
+            raise ValueError("generator table mismatch")
         if img:
-            items.append((i, img))
+            factors.append((_weight_rows(img, False), i, None))
 
     def apply(a: GradedPolynomial) -> GradedPolynomial:
-        derivs = _derivatives(a)
-        out: dict = {}
-        for i, img in items:
-            d = derivs.get(i)
-            if d:
-                _add_into(out, multiply(img, d).terms.items())
-        return _graded(table, out)
+        if a.table != table:
+            raise ValueError("generator table mismatch")
+        return _bracket_pair(factors, a)
 
     return apply
 

@@ -69,7 +69,7 @@ class BasePolynomial:
         if terms:
             for e, c in terms.items():
                 if type(c) is not Fraction:
-                    c = Fraction(c)
+                    c = _number(c)
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean
@@ -83,7 +83,7 @@ class BasePolynomial:
 
     @classmethod
     def const(cls, vars: Sequence[str], c) -> "BasePolynomial":
-        c = Fraction(c)
+        c = _number(c)
         n = len(vars)
         return cls(vars, {(0,) * n: c} if c else {})
 
@@ -243,6 +243,14 @@ def _from_terms(vars: tuple, terms: dict) -> BasePolynomial:
     p = object.__new__(BasePolynomial)
     p.vars, p.terms, p._hash = vars, terms, None
     return p
+
+
+def _number(x) -> Fraction:
+    """x read exactly: an int, a Fraction or numeric text; a float, or
+    anything else, raises ValueError."""
+    if isinstance(x, (int, Fraction, str)):
+        return Fraction(x)
+    raise ValueError(f"cannot read {type(x).__name__} {x!r} as an exact number")
 
 
 def _poly(x, coords: Sequence[str]) -> BasePolynomial:
@@ -807,12 +815,13 @@ class GroebnerBasis:
     generators as rank-1 vectors.
     """
 
-    __slots__ = ("order", "elements", "generators", "matrix", "vars", "_engine", "_nf")
+    __slots__ = ("order", "elements", "generators", "gens", "matrix", "vars", "_engine", "_nf")
 
     def __init__(self, order: str, generators: Sequence[BasePolynomial],
                  vars: tuple, engine: "_Engine"):
         self.order = order
         self.generators = tuple(generators)
+        self.gens = _as_vectors(self.generators)
         self.vars = vars
         self._engine = engine
         self._nf: dict = {}   # exponent -> flat (d, exponent, numerator, ...) of its normal form
@@ -820,10 +829,6 @@ class GroebnerBasis:
                               for g, (_t, c) in zip(engine.basis, engine.lts))
         self.matrix = tuple(_mvec_to_vector(tr, len(generators), vars, c).components
                             for tr, (_t, c) in zip(engine.transforms, engine.lts))
-
-    @property
-    def gens(self) -> list:
-        return _as_vectors(self.generators)
 
     def __iter__(self):
         return iter(self.elements)

@@ -37,6 +37,7 @@ from bvkit.tate import _graded_monomials, build_resolution, negative_monomials
 from bvkit.bv_solver import solve_master, trivial_solution
 from bvkit import brst
 from bvkit.brst import (
+    CohomologyReport,
     SymmetryPresentation,
     e2_page,
     h0,
@@ -367,6 +368,16 @@ class TestH0:
         assert sorted(obj) == ["basis", "bound", "dim", "p", "stable"]
         assert obj["p"] == 0 and obj["dim"] == 2
         assert obj["basis"] == ["x^2 + y^2", "1"]
+
+
+    def test_report_reads_its_dimension_off_the_basis(self):
+        # dim was passed next to the basis, and could disagree with it
+        basis = [poly("1"), poly("x^2 + y^2")]
+        rep = CohomologyReport(0, 4, basis, True)
+        assert rep.dim == 2 and rep.to_json_obj()["dim"] == 2
+        assert repr(rep) == "CohomologyReport(p=0, bound=4, dim=2, stable=True)"
+        with pytest.raises(TypeError):
+            CohomologyReport(0, 4, 3, basis, True)
 
 
 class TestH1:

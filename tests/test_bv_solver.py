@@ -23,7 +23,7 @@ from bvkit.graded_algebra import (
     truncate,
 )
 from bvkit.antibracket import exp_ad
-from bvkit import antibracket, bv_solver
+from bvkit import bv_solver, graded_algebra
 from bvkit.brst import e2_page
 from bvkit.tate import (
     TateGenerator,
@@ -154,9 +154,11 @@ class TestSolveMaster:
         assert master_residual(res, sol.S).is_zero()
 
     def test_full_residual_computed_once(self, monkeypatch):
-        # later orders update the residual by [2S + v, v]; only the
-        # associated solution gets a full [S, S]
-        full, squares = [], []
+        # the associated solution's square is capped at max(p_max + 1,
+        # largest generator degree), as in verify_master; the full [S, S]
+        # is computed once, and only when that capped square vanishes, so
+        # that "residual vanished" is logged exactly
+        full, caps = [], []
         real_residual = bv_solver.master_residual
         real_pair = bv_solver._bracket_pair
 
@@ -165,16 +167,19 @@ class TestSolveMaster:
             return real_residual(res, S)
 
         def pair_spy(factors, b, cap=None):
-            if cap is None:
-                squares.append(len(b.terms))
+            caps.append(cap)
             return real_pair(factors, b, cap)
 
         monkeypatch.setattr(bv_solver, "master_residual", residual_spy)
         monkeypatch.setattr(bv_solver, "_bracket_pair", pair_spy)
-        sol = solve_master(circle(5), 4)
-        assert full == [len(s_lin(sol.resolution).terms)]
-        assert squares == full
-        assert verify_master(sol, 4).ok
+        sol = solve_master(circle(6), 3)
+        assert full == [] and caps == [6, 4]
+        assert verify_master(sol, 3).ok
+        caps.clear()
+        res = build_resolution(["x", "y"], s0="x^2 + y^2", depth=2)
+        sol = solve_master(res, 1)
+        assert full == [len(s_lin(res).terms)] and caps == [2, None]
+        assert sol.log[-1] == "order 1: residual vanished"
 
 
 def _reference_solve_master(res, p_max):
@@ -234,7 +239,9 @@ def test_capped_solver_matches_the_reference(case):
 
 
 def test_residual_updates_are_capped(monkeypatch):
-    # every update after a correction computes only weights <= p_max + 1
+    # the first residual computes only weights <= max(p_max + 1, largest
+    # generator degree) and every update after a correction only
+    # weights <= p_max + 1
     caps, weights = [], []
     real = bv_solver._residual_bracket
 
@@ -245,11 +252,13 @@ def test_residual_updates_are_capped(monkeypatch):
         return out
 
     monkeypatch.setattr(bv_solver, "_residual_bracket", spy)
-    sol = solve_master(circle_partials(6), 5)
-    assert caps[0] is None and len(caps) == 4
-    assert set(caps[1:]) == {6}
-    assert max(weights[1:]) <= 6
-    assert verify_master(sol, 5).ok
+    for p_max, want in ((5, [6, 6, 6, 6]), (3, [6, 4])):
+        caps.clear()
+        weights.clear()
+        sol = solve_master(circle_partials(6), p_max)
+        assert caps == want
+        assert all(w <= cap for w, cap in zip(weights, caps))
+        assert verify_master(sol, p_max).ok
 
 
 UPDATE_TABLES = {"s0": circle(3), "partials": circle_partials(3)}
@@ -359,16 +368,19 @@ class TestVerifyMaster:
         assert_same_report(rep, _reference_verify(sol, p))
 
     def test_square_is_built_from_the_half_factors(self, monkeypatch):
-        # every product the verify computes is capped, and S is even, so
-        # its capped square takes the half factors of S: one product per
-        # pair, doubled
+        # every product of the square the verify computes is capped, and S
+        # is even, so its capped square takes the half factors of S: one
+        # product per pair, doubled.  _products also serves multiply (for
+        # s_lin), so only the products made inside the square are read.
         sol = solve_master(circle(5), 4)
-        caps, halves = [], []
-        real_products = antibracket._products
+        caps, halves, inside = [], [], []
+        real_products = graded_algebra._products
         real_factors = bv_solver._bracket_factors
+        real_pair = bv_solver._bracket_pair
 
         def products_spy(table, rows_a, rows_b, cap):
-            caps.append(cap)
+            if inside:
+                caps.append(cap)
             return real_products(table, rows_a, rows_b, cap)
 
         def factors_spy(a, half=False):
@@ -376,10 +388,17 @@ class TestVerifyMaster:
                 halves.append(half)
             return real_factors(a, half)
 
-        monkeypatch.setattr(antibracket, "_products", products_spy)
+        def pair_spy(factors, b, cap=None):
+            inside.append(cap)
+            out = real_pair(factors, b, cap)
+            inside.pop()
+            return out
+
+        monkeypatch.setattr(graded_algebra, "_products", products_spy)
         monkeypatch.setattr(bv_solver, "_bracket_factors", factors_spy)
+        monkeypatch.setattr(bv_solver, "_bracket_pair", pair_spy)
         assert verify_master(sol, 4).ok
-        assert caps and None not in caps
+        assert caps and set(caps) == {5}
         assert halves == [True]
 
     @pytest.mark.parametrize("kind", ["s0", "partials"])

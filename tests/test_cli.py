@@ -254,6 +254,17 @@ class TestCommands:
         assert [c["dim"] for c in cols] == [2, 1]
         assert cols[1]["basis"] == ["(y^2)*b1"]
 
+    def test_brst_e2_negative_pmax_exits_2(self, circle_file, capsys):
+        # the column count was read after solving to pmax + 1 = 0, so the
+        # solver's "p_max must be at least 1" was reported
+        assert run_command(["brst", "e2", "--bound", "6", "--pmax", "-1",
+                            circle_file]) == 2
+        err = capsys.readouterr().err
+        assert "--pmax must be >= 0, got -1" in err and "p_max" not in err
+        assert run_command(["brst", "e2", "--bound", "6", "--pmax", "0",
+                            circle_file]) == 0
+        assert "E2 column 0 at bound 6: dim 2" in capsys.readouterr().out
+
     def test_lex_order_same_dimensions(self, circle_file, capsys):
         assert run_command(["brst", "h0", "--bound", "6", "--order", "lex",
                             circle_file]) == 0

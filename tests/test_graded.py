@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvkit.antibracket import _bracket_factors, _bracket_pair
+from bvkit.antibracket import _bracket_factors
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
     _add_into,
+    _bracket_pair,
     _derivatives,
+    _generator_index,
     _graded,
     _products,
     _weight_rows,
@@ -573,6 +575,62 @@ def test_unchecked_results_are_in_checked_form(a, b, P):
     results += list(_derivatives(a, right=True).values())
     for r in results:
         _assert_checked_form(r)
+
+
+# -- the Koszul-Tate derivation against the loop it replaced ----------
+
+
+def _reference_odd_derivation(table, images):
+    """The derivation before it ran on _bracket_pair: one scan of a for
+    its left derivatives, then each nonzero image multiplied by its
+    derivative and added in."""
+    items = []
+    for name, img in images.items():
+        i = _generator_index(table, name)
+        if img:
+            items.append((i, img))
+
+    def apply(a):
+        derivs = _derivatives(a)
+        out: dict = {}
+        for i, img in items:
+            d = derivs.get(i)
+            if d:
+                _add_into(out, multiply(img, d).terms.items())
+        return _graded(table, out)
+
+    return apply
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(TM.names), graded_polys(TM), max_size=4),
+       graded_polys(TM))
+def test_odd_derivation_matches_the_reference_loop(images, a):
+    got = odd_derivation(TM, images)(a)
+    assert got == _reference_odd_derivation(TM, images)(a)
+    _assert_checked_form(got)
+
+
+def test_odd_derivation_refuses_another_table():
+    t, other = table_xy(), table_mixed()
+    images = {"xs": sc(t, "x"), "ys": sc(t, "y^2")}
+    D, ref = odd_derivation(t, images), _reference_odd_derivation(t, images)
+    # an input with a derivative the images meet: both raise
+    a = multiply(sc(other, "x"), gen(other, "xs"))
+    for delta in (D, ref):
+        with pytest.raises(ValueError, match="generator table mismatch"):
+            delta(a)
+    # the reference returned 0 over t for an input it had nothing to pair
+    # with; the derivation now checks the input first
+    assert ref(sc(other, "x")).is_zero()
+    with pytest.raises(ValueError, match="generator table mismatch"):
+        D(sc(other, "x"))
+    # an image over another table raised when first paired; now when built
+    bad = {"xs": sc(other, "x")}
+    with pytest.raises(ValueError, match="generator table mismatch"):
+        _reference_odd_derivation(t, bad)(gen(t, "xs"))
+    with pytest.raises(ValueError, match="generator table mismatch"):
+        odd_derivation(t, bad)
 
 
 # -- one grammar: parse_graded against its former private parser ------

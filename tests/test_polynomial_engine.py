@@ -198,6 +198,20 @@ class TestLift:
         assert [str(c) for c in grown.lift(P("y^2", vars))] == ["y", "-x"]
 
 
+    def test_groebner_basis_builds_its_generator_vectors_once(self, monkeypatch):
+        # gens was a property that rebuilt and checked the vectors on each
+        # read, and a lift reads it several times
+        gb = groebner_basis(mk(VARS2, "x^2 + y", "x*y - 1"))
+        assert gb.gens is gb.gens
+        assert [v.components for v in gb.gens] == [(g,) for g in gb.generators]
+        calls = []
+        real = polynomial_engine._as_vectors
+        monkeypatch.setattr(polynomial_engine, "_as_vectors",
+                            lambda items: calls.append(items) or real(items))
+        assert gb.lift(P("x^3 + x*y", VARS2)) is not None
+        assert calls == []
+
+
 class TestAbsorb:
     def test_empty_basis_absorbs_the_first_nonzero_vector(self):
         vars = ("x", "y")
@@ -342,6 +356,19 @@ class TestCoefficients:
         assert p.terms == {(1, 0): Fraction(3), (0, 1): Fraction(-1, 2),
                            (1, 1): Fraction(2)}
         assert all(type(c) is Fraction for c in p.terms.values())
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, None])
+    def test_inexact_coefficients_refused(self, c):
+        # Fraction read the float 0.5 as an exact coefficient, and None
+        # raised TypeError
+        with pytest.raises(ValueError, match="as an exact number"):
+            BasePolynomial(VARS2, {(1, 0): c})
+        with pytest.raises(ValueError, match="as an exact number"):
+            BasePolynomial.const(VARS2, c)
+
+    def test_numeric_text_is_read_exactly(self):
+        assert BasePolynomial.const(VARS2, "0.1").terms == {(0, 0): Fraction(1, 10)}
+        assert BasePolynomial(VARS2, {(0, 1): "3/2"}).terms == {(0, 1): Fraction(3, 2)}
 
 
 class TestPolynomialInput:

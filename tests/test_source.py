@@ -86,10 +86,10 @@ def test_every_export_is_defined_in_the_package():
 
 def test_unchecked_graded_constructor_stays_in_the_kernel():
     # _graded skips the per-term checks of GradedPolynomial.__init__, so
-    # only the graded kernel and the bracket, whose results are built
-    # from terms already in checked form, may name it; anything that
-    # builds from outside input keeps the checked constructor
-    allowed = {"graded_algebra.py", "antibracket.py"}
+    # only the graded kernel, whose results (the bracket's among them)
+    # are built from terms already in checked form, may name it; anything
+    # that builds from outside input keeps the checked constructor
+    allowed = {"graded_algebra.py"}
     found = []
     for path in sorted(Path(bvkit.__file__).parent.glob("*.py")):
         for n in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -98,6 +98,28 @@ def test_unchecked_graded_constructor_stays_in_the_kernel():
             if "_graded" in named and path.name not in allowed:
                 found.append(f"{path.name}:{n.lineno}")
     assert found == []
+
+
+def test_only_the_pairing_loop_takes_generator_derivatives():
+    # the bracket and the Koszul-Tate derivation are odd derivations that
+    # pair fixed factors with the derivatives of their argument in one
+    # loop, _bracket_pair; it and _bracket_factors, which takes the
+    # bracket's factors, are the only readers of _derivatives, so a
+    # second pairing loop cannot come back
+    found = set()
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if scope is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name   # the top-level definition a name is in
+            if isinstance(child, ast.Name) and child.id == "_derivatives":
+                found.add(f"{path.name}:{scope}")
+            visit(child, inner, path)
+
+    for path in sorted(Path(bvkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), None, path)
+    assert found == {"antibracket.py:_bracket_factors", "graded_algebra.py:_bracket_pair"}
 
 
 def test_normal_form_memo_is_read_in_the_engine_only():
