@@ -212,12 +212,11 @@ def _residual_bracket(res: TateResolution, a: GradedPolynomial,
     return _bracket_pair(factors, v, cap)
 
 
-def _capped_square(res: TateResolution, S: GradedPolynomial,
-                   p: int) -> GradedPolynomial:
-    """[S, S] capped at max(p + 1, largest generator degree): a term of
-    count <= 1 has weight at most that degree, so this holds every term
+def _square_cap(res: TateResolution, p: int) -> int:
+    """max(p + 1, largest generator degree): a term of count <= 1 has
+    weight at most that degree, so [S, S] capped there holds every term
     that the solver's checks and ``verify_master``'s report read."""
-    return _residual_bracket(res, S, S, max((p + 1, *res.table._positive_degrees)))
+    return max((p + 1, *res.table._positive_degrees))
 
 
 def _split_blocks(a: GradedPolynomial) -> dict:
@@ -272,13 +271,16 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     residual is a boundary in the acyclic range, and half its negative
     lift is subtracted from S.
 
-    The residual of the associated solution is ``_capped_square``, and
-    the full [S,S] only if that is zero, so that "residual vanished" is
-    exact.  After the first order it is truncated to weight P = p_max +
-    1, the highest any order reads, and after each correction v it is
-    updated as r <- r + [2S + v, v], computing only the terms of weight
-    <= P: S and v have ghost degree 0, so the bracket is bilinear and
-    symmetric on them and [S+v, S+v] - [S,S] = 2[S,v] + [v,v].
+    The residual of the associated solution is [S,S] capped at
+    ``_square_cap``.  No term of [S,S] weighs more than twice the
+    largest weight of S, so when that is within the cap the capped
+    square is all of [S,S]; otherwise a zero capped square is followed
+    by the full one, so that "residual vanished" is exact.  After the
+    first order the residual is truncated to weight P = p_max + 1, the
+    highest any order reads, and after each correction v it is updated
+    as r <- r + [2S + v, v], computing only the terms of weight <= P: S
+    and v have ghost degree 0, so the bracket is bilinear and symmetric
+    on them and [S+v, S+v] - [S,S] = 2[S,v] + [v,v].
 
     Each order scans the residual once: every term must carry at least
     two positive factors, ghost degree 1 and weight at least p+1, and
@@ -299,7 +301,10 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     low = truncate(S, 1)
     log = [f"associated solution: {len(S.terms)} terms"]
     cache: dict = {}
-    r = _capped_square(res, S, p_max) or master_residual(res, S)
+    cap = _square_cap(res, p_max)
+    r = _residual_bracket(res, S, S, cap)
+    if not r and 2 * (S.max_weight() or 0) > cap:
+        r = master_residual(res, S)
     if r.is_zero():
         log.append("order 1: residual vanished")
         return MasterSolution(res, S, p_max, log)
@@ -353,7 +358,7 @@ def verify_master(sol: MasterSolution, p: int) -> VerifyReport:
         raise ValueError(f"order p must be >= 0, got {p}")
     res = sol.resolution
     t, S = res.table, sol.S
-    r = _capped_square(res, S, p)
+    r = _residual_bracket(res, S, S, _square_cap(res, p))
     if any(t.count_of(m) <= 1 for m in r.terms):
         achieved = 0
     else:

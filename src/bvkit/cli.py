@@ -448,6 +448,9 @@ def _cmd_e2(args):
     if pcols < 0:
         raise ValueError(f"--pmax must be >= 0, got {pcols}")
     depth = pcols + 2 if depth is None else depth
+    if depth < pcols + 2:
+        raise ValueError(f"--pmax {pcols} solves to order {pcols + 1}, which "
+                         f"needs --depth at least {pcols + 2}, got {depth}")
     res = _build_from_spec(spec, depth, order)
     sol = solve_master(res, pcols + 1)
     columns = [e2_page(sol, p, bound).to_json_obj() for p in range(pcols + 1)]

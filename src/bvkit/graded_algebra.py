@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from operator import add, mul
 from typing import Optional, Sequence
 
 from .polynomial_engine import (
     BasePolynomial,
     _Parser,
+    _from_terms,
     _poly,
     _tokenize,
     poly_to_str,
@@ -43,7 +45,8 @@ class GeneratorTable:
     """
 
     __slots__ = ("coordinates", "pairs", "names", "degrees", "parities",
-                 "index", "_positive_mask", "_positive_degrees", "_odd_idx")
+                 "index", "_positive_mask", "_positive_degrees", "_odd_idx",
+                 "_odd_bits")
 
     def __init__(self, coordinates: Sequence[str], pairs: Sequence[tuple] = ()):
         self.coordinates = tuple(coordinates)
@@ -79,6 +82,7 @@ class GeneratorTable:
         self._positive_mask = tuple(d > 0 for d in degrees)
         self._positive_degrees = tuple(d for d in degrees if d > 0)
         self._odd_idx = tuple(i for i, par in enumerate(self.parities) if par)
+        self._odd_bits = tuple(1 << k for k in range(len(self._odd_idx)))
 
     @property
     def ncoords(self) -> int:
@@ -258,9 +262,10 @@ class GradedPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return GradedPolynomial(self.table)
             c = Fraction(other)
-            return GradedPolynomial(self.table,
-                                    {m: co * c for m, co in self.terms.items()})
+            return _graded(self.table, {m: co * c for m, co in self.terms.items()})
         if isinstance(other, BasePolynomial):
             return GradedPolynomial(self.table,
                                     {m: co * other for m, co in self.terms.items()})
@@ -310,61 +315,110 @@ def _add_into(out: dict, terms, negate: bool = False) -> None:
             out[m] = c
 
 
-def _merge_sign(a: tuple, b: tuple, odd: tuple) -> int:
-    """Koszul sign exponent for reordering (a-block)(b-block) to canonical."""
-    total = 0
-    later = 0
-    for i in reversed(odd):
-        total += b[i] * later
-        later += a[i]
-    return total % 2
-
-
 def multiply(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
     """Graded-commutative product with Koszul signs; odd squares vanish."""
     if a.table != b.table:
         raise ValueError("generator table mismatch")
-    out: dict = {}
-    _add_into(out, _products(a.table, _weight_rows(a, False),
-                             _weight_rows(b, False), None))
-    return _graded(a.table, out)
+    acc: dict = {}
+    _products(_weight_rows(a, False), _weight_rows(b, False), None, acc)
+    return _collect(a.table, acc)
 
 
-def _weight_rows(a: GradedPolynomial, split: bool = True) -> list:
-    """The terms of a as (weight, its terms of that weight) by weight.
+def _weight_rows(a: GradedPolynomial, split: bool = True) -> "_WeightRows":
+    """The terms of a in the row form of _products, as (weight, rows) by
+    increasing weight; unsplit, all rows form one of weight 0 in the
+    order of a's terms.
 
-    Unsplit, all terms form one row of weight 0 in their own order.
+    A row is (monomial, A, PA, [(exponent, numerator, denominator)] of
+    its coefficient): bit k of A is set when the k-th odd generator of
+    the table is present, and bit k of PA when an odd number of the odd
+    generators after it are.  The rows are built when first iterated
+    and kept, so a bracket factor that meets no derivative is never
+    converted.
     """
-    if not split:
-        return [(0, a.terms.items())]
-    rows: dict = {}
-    weight = a.table.weight_of
-    for m, c in a.terms.items():
-        rows.setdefault(weight(m), {})[m] = c
-    return [(w, rows[w].items()) for w in sorted(rows)]
+    return _WeightRows(a, split)
 
 
-def _products(table: GeneratorTable, rows_a, rows_b, cap: Optional[int]):
-    """The signed products of two factors given as weight rows.
+class _WeightRows:
+    __slots__ = ("a", "split", "rows")
+
+    def __init__(self, a: GradedPolynomial, split: bool):
+        self.a, self.split, self.rows = a, split, None
+
+    def __iter__(self):
+        if self.rows is None:
+            table, split = self.a.table, self.split
+            bits, parities, weight = table._odd_bits, table.parities, table.weight_of
+            rows: dict = {}
+            for m, c in self.a.terms.items():
+                odd = above = sum(compress(bits, compress(m, parities)))
+                s = 1
+                while above >> s:
+                    above ^= above >> s
+                    s <<= 1
+                rows.setdefault(weight(m) if split else 0, []).append(
+                    (m, odd, above >> 1,
+                     [(e, *k.as_integer_ratio()) for e, k in c.terms.items()]))
+            self.rows = [(w, rows[w]) for w in sorted(rows)]
+            self.a = None
+        return iter(self.rows)
+
+
+def _products(rows_a, rows_b, cap: Optional[int], acc: dict) -> None:
+    """Add the signed products of two factors given as weight rows into
+    acc, {monomial: {exponent: (numerator, denominator)}}.
 
     Rows come in increasing weight, so once a pair of rows exceeds cap
-    the rest of rows_b is skipped without touching its terms.
+    the rest of rows_b is skipped without touching its terms.  A pair
+    sharing an odd generator (A & B) vanishes, and the product takes the
+    Koszul sign of moving b's odd generators past the a-generators above
+    them, the parity of PA & B.  Each sum keeps the lcm of the
+    denominators it adds, and an entry or monomial that sums to zero is
+    dropped, so a monomial sits where the running sum last became
+    nonzero, as adding the products one at a time would place it.
     """
-    odd = table._odd_idx
     for wa, terms_a in rows_a:
         for wb, terms_b in rows_b:
             if cap is not None and wa + wb > cap:
                 break
-            for ma, ca in terms_a:
-                for mb, cb in terms_b:
-                    for i in odd:
-                        if ma[i] + mb[i] > 1:
-                            break
-                    else:
-                        c = ca * cb
-                        if _merge_sign(ma, mb, odd):
-                            c = -c
-                        yield tuple(map(add, ma, mb)), c
+            for ma, oa, pa, ca in terms_a:
+                for mb, ob, _pb, cb in terms_b:
+                    if oa & ob:
+                        continue
+                    m = tuple(map(add, ma, mb))
+                    out = acc.get(m)
+                    if out is None:
+                        out = acc[m] = {}
+                    neg = (pa & ob).bit_count() & 1
+                    for ea, na, da in ca:
+                        if neg:
+                            na = -na
+                        for eb, nb, db in cb:
+                            e = tuple(map(add, ea, eb))
+                            n, d = na * nb, da * db
+                            s = out.get(e)
+                            if s is not None:
+                                k, q = s
+                                if q == d:
+                                    n += k
+                                else:
+                                    lcm = q // gcd(q, d) * d
+                                    n, d = k * (lcm // q) + n * (lcm // d), lcm
+                                if not n:
+                                    del out[e]
+                                    continue
+                            out[e] = n, d
+                    if not out:
+                        del acc[m]
+
+
+def _collect(table: GeneratorTable, acc: dict) -> GradedPolynomial:
+    """The graded polynomial of an accumulator of _products, built in
+    place: each sum n / d becomes Fraction(n, d)."""
+    coords = table.coordinates
+    for m, t in acc.items():
+        acc[m] = _from_terms(coords, {e: Fraction(n, d) for e, (n, d) in t.items()})
+    return _graded(table, acc)
 
 
 def gr_project(a: GradedPolynomial, p: int) -> GradedPolynomial:
@@ -481,13 +535,12 @@ def _bracket_pair(factors: list, b: GradedPolynomial,
     computed: the result is truncate(sum, cap).
     """
     left = _derivatives(b)
-    out: dict = {}
+    acc: dict = {}
     for rows, i, coord in factors:
         db = left.get(i) if coord is None else coordinate_derivative(b, coord)
         if db:
-            _add_into(out, _products(b.table, rows,
-                                     _weight_rows(db, cap is not None), cap))
-    return _graded(b.table, out)
+            _products(rows, _weight_rows(db, cap is not None), cap, acc)
+    return _collect(b.table, acc)
 
 
 def odd_derivation(table: GeneratorTable, images: dict):

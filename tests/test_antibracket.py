@@ -15,8 +15,7 @@ from bvkit.antibracket import (
 from bvkit.graded_algebra import (
     GeneratorTable,
     GradedPolynomial,
-    _add_into,
-    _graded,
+    _collect,
     _products,
     _weight_rows,
     multiply,
@@ -281,9 +280,9 @@ def test_capped_products_are_truncations(case):
     # weight is additive, so skipping every pair above the cap loses
     # exactly the terms that truncation drops and changes no other term
     a, b, cap = case
-    out: dict = {}
-    _add_into(out, _products(a.table, _weight_rows(a), _weight_rows(b), cap))
-    assert _graded(a.table, out) == truncate(multiply(a, b), cap)
+    acc: dict = {}
+    _products(_weight_rows(a), _weight_rows(b), cap, acc)
+    assert _collect(a.table, acc) == truncate(multiply(a, b), cap)
     assert _bracket_pair(_bracket_factors(a), b, cap) == truncate(
         bracket(a, b), cap)
 

@@ -156,8 +156,9 @@ class TestSolveMaster:
     def test_full_residual_computed_once(self, monkeypatch):
         # the associated solution's square is capped at max(p_max + 1,
         # largest generator degree), as in verify_master; the full [S, S]
-        # is computed once, and only when that capped square vanishes, so
-        # that "residual vanished" is logged exactly
+        # is computed once, and only when that capped square vanishes and
+        # twice the top weight of S exceeds the cap, so that "residual
+        # vanished" is logged exactly
         full, caps = [], []
         real_residual = bv_solver.master_residual
         real_pair = bv_solver._bracket_pair
@@ -176,10 +177,18 @@ class TestSolveMaster:
         assert full == [] and caps == [6, 4]
         assert verify_master(sol, 3).ok
         caps.clear()
+        # S = x^2 + y^2 has weight 0, so the cap 2 covers all of [S, S]
         res = build_resolution(["x", "y"], s0="x^2 + y^2", depth=2)
         sol = solve_master(res, 1)
-        assert full == [len(s_lin(res).terms)] and caps == [2, None]
+        assert full == [] and caps == [2]
         assert sol.log[-1] == "order 1: residual vanished"
+        # S has weight 3 and the cap is 3: [S, S] vanishes below weight 4
+        # only, and the full square shows it
+        caps.clear()
+        res = build_resolution(["x", "y"], s0="x^2*y^2", depth=3)
+        sol = solve_master(res, 1)
+        assert full == [len(s_lin(res).terms)] and caps == [3, None]
+        assert sol.log[-1] == "order 1: residual already in F^3"
 
 
 def _reference_solve_master(res, p_max):
@@ -378,10 +387,10 @@ class TestVerifyMaster:
         real_factors = bv_solver._bracket_factors
         real_pair = bv_solver._bracket_pair
 
-        def products_spy(table, rows_a, rows_b, cap):
+        def products_spy(rows_a, rows_b, cap, acc):
             if inside:
                 caps.append(cap)
-            return real_products(table, rows_a, rows_b, cap)
+            return real_products(rows_a, rows_b, cap, acc)
 
         def factors_spy(a, half=False):
             if a is sol.S:

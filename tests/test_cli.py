@@ -265,6 +265,18 @@ class TestCommands:
                             circle_file]) == 0
         assert "E2 column 0 at bound 6: dim 2" in capsys.readouterr().out
 
+    def test_brst_e2_shallow_depth_names_its_options(self, circle_file, capsys,
+                                                     monkeypatch):
+        # the solver's "need depth at least 3" for order 2 named neither
+        # option; the check runs before anything is built
+        built = []
+        monkeypatch.setattr(cli, "_build_from_spec", lambda *a: built.append(a))
+        assert run_command(["brst", "e2", "--bound", "6", "--pmax", "1",
+                            "--depth", "2", circle_file]) == 2
+        err = capsys.readouterr().err
+        assert "--depth at least 3, got 2" in err and "--pmax 1" in err
+        assert built == []
+
     def test_lex_order_same_dimensions(self, circle_file, capsys):
         assert run_command(["brst", "h0", "--bound", "6", "--order", "lex",
                             circle_file]) == 0

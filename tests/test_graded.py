@@ -13,6 +13,7 @@ from bvkit.graded_algebra import (
     GradedPolynomial,
     _add_into,
     _bracket_pair,
+    _collect,
     _derivatives,
     _generator_index,
     _graded,
@@ -36,6 +37,7 @@ from bvkit.polynomial_engine import (
     poly_to_str,
 )
 from reference_derivatives import left_derivative, right_derivative
+from reference_products import product_sum, products, weight_rows
 
 
 def table_xy():
@@ -497,23 +499,24 @@ def _reference_bracket_factors(a, half=False):
     for x, xs, da_dx, db_dx in pairs:
         da = da_dx(a, x)
         if da:
-            out.append((_weight_rows(da * 2 if half else da), left, xs))
+            out.append((weight_rows(da * 2 if half else da), left, xs))
         if half:
             continue
         ra = right(a, xs)
         if ra:
-            out.append((_weight_rows(-ra), db_dx, x))
+            out.append((weight_rows(-ra), db_dx, x))
     return out
 
 
 def _reference_bracket_pair(factors, b, cap=None):
-    """The pairing that took one per-name derivative of b per entry."""
+    """The pairing that took one per-name derivative of b per entry, on
+    the product kernel before the integer one."""
     out: dict = {}
     for rows, derivative, name in factors:
         db = derivative(b, name)
         if db:
-            _add_into(out, _products(b.table, rows,
-                                     _weight_rows(db, cap is not None), cap))
+            _add_into(out, products(b.table, rows,
+                                    weight_rows(db, cap is not None), cap))
     return GradedPolynomial(b.table, out)
 
 
@@ -558,14 +561,15 @@ def test_unchecked_results_are_in_checked_form(a, b, P):
     D = odd_derivation(TM, {"xs": sc(TM, "x"), "ys": sc(TM, "y^2 - 1"),
                             "gs1": b})
     K = odd_derivation(TM, {"xs": sc(TM, "x"), "ys": sc(TM, "y")})
-    cancelled = [a - a, a + (-a), K(K(a)),
+    cancelled = [a - a, a + (-a), K(K(a)), a * 0,
                  multiply(gen(TM, "b1"), gen(TM, "b1")),
                  left_derivative(gen(TM, "b1"), "xs")]
     assert all(r.is_zero() for r in cancelled)
     capped: dict = {}
-    _add_into(capped, _products(TM, _weight_rows(a), _weight_rows(b), P))
+    _products(_weight_rows(a), _weight_rows(b), P, capped)
     results = cancelled + [
-        a + b, a - b, -a, multiply(a, b), _graded(TM, capped), truncate(a, P),
+        a + b, a - b, -a, a * Fraction(-1, 2), multiply(a, b),
+        _collect(TM, capped), truncate(a, P),
         gr_project(a, P), left_derivative(a, "gs1"), right_derivative(a, "b1"),
         coordinate_derivative(a, "x"), D(a), K(a),
         _bracket_pair(_bracket_factors(a), b),
@@ -575,6 +579,45 @@ def test_unchecked_results_are_in_checked_form(a, b, P):
     results += list(_derivatives(a, right=True).values())
     for r in results:
         _assert_checked_form(r)
+
+
+# -- the integer product kernel against the loop it replaced ----------
+
+
+@st.composite
+def product_cases(draw, t):
+    """Factor pairs to add into one sum, with rational coefficients, and
+    a cap or none.  Often three more pairs add k times the first product
+    and then -(k + 1) times it, over other denominators, and bring its
+    monomials back after the sum has dropped them."""
+
+    def factor():
+        terms = draw(st.lists(monomials(t), min_size=1, max_size=3))
+        return sum((m * Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+                    for m in terms), GradedPolynomial.zero(t))
+
+    pairs = [(factor(), factor()) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        a, b = pairs[0]
+        k = Fraction(draw(st.integers(1, 3)), draw(st.integers(2, 4)))
+        pairs += [(a * k, b), (-a * (k + 1), b), (a, b * k)]
+    return pairs, draw(st.one_of(st.none(), st.integers(0, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases(TM))
+def test_products_match_the_reference_kernel(case):
+    # odd squares, Koszul signs, sums over unequal denominators and
+    # monomials that cancel and come back: equal term for term, in order
+    pairs, cap = case
+    acc: dict = {}
+    for a, b in pairs:
+        _products(_weight_rows(a, cap is not None), _weight_rows(b, cap is not None),
+                  cap, acc)
+    got = _collect(TM, acc)
+    ref = product_sum(TM, pairs, cap)
+    assert list(got.terms.items()) == list(ref.terms.items())
+    _assert_checked_form(got)
 
 
 # -- the Koszul-Tate derivation against the loop it replaced ----------
