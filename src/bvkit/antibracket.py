@@ -16,8 +16,6 @@ from .graded_algebra import (
     _add_into,
     _bracket_pair,
     _derivatives,
-    _weight_rows,
-    coordinate_derivative,
     dual_name,
     multiply,
     truncate,
@@ -47,34 +45,32 @@ def _is_even(a: GradedPolynomial) -> bool:
 
 
 def _bracket_factors(a: GradedPolynomial, half: bool = False) -> list:
-    """The nonzero derivatives of a that enter [a, -].
+    """The nonzero derivatives of a that enter [a, -], from one scan of a.
 
-    Each entry is (signed derivative of a as weight rows, i, x): it is
-    paired with the left derivative of b by generator i or, when i is
-    None, with the derivative of b by coordinate x.  Entries come in
-    bracket order; a subtracted product has its sign folded into the
-    derivative of a, and its terms are sorted by weight, here, once.
-    With half, only the first product of each pair enters, with its
-    derivative of a doubled.  Every generator derivative of a is a right
-    one, so one scan of a takes them all.
+    Each entry is (derivative of a as weight rows, i): it is paired with
+    the derivative of b by index i of ``_derivatives``, the left one by a
+    generator or the one by a coordinate.  Entries come in bracket order,
+    da/dx paired with db/dxs and then -(dr a/dxs) paired with db/dx, for
+    each coordinate x and each ghost x with its antifield xs; every
+    derivative of a is a right one, and the sign of a subtracted product
+    is the scale -1 of its derivative.  With half, only the first product
+    of each pair enters, with scale 2.
     """
     table = a.table
     index = table.index
-    right = _derivatives(a, right=True)
-    pairs = [(coordinate_derivative(a, c), index[dual_name(c)], None, c)
-             for c in table.coordinates]
-    pairs += [(right.get(index[g]), index[aname], index[g], None)
-              for aname, _deg, g in table.pairs]
-    out = []
-    for da, xs, x, coord in pairs:
-        if da:
-            out.append((_weight_rows(da * 2 if half else da), xs, None))
-        if half:
-            continue
-        ra = right.get(xs)
-        if ra:
-            out.append((_weight_rows(-ra), x, coord))
-    return out
+    n = len(table.names)
+    pairs = [(n + j, index[dual_name(c)]) for j, c in enumerate(table.coordinates)]
+    pairs += [(index[g], index[aname]) for aname, _deg, g in table.pairs]
+    entries = []
+    for x, xs in pairs:
+        entries.append((x, xs, 2 if half else 1))
+        if not half:
+            entries.append((xs, x, -1))
+    scales = [0] * (n + len(table.coordinates))
+    for i, _j, k in entries:
+        scales[i] = k
+    right = _derivatives(a, scales, right=True)
+    return [(right[i], j) for i, j, _k in entries if i in right]
 
 
 def exp_ad(u: GradedPolynomial, a: GradedPolynomial, P: int) -> GradedPolynomial:

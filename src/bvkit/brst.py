@@ -45,7 +45,6 @@ from .polynomial_engine import (
     syzygy_basis,
 )
 from .graded_algebra import GradedPolynomial, _bracket_pair, gr_project, graded_to_str
-from .antibracket import _bracket_factors
 from .tate import _graded_monomials
 
 __all__ = [
@@ -750,7 +749,7 @@ def h0_bracket(f, g, presentation: SymmetryPresentation) -> list:
 def _d1_decompose(dS: list, table, gb, gm: tuple, e: tuple, p: int) -> dict:
     """Page differential of x^e * ghost monomial, as {(ghost, exponent): c}.
 
-    ``dS`` holds the derivatives of S, ``_bracket_factors(S)``;
+    ``dS`` holds the derivatives of S, ``sol._factors()``;
     coefficients are those of the normal forms.
     """
     coeff = BasePolynomial(table.coordinates, {e: Fraction(1)})
@@ -786,7 +785,7 @@ def e2_page(sol, p: int, D: int) -> CohomologyReport:
     res = sol.resolution
     table = res.table
     gb = jacobian_ring(res.partials, res.order)
-    dS = _bracket_factors(sol.S)
+    dS = sol._factors()
     std = standard_monomials(gb, D + 2)
 
     def column(q, bound):

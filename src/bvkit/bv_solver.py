@@ -64,7 +64,7 @@ class MasterSolution:
     solution was produced.
     """
 
-    __slots__ = ("resolution", "S", "order", "log")
+    __slots__ = ("resolution", "S", "order", "log", "_dS")
 
     def __init__(self, resolution: TateResolution, S: GradedPolynomial,
                  order: int, log: Optional[list] = None):
@@ -72,6 +72,15 @@ class MasterSolution:
         self.S = S
         self.order = order
         self.log = list(log) if log else []
+        self._dS = None
+
+    def _factors(self) -> list:
+        """``_bracket_factors(S)``, built on first use and kept with the S
+        it was built from: every column of the E2 page pairs it with its
+        cochains."""
+        if self._dS is None or self._dS[0] is not self.S:
+            self._dS = self.S, _bracket_factors(self.S)
+        return self._dS[1]
 
     def to_json_obj(self) -> dict:
         return {
@@ -198,18 +207,22 @@ def _residual_bracket(res: TateResolution, a: GradedPolynomial,
 
     The added one-form term is linear in v, so (a, v) = (S, S) gives the
     residual of S and (a, v) = (2S + v, v) its change from S to S + v.
-    It enters the one bracket call as one more factor per partial, the
-    scalar 2 dS0/dx_i paired with the derivative by xs_i.  With a cap,
-    only the terms of weight <= cap are computed.  A square of an even a
-    is built from the half factors, as in ``bracket``.
+    With a cap, only the terms of weight <= cap are computed.  A square
+    of an even a is built from the half factors, as in ``bracket``.
     """
-    factors = _bracket_factors(a, a is v and _is_even(a))
-    if res.s0 is None:
-        t = res.table
-        factors += [(_weight_rows(GradedPolynomial.from_scalar(t, p * 2)),
-                     t.index[dual_name(c)], None)
-                    for c, p in zip(t.coordinates, res.partials) if not p.is_zero()]
+    factors = _bracket_factors(a, a is v and _is_even(a)) + _one_form_factors(res)
     return _bracket_pair(factors, v, cap)
+
+
+def _one_form_factors(res: TateResolution) -> list:
+    """For closed partials, the bracket factors of the missing S0 term:
+    the scalar 2 dS0/dx_i paired with the derivative by xs_i, one per
+    nonzero partial.  They enter every residual and every update."""
+    if res.s0 is not None:
+        return []
+    t = res.table
+    return [(_weight_rows(GradedPolynomial.from_scalar(t, p * 2)), t.index[dual_name(c)])
+            for c, p in zip(t.coordinates, res.partials) if not p.is_zero()]
 
 
 def _square_cap(res: TateResolution, p: int) -> int:
@@ -282,6 +295,16 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     and v have ghost degree 0, so the bracket is bilinear and symmetric
     on them and [S+v, S+v] - [S,S] = 2[S,v] + [v,v].
 
+    The bracket factors F of ``_bracket_factors`` are linear in their
+    argument, and ``_bracket_pair`` sums over a list of them, so the
+    factors of a sum are those of its parts listed together.  They are
+    kept across orders, with the one-form factors of closed partials:
+    F(2S) is taken once, from one scan of S; the first square reads its
+    entries paired with a dual or an antifield, which are the half
+    factors of S, since S of ghost degree 0 is even; and each order
+    takes the derivatives of v only, pairing F(2S + v) = F(2S) + F(v)
+    with v and keeping F(2S + 2v) = F(2S + v) + F(v).
+
     Each order scans the residual once: every term must carry at least
     two positive factors, ghost degree 1 and weight at least p+1, and
     the terms of weight p+1 form the slice.  The checks see every term
@@ -302,7 +325,9 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     log = [f"associated solution: {len(S.terms)} terms"]
     cache: dict = {}
     cap = _square_cap(res, p_max)
-    r = _residual_bracket(res, S, S, cap)
+    kept = _bracket_factors(S * 2) + _one_form_factors(res)
+    n = len(t.names)
+    r = _bracket_pair([f for f in kept if f[1] < n and t.degrees[f[1]] < 0], S, cap)
     if not r and 2 * (S.max_weight() or 0) > cap:
         r = master_residual(res, S)
     if r.is_zero():
@@ -331,7 +356,10 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
             continue
         blocks = _split_blocks(GradedPolynomial(t, rbar) * Fraction(-1, 2))
         v = _solve_layer(res, blocks, p, cache)
-        r = r + _residual_bracket(res, S * 2 + v, v, P)
+        fv = _bracket_factors(v)
+        kept += fv
+        r = r + _bracket_pair(kept, v, P)
+        kept += fv
         S = S + v
         if truncate(S, 1) != low:
             raise AssertionError("correction leaked into weight <= 1")

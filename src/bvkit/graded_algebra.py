@@ -17,7 +17,7 @@ surrogate for the completed algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd
 from operator import add, mul
 from typing import Optional, Sequence
@@ -46,7 +46,7 @@ class GeneratorTable:
 
     __slots__ = ("coordinates", "pairs", "names", "degrees", "parities",
                  "index", "_positive_mask", "_positive_degrees", "_odd_idx",
-                 "_odd_bits")
+                 "_bits")
 
     def __init__(self, coordinates: Sequence[str], pairs: Sequence[tuple] = ()):
         self.coordinates = tuple(coordinates)
@@ -82,7 +82,10 @@ class GeneratorTable:
         self._positive_mask = tuple(d > 0 for d in degrees)
         self._positive_degrees = tuple(d for d in degrees if d > 0)
         self._odd_idx = tuple(i for i, par in enumerate(self.parities) if par)
-        self._odd_bits = tuple(1 << k for k in range(len(self._odd_idx)))
+        # per generator, its bit in a term's odd mask: the k-th odd one has
+        # bit k, and an even one none
+        self._bits = tuple(par << k for k, par in zip(
+            accumulate(self.parities, initial=0), self.parities))
 
     @property
     def ncoords(self) -> int:
@@ -330,11 +333,9 @@ def _weight_rows(a: GradedPolynomial, split: bool = True) -> "_WeightRows":
     order of a's terms.
 
     A row is (monomial, A, PA, [(exponent, numerator, denominator)] of
-    its coefficient): bit k of A is set when the k-th odd generator of
-    the table is present, and bit k of PA when an odd number of the odd
-    generators after it are.  The rows are built when first iterated
-    and kept, so a bracket factor that meets no derivative is never
-    converted.
+    its coefficient), with the odd masks A and PA of _odd_masks.  The
+    rows are built when first iterated and kept, so an image of
+    ``odd_derivation`` that meets no derivative is never converted.
     """
     return _WeightRows(a, split)
 
@@ -348,20 +349,31 @@ class _WeightRows:
     def __iter__(self):
         if self.rows is None:
             table, split = self.a.table, self.split
-            bits, parities, weight = table._odd_bits, table.parities, table.weight_of
+            bits, weight = table._bits, table.weight_of
             rows: dict = {}
             for m, c in self.a.terms.items():
-                odd = above = sum(compress(bits, compress(m, parities)))
-                s = 1
-                while above >> s:
-                    above ^= above >> s
-                    s <<= 1
                 rows.setdefault(weight(m) if split else 0, []).append(
-                    (m, odd, above >> 1,
-                     [(e, *k.as_integer_ratio()) for e, k in c.terms.items()]))
+                    (m, *_odd_masks(bits, m), _ratios(c)))
             self.rows = [(w, rows[w]) for w in sorted(rows)]
             self.a = None
         return iter(self.rows)
+
+
+def _odd_masks(bits: tuple, m: tuple) -> tuple:
+    """(A, PA) of the row form: bit k of A is set when the k-th odd
+    generator is in m, and bit k of PA when an odd number of the odd
+    generators after it are (a suffix xor of A)."""
+    odd = above = sum(compress(bits, m))
+    s = 1
+    while above >> s:
+        above ^= above >> s
+        s <<= 1
+    return odd, above >> 1
+
+
+def _ratios(c: BasePolynomial) -> list:
+    """The coefficient c of a row, as [(exponent, numerator, denominator)]."""
+    return [(e, *k.as_integer_ratio()) for e, k in c.terms.items()]
 
 
 def _products(rows_a, rows_b, cap: Optional[int], acc: dict) -> None:
@@ -484,62 +496,96 @@ def _generator_index(table: GeneratorTable, name: str) -> int:
     return i
 
 
-def _derivatives(a: GradedPolynomial, right: bool = False) -> dict:
-    """Every nonzero left (or right) graded derivative of a, by generator
-    index, from one scan of its terms.
+def _derivatives(a: GradedPolynomial, scales: Sequence[int], right: bool = False,
+                 split: bool = True) -> dict:
+    """The nonzero derivatives of a that scales asks for, by index, each
+    as the weight rows of _products, from one scan of a's terms.
 
-    A term adds to the derivative by each generator it contains; an odd
-    generator picks up the sign of the odd factors it passes on its way
-    to the left or right end.  For a fixed index i, m -> m - e_i is
-    injective, so no two terms of a meet in one derivative and nothing
-    cancels.
+    Index i < n = len(table.names) is the left (or right) graded
+    derivative by generator i, and index n + j the derivative by
+    coordinate j.  The derivative by index i is multiplied by the integer
+    scales[i]; a scale of 0 skips the index.  Rows are those of
+    _weight_rows(derivative, split), term for term and in order, built
+    from the row of each term of a:
+
+    - dropping one factor of generator i lowers the weight by its
+      positive degree; an odd one, bit b of the term's odd mask A,
+      leaves the masks A ^ b and PA ^ (b - 1), and takes the sign of
+      the odd factors before it (left) or after it (right: bit b of PA);
+    - the exponent, that sign and the scale multiply each numerator,
+      reduced against its denominator.
+
+    For a fixed index, m -> m - e_i (or the exponent map of the
+    coordinate) is injective, so no two terms of a meet in one
+    derivative and nothing cancels.
     """
     table = a.table
-    parities = table.parities
-    odd = table._odd_idx
-    derivs: dict = {}
+    n = len(table.names)
+    bits, weight = table._bits, table.weight_of
+    degrees = table.degrees if split else (0,) * n
+    # an even generator has no bit, so no sign and no change of masks
+    gens = [(i, k, bits[i], max(bits[i] - 1, 0), max(degrees[i], 0))
+            for i, k in enumerate(scales[:n]) if k]
+    coords = [(n + j, j, k) for j, k in enumerate(scales[n:]) if k]
+    out: dict = {}
     for m, c in a.terms.items():
-        total = sum(m[j] for j in odd) if right else 0
-        before = 0
-        for i, e in enumerate(m):
+        A, PA = _odd_masks(bits, m)
+        w = weight(m) if split else 0
+        coeff = _ratios(c)
+        for i, k, b, below, deg in gens:
+            e = m[i]
             if e:
-                d = c if e == 1 else c * e
-                if parities[i]:
-                    if (total - before - 1 if right else before) % 2:
-                        d = -d
-                    before += 1
-                derivs.setdefault(i, {})[m[:i] + (e - 1,) + m[i + 1:]] = d
-    return {i: _graded(table, t) for i, t in derivs.items()}
+                k *= e
+                if PA & b if right else (A & below).bit_count() & 1:
+                    k = -k
+                out.setdefault(i, {}).setdefault(w - deg, []).append(
+                    (m[:i] + (e - 1,) + m[i + 1:], A ^ b, PA ^ below,
+                     _times(coeff, k)))
+        for i, j, k in coords:
+            dc = []
+            for x, num, den in coeff:
+                if x[j]:
+                    q = x[j] * k
+                    g = gcd(q, den)
+                    dc.append((x[:j] + (x[j] - 1,) + x[j + 1:], num * q // g, den // g))
+            if dc:
+                out.setdefault(i, {}).setdefault(w, []).append((m, A, PA, dc))
+    return {i: [(w, rows[w]) for w in sorted(rows)] for i, rows in out.items()}
 
 
-def coordinate_derivative(a: GradedPolynomial, coord: str) -> GradedPolynomial:
-    if coord not in a.table.coordinates:
-        raise ValueError(f"{coord!r} is not a coordinate of the table; "
-                         f"its coordinates are {list(a.table.coordinates)}")
-    out = {}
-    for m, c in a.terms.items():
-        d = c.derivative(coord)
-        if not d.is_zero():
-            out[m] = d
-    return _graded(a.table, out)
+def _times(coeff: list, k: int) -> list:
+    """A row coefficient times the integer k, kept in lowest terms: n / d
+    is reduced, so gcd(n * k, d) = gcd(k, d)."""
+    if k == 1:
+        return coeff
+    out = []
+    for e, num, den in coeff:
+        g = gcd(k, den)
+        out.append((e, num * k // g, den // g))
+    return out
 
 
 def _bracket_pair(factors: list, b: GradedPolynomial,
                   cap: Optional[int] = None) -> GradedPolynomial:
-    """The sum of each factor (rows, i, coord) times the left derivative
-    of b by generator i, or by coordinate coord if given: [a, b] for the
-    factors of ``antibracket._bracket_factors``, and ``odd_derivation``.
+    """The sum of each factor (rows, i) times the derivative of b by
+    index i of _derivatives, a left generator derivative or a coordinate
+    one: [a, b] for the factors of ``antibracket._bracket_factors``, and
+    ``odd_derivation``.
 
-    The left derivatives of b come from one scan of b, unchecked against
-    the factors' table.  With a cap, only the terms of weight <= cap are
-    computed: the result is truncate(sum, cap).
+    The derivatives of b come from one scan of b, which takes only the
+    indices the factors name, unchecked against the factors' table.
+    With a cap, only the terms of weight <= cap are computed: the result
+    is truncate(sum, cap).
     """
-    left = _derivatives(b)
+    scales = [0] * (len(b.table.names) + len(b.table.coordinates))
+    for _rows, i in factors:
+        scales[i] = 1
+    derivs = _derivatives(b, scales, split=cap is not None)
     acc: dict = {}
-    for rows, i, coord in factors:
-        db = left.get(i) if coord is None else coordinate_derivative(b, coord)
+    for rows, i in factors:
+        db = derivs.get(i)
         if db:
-            _products(rows, _weight_rows(db, cap is not None), cap, acc)
+            _products(rows, db, cap, acc)
     return _collect(b.table, acc)
 
 
@@ -558,7 +604,7 @@ def odd_derivation(table: GeneratorTable, images: dict):
         if img.table != table:
             raise ValueError("generator table mismatch")
         if img:
-            factors.append((_weight_rows(img, False), i, None))
+            factors.append((_weight_rows(img, False), i))
 
     def apply(a: GradedPolynomial) -> GradedPolynomial:
         if a.table != table:

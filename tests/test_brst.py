@@ -34,8 +34,8 @@ from bvkit.polynomial_engine import (
 from bvkit.graded_algebra import GradedPolynomial, gr_project, graded_to_str
 from bvkit.antibracket import _bracket_factors, bracket
 from bvkit.tate import _graded_monomials, build_resolution, negative_monomials
-from bvkit.bv_solver import solve_master, trivial_solution
-from bvkit import brst
+from bvkit.bv_solver import MasterSolution, solve_master, trivial_solution
+from bvkit import brst, bv_solver
 from bvkit.brst import (
     CohomologyReport,
     SymmetryPresentation,
@@ -1245,6 +1245,26 @@ class TestOneImageSetForBothBounds:
         assert nkeys > 0 and (nprev > 0) == (p > 0)
         assert len(decomposed) == nkeys + nprev
         assert len(set(decomposed)) == len(decomposed)
+
+    def test_e2_columns_share_the_factors_of_S(self, monkeypatch):
+        # the derivatives of S are taken on the first page of a solution
+        # and kept with it; a solution given another S takes them again
+        sol = solve_master(build_resolution(XY, s0="(x^2+y^2-1)^2/4", depth=4), p_max=3)
+        want = [e2_page(sol, p, 4).to_json_obj() for p in (0, 1)]
+        fresh = MasterSolution(sol.resolution, sol.S, sol.order)
+        taken = []
+        real = bv_solver._bracket_factors
+
+        def spy(a, half=False):
+            taken.append(a)
+            return real(a, half)
+
+        monkeypatch.setattr(bv_solver, "_bracket_factors", spy)
+        assert [e2_page(fresh, p, 4).to_json_obj() for p in (0, 1)] == want
+        assert taken == [sol.S]
+        fresh.S = sol.S + GradedPolynomial.zero(sol.resolution.table)
+        e2_page(fresh, 0, 4)
+        assert len(taken) == 2 and taken[1] is fresh.S
 
 
 def _reference_tau_images(pres, gb, exps):

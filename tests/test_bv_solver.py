@@ -252,15 +252,15 @@ def test_residual_updates_are_capped(monkeypatch):
     # generator degree) and every update after a correction only
     # weights <= p_max + 1
     caps, weights = [], []
-    real = bv_solver._residual_bracket
+    real = bv_solver._bracket_pair
 
-    def spy(res, a, v, cap=None):
-        out = real(res, a, v, cap)
+    def spy(factors, v, cap=None):
+        out = real(factors, v, cap)
         caps.append(cap)
         weights.append(out.max_weight() or 0)
         return out
 
-    monkeypatch.setattr(bv_solver, "_residual_bracket", spy)
+    monkeypatch.setattr(bv_solver, "_bracket_pair", spy)
     for p_max, want in ((5, [6, 6, 6, 6]), (3, [6, 4])):
         caps.clear()
         weights.clear()
@@ -268,6 +268,46 @@ def test_residual_updates_are_capped(monkeypatch):
         assert caps == want
         assert all(w <= cap for w, cap in zip(weights, caps))
         assert verify_master(sol, p_max).ok
+
+
+@pytest.mark.parametrize("kind", ["s0", "partials"])
+def test_kept_factors_give_the_residual_of_each_order(monkeypatch, kind):
+    # the solver takes the bracket factors of 2S once and then those of
+    # each correction v only; the residual it keeps, the first capped
+    # square truncated to P plus every update, must be the residual of S
+    # recomputed after each order (with the one-form term for partials)
+    res = circle(6) if kind == "s0" else circle_partials(6)
+    p_max = 5
+    P = p_max + 1
+    taken, brackets = [], []
+    real_factors, real_pair = bv_solver._bracket_factors, bv_solver._bracket_pair
+
+    def factors_spy(a, half=False):
+        taken.append(a)
+        return real_factors(a, half)
+
+    def pair_spy(factors, b, cap=None):
+        out = real_pair(factors, b, cap)
+        brackets.append((b, out))
+        return out
+
+    monkeypatch.setattr(bv_solver, "_bracket_factors", factors_spy)
+    monkeypatch.setattr(bv_solver, "_bracket_pair", pair_spy)
+    sol = solve_master(res, p_max)
+    monkeypatch.undo()
+    S = s_lin(res)
+    (first, r), *updates = brackets
+    assert first == S and taken[0] == S * 2
+    assert len(updates) >= 2
+    assert len(taken) == 1 + len(updates)
+    assert all(a is v for a, (v, _update) in zip(taken[1:], updates))
+    r = truncate(r, P)
+    assert r == truncate(master_residual(res, S), P)
+    for v, update in updates:
+        S = S + v
+        r = r + update
+        assert r == truncate(master_residual(res, S), P)
+    assert S == sol.S
 
 
 UPDATE_TABLES = {"s0": circle(3), "partials": circle_partials(3)}

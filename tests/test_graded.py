@@ -19,7 +19,6 @@ from bvkit.graded_algebra import (
     _graded,
     _products,
     _weight_rows,
-    coordinate_derivative,
     dual_name,
     graded_to_str,
     grading_data,
@@ -36,7 +35,12 @@ from bvkit.polynomial_engine import (
     _tokenize,
     poly_to_str,
 )
-from reference_derivatives import left_derivative, right_derivative
+from reference_derivatives import (
+    coordinate_derivative,
+    derivatives,
+    left_derivative,
+    right_derivative,
+)
 from reference_products import product_sum, products, weight_rows
 
 
@@ -524,13 +528,58 @@ def _reference_bracket_pair(factors, b, cap=None):
 @given(graded_polys(TM))
 def test_one_pass_derivatives_match_the_per_name_kernel(a):
     for right in (False, True):
-        derivs = _derivatives(a, right)
+        derivs = derivatives(a, right)
         for i, name in enumerate(TM.names):
             ref = _reference_derivative(a, name, right)
             got = derivs.get(i, GradedPolynomial.zero(TM))
             # equal term for term, in the same order
             assert list(got.terms.items()) == list(ref.terms.items())
             assert (i in derivs) == bool(ref)
+
+
+# -- row-form derivatives against the graded ones they replaced --------
+
+
+@st.composite
+def derivative_cases(draw, t):
+    """An operand with rational coefficients, a scale per derivative
+    index (generators, then coordinates; 0 skips the index), a side and
+    whether rows are split by weight."""
+    terms = draw(st.lists(monomials(t), min_size=1, max_size=4))
+    a = sum((m * Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 4)))
+             for m in terms), GradedPolynomial.zero(t))
+    width = len(t.names) + len(t.coordinates)
+    scales = draw(st.lists(st.sampled_from((0, 1, -1, 2)), min_size=width, max_size=width))
+    return a, scales, draw(st.booleans()), draw(st.booleans())
+
+
+def _masks_from_scratch(t, m):
+    """A and PA of a monomial, counted generator by generator."""
+    odd = [m[i] for i in t._odd_idx]
+    A = sum(1 << k for k, e in enumerate(odd) if e)
+    PA = sum(1 << k for k in range(len(odd)) if sum(odd[k + 1:]) % 2)
+    return A, PA
+
+
+@settings(max_examples=300, deadline=None)
+@given(derivative_cases(TM))
+def test_row_derivatives_match_the_graded_ones(case):
+    # each scaled derivative, left or right or by a coordinate, in the
+    # rows _weight_rows gives it: equal term for term and in order, with
+    # numerators and denominators in lowest terms and masks that match
+    # the ones counted from the derivative's own monomial
+    a, scales, right, split = case
+    n = len(TM.names)
+    graded = derivatives(a, right)
+    graded.update({n + j: coordinate_derivative(a, c) for j, c in enumerate(TM.coordinates)})
+    got = _derivatives(a, scales, right, split)
+    for i, k in enumerate(scales):
+        d = graded.get(i, GradedPolynomial.zero(TM)) * k
+        assert (i in got) == bool(d)
+        if d:
+            want = [(w, [(m, *_masks_from_scratch(TM, m), c) for m, _A, _PA, c in rows])
+                    for w, rows in _weight_rows(d, split)]
+            assert got[i] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -575,8 +624,8 @@ def test_unchecked_results_are_in_checked_form(a, b, P):
         _bracket_pair(_bracket_factors(a), b),
         _bracket_pair(_bracket_factors(a, True), a, P),
         _bracket_pair(_bracket_factors(a), a)]
-    results += list(_derivatives(a).values())
-    results += list(_derivatives(a, right=True).values())
+    results += list(derivatives(a).values())
+    results += list(derivatives(a, right=True).values())
     for r in results:
         _assert_checked_form(r)
 
@@ -634,7 +683,7 @@ def _reference_odd_derivation(table, images):
             items.append((i, img))
 
     def apply(a):
-        derivs = _derivatives(a)
+        derivs = derivatives(a)
         out: dict = {}
         for i, img in items:
             d = derivs.get(i)
