@@ -597,6 +597,22 @@ class _Engine:
     criteria leave them as they are; which elements are appended on the
     way, and so the tracked transforms, may differ.
 
+    With record, the build over the inputs given here keeps what
+    generates their syzygies (Schreyer 1980; Moller, Mora & Traverso,
+    ISSAC 1992) in syzygies: the tracked combination of each input or
+    S-pair that reduced to zero, an exact syzygy of the inputs since
+    the remainder is 0, and the pair (i, new) of each pair that the
+    product criterion drops, whose Koszul syzygy
+    basis[new] * transforms[i] - basis[i] * transforms[new] a reader
+    builds.  A pair whose remainder joins the basis gives the zero
+    syzygy over the inputs.  A pair that B_k, M or F drops needs nothing:
+    its leading-term syzygy is generated by those of the kept pairs and
+    the product pairs (Gebauer & Moller), and by Schreyer's theorem any
+    syzygies that lift a generating set of the leading-term syzygies
+    generate all syzygies of the basis.  Inputs inserted after the build
+    record nothing, since they are not among the inputs.  An engine
+    built without record keeps syzygies None and records nothing.
+
     Every coefficient is an int.  insert clears an input of its
     denominators, and basis[i] = transforms[i] . inputs holds exactly;
     each stored pair is divided by its joint content and signed so that
@@ -616,7 +632,7 @@ class _Engine:
     """
 
     def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
-                 order: str, split: int = 0, track: bool = False):
+                 order: str, split: int = 0, track: bool = False, record: bool = False):
         self.rank = rank
         self.nvars = nvars
         self.key = _term_key(order, split)
@@ -626,9 +642,12 @@ class _Engine:
         self.transforms: list = []   # parallel list of MVec over inputs
         self.pairs: list = []        # heap of (lcm degree, i, j, lcm)
         self.divisor: dict = {}      # term -> first lts index dividing it, or -1
+        self.zeros = [] if record else None
         for idx, v in enumerate(vectors):
             self.insert(v, idx)
         self.complete()
+        # later inputs (ModuleBasis.add) are not syzygies of these
+        self.syzygies, self.zeros = self.zeros, None
 
     # division of the int MVec vec by the current basis (skipping element
     # skip); returns (remainder, combination, d) with the combination an
@@ -725,6 +744,8 @@ class _Engine:
         """Reduce vec; append a nonzero remainder and update the pairs."""
         rem, tr, _d = self._divide(vec, tr)
         if not rem:
+            if self.zeros is not None and tr:
+                self.zeros.append(tr)
             return
         new = self.append(rem, tr)
         lts, pairs = self.lts, self.pairs
@@ -743,6 +764,8 @@ class _Engine:
                 lcm_e = _monomial_lcm(ei, en)
                 if self.rank == 1 and lcm_e == _monomial_mul(ei, en):
                     new_pairs[lcm_e] = -1
+                    if self.zeros is not None:
+                        self.zeros.append((i, new))
                 else:
                     new_pairs.setdefault(lcm_e, i)
         for lcm_e, i in new_pairs.items():
@@ -852,10 +875,13 @@ class ModuleBasis:
     two bases grown from the same generators in different steps agree
     on membership but may hand out different coefficients.  Generators
     may be BasePolynomial (rank 1) or ModuleVector of a common rank; an
-    empty list spans only the zero vector.
+    empty list spans only the zero vector.  A subclass that sets _record
+    keeps the syzygies of gens that the first build met (_Engine's
+    record); tate._Bounds, the one such subclass, hands them out.
     """
 
     __slots__ = ("order", "gens", "_engine")
+    _record = False
 
     def __init__(self, gens: Sequence = (), order: str = ORDER_GREVLEX):
         if order not in _ORDERS:
@@ -866,7 +892,7 @@ class ModuleBasis:
         if self.gens:
             self._engine = _Engine([_mvec_from_vector(v) for v in self.gens],
                                    rank=self.gens[0].rank, nvars=len(self.gens[0].vars),
-                                   order=order, track=True)
+                                   order=order, track=True, record=self._record)
 
     def add(self, v) -> None:
         """Append generator v; the basis grows by the new S-pairs only."""

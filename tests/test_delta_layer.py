@@ -25,6 +25,7 @@ from bvkit.polynomial_engine import (
     BasePolynomial,
     ModuleBasis,
     ModuleVector,
+    _combination,
     syzygy_basis,
 )
 from bvkit.tate import (
@@ -153,6 +154,16 @@ def _reference_check_acyclic(res, through):
     return entries
 
 
+def _reference_bounds(res, d):
+    """The reference stage loop's boundary basis at degree d, and the
+    ghost(-d) chain monomials it is written over."""
+    table, vars, delta = res.table, res.coordinates, res.gr_delta()
+    here = negative_monomials(table, d)
+    above = negative_monomials(table, d + 1)
+    cols = [c for c in _delta_columns(table, delta, above, here, vars) if not c.is_zero()]
+    return ModuleBasis(cols, res.order), here
+
+
 def _reference_unreached(layer, cycles):
     """_DeltaLayer.unreached's loop before ModuleBasis.absorb."""
     kept = []
@@ -243,10 +254,6 @@ def images(m):
     return [(k, terms(v)) for k, v in m.images.items()]
 
 
-def entries(rep):
-    return [(d, ok, None if w is None else terms(w)) for d, ok, w in rep]
-
-
 def without_last_generator(res):
     # the dropped generator's boundary comes back as an unreached cycle
     last = res.generators[-1]
@@ -279,17 +286,49 @@ def case(request):
     return coords, s0, depth, p_max, order
 
 
+def assert_same_verdicts(res, through):
+    # the verdict per degree is the reference's; the witness of a failing
+    # degree is a delta-cycle that the reference boundaries do not reach
+    # (check_acyclic reads its cycles off other generators than the
+    # reference's syzygy_basis, so the two witnesses may differ)
+    rep = check_acyclic(res, through)
+    want = _reference_check_acyclic(res, through)
+    assert [(d, ok) for d, ok, _w in rep.entries] == [(d, ok) for d, ok, _w in want]
+    delta = res.gr_delta()
+    for d, ok, w in rep.entries:
+        if ok:
+            assert w is None
+            continue
+        assert not w.is_zero() and delta(w).is_zero()
+        bounds, here = _reference_bounds(res, d)
+        assert bounds.lift(_vectorize(w, here, res.coordinates)) is None
+    return rep
+
+
 def test_builder_and_acyclicity_match_the_stage_loops(case):
     coords, s0, depth, _p, order = case
     res = build_resolution(coords, s0=s0, depth=depth, order=order)
     assert res.to_json() == _reference_build(coords, s0, depth, order).to_json()
-    assert (entries(check_acyclic(res, depth).entries)
-            == entries(_reference_check_acyclic(res, depth)))
+    assert assert_same_verdicts(res, depth).ok
     if res.generators:
-        broken = without_last_generator(res)
-        rep = check_acyclic(broken, depth)
-        assert not rep.ok
-        assert entries(rep.entries) == entries(_reference_check_acyclic(broken, depth))
+        assert not assert_same_verdicts(without_last_generator(res), depth).ok
+
+
+def test_recorded_cycles_span_the_syzygy_basis_per_layer(case):
+    # the cycles check_acyclic reads off each layer's boundary basis are
+    # cycles, and they generate every cycle syzygy_basis finds there
+    coords, s0, depth, _p, order = case
+    res = build_resolution(coords, s0=s0, depth=depth, order=order)
+    delta = res.gr_delta()
+    for d in range(depth):
+        layer = tate._CheckLayer(res.table, delta, d, order)
+        if not layer.above:
+            continue
+        cycles = layer.syzygies()
+        for z in cycles:
+            assert not z.is_zero() and _combination(z, layer.columns).is_zero()
+        span = ModuleBasis(cycles, order)
+        assert all(span.lift(z) is not None for z in syzygy_basis(layer.columns, order))
 
 
 def test_chain_maps_match_the_extension_lift(case, monkeypatch):

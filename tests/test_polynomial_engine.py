@@ -40,6 +40,7 @@ from bvkit.polynomial_engine import (
     poly_to_str,
     syzygy_basis,
 )
+from bvkit.tate import _Bounds
 from reference_elimination import (
     _dense_rref,
     _reference_nullspace,
@@ -544,6 +545,57 @@ def test_groebner_permutation_invariant(perm, gens):
         a = groebner_basis(gens)
         b = groebner_basis([gens[i] for i in perm])
     assert [str(g) for g in a] == [str(g) for g in b]
+
+
+def _syzygy_inputs(data, vars, rank):
+    """A list of 1-4 vectors of the rank: random ones, a pure power of one
+    variable plus a constant in one component (coprime leading terms in
+    rank 1), and, once the list is not empty, a copy of an earlier vector
+    or a combination of two (both reduce to zero when inserted)."""
+    poly = poly_strategy(vars, max_deg=2, max_terms=3)
+    zero = BasePolynomial.zero(vars)
+    gens = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        kinds = ["random", "power"] + (["copy", "combination"] if gens else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "random":
+            v = ModuleVector([data.draw(poly) for _ in range(rank)])
+        elif kind == "power":
+            x, k = data.draw(st.sampled_from(vars)), data.draw(st.integers(1, 3))
+            p = P(f"{x}^{k} + ({data.draw(st.integers(-2, 2))})", vars)
+            at = data.draw(st.integers(0, rank - 1))
+            v = ModuleVector([p if i == at else zero for i in range(rank)])
+        elif kind == "copy":
+            v = data.draw(st.sampled_from(gens))
+        else:
+            pick = st.sampled_from(gens)
+            v = _combination([data.draw(poly), data.draw(poly)], [data.draw(pick), data.draw(pick)])
+        gens.append(v)
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.sampled_from([VARS2, VARS3]),
+       st.integers(1, 2), st.data())
+def test_recorded_syzygies_generate_the_syzygy_module(order, vars, rank, data):
+    # what the first build of a recording basis reduced to zero, with the
+    # Koszul syzygies of the product-criterion pairs and a unit vector per
+    # zero generator (tate._DeltaLayer adds those), spans syzygy_basis
+    gens = _syzygy_inputs(data, vars, rank)
+    n = len(gens)
+    with _time_limit(gens):
+        basis = _Bounds(gens, order)
+        recorded = [_mvec_to_vector(m, n, vars, 1) for m in basis.syzygies()]
+        want = syzygy_basis(gens, order)
+    assert basis.syzygies() == []   # handed out once
+    for z in recorded:
+        assert not z.is_zero() and _combination(z, gens).is_zero()
+    one = BasePolynomial.const(vars, 1)
+    units = [ModuleVector([one if j == i else BasePolynomial.zero(vars) for j in range(n)])
+             for i, g in enumerate(gens) if g.is_zero()]
+    with _time_limit(gens):
+        span = ModuleBasis(recorded + units, order)
+        assert all(span.lift(z) is not None for z in want)
 
 
 @settings(max_examples=40, deadline=None)

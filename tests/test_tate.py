@@ -114,7 +114,9 @@ class TestCircle:
 
 class TestBasisReuse:
     def test_check_acyclic_builds_one_module_basis_per_degree(self, monkeypatch):
-        # syzygy_basis builds untracked engines; membership bases are tracked
+        # the boundary bases of layers 0 .. through are the only engines:
+        # each is tracked, and the cycles come from their records, so no
+        # untracked engine (a syzygy_basis run) is built
         res = circle(5)
         tracked = []
         real = polynomial_engine._Engine.__init__
@@ -124,8 +126,22 @@ class TestBasisReuse:
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(polynomial_engine._Engine, "__init__", spy)
+        for through in (1, 3, 5):
+            tracked.clear()
+            assert check_acyclic(res, through).ok
+            assert tracked == [True] * (through + 1)
+
+    def test_check_acyclic_never_calls_syzygy_basis(self, monkeypatch):
+        # a passing and a failing check; the builder, run first, still does
+        res, short = circle(5), build_resolution(["x", "y"], s0="x^2*y^2", depth=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_acyclic called syzygy_basis")
+
+        monkeypatch.setattr(polynomial_engine, "syzygy_basis", refuse)
+        monkeypatch.setattr(tate, "syzygy_basis", refuse)
         assert check_acyclic(res, 5).ok
-        assert sum(tracked) <= 5
+        assert not check_acyclic(short, 3).ok
 
     def test_check_acyclic_builds_each_layer_once(self, monkeypatch):
         # the layer that gives the boundaries at degree d is the map whose
@@ -162,6 +178,48 @@ class TestAcyclicityWitness:
         delta = broken.gr_delta()
         assert delta(w).is_zero()
         assert "bs1" in graded_to_str(w)
+
+    @staticmethod
+    def rescaled(w, want):
+        # w times the rational that makes one coefficient agree with want
+        m, b = next(iter(want.terms.items()))
+        e, c = next(iter(b.terms.items()))
+        return w * (c / w.terms[m].terms[e])
+
+    def test_missing_koszul_generator_fails_at_degree_one(self):
+        # without bs1, the circle's relation x*ys - y*xs among the duals
+        # is a cycle (an S-pair of the partials reducing to zero) that no
+        # boundary reaches
+        r = circle(2)
+        table = GeneratorTable(("x", "y"), ())
+        rep = check_acyclic(TateResolution(table, r.partials, [], 2, order=r.order), 2)
+        assert [(d, ok) for d, ok, _w in rep.entries] == [(1, False), (2, True)]
+        want = parse_graded("x*ys - y*xs", table)
+        assert self.rescaled(rep.witness(1), want) == want
+
+    def test_zero_column_cycle_fails_at_degree_one(self):
+        # S0 = x^2 over (x, y): delta(ys) = 0, so ys is a cycle, and only
+        # the dropped generator bs1 bounds it
+        r = build_resolution(["x", "y"], s0="x^2", depth=2)
+        assert delta_str(r, "bs1") == "(1)*ys"
+        table = GeneratorTable(("x", "y"), ())
+        rep = check_acyclic(TateResolution(table, r.partials, [], 2, order=r.order), 2)
+        assert [(d, ok) for d, ok, _w in rep.entries] == [(1, False), (2, True)]
+        assert rep.witness(1) == parse_graded("ys", table)
+
+    def test_product_criterion_cycle_fails_at_degree_two(self):
+        # S0 = 0 on the line with bs1 -> xs and bs2 -> x*xs: the columns
+        # x and 1 of layer 1 have coprime leading terms, so their one
+        # syzygy is the Koszul syzygy of the pair the product criterion
+        # drops, bs2 - x*bs1, and no degree -3 generator bounds it
+        table = GeneratorTable(("x",), (("bs1", -2, "b1"), ("bs2", -2, "b2")))
+        gens = [TateGenerator("bs1", -2, parse_graded("xs", table)),
+                TateGenerator("bs2", -2, parse_graded("x*xs", table))]
+        res = TateResolution(table, [BasePolynomial.zero(("x",))], gens, 3)
+        rep = check_acyclic(res, 3)
+        assert [(d, ok) for d, ok, _w in rep.entries] == [(1, True), (2, False), (3, True)]
+        want = parse_graded("bs2 - x*bs1", table)
+        assert self.rescaled(rep.witness(2), want) == want
 
     def test_report_repr(self):
         rep = check_acyclic(circle(2), 2)
