@@ -528,8 +528,7 @@ def _combination(coeffs: Iterable, gens: Sequence):
 # -- internal sparse vectors for the Buchberger engine -----------------
 #
 # An MVec is a dict {(position, exponent-tuple): coefficient}; inside the
-# engine every coefficient is an int.  Rank and the block split (for
-# elimination orders) travel separately.
+# engine every coefficient is an int.  The rank travels separately.
 
 
 def _mvec_from_vector(v: ModuleVector) -> dict:
@@ -555,22 +554,17 @@ def _mvec_add_into(out: dict, b: dict, factor: int, shift: tuple) -> None:
             del out[key]
 
 
-def _term_key(order: str, split: int):
+def _term_key(order: str):
     """Heap key on (pos, exp): the smaller key is the larger term.
 
-    Block 0 (pos < split) beats block 1, then the ring order, then the
-    earlier position; split <= 0 means a single block.  Keys are unique
+    The ring order decides, then the earlier position.  Keys are unique
     per term, so min, heap order and a reversed sort agree.
     """
     if order == ORDER_GREVLEX:
-        ring = lambda e: (-sum(e), e[::-1])
-    elif order == ORDER_LEX:
-        ring = lambda e: tuple([-x for x in e])
-    else:
-        raise ValueError(f"unknown monomial order {order!r}")
-    if split <= 0:
-        return lambda t: (ring(t[1]), t[0])
-    return lambda t: (t[0] >= split, ring(t[1]), t[0])
+        return lambda t: (-sum(t[1]), t[1][::-1], t[0])
+    if order == ORDER_LEX:
+        return lambda t: (tuple([-x for x in t[1]]), t[0])
+    raise ValueError(f"unknown monomial order {order!r}")
 
 
 class _Engine:
@@ -597,21 +591,22 @@ class _Engine:
     criteria leave them as they are; which elements are appended on the
     way, and so the tracked transforms, may differ.
 
-    With record, the build over the inputs given here keeps what
+    With record, a tracked build over the inputs given here keeps what
     generates their syzygies (Schreyer 1980; Moller, Mora & Traverso,
-    ISSAC 1992) in syzygies: the tracked combination of each input or
-    S-pair that reduced to zero, an exact syzygy of the inputs since
-    the remainder is 0, and the pair (i, new) of each pair that the
-    product criterion drops, whose Koszul syzygy
-    basis[new] * transforms[i] - basis[i] * transforms[new] a reader
-    builds.  A pair whose remainder joins the basis gives the zero
-    syzygy over the inputs.  A pair that B_k, M or F drops needs nothing:
-    its leading-term syzygy is generated by those of the kept pairs and
-    the product pairs (Gebauer & Moller), and by Schreyer's theorem any
-    syzygies that lift a generating set of the leading-term syzygies
-    generate all syzygies of the basis.  Inputs inserted after the build
-    record nothing, since they are not among the inputs.  An engine
-    built without record keeps syzygies None and records nothing.
+    ISSAC 1992) in syzygies: the unit vector of each empty input; the
+    tracked combination of each input or S-pair that reduced to zero, an
+    exact syzygy of the inputs since the remainder is 0; and the pair
+    (i, new) of each pair that the product criterion drops, whose Koszul
+    syzygy basis[new] * transforms[i] - basis[i] * transforms[new] the
+    one reader, ModuleBasis.syzygies, builds.  A pair whose remainder
+    joins the basis gives the zero syzygy over the inputs.  A pair that
+    B_k, M or F drops needs nothing: its leading-term syzygy is
+    generated by those of the kept pairs and the product pairs (Gebauer
+    & Moller), and by Schreyer's theorem any syzygies that lift a
+    generating set of the leading-term syzygies generate all syzygies of
+    the basis.  Inputs inserted after the build record nothing, since
+    they are not among the inputs.  An engine built without record keeps
+    syzygies None and records nothing.
 
     Every coefficient is an int.  insert clears an input of its
     denominators, and basis[i] = transforms[i] . inputs holds exactly;
@@ -621,21 +616,23 @@ class _Engine:
     rational multiple of what the same steps give over Q; callers divide
     by the leading coefficient, or by the d that _divide returns.
 
-    Division (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
-    sec. 2.3) keeps the pending terms in a heap on the term key, so each
-    term is keyed once.  divisor memoizes, per term (pos, exp), the index
-    of the first leading term that divides it, or -1; the reductions of
-    one build or of one ModuleBasis share it.  It is cleared whenever
-    the leading terms change (append, _select; the inter-reduction in
-    reduce_canonical keeps them); a division that skips an element
-    neither reads nor writes it.
+    Terms compare by the ring order, then by position (_term_key); no
+    block order splits the positions.  Division (Cox, Little & O'Shea,
+    Ideals, Varieties, and Algorithms, sec. 2.3) keeps the pending terms
+    in a heap on the term key, so each term is keyed once.  divisor
+    memoizes, per term (pos, exp), the index of the first leading term
+    that divides it, or -1; the reductions of one build or of one
+    ModuleBasis share it.  It is cleared whenever the leading terms
+    change (append, _select; the inter-reduction in reduce_canonical
+    keeps them); a division that skips an element neither reads nor
+    writes it.
     """
 
     def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
-                 order: str, split: int = 0, track: bool = False, record: bool = False):
+                 order: str, track: bool = False, record: bool = False):
         self.rank = rank
         self.nvars = nvars
-        self.key = _term_key(order, split)
+        self.key = _term_key(order)
         self.track = track
         self.basis: list = []        # list of MVec
         self.lts: list = []          # parallel list of leading (term, coeff)
@@ -717,10 +714,14 @@ class _Engine:
 
     def insert(self, vec: dict, idx: int) -> None:
         """Clear input number idx of denominators, reduce it into the basis
-        and queue its S-pairs."""
+        and queue its S-pairs; an empty input, while recording, is
+        recorded as its unit syzygy."""
+        one = (0,) * self.nvars
         if vec:
             vec, k = _cleared(vec)
-            self._add(vec, {(idx, (0,) * self.nvars): k} if self.track else None)
+            self._add(vec, {(idx, one): k} if self.track else None)
+        elif self.zeros is not None:
+            self.zeros.append({(idx, one): 1})
 
     def complete(self) -> None:
         """Reduce every queued S-pair: the basis is then a Groebner basis."""
@@ -875,15 +876,15 @@ class ModuleBasis:
     two bases grown from the same generators in different steps agree
     on membership but may hand out different coefficients.  Generators
     may be BasePolynomial (rank 1) or ModuleVector of a common rank; an
-    empty list spans only the zero vector.  A subclass that sets _record
-    keeps the syzygies of gens that the first build met (_Engine's
-    record); tate._Bounds, the one such subclass, hands them out.
+    empty list spans only the zero vector.  With record, the first build
+    keeps what generates the syzygies of gens (_Engine's record), and
+    syzygies() hands it out once; syzygy_basis and check_acyclic both
+    read their syzygies so.
     """
 
     __slots__ = ("order", "gens", "_engine")
-    _record = False
 
-    def __init__(self, gens: Sequence = (), order: str = ORDER_GREVLEX):
+    def __init__(self, gens: Sequence = (), order: str = ORDER_GREVLEX, record: bool = False):
         if order not in _ORDERS:
             raise ValueError(f"unknown monomial order {order!r}")
         self.order = order
@@ -892,7 +893,35 @@ class ModuleBasis:
         if self.gens:
             self._engine = _Engine([_mvec_from_vector(v) for v in self.gens],
                                    rank=self.gens[0].rank, nvars=len(self.gens[0].vars),
-                                   order=order, track=True, record=self._record)
+                                   order=order, track=True, record=record)
+
+    def syzygies(self) -> list:
+        """Generators of the syzygies of gens, as int MVecs over the
+        generator index, each divided by its content: the record of the
+        first build, with the Koszul syzygy of each product-criterion pair
+        built.  With the basis G = T . gens, every syzygy of gens is T
+        times a syzygy of G plus a combination of the gens that reduced
+        to zero on insertion (Cox, Little & O'Shea, Using Algebraic
+        Geometry, ch. 5 sec. 3).  The one reader of an engine's record,
+        which it releases, so a second call returns []; [] without
+        record."""
+        eng = self._engine
+        if eng is None or eng.syzygies is None:
+            return []
+        out = []
+        for rec in eng.syzygies:
+            if isinstance(rec, tuple):
+                i, j = rec
+                rec = {}
+                for k, other, f in ((i, j, 1), (j, i, -1)):
+                    for (_p, e), c in eng.basis[other].items():
+                        _mvec_add_into(rec, eng.transforms[k], f * c, e)
+                if not rec:
+                    continue
+            g = gcd(*rec.values())
+            out.append({k: c // g for k, c in rec.items()})
+        eng.syzygies = None
+        return out
 
     def add(self, v) -> None:
         """Append generator v; the basis grows by the new S-pairs only."""
@@ -1040,27 +1069,27 @@ def lift_membership(f, gens: Sequence, order: str = ORDER_GREVLEX):
 
 
 def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
-    """Generators of {c : sum(c_i * gens_i) = 0}, each verified.
+    """The reduced Groebner basis of {c : sum(c_i * gens_i) = 0}, each
+    element verified.
 
-    Computed from a Groebner basis of the graph vectors (g_i ; e_i) in
-    k[x]^(r+s) under a block order eliminating the first block: basis
-    elements supported purely in the tail block are syzygies.
+    A recording ModuleBasis of gens hands out generators of the module
+    (ModuleBasis.syzygies), and an untracked engine of rank len(gens)
+    reduces them.  Elimination on the graph vectors (g_i ; e_i), under
+    the block order that ranks the g part first, finds the same module
+    and orders its tail as _term_key orders rank len(gens); a reduced
+    basis is unique, so this is that elimination's basis, element for
+    element and in order.
     """
     vecs = _as_vectors(list(gens))
     if not vecs:
         raise ValueError("empty generator list")
-    rank, vars = vecs[0].rank, vecs[0].vars
-    s = len(vecs)
-    one = (0,) * len(vars)
-    graph = [{**_mvec_from_vector(v), (rank + i, one): 1} for i, v in enumerate(vecs)]
-    eng = _Engine(graph, rank=rank + s, nvars=len(vars), order=order, split=rank)
-    # an element led by the tail lies wholly in it, and only such elements reduce it
-    eng._select([i for i, ((pos, _e), _c) in enumerate(eng.lts) if pos >= rank])
+    s, vars = len(vecs), vecs[0].vars
+    eng = _Engine(ModuleBasis(vecs, order, record=True).syzygies(),
+                  rank=s, nvars=len(vars), order=order)
     eng.reduce_canonical()
     out = []
     for g, (_t, lc) in zip(eng.basis, eng.lts):
-        shifted = {(pos - rank, e): c for (pos, e), c in g.items()}
-        syz = _mvec_to_vector(shifted, s, vars, lc)
+        syz = _mvec_to_vector(g, s, vars, lc)
         if not _combination(syz, vecs).is_zero():
             raise AssertionError("syzygy failed verification")
         out.append(syz)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .graded_algebra import (
@@ -33,7 +32,6 @@ from .polynomial_engine import (
     ModuleVector,
     ORDER_GREVLEX,
     ORDER_LEX,
-    _mvec_add_into,
     _mvec_to_vector,
     _poly,
     lift_membership,  # noqa: F401  (bound here: the perfbench self-tests read tate.lift_membership)
@@ -252,71 +250,35 @@ def _graded_walk(gens: list, least: list, k: int, budget: int, m: list, out: lis
     m[idx] = 0
 
 
-class _Bounds(ModuleBasis):
-    """A ModuleBasis that keeps the syzygies of gens that its first build
-    met, and hands them out once.
-
-    With the basis G = T . gens so built, every syzygy of gens is T times
-    a syzygy of G plus a combination of the gens that reduced to zero on
-    insertion (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 5
-    sec. 3), and the engine's record (_Engine) holds generators of both.
-    """
-
-    __slots__ = ()
-    _record = True
-
-    def syzygies(self) -> list:
-        """Generators of the syzygies of gens, as int MVecs over the
-        generator index, each divided by its content: every input and
-        S-pair of the first build that reduced to zero, and the Koszul
-        syzygy of each product-criterion pair.  The record is released,
-        so a second call returns []."""
-        eng = self._engine
-        if eng is None or eng.syzygies is None:
-            return []
-        out = []
-        for rec in eng.syzygies:
-            if isinstance(rec, tuple):
-                i, j = rec
-                rec = {}
-                for k, other, f in ((i, j, 1), (j, i, -1)):
-                    for (_p, e), c in eng.basis[other].items():
-                        _mvec_add_into(rec, eng.transforms[k], f * c, e)
-                if not rec:
-                    continue
-            g = gcd(*rec.values())
-            out.append({k: c // g for k, c in rec.items()})
-        eng.syzygies = None
-        return out
-
-
 class _DeltaLayer:
     """delta from the ghost(-d-1) chains onto the ghost(-d) chains, as a
     map of free modules over the coordinate ring.
 
     ``here`` and ``above`` list the ghost(-d) and ghost(-d-1) chain
     monomials, and ``columns`` holds delta of each monomial of ``above``
-    written over ``here``.  ``bounds`` is the ModuleBasis of the nonzero
-    columns, built on first use, so a layer read only for its columns
-    costs no Groebner basis.  lift(a) returns a chain c with
-    delta(c) = a, or None.
+    written over ``here``.  ``bounds`` is the ModuleBasis of the columns,
+    built on first use, so a layer read only for its columns costs no
+    Groebner basis; a zero column is never used in a reduction, so it
+    takes coefficient 0 in every lift.  lift(a) returns a chain c with
+    delta(c) = a, or None.  With record, ``bounds`` keeps the syzygies of
+    the columns that its first build met, so the layer that gives the
+    boundaries at degree d also gives the cycles at d + 1 (syzygies).
     """
 
-    _basis = ModuleBasis   # the type of ``bounds``
-
-    def __init__(self, table: GeneratorTable, delta, d: int, order: str):
+    def __init__(self, table: GeneratorTable, delta, d: int, order: str,
+                 record: bool = False):
         self.table = table
         self.order = order
+        self.record = record
         self.here = negative_monomials(table, d)
         self.above = negative_monomials(table, d + 1)
         self._index = {m: i for i, m in enumerate(self.here)}
         self.columns = [self.vector(delta(GradedPolynomial.monomial(table, m, 1)))
                         for m in self.above]
-        self._reach = [m for m, c in zip(self.above, self.columns) if not c.is_zero()]
 
     @cached_property
     def bounds(self) -> ModuleBasis:
-        return self._basis([c for c in self.columns if not c.is_zero()], self.order)
+        return ModuleBasis(self.columns, self.order, self.record)
 
     def vector(self, a: GradedPolynomial) -> ModuleVector:
         """a, a ghost(-d) chain, as its coefficient vector over ``here``."""
@@ -331,7 +293,7 @@ class _DeltaLayer:
         c = self.bounds.lift(self.vector(a))
         if c is None:
             return None
-        return GradedPolynomial(self.table, dict(zip(self._reach, c)))
+        return GradedPolynomial(self.table, dict(zip(self.above, c)))
 
     def unreached(self, cycles: Sequence[ModuleVector]) -> list:
         """The cycles, as chains, that neither the boundaries nor an earlier
@@ -339,26 +301,13 @@ class _DeltaLayer:
         return [GradedPolynomial(self.table, dict(zip(self.here, z)))
                 for z in self.bounds.absorb(cycles)]
 
-
-class _CheckLayer(_DeltaLayer):
-    """A layer of check_acyclic: ``bounds`` is a _Bounds, which keeps the
-    syzygies of the columns that its first build met, so the layer that
-    gives the boundaries at degree d also gives the cycles at d + 1."""
-
-    _basis = _Bounds
-
     def syzygies(self) -> list:
         """Generators of the kernel of ``columns``, the cycles among the
-        ghost(-d-1) chains, as vectors over ``above``: a unit vector for
-        each zero column, then the syzygies that the first build of
-        ``bounds`` recorded (_Bounds.syzygies), which are released."""
-        one = (0,) * len(self.table.coordinates)
-        reach = [i for i, c in enumerate(self.columns) if not c.is_zero()]
-        vecs = [{(i, one): 1} for i, c in enumerate(self.columns) if c.is_zero()]
-        vecs += [{(reach[k], e): c for (k, e), c in syz.items()}
-                 for syz in self.bounds.syzygies()]
+        ghost(-d-1) chains, as vectors over ``above``: what the first
+        build of a recording ``bounds`` met (ModuleBasis.syzygies), which
+        is released; [] without record."""
         return [_mvec_to_vector(v, len(self.above), self.table.coordinates, 1)
-                for v in vecs]
+                for v in self.bounds.syzygies()]
 
 
 def _delta_images(table: GeneratorTable, partials: Sequence[BasePolynomial],
@@ -470,25 +419,30 @@ def check_acyclic(res: TateResolution, through: int) -> AcyclicityReport:
 
     The cycles at degree d are the syzygies of layer d - 1's columns,
     read off the tracked basis of those columns that the check builds
-    for the boundaries at degree d - 1 anyway (_CheckLayer.syzygies):
-    the combinations that reduced to zero in its first build, the
-    Koszul syzygies of the pairs the product criterion skipped, and a
-    unit vector per zero column (Schreyer).  So no second Groebner basis
-    runs, and no cycle comes from the builder's syzygy_basis.  These
-    generate the cycle module, so degree d is exact exactly when the
-    boundaries reach each of them; the first that none reaches is the
-    witness, and each reach is a certificate that _combination checks.
+    for the boundaries at degree d - 1 anyway (_DeltaLayer.syzygies):
+    a unit vector per zero column, the combinations that reduced to zero
+    in its first build, and the Koszul syzygies of the pairs the product
+    criterion skipped (Schreyer).  So no second Groebner basis runs.
+    These generate the cycle module, so degree d is exact exactly when
+    the boundaries reach each of them; the first that none reaches is
+    the witness, and each reach is a certificate that _combination
+    checks.  The builder's syzygy_basis reduces the same engine record,
+    so the two share that record, and its completeness rests on the
+    tests, which hold it to an elimination on the graph vectors.
+    through < 1 raises ValueError.
     """
+    if through < 1:
+        raise ValueError("through must be >= 1")
     delta = res.gr_delta()
     entries = []
-    layer = _CheckLayer(res.table, delta, 0, res.order)
+    layer = _DeltaLayer(res.table, delta, 0, res.order, record=True)
     for d in range(1, through + 1):
         # each layer is read twice: for its boundaries at d - 1, then as
         # the map whose syzygies are the cycles at d; it is dropped before
         # the next layer builds its basis, and the last layer records
         # nothing, since its syzygies would be cycles past the window
         cycles = layer.syzygies()
-        layer = (_CheckLayer if d < through else _DeltaLayer)(res.table, delta, d, res.order)
+        layer = _DeltaLayer(res.table, delta, d, res.order, record=d < through)
         missed = layer.unreached(cycles) if cycles else []
         entries.append((d, not missed, missed[0] if missed else None))
     return AcyclicityReport(entries)

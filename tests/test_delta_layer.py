@@ -41,6 +41,7 @@ from bvkit.tate import (
     partner_name,
     stabilize,
 )
+from reference_syzygies import graph_syzygy_basis
 
 
 # -- the replaced bodies ----------------------------------------------
@@ -316,19 +317,23 @@ def test_builder_and_acyclicity_match_the_stage_loops(case):
 
 def test_recorded_cycles_span_the_syzygy_basis_per_layer(case):
     # the cycles check_acyclic reads off each layer's boundary basis are
-    # cycles, and they generate every cycle syzygy_basis finds there
+    # cycles, and they generate every cycle that elimination on the graph
+    # vectors finds there; syzygy_basis, which reduces the same record,
+    # is that elimination's basis exactly
     coords, s0, depth, _p, order = case
     res = build_resolution(coords, s0=s0, depth=depth, order=order)
     delta = res.gr_delta()
     for d in range(depth):
-        layer = tate._CheckLayer(res.table, delta, d, order)
+        layer = tate._DeltaLayer(res.table, delta, d, order, record=True)
         if not layer.above:
             continue
         cycles = layer.syzygies()
         for z in cycles:
             assert not z.is_zero() and _combination(z, layer.columns).is_zero()
+        want = graph_syzygy_basis(layer.columns, order)
+        assert syzygy_basis(layer.columns, order) == want
         span = ModuleBasis(cycles, order)
-        assert all(span.lift(z) is not None for z in syzygy_basis(layer.columns, order))
+        assert all(span.lift(z) is not None for z in want)
 
 
 def test_chain_maps_match_the_extension_lift(case, monkeypatch):

@@ -27,10 +27,8 @@ from bvkit.polynomial_engine import (
     _monomial_mul,
     _monomial_nf,
     _mvec_add_into,
-    _mvec_from_vector,
     _mvec_to_vector,
     _poly,
-    _term_key,
     ModuleBasis,
     ModuleVector,
     groebner_basis,
@@ -40,7 +38,6 @@ from bvkit.polynomial_engine import (
     poly_to_str,
     syzygy_basis,
 )
-from bvkit.tate import _Bounds
 from reference_elimination import (
     _dense_rref,
     _reference_nullspace,
@@ -49,6 +46,7 @@ from reference_elimination import (
     _rref_of,
     _typed,
 )
+from reference_syzygies import _FractionEngine, graph_syzygy_basis
 
 P = BasePolynomial.parse
 
@@ -281,14 +279,14 @@ class TestCertificateChecks:
             groebner_basis(mk(VARS2, *self.GENS))
 
     def test_syzygy_basis_rejects_a_non_syzygy(self, monkeypatch):
-        # the syzygy (-y, x) of (x, y) becomes (1 - y, x)
+        # the second engine, the only one syzygy_basis reduces, holds the
+        # syzygy (-y, x) of (x, y); it becomes (-y, x + 1)
         reduce = _Engine.reduce_canonical
 
         def corrupt(eng):
             reduce(eng)
             for g in eng.basis:
-                if all(pos >= 1 for pos, _e in g):
-                    g[(1, (0, 0))] = g.get((1, (0, 0)), 0) + 1
+                g[(1, (0, 0))] = g.get((1, (0, 0)), 0) + 1
 
         monkeypatch.setattr(_Engine, "reduce_canonical", corrupt)
         with pytest.raises(AssertionError, match="syzygy failed verification"):
@@ -312,7 +310,8 @@ def test_engine_coefficients_are_ints(monkeypatch):
     assert [str(c) for c in basis.lift(P("x^2/6 - x*y/9", VARS2))] == ["1/3*x", "0", "0"]
     groebner_basis(gens)
     syzygy_basis(gens)
-    assert [eng.track for eng in engines] == [True, True, False]
+    # syzygy_basis builds a tracked, recording basis and an untracked one
+    assert [eng.track for eng in engines] == [True, True, True, False]
     for eng in engines:
         assert eng.basis
         for vec, tr, (_t, lc) in zip(eng.basis, eng.transforms, eng.lts):
@@ -548,17 +547,20 @@ def test_groebner_permutation_invariant(perm, gens):
 
 
 def _syzygy_inputs(data, vars, rank):
-    """A list of 1-4 vectors of the rank: random ones, a pure power of one
-    variable plus a constant in one component (coprime leading terms in
-    rank 1), and, once the list is not empty, a copy of an earlier vector
-    or a combination of two (both reduce to zero when inserted)."""
+    """A list of 1-4 vectors of the rank: random ones, zero ones, a pure
+    power of one variable plus a constant in one component (coprime
+    leading terms in rank 1), and, once the list is not empty, a copy of
+    an earlier vector or a combination of two (both reduce to zero when
+    inserted)."""
     poly = poly_strategy(vars, max_deg=2, max_terms=3)
     zero = BasePolynomial.zero(vars)
     gens = []
     for _ in range(data.draw(st.integers(1, 4))):
-        kinds = ["random", "power"] + (["copy", "combination"] if gens else [])
+        kinds = ["random", "zero", "power"] + (["copy", "combination"] if gens else [])
         kind = data.draw(st.sampled_from(kinds))
-        if kind == "random":
+        if kind == "zero":
+            v = ModuleVector([zero] * rank)
+        elif kind == "random":
             v = ModuleVector([data.draw(poly) for _ in range(rank)])
         elif kind == "power":
             x, k = data.draw(st.sampled_from(vars)), data.draw(st.integers(1, 3))
@@ -578,24 +580,40 @@ def _syzygy_inputs(data, vars, rank):
 @given(st.sampled_from(["grevlex", "lex"]), st.sampled_from([VARS2, VARS3]),
        st.integers(1, 2), st.data())
 def test_recorded_syzygies_generate_the_syzygy_module(order, vars, rank, data):
-    # what the first build of a recording basis reduced to zero, with the
-    # Koszul syzygies of the product-criterion pairs and a unit vector per
-    # zero generator (tate._DeltaLayer adds those), spans syzygy_basis
+    # what the first build of a recording basis met: a unit vector per
+    # zero generator, what reduced to zero, and the Koszul syzygies of
+    # the product-criterion pairs, spans the syzygies that elimination on
+    # the graph vectors finds.  A generator added after the build, as
+    # check_acyclic adds the cycles it keeps before it reads the record,
+    # records nothing: every record lies over the first n generators.
     gens = _syzygy_inputs(data, vars, rank)
     n = len(gens)
     with _time_limit(gens):
-        basis = _Bounds(gens, order)
+        basis = ModuleBasis(gens, order, record=True)
+        basis.add(data.draw(st.sampled_from(gens)))
         recorded = [_mvec_to_vector(m, n, vars, 1) for m in basis.syzygies()]
-        want = syzygy_basis(gens, order)
+        want = graph_syzygy_basis(gens, order)
     assert basis.syzygies() == []   # handed out once
     for z in recorded:
         assert not z.is_zero() and _combination(z, gens).is_zero()
-    one = BasePolynomial.const(vars, 1)
-    units = [ModuleVector([one if j == i else BasePolynomial.zero(vars) for j in range(n)])
-             for i, g in enumerate(gens) if g.is_zero()]
     with _time_limit(gens):
-        span = ModuleBasis(recorded + units, order)
+        span = ModuleBasis(recorded, order)
         assert all(span.lift(z) is not None for z in want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.sampled_from([VARS2, VARS3]),
+       st.integers(1, 2), st.data())
+def test_syzygy_basis_matches_the_graph_reference(order, vars, rank, data):
+    # a reduced Groebner basis is unique, so the reduced basis of the
+    # recorded syzygies is the tail of the graph-vector elimination,
+    # element for element and in order
+    gens = _syzygy_inputs(data, vars, rank)
+    with _time_limit(gens):
+        got = syzygy_basis(gens, order)
+        want = graph_syzygy_basis(gens, order)
+    assert got == want
+    assert [repr(z) for z in got] == [repr(z) for z in want]
 
 
 @settings(max_examples=40, deadline=None)
@@ -860,14 +878,14 @@ def test_module_basis_agrees_with_lift_membership(order, rank, data):
             assert _reference_combination(coeffs, gens) == f
 
 
-def _scan_key(order, split):
-    """Key the reference maximizes: block 0 (pos < split), then the ring
-    order, then the earlier position."""
+def _scan_key(order):
+    """Key the reference maximizes: the ring order, then the earlier
+    position."""
     ring = monomial_key(order)
 
     def key(t):
         pos, e = t
-        return (1 if (split > 0 and pos < split) else 0, ring(e), -pos)
+        return (ring(e), -pos)
     return key
 
 
@@ -910,24 +928,23 @@ def _over(m, d):
 @given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
        st.booleans(), st.data())
 def test_heap_division_matches_the_scan_reference(order, rank, track, build, data):
-    split = data.draw(st.integers(0, rank - 1))
     vec = st.lists(poly_strategy(VARS2, max_deg=2, max_terms=3),
                    min_size=rank, max_size=rank).map(_mvec)
     gens = data.draw(st.lists(vec, min_size=1, max_size=3))
     if build:
         # a Groebner basis, sometimes reordered by reduce_canonical
         with _time_limit(gens):
-            eng = _Engine(gens, rank, 2, order, split=split, track=track)
+            eng = _Engine(gens, rank, 2, order, track=track)
         if data.draw(st.booleans()):
             eng.reduce_canonical()
     else:
         # any list of leading terms: division needs no Groebner property
-        eng = _Engine([], rank, 2, order, split=split, track=track)
+        eng = _Engine([], rank, 2, order, track=track)
         for i, g in enumerate(gens):
             if g:
                 g, k = _cleared(g)
                 eng.append(g, {(i, (0, 0)): k} if track else None)
-    key = _scan_key(order, split)
+    key = _scan_key(order)
     for f in data.draw(st.lists(vec, min_size=1, max_size=4)):
         # the engine divides ints; the reference divides the same ints as
         # Fractions, so the two agree once the engine's scale d is divided out
@@ -939,233 +956,6 @@ def test_heap_division_matches_the_scan_reference(order, rank, track, build, dat
             assert all(type(c) is int for m in (rem, got or {}) for c in m.values())
             want = _scan_divide(eng, key, _over(f, 1), _over(comb, 1), skip)
             assert (_over(rem, d), _over(got, d)) == want
-
-
-def _mvec_scale(a, factor):
-    if factor == 1:
-        return a
-    return {k: c * factor for k, c in a.items()}
-
-
-def _mvec_leading(m, key):
-    k = min(m, key=key)
-    return k, m[k]
-
-
-class _FractionEngine:
-    """The Buchberger engine before it worked over the ints: every
-    coefficient a Fraction, every stored element as division leaves it,
-    the reduced basis made monic.  Reference for _Engine.  Its pair
-    update is the Gebauer-Moller UPDATE as Becker and Weispfenning write
-    it (Groebner Bases, 1993, sec. 5.5), loop by loop, with the new
-    pairs visited from the last element down, so that of the pairs of
-    one lcm the one with the first element is kept, as in _Engine.
-
-    Buchberger over k[x]^rank with tracked transformations.
-
-    basis[i] is an MVec and lts[i] its leading ((pos, exp), coeff).
-    Tracking expresses basis[i] as transforms[i], an MVec of
-    combinations of the inputs (position = input index), enough to hand
-    out membership certificates.  Inputs may arrive after the build:
-    insert() queues the new S-pairs and complete() works them off.
-
-    Division (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
-    sec. 2.3) keeps the pending terms in a heap on the term key, so each
-    term is keyed once.  divisor memoizes, per term (pos, exp), the index
-    of the first leading term that divides it, or -1; the reductions of
-    one build or of one ModuleBasis share it.  It is cleared whenever
-    lts changes (append, _select, the inter-reduction in
-    reduce_canonical); a division that skips an element neither reads
-    nor writes it.
-    """
-
-    def __init__(self, vectors: Sequence[dict], rank: int, nvars: int,
-                 order: str, split: int = 0, track: bool = False):
-        self.rank = rank
-        self.nvars = nvars
-        self.key = _term_key(order, split)
-        self.track = track
-        self.basis: list = []        # list of MVec
-        self.lts: list = []          # parallel list of leading (term, coeff)
-        self.transforms: list = []   # parallel list of MVec over inputs
-        self.pairs: list = []        # heap of (lcm degree, i, j)
-        self.divisor: dict = {}      # term -> first lts index dividing it, or -1
-        for idx, v in enumerate(vectors):
-            self.insert(v, idx)
-        self.complete()
-
-    # division of vec by current basis (skipping element skip); returns
-    # (remainder, combination) where combination is an MVec over the
-    # inputs (None if not tracking).  The largest pending term is reduced
-    # by the first leading term dividing it; a step adds only terms below
-    # the one it cancels, so a popped term that is gone from vec is stale.
-    def _divide(self, vec: dict, comb: Optional[dict], skip: int = -1) -> tuple:
-        rem: dict = {}
-        vec = dict(vec)
-        if comb is not None:
-            comb = dict(comb)
-        key = self.key
-        lts = self.lts
-        memo = self.divisor if skip < 0 else None
-        heap = [(key(t), t) for t in vec]
-        heapq.heapify(heap)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            t = pop(heap)[1]
-            c = vec.get(t)
-            if c is None:
-                continue
-            i = None if memo is None else memo.get(t)
-            if i is None:
-                pos, e = t
-                for i, ((p2, e2), _c2) in enumerate(lts):
-                    if p2 == pos and i != skip and _monomial_divides(e2, e):
-                        break
-                else:
-                    i = -1
-                if memo is not None:
-                    memo[t] = i
-            if i < 0:
-                rem[t] = c
-                del vec[t]
-                continue
-            (_p, e2), c2 = lts[i]
-            shift = _monomial_div(t[1], e2)
-            factor = -c / c2
-            for (p, eb), cb in self.basis[i].items():
-                k = (p, _monomial_mul(eb, shift))
-                s = vec.get(k)
-                if s is None:
-                    vec[k] = factor * cb
-                    push(heap, (key(k), k))
-                else:
-                    s += factor * cb
-                    if s:
-                        vec[k] = s
-                    else:
-                        del vec[k]
-            if comb is not None:
-                _mvec_add_into(comb, self.transforms[i], factor, shift)
-        return rem, comb
-
-    def insert(self, vec: dict, idx: int) -> None:
-        """Reduce input number idx into the basis and queue its S-pairs."""
-        if vec:
-            tr = {(idx, (0,) * self.nvars): Fraction(1)} if self.track else None
-            self._add(vec, tr)
-
-    def complete(self) -> None:
-        """Reduce every queued S-pair: the basis is then a Groebner basis."""
-        while self.pairs:
-            # normal selection: minimal lcm degree, then discovery order
-            _, i, j = heapq.heappop(self.pairs)
-            (_pi, ei), ci = self.lts[i]
-            (_pj, ej), cj = self.lts[j]
-            lcm = _monomial_lcm(ei, ej)
-            si = _monomial_div(lcm, ei)
-            sj = _monomial_div(lcm, ej)
-            s: dict = {}
-            _mvec_add_into(s, self.basis[i], Fraction(1) / ci, si)
-            _mvec_add_into(s, self.basis[j], Fraction(-1) / cj, sj)
-            tr = None
-            if self.track:
-                tr = {}
-                _mvec_add_into(tr, self.transforms[i], Fraction(1) / ci, si)
-                _mvec_add_into(tr, self.transforms[j], Fraction(-1) / cj, sj)
-            self._add(s, tr)
-
-    def _lcm(self, i, j):
-        return _monomial_lcm(self.lts[i][0][1], self.lts[j][0][1])
-
-    def _coprime(self, i, j):
-        # the product criterion, for the rank-1 ring case only
-        return self.rank == 1 and self._lcm(i, j) == _monomial_mul(self.lts[i][0][1],
-                                                                   self.lts[j][0][1])
-
-    def _add(self, vec: dict, tr: Optional[dict]) -> None:
-        rem, tr = self._divide(vec, tr)
-        if not rem:
-            return
-        h = self.append(rem, tr)
-        pn, en = self.lts[h][0]
-        # C: the new pairs, within h's component
-        C = [g for g in reversed(range(h)) if self.lts[g][0][0] == pn]
-        D = []
-        while C:
-            g1 = C.pop(0)
-            lcm1 = self._lcm(h, g1)
-            if self._coprime(h, g1) or not any(
-                    _monomial_divides(self._lcm(h, g2), lcm1) for g2 in C + D):
-                D.append(g1)
-        E = [g for g in D if not self._coprime(h, g)]
-        B = []
-        for p in self.pairs:
-            _, g1, g2 = p
-            lcm12 = self._lcm(g1, g2)
-            if (self.lts[g1][0][0] != pn or not _monomial_divides(en, lcm12)
-                    or self._lcm(g1, h) == lcm12 or self._lcm(h, g2) == lcm12):
-                B.append(p)
-        self.pairs = B + [(sum(self._lcm(g, h)), g, h) for g in E]
-        heapq.heapify(self.pairs)
-
-    def append(self, vec: dict, tr: Optional[dict]) -> int:
-        """Store vec as the next basis element, without pairs; its index."""
-        self.basis.append(vec)
-        self.lts.append(_mvec_leading(vec, self.key))
-        self.divisor.clear()
-        self.transforms.append(tr)
-        return len(self.basis) - 1
-
-    def reduce_canonical(self) -> None:
-        """Minimalize, inter-reduce, normalize monic, sort by leading term."""
-        # minimalize: drop elements whose LT is divisible by another LT
-        items = range(len(self.basis))
-        keep = []
-        for i in items:
-            pi, ei = self.lts[i][0]
-            dominated = False
-            for j in items:
-                if i == j:
-                    continue
-                pj, ej = self.lts[j][0]
-                if pj == pi and _monomial_divides(ej, ei):
-                    if ej != ei or j < i:
-                        dominated = True
-                        break
-            if not dominated:
-                keep.append(i)
-        self._select(keep)
-        # inter-reduce tails to fixpoint
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self.basis)):
-                rem, tr = self._divide(
-                    self.basis[i], self.transforms[i] if self.track else None, skip=i)
-                if rem != self.basis[i]:
-                    changed = True
-                    if not rem:
-                        self._select([j for j in range(len(self.basis)) if j != i])
-                        break
-                    self.basis[i] = rem
-                    self.lts[i] = _mvec_leading(rem, self.key)
-                    self.divisor.clear()
-                    self.transforms[i] = tr
-        # monic + canonical sort
-        for i, g in enumerate(self.basis):
-            inv = Fraction(1) / self.lts[i][1]
-            self.basis[i] = _mvec_scale(g, inv)
-            self.lts[i] = (self.lts[i][0], Fraction(1))
-            if self.track:
-                self.transforms[i] = _mvec_scale(self.transforms[i], inv)
-        self._select(sorted(range(len(self.basis)),
-                            key=lambda i: self.key(self.lts[i][0]), reverse=True))
-
-    def _select(self, idx: list) -> None:
-        self.basis = [self.basis[i] for i in idx]
-        self.lts = [self.lts[i] for i in idx]
-        self.transforms = [self.transforms[i] for i in idx]
-        self.divisor.clear()
 
 
 def _monic(eng, i, tr=False):
@@ -1187,6 +977,17 @@ def _logging(cls):
     return Logging
 
 
+def _second_build_inputs(gens, order):
+    """The inputs of syzygy_basis's second build on the vectors gens
+    (lists of polynomials over VARS2): the syzygies that a recording
+    ModuleBasis of them hands out, as lists of rank len(gens); gens
+    itself when there are none."""
+    n = len(gens)
+    with _time_limit(gens):
+        record = ModuleBasis([ModuleVector(g) for g in gens], order, record=True).syzygies()
+    return [list(_mvec_to_vector(m, n, VARS2, 1)) for m in record] or gens
+
+
 @st.composite
 def shared_factor_vectors(draw, rank):
     """Three or four vectors of the given rank over VARS2 whose entries in
@@ -1194,8 +995,8 @@ def shared_factor_vectors(draw, rank):
     monomials of degree <= 2 with small coefficients.  On about a third
     of them B_k drops a pending pair, and on about a fifth F keeps one
     pair of an lcm over the others, so a reference without either
-    criterion reduces other pairs.  A shared x*y made some lex graph
-    builds run for minutes."""
+    criterion reduces other pairs.  A shared x*y made some lex builds on
+    the graph vectors (g_i ; e_i) run for minutes."""
     mono = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
         lambda e: _clamp_degree(e, 2))
     cofactor = st.dictionaries(mono, st.sampled_from([1, -1, 2, -2, 3]),
@@ -1209,20 +1010,14 @@ def shared_factor_vectors(draw, rank):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
        st.booleans(), st.data())
-def test_integer_engine_matches_the_fraction_reference(order, rank, track, graph, data):
+def test_integer_engine_matches_the_fraction_reference(order, rank, track, second, data):
     poly = poly_strategy(VARS2, max_deg=2, max_terms=3)
     gens = data.draw(st.one_of(
         st.lists(st.lists(poly, min_size=rank, max_size=rank), min_size=1, max_size=3),
         shared_factor_vectors(rank)))
-    split = 0
-    if graph:
-        # the graph vectors (g_i ; e_i) of syzygy_basis, under its block
-        # order: the reduced elements in the tail block are the syzygies
-        one = P("1", VARS2)
-        zero = one * 0
-        gens = [g + [one if j == i else zero for j in range(len(gens))]
-                for i, g in enumerate(gens)]
-        split, rank = rank, rank + len(gens)
+    if second:
+        gens = _second_build_inputs(gens, order)
+        rank = len(gens[0])
     vectors = [ModuleVector(g) for g in gens]
     mults = data.draw(st.lists(poly_strategy(VARS2, max_deg=1, max_terms=2),
                                min_size=len(gens), max_size=len(gens)))
@@ -1230,8 +1025,8 @@ def test_integer_engine_matches_the_fraction_reference(order, rank, track, graph
     others = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank), max_size=2))
     mvecs = [_mvec(g) for g in gens]
     with _time_limit(vectors):
-        ref = _logging(_FractionEngine)(mvecs, rank, 2, order, split=split, track=track)
-        eng = _logging(_Engine)(mvecs, rank, 2, order, split=split, track=track)
+        ref = _logging(_FractionEngine)(mvecs, rank, 2, order, track=track)
+        eng = _logging(_Engine)(mvecs, rank, 2, order, track=track)
     # the same pairs are reduced in the same order
     assert eng.log == ref.log
     for reduced in (False, True):
@@ -1274,7 +1069,9 @@ def test_criteria_cases_match_the_fraction_reference(order, gens):
 class _PlainEngine(_Engine):
     """_Engine before the Gebauer-Moller update: every pair of one
     component is queued, and the product criterion, rank 1 only, is
-    checked as a pair is taken.  Reference for the criteria."""
+    checked as a pair is taken.  Reference for the criteria.  While
+    recording it keeps, as _Engine does, each zero reduction and each
+    pair that the product criterion drops."""
 
     def complete(self) -> None:
         pairs = self.pairs
@@ -1286,6 +1083,8 @@ class _PlainEngine(_Engine):
             lcm_e = _monomial_lcm(ei, ej)
             # product criterion (rank-1 ring case only; not valid in modules)
             if self.rank == 1 and lcm_e == _monomial_mul(ei, ej):
+                if self.zeros is not None:
+                    self.zeros.append((i, j))
                 continue
             g = gcd(ci, cj)
             s: dict = {}
@@ -1300,6 +1099,8 @@ class _PlainEngine(_Engine):
     def _add(self, vec: dict, tr: Optional[dict]) -> None:
         rem, tr, _d = self._divide(vec, tr)
         if not rem:
+            if self.zeros is not None and tr:
+                self.zeros.append(tr)
             return
         new = self.append(rem, tr)
         pn, en = self.lts[new][0]
@@ -1331,28 +1132,23 @@ def _reductions(cls, run) -> tuple:
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(), st.data())
 def test_criteria_change_no_reduced_basis_normal_form_syzygy_or_membership(order, rank,
-                                                                          graph, data):
+                                                                          second, data):
     poly = poly_strategy(VARS2, max_deg=2, max_terms=3)
     gens = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank),
                               min_size=1, max_size=3))
+    if second:
+        gens = _second_build_inputs(gens, order)
+        rank = len(gens[0])
     vectors = [ModuleVector(g) for g in gens]
-    split, width = 0, rank
-    if graph:
-        # the graph vectors of syzygy_basis under its block order
-        one = P("1", VARS2)
-        gens = [g + [one if j == i else one * 0 for j in range(len(gens))]
-                for i, g in enumerate(gens)]
-        split, width = rank, rank + len(gens)
     mults = data.draw(st.lists(poly_strategy(VARS2, max_deg=1, max_terms=2),
                                min_size=len(vectors), max_size=len(vectors)))
     member = _reference_combination(mults, vectors)
     targets = [member] + [ModuleVector(v) for v in data.draw(
         st.lists(st.lists(poly, min_size=rank, max_size=rank), max_size=2))]
     mvecs = [_mvec(g) for g in gens]
-    pad = [P("0", VARS2)] * (width - rank)
     with _time_limit(vectors):
-        eng = _Engine(mvecs, width, 2, order, split=split, track=True)
-        plain = _PlainEngine(mvecs, width, 2, order, split=split, track=True)
+        eng = _Engine(mvecs, rank, 2, order, track=True)
+        plain = _PlainEngine(mvecs, rank, 2, order, track=True)
     for reduced in (False, True):
         if reduced:
             with _time_limit(vectors):
@@ -1360,7 +1156,7 @@ def test_criteria_change_no_reduced_basis_normal_form_syzygy_or_membership(order
                 plain.reduce_canonical()
             assert (eng.basis, eng.lts) == (plain.basis, plain.lts)
         # a Groebner basis leaves one remainder, reduced or not
-        for f in mvecs + [_mvec(list(v) + pad) for v in targets]:
+        for f in mvecs + [_mvec(v) for v in targets]:
             vec = _cleared(f)[0]
             (rem, _c, d), (rem2, _c2, d2) = (e._divide(vec, None) for e in (eng, plain))
             assert _over(rem, d) == _over(rem2, d2)
@@ -1377,15 +1173,17 @@ def test_criteria_change_no_reduced_basis_normal_form_syzygy_or_membership(order
 
 
 def test_criteria_cut_the_reductions_of_the_cubic_presentation():
-    # the w-first cubic cone: 445 reductions (310 of them zero) without the
-    # criteria, 248 (112) with them, and the same presentation
+    # the w-first cubic cone: 531 reductions (397 of them zero) without the
+    # criteria, 305 (165) with them, and the same presentation; each
+    # syzygy_basis call builds a recording basis of its inputs and then
+    # a second basis of the recorded syzygies
     wxyz = ("w", "x", "y", "z")
     s0 = P("x^3 + y^3 + z^3 - 3*w*x*y*z", wxyz)
     parts = [s0.derivative(v) for v in wxyz]
     pres = []
-    assert _reductions(_Engine, lambda: pres.append(symmetry_presentation(parts))) == (248, 112)
+    assert _reductions(_Engine, lambda: pres.append(symmetry_presentation(parts))) == (305, 165)
     assert (_reductions(_PlainEngine, lambda: pres.append(symmetry_presentation(parts)))
-            == (445, 310))
+            == (531, 397))
     new, old = ([[poly_to_str(c) for c in row] for row in rows]
                 for rows in (p.tau + p.relations for p in pres))
     assert new == old
@@ -1419,24 +1217,16 @@ def _reference_reduce_canonical(self) -> None:
 
 
 def _reference_syzygy_basis(gens: Sequence, order: str = "grevlex") -> list:
-    """syzygy_basis before it kept only the tail block: the whole basis
-    is reduced, to a fixpoint, and the elements with a term in the first
-    block are skipped afterwards."""
+    """syzygy_basis with its second build, over the recorded syzygies,
+    inter-reduced to a fixpoint (_reference_reduce_canonical)."""
     vecs = _as_vectors(list(gens))
-    if not vecs:
-        raise ValueError("empty generator list")
-    rank, vars = vecs[0].rank, vecs[0].vars
-    s = len(vecs)
-    one = (0,) * len(vars)
-    graph = [{**_mvec_from_vector(v), (rank + i, one): 1} for i, v in enumerate(vecs)]
-    eng = _Engine(graph, rank=rank + s, nvars=len(vars), order=order, split=rank)
+    s, vars = len(vecs), vecs[0].vars
+    eng = _Engine(ModuleBasis(vecs, order, record=True).syzygies(),
+                  rank=s, nvars=len(vars), order=order)
     _reference_reduce_canonical(eng)
     out = []
     for g, (_t, lc) in zip(eng.basis, eng.lts):
-        if any(pos < rank for (pos, _e) in g):
-            continue
-        shifted = {(pos - rank, e): c for (pos, e), c in g.items()}
-        syz = _mvec_to_vector(shifted, s, vars, lc)
+        syz = _mvec_to_vector(g, s, vars, lc)
         if not _combination(syz, vecs).is_zero():
             raise AssertionError("syzygy failed verification")
         out.append(syz)
@@ -1446,23 +1236,19 @@ def _reference_syzygy_basis(gens: Sequence, order: str = "grevlex") -> list:
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["grevlex", "lex"]), st.integers(1, 2), st.booleans(),
        st.booleans(), st.data())
-def test_one_inter_reduction_pass_matches_the_fixpoint_reference(order, rank, track, graph,
+def test_one_inter_reduction_pass_matches_the_fixpoint_reference(order, rank, track, second,
                                                                   data):
     poly = poly_strategy(VARS2, max_deg=2, max_terms=3)
     gens = data.draw(st.lists(st.lists(poly, min_size=rank, max_size=rank),
                               min_size=1, max_size=3))
     vectors = [ModuleVector(g) for g in gens]
-    split, width = 0, rank
-    if graph:
-        # the graph vectors of syzygy_basis under its block order
-        one = P("1", VARS2)
-        gens = [g + [one if j == i else one * 0 for j in range(len(gens))]
-                for i, g in enumerate(gens)]
-        split, width = rank, rank + len(gens)
+    if second:
+        gens = _second_build_inputs(gens, order)
+        rank = len(gens[0])
     mvecs = [_mvec(g) for g in gens]
     with _time_limit(vectors):
-        eng = _Engine(mvecs, width, 2, order, split=split, track=track)
-        ref = _Engine(mvecs, width, 2, order, split=split, track=track)
+        eng = _Engine(mvecs, rank, 2, order, track=track)
+        ref = _Engine(mvecs, rank, 2, order, track=track)
         eng.reduce_canonical()
         _reference_reduce_canonical(ref)
     assert eng.basis == ref.basis

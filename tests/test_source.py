@@ -213,3 +213,53 @@ def test_only_gradient_differentiates_in_brst():
     visit(tree, "")
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "derivative"]
     assert len(calls) == 1 and found == []
+
+
+def test_only_module_basis_syzygies_reads_an_engine_record():
+    # the engine keeps what generates the syzygies of its inputs in
+    # zeros, then syzygies; ModuleBasis.syzygies alone reads it, so
+    # syzygy_basis and check_acyclic take the one record through one
+    # reader.  A call of a method named syzygies reads nothing.
+    found = set()
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            # the called method itself is not read
+            children = [node.func.value, *node.args, *(k.value for k in node.keywords)]
+        else:
+            if isinstance(node, ast.Attribute) and node.attr in ("syzygies", "zeros"):
+                found.add(f"{path.name}:{scope}")
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, scope, path)
+
+    for path in sorted(Path(bvkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "", path)
+    readers = {s for s in found if not s.startswith("polynomial_engine.py:_Engine.")}
+    assert readers == {"polynomial_engine.py:ModuleBasis.syzygies"}
+
+
+def test_the_engine_has_no_block_order():
+    # the term key orders one block: _term_key takes the order alone,
+    # and neither _Engine nor any call of it takes a split
+    paths = sorted(Path(bvkit.__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.FunctionDef) and n.name == "_term_key":
+                if len(n.args.args) != 1:
+                    found.append(f"{path.name}:{n.lineno} def _term_key")
+            elif isinstance(n, ast.ClassDef) and n.name == "_Engine":
+                init = next(f for f in n.body
+                            if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+                if "split" in [a.arg for a in init.args.args]:
+                    found.append(f"{path.name}:{init.lineno} _Engine(split)")
+            elif isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                if name == "_term_key" and len(n.args) + len(n.keywords) != 1:
+                    found.append(f"{path.name}:{n.lineno} _term_key call")
+                if name == "_Engine" and any(k.arg == "split" for k in n.keywords):
+                    found.append(f"{path.name}:{n.lineno} _Engine(split=)")
+    assert found == []

@@ -150,15 +150,16 @@ class TestBasisReuse:
         built = []
         real = tate._DeltaLayer.__init__
 
-        def spy(self, table, delta, d, order):
-            built.append(d)
-            real(self, table, delta, d, order)
+        def spy(self, table, delta, d, order, record=False):
+            built.append((d, record))
+            real(self, table, delta, d, order, record)
 
         monkeypatch.setattr(tate._DeltaLayer, "__init__", spy)
         for through in (1, 3, 5):
             built.clear()
             assert check_acyclic(res, through).ok
-            assert built == list(range(through + 1))
+            # every layer but the last records the cycles of the next degree
+            assert built == [(d, d < through) for d in range(through + 1)]
 
 
 class TestAcyclicityWitness:
@@ -235,6 +236,12 @@ class TestValidation:
         # dS = (2xy, x^2): closed but not exact-looking to the builder
         r = build_resolution(["x", "y"], partials=["2*x*y", "x^2+1"], depth=2)
         assert check_acyclic(r, 2).ok
+
+    @pytest.mark.parametrize("through", [0, -3])
+    def test_check_acyclic_refuses_an_empty_window(self, through):
+        # no degree to check is no verdict, not a vacuous ok
+        with pytest.raises(ValueError, match="through must be >= 1"):
+            check_acyclic(circle(2), through)
 
     def test_delta_square_enforced(self):
         table = GeneratorTable(("x",), (("bs1", -2, "b1"),))
