@@ -323,7 +323,6 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
     S = s_lin(res)
     low = truncate(S, 1)
     log = [f"associated solution: {len(S.terms)} terms"]
-    cache: dict = {}
     cap = _square_cap(res, p_max)
     kept = _bracket_factors(S * 2) + _one_form_factors(res)
     n = len(t.names)
@@ -355,7 +354,8 @@ def solve_master(res: TateResolution, p_max: int) -> MasterSolution:
             log.append(f"order {p}: residual already in F^{p + 2}")
             continue
         blocks = _split_blocks(GradedPolynomial(t, rbar) * Fraction(-1, 2))
-        v = _solve_layer(res, blocks, p, cache)
+        # order p lifts against layer p alone: no layer outlives its order
+        v = _solve_layer(res, blocks, p, {})
         fv = _bracket_factors(v)
         kept += fv
         r = r + _bracket_pair(kept, v, P)

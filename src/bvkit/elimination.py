@@ -4,7 +4,8 @@ A row is a dict {column: coefficient}.  _echelon row-reduces over the
 integers (fraction-free, by cross-multiplication) and returns the
 (pivot column, row) pairs of the reduced echelon form; reduce_row
 reduces a vector against them.  _cleared and _axpy are the integer
-helpers the Groebner engine shares with it.  Standard library only;
+helpers the Groebner engine, and the int check of its certificates
+(polynomial_engine._certifies), share with it.  Standard library only;
 nothing here imports from the rest of the package.
 """
 

@@ -7,16 +7,17 @@ form of every monomial it has reduced, which one int sum (_nf_sum)
 reads; ModuleBasis, which lifts many vectors against one generator list
 and grows by one generator at a time, and whose one lift body serves a
 GroebnerBasis too, over its generators; and syzygies.  The sparse
-eliminator is in elimination.  Results and certificate checks are in
-`fractions.Fraction`; the engine works over the integers inside.  No
-floats, no modular shortcuts.
+eliminator is in elimination.  Results are in `fractions.Fraction`; the
+engine works over the integers inside, and its certificates are checked
+in those integers (_certifies), apart from the engine.  No floats, no
+modular shortcuts.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -495,9 +496,11 @@ def _combination(coeffs: Iterable, gens: Sequence):
     gens are BasePolynomials or ModuleVectors of one rank, the coefficients
     BasePolynomials, all over one variable list, or ValueError.  Zero
     coefficients are skipped; gens must not be empty (a combination with
-    no nonzero coefficient is gens[0] * 0).  This is the one certificate
-    check: it never calls the engine, so a check does not depend on the
-    code whose result it checks.
+    no nonzero coefficient is gens[0] * 0).  It never calls the engine.
+    It serves the Fraction-level jobs: the fields that brst applies, the
+    presentation's _verify and the exact constructors of bv_solver.  The
+    certificates the engine hands out (lifts, syzygies, the Groebner
+    matrix) are checked in the engine's own ints, by _certifies.
     """
     acc = None
     for c, g in zip(coeffs, gens, strict=True):
@@ -523,6 +526,30 @@ def _combination(coeffs: Iterable, gens: Sequence):
         return gens[0] * 0
     out = [_from_terms(vars, t) for t in acc]
     return out[0] if isinstance(gens[0], BasePolynomial) else ModuleVector(out)
+
+
+def _certifies(comb: dict, gens: Sequence, target: dict) -> bool:
+    """Whether sum c * x^e * gens_i over the ((i, e), c) of comb equals
+    target, decided in ints alone.
+
+    comb and target are int MVecs, comb's positions indexing gens, a list
+    of ModuleVectors.  The generators that comb touches are cleared here,
+    from their own Fraction terms, by the lcm L of their denominators,
+    and sum c * x^e * (L * gens_i) is compared with L * target.  Nothing
+    cleared is kept.  This is the check of every certificate the engine
+    hands out (ModuleBasis.lift, syzygy_basis, the groebner_basis
+    matrix): it never calls the engine, so a check does not depend on
+    the code whose result it checks.
+    """
+    rows = {i: [(p, e, c) for p, g in enumerate(gens[i]) for e, c in g.terms.items()]
+            for i in {i for i, _e in comb}}
+    L = lcm(*[c.denominator for row in rows.values() for _p, _e, c in row])
+    acc: dict = {}
+    _axpy(acc, -L, target.items())
+    for (i, e1), c1 in comb.items():
+        _axpy(acc, c1, [((p, tuple(map(add, e1, e2))), c2.numerator * (L // c2.denominator))
+                        for p, e2, c2 in rows[i]])
+    return not acc
 
 
 # -- internal sparse vectors for the Buchberger engine -----------------
@@ -830,8 +857,9 @@ class GroebnerBasis:
     generators and the transformation matrix read off the engine's
     tracked transforms, over the same leading coefficients:
     elements[i] = sum_k matrix[i][k] * generators[k].  groebner_basis
-    verifies that by plain arithmetic, apart from the engine, so every
-    element is certified to lie in the ideal of the generators.
+    verifies each int transform row against its int element
+    (_certifies), apart from the engine, so every element is certified
+    to lie in the ideal of the generators.
     _nf holds the normal form of each monomial reduced (_monomial_nf),
     as int numerators over one denominator d, reduced so that d = 1
     whenever the normal form is integral; _nf_sum is its one reader.
@@ -870,16 +898,18 @@ class ModuleBasis:
 
     Built once per generator list, then asked many membership questions:
     lift(f) returns the coefficient vector c with sum(c_i * gens_i) = f,
-    verified exactly, or None.  add(v) appends a generator and runs
-    Buchberger on the new S-pairs only; absorb(vectors) adds each vector
-    the span does not reach yet.  Coefficients depend on the basis, so
-    two bases grown from the same generators in different steps agree
-    on membership but may hand out different coefficients.  Generators
-    may be BasePolynomial (rank 1) or ModuleVector of a common rank; an
-    empty list spans only the zero vector.  With record, the first build
-    keeps what generates the syzygies of gens (_Engine's record), and
-    syzygies() hands it out once; syzygy_basis and check_acyclic both
-    read their syzygies so.
+    or None.  The division's int combination is verified exactly, in
+    ints (_certified, _certifies), before c is built from it.  add(v)
+    appends a generator and runs Buchberger on the new S-pairs only;
+    absorb(vectors) adds each vector the span does not reach yet, asking
+    the certified membership query alone.  Coefficients depend on the
+    basis, so two bases grown from the same generators in different
+    steps agree on membership but may hand out different coefficients.
+    Generators may be BasePolynomial (rank 1) or ModuleVector of a
+    common rank; an empty list spans only the zero vector.  With record,
+    the first build keeps what generates the syzygies of gens (_Engine's
+    record), and syzygies() hands it out once; syzygy_basis and
+    check_acyclic both read their syzygies so.
     """
 
     __slots__ = ("order", "gens", "_engine")
@@ -935,35 +965,51 @@ class ModuleBasis:
 
     def absorb(self, vectors: Iterable) -> list:
         """Add, in order, each vector the span does not reach yet; the
-        vectors added.  A zero vector is always reached."""
+        vectors added.  A zero vector is always reached.  Each question
+        is a certified membership query (_certified), so no coefficient
+        vector is built."""
         added = []
         for v in vectors:
-            if self.lift(v) is None:
+            if self._certified(v) is None:
                 self.add(v)
                 added.append(v)
         return added
 
-    def lift(self, f):
-        """The coefficient vector c with sum(c_i * gens_i) = f, or None;
-        () for an empty generator list and f = 0."""
+    def _certified(self, f):
+        """(comb, s) with sum comb . gens = s * f, or None when the span
+        does not reach f: comb is the int MVec over the generator index
+        that the division hands out, checked by _certifies before return,
+        and s = -d * k a nonzero int; ({}, 1) for an empty generator list
+        and f = 0."""
         fv = ModuleVector([f]) if isinstance(f, BasePolynomial) else f
         if not self.gens:
-            return () if fv.is_zero() else None
-        vars = self.gens[0].vars
-        if fv.rank != self.gens[0].rank or fv.vars != vars:
+            return ({}, 1) if fv.is_zero() else None
+        if fv.rank != self.gens[0].rank or fv.vars != self.gens[0].vars:
             raise ValueError("target incompatible with generators")
         vec, k = _cleared(_mvec_from_vector(fv))
         rem, comb, d = self._engine._divide(vec, {})
         if rem:
             return None
         # k * f reduced to zero: d * k * f + comb . inputs = 0
-        coeffs = _mvec_to_vector(comb, len(self.gens), vars, -d * k)
-        if _combination(coeffs, self.gens) != fv:
+        if not _certifies(comb, self.gens, {t: -d * c for t, c in vec.items()}):
             raise AssertionError("membership certificate failed verification")
-        return coeffs
+        return comb, -d * k
+
+    def lift(self, f):
+        """The coefficient vector c with sum(c_i * gens_i) = f, or None;
+        () for an empty generator list and f = 0.  c is the certified
+        combination of _certified over its scale, so only a caller that
+        reads the coefficients builds Fractions."""
+        cert = self._certified(f)
+        if cert is None:
+            return None
+        if not self.gens:
+            return ()
+        return _mvec_to_vector(cert[0], len(self.gens), self.gens[0].vars, cert[1])
 
 
 GroebnerBasis.lift = ModuleBasis.lift
+GroebnerBasis._certified = ModuleBasis._certified
 
 
 # -- public operations -------------------------------------------------
@@ -981,8 +1027,8 @@ def groebner_basis(gens: Iterable[BasePolynomial], order: str = ORDER_GREVLEX) -
     eng = _Engine(vectors, rank=1, nvars=len(vars), order=order, track=True)
     eng.reduce_canonical()
     gb = GroebnerBasis(order, gens, vars, eng)
-    for el, row in zip(gb.elements, gb.matrix):
-        if _combination(row, gens) != el:
+    for tr, el in zip(eng.transforms, eng.basis):
+        if not _certifies(tr, gb.gens, el):
             raise AssertionError("transformation matrix failed verification")
     return gb
 
@@ -1070,7 +1116,8 @@ def lift_membership(f, gens: Sequence, order: str = ORDER_GREVLEX):
 
 def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
     """The reduced Groebner basis of {c : sum(c_i * gens_i) = 0}, each
-    element verified.
+    element verified as an int syzygy of the cleared generators
+    (_certifies) before it is divided by its leading coefficient.
 
     A recording ModuleBasis of gens hands out generators of the module
     (ModuleBasis.syzygies), and an untracked engine of rank len(gens)
@@ -1089,8 +1136,7 @@ def syzygy_basis(gens: Sequence, order: str = ORDER_GREVLEX) -> list:
     eng.reduce_canonical()
     out = []
     for g, (_t, lc) in zip(eng.basis, eng.lts):
-        syz = _mvec_to_vector(g, s, vars, lc)
-        if not _combination(syz, vecs).is_zero():
+        if not _certifies(g, vecs, {}):
             raise AssertionError("syzygy failed verification")
-        out.append(syz)
+        out.append(_mvec_to_vector(g, s, vars, lc))
     return out

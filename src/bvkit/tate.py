@@ -281,8 +281,10 @@ class _DeltaLayer:
         return ModuleBasis(self.columns, self.order, self.record)
 
     def vector(self, a: GradedPolynomial) -> ModuleVector:
-        """a, a ghost(-d) chain, as its coefficient vector over ``here``."""
-        comps = [BasePolynomial.zero(self.table.coordinates) for _ in self.here]
+        """a, a ghost(-d) chain, as its coefficient vector over ``here``;
+        the empty components share one zero, as polynomials are
+        immutable."""
+        comps = [BasePolynomial.zero(self.table.coordinates)] * len(self.here)
         for m, c in a.terms.items():
             if m not in self._index:
                 raise ValueError("element does not lie in the chain span")
@@ -295,11 +297,14 @@ class _DeltaLayer:
             return None
         return GradedPolynomial(self.table, dict(zip(self.above, c)))
 
+    def chain(self, z: ModuleVector) -> GradedPolynomial:
+        """z, a vector over ``here``, as a ghost(-d) chain."""
+        return GradedPolynomial(self.table, dict(zip(self.here, z)))
+
     def unreached(self, cycles: Sequence[ModuleVector]) -> list:
         """The cycles, as chains, that neither the boundaries nor an earlier
         kept cycle reach; each kept cycle joins ``bounds``."""
-        return [GradedPolynomial(self.table, dict(zip(self.here, z)))
-                for z in self.bounds.absorb(cycles)]
+        return [self.chain(z) for z in self.bounds.absorb(cycles)]
 
     def syzygies(self) -> list:
         """Generators of the kernel of ``columns``, the cycles among the
@@ -424,11 +429,13 @@ def check_acyclic(res: TateResolution, through: int) -> AcyclicityReport:
     in its first build, and the Koszul syzygies of the pairs the product
     criterion skipped (Schreyer).  So no second Groebner basis runs.
     These generate the cycle module, so degree d is exact exactly when
-    the boundaries reach each of them; the first that none reaches is
-    the witness, and each reach is a certificate that _combination
-    checks.  The builder's syzygy_basis reduces the same engine record,
-    so the two share that record, and its completeness rests on the
-    tests, which hold it to an elimination on the graph vectors.
+    the boundaries reach each of them.  Each is a certified membership
+    query (ModuleBasis._certified, checked in ints by _certifies); the
+    first cycle they do not reach is the witness, and the check of that
+    degree stops there, adding nothing to the basis.  The builder's
+    syzygy_basis reduces the same engine record, so the two share that
+    record, and its completeness rests on the tests, which hold it to an
+    elimination on the graph vectors.
     through < 1 raises ValueError.
     """
     if through < 1:
@@ -443,8 +450,8 @@ def check_acyclic(res: TateResolution, through: int) -> AcyclicityReport:
         # nothing, since its syzygies would be cycles past the window
         cycles = layer.syzygies()
         layer = _DeltaLayer(res.table, delta, d, res.order, record=d < through)
-        missed = layer.unreached(cycles) if cycles else []
-        entries.append((d, not missed, missed[0] if missed else None))
+        missed = next((z for z in cycles if layer.bounds._certified(z) is None), None)
+        entries.append((d, missed is None, None if missed is None else layer.chain(missed)))
     return AcyclicityReport(entries)
 
 

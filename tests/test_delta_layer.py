@@ -5,6 +5,8 @@ delta on the chains as a module map by hand; outputs must agree term for
 term and in dict order."""
 
 import copy
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -375,9 +377,9 @@ def test_solutions_and_gauge_words_match_the_solver_lift(case, monkeypatch):
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 @pytest.mark.parametrize("s0", ["(x^2+y^2-1)^2/4", "x^2*y^2"])
 def test_unreached_matches_the_reference_loop(s0, order, monkeypatch):
-    # every cycle list the builder and check_acyclic hand to unreached, at
-    # depth 5, is also run through the reference on a twin layer whose
-    # bounds are built afresh
+    # every cycle list the builder hands to unreached, at depth 5, is also
+    # run through the reference on a twin layer whose bounds are built
+    # afresh; check_acyclic asks membership only and calls no unreached
     real = tate._DeltaLayer.unreached
     counts = []
 
@@ -395,3 +397,34 @@ def test_unreached_matches_the_reference_loop(s0, order, monkeypatch):
     assert check_acyclic(res, 5).ok
     assert sum(kept for _n, kept in counts) == len(res.generators) > 0
     assert sum(n for n, _kept in counts) > len(res.generators)
+
+
+def test_solve_master_holds_one_layer_at_a_time(monkeypatch):
+    # order p lifts against layer p alone, so each layer is dropped when
+    # its order ends: no earlier layer is alive when the next one is built
+    res = build_resolution(("x", "y"), s0="(x^2+y^2-1)^2/4", depth=6)
+    built = []
+    real = tate._DeltaLayer.__init__
+
+    def spy(self, table, delta, d, order, record=False):
+        gc.collect()
+        assert [ref for ref in built if ref() is not None] == []
+        built.append(weakref.ref(self))
+        real(self, table, delta, d, order, record)
+
+    monkeypatch.setattr(tate._DeltaLayer, "__init__", spy)
+    solve_master(res, 5)
+    assert len(built) > 2
+
+
+def test_vector_components_share_one_zero():
+    # polynomials are immutable, so the empty components of a chain's
+    # vector are one zero object rather than a new zero each
+    res = build_resolution(("x", "y"), s0="(x^2+y^2-1)^2/4", depth=4)
+    layer = tate._DeltaLayer(res.table, res.gr_delta(), 3, res.order)
+    assert len(layer.here) > 2
+    chains = [GradedPolynomial.zero(res.table), layer.chain(layer.columns[0])]
+    for v in [layer.vector(a) for a in chains] + layer.columns:
+        zeros = {id(c) for c in v if c.is_zero()}
+        assert len(zeros) <= 1
+    assert len({id(c) for c in layer.vector(chains[0])}) == 1

@@ -19,6 +19,7 @@ from bvkit.polynomial_engine import (
     BasePolynomial,
     _Engine,
     _as_vectors,
+    _certifies,
     _combination,
     _from_terms,
     _monomial_div,
@@ -27,6 +28,7 @@ from bvkit.polynomial_engine import (
     _monomial_mul,
     _monomial_nf,
     _mvec_add_into,
+    _mvec_from_vector,
     _mvec_to_vector,
     _poly,
     ModuleBasis,
@@ -291,6 +293,91 @@ class TestCertificateChecks:
         monkeypatch.setattr(_Engine, "reduce_canonical", corrupt)
         with pytest.raises(AssertionError, match="syzygy failed verification"):
             syzygy_basis(mk(VARS2, "x", "y"))
+
+    def test_membership_query_rejects_a_corrupted_transform(self):
+        # absorb asks the membership query alone, which builds no
+        # coefficient vector; it checks the int certificate all the same
+        basis = ModuleBasis(mk(VARS2, *self.GENS))
+        f = P("x^3 - x*y + x*y^2", VARS2)
+        comb, s = basis._certified(f)
+        assert all(type(c) is int for c in comb.values()) and type(s) is int
+        eng = basis._engine
+        eng.transforms = [self.double(tr) for tr in eng.transforms]
+        with pytest.raises(AssertionError, match="membership certificate failed"):
+            basis._certified(f)
+        with pytest.raises(AssertionError, match="membership certificate failed"):
+            basis.absorb([f])
+        assert len(basis.gens) == 2
+
+
+def test_the_int_check_never_calls_the_engine(monkeypatch):
+    # _certifies checks what the engine computed, so while it runs no
+    # engine method, Groebner build or normal form may run; every
+    # certificate kind passes through it: lifts, membership queries,
+    # syzygies and the Groebner matrix
+    inside, seen = [], []
+    real = polynomial_engine._certifies
+
+    def check(*args):
+        inside.append(True)
+        try:
+            seen.append(real(*args))
+        finally:
+            inside.pop()
+        return seen[-1]
+
+    def guard(name, fn):
+        def guarded(*args, **kwargs):
+            if inside:
+                raise AssertionError(f"the int check called {name}")
+            return fn(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(polynomial_engine, "_certifies", check)
+    for name, fn in list(vars(_Engine).items()):
+        if callable(fn):
+            monkeypatch.setattr(_Engine, name, guard(name, fn))
+    for name in ("groebner_basis", "normal_form", "_nf_sum", "_monomial_nf"):
+        monkeypatch.setattr(polynomial_engine, name, guard(name, getattr(polynomial_engine, name)))
+    gens = mk(VARS2, "x^2/2 - y", "2/3*x*y + 1")
+    gb = polynomial_engine.groebner_basis(gens)
+    assert polynomial_engine.normal_form(P("x^3", VARS2), gb) is not None
+    basis = ModuleBasis(gens)
+    assert basis.lift(P("x^3/2 - x*y", VARS2)) is not None
+    assert basis.absorb([P("x", VARS2), P("x^2", VARS2)]) == [P("x", VARS2)]
+    assert len(syzygy_basis(gens)) == 1
+    assert len(seen) > 5 and all(seen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_int_check_accepts_exactly_the_combinations(rank, data):
+    # comb over gens is a certificate of target at scale s exactly when
+    # _combination of comb / s, the divided-out coefficients, equals
+    # target / s; comb carries the gens' common denominator, so the true
+    # target is an int MVec, and the drawn target is it or a changed one
+    gen = poly_strategy(VARS2, max_deg=2, max_terms=3)
+    gen = st.lists(gen, min_size=rank, max_size=rank).map(ModuleVector)
+    gens = data.draw(st.lists(gen, min_size=1, max_size=3))
+    n = len(gens)
+    key = st.tuples(st.integers(0, n - 1), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    raw = data.draw(st.dictionaries(key, st.integers(-3, 3).filter(bool), max_size=4))
+    den = 1
+    for g in gens:
+        den = den * _cleared(_mvec_from_vector(g))[1]
+    comb = {k: c * den for k, c in raw.items()}
+    s = data.draw(st.integers(-4, 4).filter(bool))
+    coeffs = _mvec_to_vector(comb, n, VARS2, s)
+    exact = _mvec_from_vector(_combination(list(coeffs), gens) * s)
+    assert all(c.denominator == 1 for c in exact.values())
+    target = {k: c.numerator for k, c in exact.items()}
+    if data.draw(st.booleans()):
+        k = data.draw(st.tuples(st.integers(0, rank - 1),
+                                st.tuples(st.integers(0, 4), st.integers(0, 4))))
+        target[k] = target.get(k, 0) + data.draw(st.integers(-2, 2).filter(bool))
+        target = {t: c for t, c in target.items() if c}
+    wanted = _mvec_to_vector(target, rank, VARS2, s)
+    assert _certifies(comb, gens, target) == (_combination(list(coeffs), gens) == wanted)
 
 
 def test_engine_coefficients_are_ints(monkeypatch):

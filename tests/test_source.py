@@ -263,3 +263,19 @@ def test_the_engine_has_no_block_order():
                 if name == "_Engine" and any(k.arg == "split" for k in n.keywords):
                     found.append(f"{path.name}:{n.lineno} _Engine(split=)")
     assert found == []
+
+
+def test_engine_certificates_are_checked_without_combination():
+    # lifts, membership queries, syzygies and the Groebner matrix are
+    # checked in the engine's own ints (_certifies); _combination, which
+    # builds Fraction vectors, stays for the Fraction-level jobs
+    path = Path(bvkit.__file__).parent / "polynomial_engine.py"
+    tree = ast.parse(path.read_text(), str(path))
+    scopes = {n.name: n for n in tree.body
+              if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    found = {}
+    for name in ("ModuleBasis", "syzygy_basis", "groebner_basis"):
+        called = {n.id for n in ast.walk(scopes[name]) if isinstance(n, ast.Name)}
+        found[name] = sorted(called & {"_combination", "_certifies"})
+    assert found == {name: ["_certifies"]
+                     for name in ("ModuleBasis", "syzygy_basis", "groebner_basis")}

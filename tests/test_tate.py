@@ -222,6 +222,28 @@ class TestAcyclicityWitness:
         want = parse_graded("bs2 - x*bs1", table)
         assert self.rescaled(rep.witness(2), want) == want
 
+    def test_truncated_resolution_stops_at_the_first_missed_cycle(self, monkeypatch):
+        # the circle at depth 5 without its generators of degree -4 and
+        # below: two degree-3 cycles go unbounded, and the check reports
+        # the first, as it did when it absorbed every miss into the basis,
+        # without growing any basis
+        full = circle(5)
+        keep = [g for g in full.generators if g.degree >= -3]
+        table = GeneratorTable(("x", "y"), tuple(p for p in full.table.pairs
+                                                 if p[0] in {g.name for g in keep}))
+        gens = [TateGenerator(g.name, g.degree, parse_graded(delta_str(full, g.name), table))
+                for g in keep]
+        short = TateResolution(table, full.partials, gens, 5, order=full.order)
+
+        def refuse(self, v):
+            raise AssertionError("check_acyclic grew a basis")
+
+        monkeypatch.setattr(polynomial_engine.ModuleBasis, "add", refuse)
+        rep = check_acyclic(short, 5)
+        assert [(d, ok) for d, ok, _w in rep.entries] == [
+            (1, True), (2, True), (3, False), (4, True), (5, True)]
+        assert graded_to_str(rep.witness(3)) == "(-y)*bs2 + (1)*ys*bs1"
+
     def test_report_repr(self):
         rep = check_acyclic(circle(2), 2)
         assert "ok" in repr(rep)
